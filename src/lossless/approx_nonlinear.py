@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from ._util import as_float_array, frozen
-from .statespace import Trajectory, _input_samples, _step_count
+from .statespace import Trajectory, _input_samples, _rk4
 
 __all__ = [
     "ConvergenceFit",
@@ -249,37 +249,22 @@ def simulate_wrapped(
     else:
         ports = 1 if u.values.ndim == 1 else u.values.shape[1]
     u_vals, u_mids, h = _input_samples(u, ports, dt, horizon)
-    if horizon is not None:
-        steps = _step_count(horizon, h)
-        if steps > u_vals.shape[0] - 1:
-            raise ValueError(f"horizon {horizon} needs {steps + 1} samples, input has {u_vals.shape[0]}")
-        u_vals = u_vals[: steps + 1]
-        u_mids = u_mids[:steps]
     steps = u_vals.shape[0] - 1
     root = ws.initial_supply
     field, output = ws.field, ws.output
 
-    def rates(x, xe, uv):
+    def rates(z, uv):
+        # z packs the state x with the supply state x_e as its last entry
+        x = z[:-1]
         fx = np.asarray(field(x, uv), dtype=float).reshape(x.shape)
         gx = np.asarray(output(x, uv), dtype=float).reshape(uv.shape)
-        return (xe / root) * fx, (float(gx @ uv) - float(x @ fx)) / root
+        dz = np.empty(z.shape)
+        np.multiply(z[-1] / root, fx, out=dz[:-1])
+        dz[-1] = (float(gx @ uv) - float(x @ fx)) / root
+        return dz
 
-    x = np.array(ws.initial_state, dtype=float)
-    xe = root
-    states = np.empty((steps + 1, x.shape[0]))
-    supply = np.empty(steps + 1)
-    states[0], supply[0] = x, xe
-    for k in range(steps):
-        u0, um, u1 = u_vals[k], u_mids[k], u_vals[k + 1]
-        dx1, de1 = rates(x, xe, u0)
-        dx2, de2 = rates(x + 0.5 * h * dx1, xe + 0.5 * h * de1, um)
-        dx3, de3 = rates(x + 0.5 * h * dx2, xe + 0.5 * h * de2, um)
-        dx4, de4 = rates(x + h * dx3, xe + h * de3, u1)
-        x = x + (h / 6.0) * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-        xe = xe + (h / 6.0) * (de1 + 2.0 * de2 + 2.0 * de3 + de4)
-        if not (np.all(np.isfinite(x)) and np.isfinite(xe)):
-            raise FloatingPointError(f"state diverged at t = {(k + 1) * h:.6g}")
-        states[k + 1], supply[k + 1] = x, xe
+    path = _rk4(rates, np.append(ws.initial_state, root), u_vals, u_mids, h)
+    states, supply = path[:, :-1], path[:, -1]
 
     outputs = np.empty((steps + 1, ports))
     for k in range(steps + 1):

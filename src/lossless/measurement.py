@@ -231,9 +231,9 @@ def _supply_aux_path(system, km: float, supply_energy: float, dt: float, steps: 
     """Noise-free closed loop of the active probe, plus its drift signal.
 
     Integrates the measured state together with the supply state x_r
-    (charged exactly to sqrt(2 E_m)) and returns the state path, the
-    output, and the drift w_d(t) = k_m (x_r/sqrt(2 E_m) - 1) y(t) that
-    the supply's slow discharge injects at the port.
+    (charged exactly to sqrt(2 E_m)) and returns the state path and the
+    drift w_d(t) = k_m (x_r/sqrt(2 E_m) - 1) y(t) that the supply's slow
+    discharge injects at the port.
     """
     j, b = system.J, system.B
     root = math.sqrt(2.0 * supply_energy)
@@ -246,11 +246,8 @@ def _supply_aux_path(system, km: float, supply_energy: float, dt: float, steps: 
         return np.concatenate([dx2, [(km / root) * y2**2]])
 
     path = integrate_ode(rates, np.concatenate([system.x0, [root]]), dt, steps * dt)
-    states = path.values[:, :n]
-    supply = path.values[:, n]
-    outputs = states @ b
-    drift = km * (supply / root - 1.0) * outputs
-    return states, outputs, drift
+    states, supply = path.values[:, :n], path.values[:, n]
+    return states, km * (supply / root - 1.0) * (states @ b)
 
 
 def simulate_device(
@@ -282,22 +279,15 @@ def simulate_device(
     j, b, x0 = system.J, system.B, system.x0
     x_nat = _natural_final(system, t_m)
     y_nat = float(b @ x_nat)
-    if device.variant == "M1":
-        phi = matrix_exponential((j - km * np.outer(b, b)) * dt)
-        states = np.empty((steps + 1, system.n))
-        states[0] = x0
-        for k in range(steps):
-            states[k + 1] = phi @ states[k]
-        record = states @ b
-        back = states[-1] - x_nat
-    else:  # M2: the active branch cancels the loading, u stays zero
-        phi = matrix_exponential(j * dt)
-        states = np.empty((steps + 1, system.n))
-        states[0] = x0
-        for k in range(steps):
-            states[k + 1] = phi @ states[k]
-        record = states @ b
-        back = np.zeros(system.n)
+    # M2's active branch cancels the loading, so its port current stays zero
+    loading = km * np.outer(b, b) if device.variant == "M1" else 0.0
+    phi = matrix_exponential((j - loading) * dt)
+    states = np.empty((steps + 1, system.n))
+    states[0] = x0
+    for k in range(steps):
+        states[k + 1] = phi @ states[k]
+    record = states @ b
+    back = states[-1] - x_nat if device.variant == "M1" else np.zeros(system.n)
     y_hat = float(record[-1])
     residual = abs(y_nat - (y_hat - 0.0 - float(b @ back)))
     return MeasurementOutcome(
@@ -319,65 +309,134 @@ def simulate_device(
     )
 
 
-def _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads):
-    j, b, x0 = system.J, system.B, system.x0
-    n = system.n
+def _probe_trials(system, device, dt, steps, rng, count):
+    """Euler-Maruyama histories of `count` thermal probe trials.
+
+    The readout and the kick into the system ride on the same white
+    noise.  Returns the readout records (steps + 1, count), the final
+    states (count, n) and, for M2hat, each trial's supply offset (drawn
+    first from `rng`); M1hat returns None for the offsets.
+    """
+    j, b, n = system.J, system.B, system.n
     km = device.admittance
     kbt = device.boltzmann * device.temperature
     kick = -math.sqrt(2.0 * km * kbt * dt)
     meas = math.sqrt(2.0 * kbt / (km * dt))
-    eye = np.eye(n)
-    chain = eye + dt * j  # record-driven transition for M1hat
+    offsets = None
+    if device.variant == "M2hat":
+        root = math.sqrt(2.0 * device.supply_energy)
+        offsets = math.sqrt(kbt) * rng.standard_normal(count)
+        supply = root + offsets
+    else:
+        a_d = np.eye(n) + dt * (j - km * np.outer(b, b))
+    eta = rng.standard_normal((steps + 1, count))
+    states = np.broadcast_to(system.x0, (count, n)).copy()
+    records = np.empty((steps + 1, count))
+    for k in range(steps + 1):
+        y2 = states @ b
+        records[k] = y2 + meas * eta[k]
+        if k == steps:
+            break
+        kicked = kick * (eta[k][:, None] * b)
+        if offsets is None:
+            states = states @ a_d.T + kicked
+        else:
+            load = (km * (supply / root - 1.0) * y2)[:, None] * b
+            states = states + dt * (states @ j.T + load) + kicked
+            supply = supply + dt * (km / root) * y2**2
+    return records, states, offsets
+
+
+def _record_chain(a0, b, records, port, scale=None, rows=None):
+    """Rows b^T A^k and record-driven readouts of the filter recursion.
+
+    Given its readout record, a trial's state obeys x[k+1] = A x[k] +
+    port[k] B exactly, with A = a0 + scale B B^T (one scale per trial)
+    or A = a0 for every trial when `scale` is None.  Writing x[k] =
+    A^k x0 + f[k], the readout y_m[k] - B^T f[k] is b^T A^k x0 plus
+    noise.  Returns (rows, pushed) with pushed[k] = B^T f[k], (steps + 1,
+    count); rows is (steps + 1, n) for a shared A, else (count, steps +
+    1, n).  Shared rows already known can be passed in to skip them.
+    """
+    steps, count = records.shape[0] - 1, records.shape[1]
+    n = b.shape[0]
+    shared = scale is None
+    cur = None  # the current rows as columns, (n,) or (n, count)
+    if rows is None:
+        rows = np.empty((steps + 1, n) if shared else (count, steps + 1, n))
+        cur = b.copy() if shared else np.repeat(b[:, None], count, axis=1)
+    forcing = np.zeros((n, count))  # one column per trial
+    pushed = np.empty((steps + 1, count))
+    for k in range(steps + 1):
+        pushed[k] = b @ forcing
+        if cur is not None:
+            rows[..., k, :] = cur.T
+        if k == steps:
+            break
+        if shared:
+            forcing = a0 @ forcing + b[:, None] * port[k]
+            if cur is not None:
+                cur = a0.T @ cur
+        else:
+            forcing = a0 @ forcing + b[:, None] * (scale * (b @ forcing) + port[k])
+            cur = a0.T @ cur + b[:, None] * (scale * (b @ cur))
+    return rows, pushed
+
+
+def _m_star(system, device, t_m) -> float:
+    """Riccati error floor at t_m (zero for a noiseless readout)."""
+    if device.temperature == 0.0:
+        return 0.0
+    sol = riccati_solve(system, device.admittance, device.temperature, [t_m],
+                        boltzmann=device.boltzmann)
+    return float(sol.m_star[0])
+
+
+def _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads):
+    """Monte-Carlo trials of a realized probe, each record filtered optimally.
+
+    Substituting the record into the state update gives the exact
+    affine recursion  x[k+1] = A x[k] + dt B (w_d[k] - k_m y_m[k]),
+    with A = I + dt J for M1hat and, for M2hat, the supply-corrected
+    A = I + dt (J + k_m (1 + offset/sqrt(2 E_m)) B B^T) that treats the
+    trial's supply offset as known to the observer.  The unknown is
+    only x0, so the estimate is least squares over the record; the
+    rows and their QR factors are shared across trials for M1hat and
+    trial-specific (batched QR) for M2hat.  The final estimate is
+    b^T A^steps x0_hat + B^T f[steps].
+    """
+    b, n = system.B, system.n
+    km = device.admittance
+    a0 = np.eye(n) + dt * system.J  # record-driven transition
     x_nat = _natural_final(system, t_m)
     y_nat = float(b @ x_nat)
 
     if device.variant == "M1hat":
-        a_d = eye + dt * (j - km * np.outer(b, b))
-        rows = np.empty((steps + 1, n))
-        rows[0] = b
-        for k in range(steps):
-            rows[k + 1] = chain.T @ rows[k]
+        # the chain run over zero trials yields just the shared rows
+        rows = _record_chain(a0, b, np.zeros((steps + 1, 0)), np.zeros((steps, 0)))[0]
         q_shared, r_shared = np.linalg.qr(rows)
-        gk = np.linalg.matrix_power(chain, steps)
-        b_det = matrix_exponential((j - km * np.outer(b, b)) * t_m) @ x0 - x_nat
-        drift = None
-        base = None
-        root = None
+        b_det = matrix_exponential((system.J - km * np.outer(b, b)) * t_m) @ system.x0 - x_nat
+        push = 0.0
     else:
         root = math.sqrt(2.0 * device.supply_energy)
-        aux_states, _, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
+        aux_states, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
+        push = dt * drift[:-1, None]
         b_det = aux_states[-1] - x_nat
-        a_d = q_shared = r_shared = gk = None
 
     def worker(rng, count):
-        if device.variant == "M2hat":
-            offsets = math.sqrt(kbt) * rng.standard_normal(count)
-        eta = rng.standard_normal((steps + 1, count))
-        states = np.broadcast_to(x0, (count, n)).copy()
-        records = np.empty((steps + 1, count))
-        if device.variant == "M1hat":
-            for k in range(steps + 1):
-                records[k] = states @ b + meas * eta[k]
-                if k < steps:
-                    states = states @ a_d.T + kick * np.outer(eta[k], b)
+        records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
+        port = push - (km * dt) * records[:-1]
+        if offsets is None:
+            _, pushed = _record_chain(a0, b, records, port, rows=rows)
+            theta = scipy.linalg.solve_triangular(r_shared, q_shared.T @ (records - pushed))
+            estimates = rows[-1] @ theta + pushed[-1]
         else:
-            supply = root + offsets
-            for k in range(steps + 1):
-                y2 = states @ b
-                records[k] = y2 + meas * eta[k]
-                if k < steps:
-                    states = (
-                        states
-                        + dt * (states @ j.T + (km * (supply / root - 1.0) * y2)[:, None] * b)
-                        + kick * np.outer(eta[k], b)
-                    )
-                    supply = supply + dt * (km / root) * y2**2
-
-        estimates = _filter_records(
-            system, device, dt, steps, records,
-            offsets=None if device.variant == "M1hat" else offsets,
-            shared=(q_shared, r_shared, gk), drift=drift,
-        )
+            scale = dt * km * (1.0 + offsets / root)
+            trial_rows, pushed = _record_chain(a0, b, records, port, scale)
+            q, r = np.linalg.qr(trial_rows)
+            rhs = np.einsum("tkn,kt->tn", q, records - pushed)
+            theta = np.linalg.solve(r, rhs[:, :, None])[:, :, 0]
+            estimates = np.einsum("tn,tn->t", trial_rows[:, -1], theta) + pushed[-1]
         truth = states @ b
         errors = estimates - truth
         back = states - x_nat
@@ -404,11 +463,7 @@ def _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads):
     else:
         cov = np.zeros((n, n))
     cov = 0.5 * (cov + cov.T)
-    m_star = (
-        riccati_solve(system, km, device.temperature, [t_m], boltzmann=device.boltzmann).m_star[0]
-        if kbt > 0
-        else 0.0
-    )
+    m_star = _m_star(system, device, t_m)
     delta_y = math.sqrt(max(float(b @ cov @ b), 0.0))
     delta_y_hat = math.sqrt(m_star)
     return MeasurementOutcome(
@@ -420,7 +475,7 @@ def _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads):
         b_d=b_det,
         b_mean=b_mean,
         P=cov,
-        m_star=float(m_star),
+        m_star=m_star,
         estimate_variance=total_e2 / trials,
         mean_error=total_e / trials,
         delta_y=delta_y,
@@ -428,69 +483,6 @@ def _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads):
         product=delta_y * delta_y_hat,
         max_correction_residual=float(residual),
     )
-
-
-def _filter_records(system, device, dt, steps, records, *, offsets, shared, drift):
-    """Optimal final-time estimates for a batch of readout records.
-
-    Substituting the record into the state update gives the exact
-    affine recursion  x[k+1] = A x[k] + dt B (w_d[k] - k_m y_m[k]),
-    with A = I + dt J for M1hat and, for M2hat, the supply-corrected
-    A = I + dt (J + k_m (1 + offset/sqrt(2 E_m)) B B^T) that treats the
-    trial's supply offset as known to the observer.  The unknown is
-    only x0, so the estimate is least squares over the record; the
-    rows are shared across trials for M1hat and trial-specific (batched
-    QR) for M2hat.
-    """
-    b = system.B
-    km = device.admittance
-    n = system.n
-    count = records.shape[1]
-    a0 = np.eye(n) + dt * system.J
-
-    if device.variant == "M1hat":
-        q_shared, r_shared, gk = shared
-        forcing = np.zeros((count, n))
-        z = np.empty((steps + 1, count))
-        for k in range(steps + 1):
-            z[k] = records[k] - forcing @ b
-            if k < steps:
-                forcing = forcing @ a0.T - (km * dt) * np.outer(records[k], b)
-        theta = scipy.linalg.solve_triangular(r_shared, q_shared.T @ z)
-        final = theta.T @ gk.T + forcing
-        return final @ b
-
-    root = math.sqrt(2.0 * device.supply_energy)
-    scale = dt * km * (1.0 + offsets / root)  # per-trial loading in the chain
-    rows = np.empty((count, steps + 1, n))
-    cur = np.broadcast_to(b, (count, n)).copy()
-    for k in range(steps + 1):
-        rows[:, k] = cur
-        if k < steps:
-            cur = cur @ a0 + scale[:, None] * (cur @ b)[:, None] * b
-    forcing = np.zeros((count, n))
-    z = np.empty((steps + 1, count))
-    push = dt * drift  # precomputed w_d samples, scaled by the step
-    for k in range(steps + 1):
-        z[k] = records[k] - forcing @ b
-        if k < steps:
-            gain = push[k] - (km * dt) * records[k]
-            forcing = (
-                forcing @ a0.T
-                + (scale * (forcing @ b))[:, None] * b
-                + gain[:, None] * b
-            )
-    q_batch, r_batch = np.linalg.qr(rows)
-    rhs = np.einsum("tkn,kt->tn", q_batch, z)
-    theta = np.linalg.solve(r_batch, rhs[:, :, None])[:, :, 0]
-    final = theta
-    for k in range(steps):
-        final = (
-            final @ a0.T
-            + (scale * (final @ b))[:, None] * b
-            + (push[k] - (km * dt) * records[k])[:, None] * b
-        )
-    return final @ b
 
 
 @dataclass(frozen=True)
@@ -617,8 +609,9 @@ def kalman_estimate(
     Returns the running estimate yhat(t_k) of the perturbed potential
     and the record of the filter gain vector.  The M2hat filter needs
     the trial's supply offset (`state_offset`), and accepts the drift
-    signal w_d as a Trajectory or callable; by default it recomputes
-    the noise-free drift itself.  At T_m = 0 the readout is exact and
+    signal w_d as a Trajectory on the readout grid or a callable; by
+    default it recomputes the noise-free drift itself.  M1hat takes
+    neither.  At T_m = 0 the readout is exact and
     the estimate is the record itself, gain zero.
 
     The filter is least squares on the initial state with a diffuse
@@ -631,8 +624,8 @@ def kalman_estimate(
     record = y_m.values
     if record.ndim != 1:
         raise ValueError("the readout record must be scalar-valued")
-    if device.variant == "M1hat" and state_offset is not None:
-        raise ValueError("M1hat has no supply state, so state_offset must be None")
+    if device.variant == "M1hat" and (state_offset is not None or drift is not None):
+        raise ValueError("M1hat has no supply state, so state_offset and drift must be None")
     if device.variant == "M2hat" and state_offset is None:
         raise ValueError("the M2hat filter needs the supply offset it is assumed to know")
     steps = record.shape[0] - 1
@@ -649,44 +642,35 @@ def kalman_estimate(
             Trajectory(dt=dt, values=np.zeros((steps + 1, n))),
         )
 
-    if device.variant == "M1hat":
-        chain = np.eye(n) + dt * system.J
-        push = np.zeros(steps + 1)
-    else:
-        root = math.sqrt(2.0 * device.supply_energy)
-        chain = np.eye(n) + dt * (
-            system.J + km * (1.0 + float(state_offset) / root) * np.outer(b, b)
-        )
+    scale, push = 0.0, np.zeros(steps + 1)
+    if device.variant == "M2hat":
+        scale = dt * km * (1.0 + float(state_offset) / math.sqrt(2.0 * device.supply_energy))
         if drift is None:
-            _, _, push = _supply_aux_path(system, km, device.supply_energy, dt, steps)
+            _, push = _supply_aux_path(system, km, device.supply_energy, dt, steps)
         elif isinstance(drift, Trajectory):
-            if drift.values.shape[0] != steps + 1:
+            if drift.values.shape[0] != steps + 1 or not math.isclose(drift.dt, dt, rel_tol=1e-9):
                 raise ValueError("drift record does not match the readout grid")
             push = drift.values
         else:
             push = np.array([float(drift(k * dt)) for k in range(steps + 1)])
 
-    rows = np.empty((steps + 1, n))
-    rows[0] = b
-    for k in range(steps):
-        rows[k + 1] = chain.T @ rows[k]
-    forcing = np.zeros(n)
-    z = np.empty(steps + 1)
+    a0 = np.eye(n) + dt * system.J
+    chain = a0 + scale * np.outer(b, b)
+    port = dt * push[:-1] - (km * dt) * record[:-1]
+    rows, pushed = _record_chain(a0, b, record[:, None], port[:, None], np.array([scale]))
+    rows, pushed = rows[0], pushed[:, 0]
+    z = record - pushed
     c = km / (2.0 * kbt)
-    info = np.zeros((n, n))
+    infos = np.cumsum((c * dt) * (rows[:, :, None] * rows[:, None, :]), axis=0)
     prop = np.eye(n)
     estimates = np.empty(steps + 1)
     gains = np.empty((steps + 1, n))
     for k in range(steps + 1):
-        z[k] = record[k] - b @ forcing
-        info = info + (c * dt) * np.outer(rows[k], rows[k])
         theta = np.linalg.lstsq(rows[: k + 1], z[: k + 1], rcond=None)[0]
-        estimates[k] = b @ (prop @ theta + forcing)
-        cov = prop @ np.linalg.pinv(info, hermitian=True) @ prop.T
+        estimates[k] = rows[k] @ theta + pushed[k]
+        cov = prop @ np.linalg.pinv(infos[k], hermitian=True) @ prop.T
         gains[k] = c * (cov - 2.0 * kbt * np.eye(n)) @ b
-        if k < steps:
-            forcing = chain @ forcing + dt * (push[k] - km * record[k]) * b
-            prop = chain @ prop
+        prop = chain @ prop
     return Trajectory(dt=dt, values=estimates), Trajectory(dt=dt, values=gains)
 
 
@@ -775,38 +759,11 @@ def benchmark_estimator(
     steps = _step_count(t_m, dt)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    j, b, x0 = system.J, system.B, system.x0
-    n = system.n
-    km = device.admittance
-    kbt = device.boltzmann * device.temperature
-    kick = -math.sqrt(2.0 * km * kbt * dt)
-    meas = math.sqrt(2.0 * kbt / (km * dt)) if kbt > 0 else 0.0
     times = np.arange(steps + 1) * dt
-    a_d = np.eye(n) + dt * (j - km * np.outer(b, b))
-    if device.variant == "M2hat":
-        root = math.sqrt(2.0 * device.supply_energy)
 
     def worker(rng, count):
-        if device.variant == "M2hat":
-            offsets = math.sqrt(kbt) * rng.standard_normal(count)
-            supply = root + offsets
-        eta = rng.standard_normal((steps + 1, count))
-        states = np.broadcast_to(x0, (count, n)).copy()
-        records = np.empty((steps + 1, count))
-        for k in range(steps + 1):
-            y2 = states @ b
-            records[k] = y2 + meas * eta[k]
-            if k < steps:
-                if device.variant == "M1hat":
-                    states = states @ a_d.T + kick * np.outer(eta[k], b)
-                else:
-                    states = (
-                        states
-                        + dt * (states @ j.T + (km * (supply / root - 1.0) * y2)[:, None] * b)
-                        + kick * np.outer(eta[k], b)
-                    )
-                    supply = supply + dt * (km / root) * y2**2
-        truth = states @ b
+        records, states, _ = _probe_trials(system, device, dt, steps, rng, count)
+        truth = states @ system.B
         total = 0.0
         for i in range(count):
             err = float(estimator(times, records[:, i])) - truth[i]
@@ -815,14 +772,10 @@ def benchmark_estimator(
 
     total = sum(run_chunked(trials, worker, seed, threads=threads))
     variance = total / trials
-    m_star = (
-        riccati_solve(system, km, device.temperature, [t_m], boltzmann=device.boltzmann).m_star[0]
-        if kbt > 0
-        else 0.0
-    )
+    m_star = _m_star(system, device, t_m)
     return BenchmarkReport(
         variance=variance,
-        m_star=float(m_star),
+        m_star=m_star,
         ratio=variance / m_star if m_star > 0 else math.inf,
         trials=trials,
     )

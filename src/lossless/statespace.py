@@ -303,21 +303,32 @@ def integrate_ode(
     """
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError(f"dt must be positive, got {dt}")
-    steps = _step_count(horizon, dt)
-    x = np.array(x0, dtype=float)
-    out = np.empty((steps + 1,) + x.shape)
-    out[0] = x
-    for k in range(steps):
-        t = k * dt
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = f(t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"state diverged at t = {(k + 1) * dt:.6g}")
-        out[k + 1] = x
+    times = np.arange(_step_count(horizon, dt) + 1) * dt
+    out = _rk4(lambda x, t: f(t, x), x0, times, times[:-1] + 0.5 * dt, dt)
     return Trajectory(dt=dt, values=out)
+
+
+def _rk4(rate, x0, u_vals, u_mids, h: float) -> np.ndarray:
+    """Classic fixed-step RK4 for dx/dt = rate(x, u) on a sampled input.
+
+    `u_vals` holds the input at the steps, `u_mids` at the half-steps.
+    Returns the states at the steps; raises FloatingPointError with the
+    blow-up time if the state leaves float range.
+    """
+    x = np.array(x0, dtype=float)
+    out = np.empty((len(u_vals),) + x.shape)
+    out[0] = x
+    for k in range(len(u_vals) - 1):
+        um = u_mids[k]
+        k1 = rate(x, u_vals[k])
+        k2 = rate(x + 0.5 * h * k1, um)
+        k3 = rate(x + 0.5 * h * k2, um)
+        k4 = rate(x + h * k3, u_vals[k + 1])
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
+            raise FloatingPointError(f"state diverged at t = {(k + 1) * h:.6g}")
+        out[k + 1] = x
+    return out
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -337,14 +348,24 @@ def _port_matrices(sys) -> tuple:
 
 
 def _input_samples(u, p: int, dt: float | None, horizon: float | None):
-    """Normalize any accepted input form to (values (m, p), mids (m-1, p), dt)."""
+    """Normalize any accepted input form to (values (m, p), mids (m-1, p), dt).
+
+    A sampled input is cut to `horizon` when one is given; its half-step
+    values are interpolated on the full record first.
+    """
     if isinstance(u, Trajectory):
         vals = u.values
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.shape[1] != p:
             raise ValueError(f"input has {vals.shape[1]} channels, system expects {p}")
-        return vals, midpoint_samples(vals), u.dt
+        mids = midpoint_samples(vals)
+        if horizon is not None:
+            steps = _step_count(horizon, u.dt)
+            if steps > vals.shape[0] - 1:
+                raise ValueError(f"horizon {horizon} needs {steps + 1} samples, input has {vals.shape[0]}")
+            vals, mids = vals[: steps + 1], mids[:steps]
+        return vals, mids, u.dt
     if u is None or callable(u):
         if dt is None or horizon is None:
             raise ValueError("dt and horizon are required when u is a callable or None")
@@ -364,25 +385,7 @@ def _input_samples(u, p: int, dt: float | None, horizon: float | None):
 
 def _rk4_states(A, B, u_vals: np.ndarray, u_mids: np.ndarray, dt: float, x0: np.ndarray) -> np.ndarray:
     """States of dx/dt = A x + B u on the sample grid (classic RK4)."""
-    steps = u_vals.shape[0] - 1
-    n = B.shape[0]
-    xs = np.empty((steps + 1, n))
-    x = np.array(x0, dtype=float)
-    xs[0] = x
-    h = dt
-    for k in range(steps):
-        bu0 = B @ u_vals[k]
-        bum = B @ u_mids[k]
-        bu1 = B @ u_vals[k + 1]
-        k1 = A @ x + bu0
-        k2 = A @ (x + 0.5 * h * k1) + bum
-        k3 = A @ (x + 0.5 * h * k2) + bum
-        k4 = A @ (x + h * k3) + bu1
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"state diverged at t = {(k + 1) * h:.6g}")
-        xs[k + 1] = x
-    return xs
+    return _rk4(lambda x, u: A @ x + B @ u, x0, u_vals, u_mids, dt)
 
 
 def simulate_linear(
@@ -420,14 +423,6 @@ def simulate_linear(
     """
     A, B, C, D = _port_matrices(sys)
     u_vals, u_mids, step = _input_samples(u, B.shape[1], dt, horizon)
-    if horizon is not None:
-        steps = _step_count(horizon, step)
-        if steps > u_vals.shape[0] - 1:
-            raise ValueError(
-                f"horizon {horizon} needs {steps + 1} samples, input has {u_vals.shape[0]}"
-            )
-        u_vals = u_vals[: steps + 1]
-        u_mids = u_mids[:steps]
     x_init = np.zeros(B.shape[0]) if x0 is None else as_float_array(x0, "x0", ndim=1)
     if x_init.shape[0] != B.shape[0]:
         raise ValueError(f"x0 has dimension {x_init.shape[0]}, state dimension is {B.shape[0]}")

@@ -41,7 +41,6 @@ from .statespace import (
     Trajectory,
     _input_samples,
     _is_sparse,
-    _step_count,
 )
 
 __all__ = [
@@ -352,9 +351,7 @@ def simulate_langevin(
     the seed.  Returns the state record (outputs are B^T x).
     """
     u_vals, _, step = _input_samples(u, model.p, dt, horizon)
-    steps = _step_count(horizon, step)
-    if steps > u_vals.shape[0] - 1:
-        raise ValueError(f"horizon {horizon} needs {steps + 1} samples, input has {u_vals.shape[0]}")
+    steps = u_vals.shape[0] - 1
     drift = model.J - model.K
     x = np.zeros(model.n) if x0 is None else as_float_array(x0, "x0", ndim=1)
     if x.shape[0] != model.n:

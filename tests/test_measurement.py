@@ -30,7 +30,7 @@ from lossless.measurement import (
     simulate_device,
     tradeoff_product,
 )
-from lossless.statespace import integrate_ode, matrix_exponential
+from lossless.statespace import Trajectory, integrate_ode, matrix_exponential
 
 
 SYSTEM = measured_lc()
@@ -423,6 +423,43 @@ class TestKalmanEstimate:
         with pytest.raises(ValueError, match="no supply state"):
             kalman_estimate(SYSTEM, noisy, out.y_m, state_offset=0.1)
 
+    def test_memoryless_filter_rejects_a_drift(self):
+        dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
+        out = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 64, trials=1, seed=1)
+        drift = Trajectory(dt=out.y_m.dt, values=np.zeros(65))
+        with pytest.raises(ValueError, match="no supply state"):
+            kalman_estimate(SYSTEM, dev, out.y_m, drift=drift)
+
+    def test_drift_record_must_share_the_readout_step(self):
+        dev = Device(variant="M2hat", admittance=1.0, temperature=1.0, supply_energy=4.0)
+        out = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 64, trials=1, seed=1)
+        drift = Trajectory(dt=7.0, values=np.zeros(65))
+        with pytest.raises(ValueError, match="readout grid"):
+            kalman_estimate(SYSTEM, dev, out.y_m, state_offset=0.0, drift=drift)
+
+    def test_explicit_noise_free_drift_matches_the_default(self):
+        # w_d = k_m (x_r / sqrt(2 E_m) - 1) B^T x along the noise-free
+        # closed loop of the supply-backed probe, integrated here apart
+        # from the filter
+        km, em, dt, steps = 1.0, 4.0, 1e-3 / 128, 128
+        dev = Device(variant="M2hat", admittance=km, temperature=1.0, supply_energy=em)
+        out = simulate_device(SYSTEM, dev, steps * dt, dt, trials=1, seed=8)
+        root = math.sqrt(2.0 * em)
+
+        def loop(_, z):
+            y = B @ z[:3]
+            return np.append(J @ z[:3] + km * (z[3] / root - 1.0) * y * B, (km / root) * y**2)
+
+        path = integrate_ode(loop, np.append(X0, root), dt, steps * dt).values
+        w_d = km * (path[:, 3] / root - 1.0) * (path[:, :3] @ B)
+        default, _ = kalman_estimate(SYSTEM, dev, out.y_m, state_offset=0.2)
+        for drift in (Trajectory(dt=dt, values=w_d), lambda t: w_d[int(round(t / dt))]):
+            est, _ = kalman_estimate(SYSTEM, dev, out.y_m, state_offset=0.2, drift=drift)
+            np.testing.assert_allclose(est.values, default.values, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="readout grid"):
+            kalman_estimate(SYSTEM, dev, out.y_m, state_offset=0.2,
+                            drift=Trajectory(dt=dt, values=w_d[:-1]))
+
 
 @pytest.fixture(scope="module")
 def supply_run():
@@ -541,6 +578,20 @@ class TestBenchmarkEstimator:
             SYSTEM, dev, regress_back_to_the_start, 1e-3, 1e-3 / 256, 2000, seed=9
         )
         assert 0.9 <= rep.ratio <= 1.1  # measured 1.0026
+
+    def test_scores_the_trials_simulate_device_draws(self):
+        # the sequential filter's final value is the batch filter's
+        # estimate, so scoring it must reproduce the batch error variance
+        dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
+        t_m, dt = 1e-3, 1e-3 / 64
+
+        def sequential(times, record):
+            estimates, _ = kalman_estimate(SYSTEM, dev, Trajectory(dt=dt, values=record))
+            return estimates.values[-1]
+
+        rep = benchmark_estimator(SYSTEM, dev, sequential, t_m, dt, 64, seed=4)
+        out = simulate_device(SYSTEM, dev, t_m, dt, 64, seed=4)
+        assert rep.variance == pytest.approx(out.estimate_variance, rel=1e-9)
 
     def test_rejects_noiseless_devices(self):
         with pytest.raises(ValueError, match="noisy"):
