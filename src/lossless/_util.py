@@ -15,6 +15,11 @@ import numpy as np
 #: (seed, *tags, i), and reductions run in chunk order.
 CHUNK_TRIALS = 1024
 
+#: Elements per temporary in the harmonic direct sum, the impulse-response
+#: panels and the kernel transform of `check_dissipative`, which bounds their
+#: working memory (4 MB of float64).
+CHUNK_ELEMENTS = 500_000
+
 
 def derive_rng(seed: int, *indices: int) -> np.random.Generator:
     """Counter-based generator for the substream keyed by (seed, *indices).

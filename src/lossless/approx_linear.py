@@ -18,25 +18,30 @@ Two entry points build such banks:
   lossless and rides along as a direct term);
 * `dissipative_lossless_approx` runs the full synthesis for a sampled
   kernel: window selection from tail mass, Fourier coefficients, PSD
-  shift, per-harmonic realization, and an L2 error measurement.
+  shift, realization of all harmonics from one stacked eigendecomposition,
+  and an L2 error measurement.
 
-Responses of the realizations are computed matrix-free by an exponential
-integrator that convolves the piecewise-linear interpolant of the input
-exactly, so a 10^4-state bank costs the same as its harmonic count.
+Responses of the realizations are computed matrix-free from the series.
+The bank's frequencies are k pi / tau, so on a sample grid whose step
+divides the window tau the series is a DCT-I/DST-I pair, evaluated by
+FFT; other times take the direct sum.  Zero-state responses are the exact
+convolution of the piecewise-linear interpolant of the input: closed-form
+hat-function weights from the same series, applied by FFT convolution.
+A 10^4-state bank on a 10^4-sample grid thus costs a few FFTs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 import scipy.sparse
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from ._util import as_float_array, frozen, require_square
+from ._util import CHUNK_ELEMENTS, as_float_array, frozen, require_square
 from .statespace import PSD_TOL, LosslessLinear, Trajectory, check_dissipative
 
 __all__ = [
@@ -56,10 +61,6 @@ __all__ = [
 
 #: Dense/sparse crossover for assembled bank generators.
 _DENSE_LIMIT = 2000
-
-#: Elements per chunk in the streaming convolution and series evaluation.
-_CHUNK_ELEMENTS = 500_000
-
 
 def split_symmetric(gain) -> tuple[np.ndarray, np.ndarray]:
     """Split a square gain into symmetric and antisymmetric parts."""
@@ -141,29 +142,64 @@ class MemorylessSystem:
 
 @dataclass(frozen=True)
 class _HarmonicSeries:
-    """Trigonometric kernel sum_k (C_k cos w_k t + S_k sin w_k t).
+    """Trigonometric kernel sum_k (C_k cos k w0 t + S_k sin k w0 t), k = 0..N-1.
 
-    Entry 0 is the DC term (w_0 = 0, S_0 = 0) with its half weight already
-    folded into C_0.  Shapes: omegas (N,), cos_part/sin_part (N, q, p).
+    `base` is w0 = pi / tau for the window tau.  Entry 0 is the DC term
+    (S_0 = 0) with its half weight already folded into C_0.  Shapes:
+    cos_part/sin_part (N, q, p).
     """
 
-    omegas: np.ndarray
+    base: float
     cos_part: np.ndarray
     sin_part: np.ndarray
 
+    @property
+    def omegas(self) -> np.ndarray:
+        return self.base * np.arange(len(self.cos_part))
+
     def transposed(self) -> "_HarmonicSeries":
         return _HarmonicSeries(
-            omegas=self.omegas,
+            base=self.base,
             cos_part=np.transpose(self.cos_part, (0, 2, 1)),
             sin_part=np.transpose(self.sin_part, (0, 2, 1)),
         )
 
-    def evaluate(self, times: np.ndarray) -> np.ndarray:
-        """Kernel samples on an arbitrary time grid, shape (m, q, p)."""
+    def _grid_divisions(self, t: np.ndarray) -> int:
+        """W when t is the grid t_j = j tau / W from 0, else 0.
+
+        The grid must match to a few ulps of t, the rounding the direct sum
+        already makes in w t; it is not used when its length-2W transform
+        would be larger than the direct sum's m x N phase table.
+        """
+        if t.size < 2 or t[0] != 0.0 or not t[1] > 0.0 or self.base <= 0.0:
+            return 0
+        tau = np.pi / self.base
+        w = int(round(tau / t[1]))
+        if w < 1 or 2 * w > t.size * len(self.cos_part):
+            return 0
+        grid = np.arange(t.size) * (tau / w)
+        return w if np.abs(t - grid).max() <= 4 * np.finfo(float).eps * t[-1] else 0
+
+    def evaluate(self, times) -> np.ndarray:
+        """Kernel samples at the given times, shape (m, q, p).
+
+        On a uniform grid t_j = j h from 0 whose step divides the window,
+        tau = W h, harmonic k at t_j is exp(i pi k j / W): the samples over
+        the full period 2 tau are the DCT-I (cosine) and DST-I (sine)
+        transforms of the coefficients with their even and odd extensions,
+        here one length-2W FFT of C_k + i S_k.  Harmonics past 2W fold onto
+        k mod 2W and times past 2 tau wrap, both exactly.  Any other times
+        take the direct sum, in chunks.
+        """
         t = np.asarray(times, float).ravel()
-        n = max(len(self.omegas), 1)
+        n = len(self.cos_part)
+        w = self._grid_divisions(t)
+        if w:
+            coef = np.zeros((2 * w,) + self.cos_part.shape[1:], complex)
+            np.add.at(coef, np.arange(n) % (2 * w), self.cos_part + 1j * self.sin_part)
+            return scipy.fft.fft(coef, axis=0).real[np.arange(t.size) % (2 * w)]
         out = np.zeros((t.size,) + self.cos_part.shape[1:])
-        step = max(1, _CHUNK_ELEMENTS // n)
+        step = max(1, CHUNK_ELEMENTS // max(n, 1))
         for lo in range(0, t.size, step):
             phase = np.outer(t[lo : lo + step], self.omegas)
             out[lo : lo + step] = np.einsum("ik,kqp->iqp", np.cos(phase), self.cos_part)
@@ -173,47 +209,95 @@ class _HarmonicSeries:
     def convolve(self, u_vals: np.ndarray, dt: float, reverse: bool = False) -> np.ndarray:
         """Zero-state response: the kernel convolved with u on a uniform grid.
 
-        The input is treated as piecewise linear between samples and each
-        harmonic is advanced by the exact one-step exponential update, so
-        the result is the exact convolution of the interpolant; no time-step
-        stability limit enters however large the top frequency is.
+        The input is the piecewise-linear interpolant of its samples and the
+        result is its exact convolution with the kernel, y_i = sum_j w_ij u_j,
+        with the hat-function weights in closed form.  A full hat gives the
+        Toeplitz weight F(i - j): the series with each harmonic scaled by the
+        hat's transform dt sinc^2(w dt / 2), sampled through `evaluate` (so
+        by FFT when the window is on the grid) and applied as one FFT
+        convolution.  The half hats at j = 0 and j = i are then corrected
+        exactly.  No time-step stability limit enters however large the top
+        frequency is.
         """
         series = self.transposed() if reverse else self
         u = np.asarray(u_vals, float)
         if u.ndim == 1:
             u = u[:, None]
-        m, p = u.shape
-        n = len(series.omegas)
-        q = series.cos_part.shape[1]
-        y = np.zeros((m, q))
-        if n == 0 or m < 2:
-            return y
-        ah = series.omegas * dt
-        alpha = np.exp(1j * ah)
-        jw = 1j * series.omegas
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi1 = np.where(ah != 0, (alpha - 1.0) / jw, dt)
-            phi2 = np.where(ah != 0, (alpha - 1.0 - 1j * ah) / (jw * jw * dt), dt / 2.0)
-        z = np.zeros((n, p), dtype=complex)
-        chunk = max(16, _CHUNK_ELEMENTS // (n * p))
-        pos = 0
-        while pos < m - 1:
-            cnt = min(chunk, m - 1 - pos)
-            du = u[pos + 1 : pos + cnt + 1] - u[pos : pos + cnt]
-            beta = (
-                phi1[None, :, None] * u[pos : pos + cnt, None, :]
-                + phi2[None, :, None] * du[:, None, :]
-            )
-            steps = np.arange(1, cnt + 1)
-            back = np.exp(-1j * np.outer(steps, ah))
-            fwd = np.exp(1j * np.outer(steps, ah))
-            accum = np.cumsum(back[:, :, None] * beta, axis=0)
-            zs = fwd[:, :, None] * (z[None, :, :] + accum)
-            y[pos + 1 : pos + cnt + 1] = np.einsum("kqp,jkp->jq", series.cos_part, zs.real)
-            y[pos + 1 : pos + cnt + 1] += np.einsum("kqp,jkp->jq", series.sin_part, zs.imag)
-            z = zs[-1]
-            pos += cnt
+        m = u.shape[0]
+        c, s = series.cos_part, series.sin_part
+        q = c.shape[1]
+        if len(c) == 0 or m < 2:
+            return np.zeros((m, q))
+        a = series.omegas * dt
+        hat = (dt * np.sinc(a / (2.0 * np.pi)) ** 2)[:, None, None]
+        half = (dt * _half_hat_sine(a))[:, None, None]
+        # F(i) in the first q rows; in the last q, X(i) = sum_k chi_k (C_k sin
+        # - S_k cos)(w_k t_i), which turns F into the right half hat at j = 0.
+        weights = _HarmonicSeries(
+            base=series.base,
+            cos_part=np.concatenate([hat * c, -half * s], axis=1),
+            sin_part=np.concatenate([hat * s, half * c], axis=1),
+        ).evaluate(np.arange(m) * dt)
+        full, odd = weights[:, :q], weights[:, q:]
+        size = scipy.fft.next_fast_len(2 * m - 1, real=True)
+        spectrum = np.einsum("fqp,fp->fq", scipy.fft.rfft(full, size, axis=0),
+                             scipy.fft.rfft(u, size, axis=0))
+        y = scipy.fft.irfft(spectrum, size, axis=0)[:m]
+        # The hat at j = i is its left half only, the same weight for every i.
+        left = (hat * c / 2.0 + half * s).sum(axis=0)
+        y += u @ (left - full[0]).T
+        y += (odd - full / 2.0) @ u[0]
+        y[0] = 0.0
         return y
+
+
+def _half_hat_sine(a: np.ndarray) -> np.ndarray:
+    """(a - sin a) / a^2, the integral of sin(a x)(1 - x) over [0, 1].
+
+    Below a = 1 the closed form cancels (relative error ~6 eps / a^2), so
+    its Taylor series is summed there instead; nine terms reach eps.
+    """
+    a = np.asarray(a, float)
+    small = np.abs(a) < 1.0
+    x = np.where(small, 1.0, a)
+    series = np.zeros_like(a)
+    for k in range(9, 0, -1):
+        series = series * a * a + (-1.0) ** (k + 1) / math.factorial(2 * k + 1)
+    return np.where(small, a * series, (x - np.sin(x)) / (x * x))
+
+
+def _residue_eigh(residues: np.ndarray, psd_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lam (n, p), vec (n, p, p)) of a stack of PSD residues.
+
+    Each residue must be Hermitian and PSD within psd_tol times
+    max(1, max|R|); the first one that is not is rejected, naming its
+    smallest eigenvalue.  Eigenvalues are clipped at zero, and those not
+    above 1e-14 of the residue's largest are set to zero, so lam > 0 marks
+    the eigenvectors a factor keeps.
+    """
+    r = np.asarray(residues)
+    scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2), initial=0.0))
+    asym = np.abs(r - np.conj(np.swapaxes(r, 1, 2))).max(axis=(1, 2), initial=0.0)
+    if np.any(asym > 1e-10 * scale):
+        raise ValueError("residue must be Hermitian")
+    lam, vec = np.linalg.eigh(r)
+    bad = np.nonzero((lam[:, :1] < -psd_tol * scale[:, None]).any(axis=1))[0]
+    if bad.size:
+        raise ValueError(
+            f"residue is not positive semidefinite: smallest eigenvalue {lam[bad[0], 0]:.6e}"
+        )
+    lam = np.clip(lam, 0.0, None)
+    lam[lam <= lam[:, -1:] * 1e-14] = 0.0
+    return lam, vec
+
+
+def _oscillator(w: np.ndarray, frequency: float) -> LosslessLinear:
+    """Skew block [[0, wI], [-wI, 0]] with input map [Re W; -Im W]."""
+    rank, p = w.shape
+    j_block = np.zeros((2 * rank, 2 * rank))
+    j_block[:rank, rank:] = frequency * np.eye(rank)
+    j_block[rank:, :rank] = -frequency * np.eye(rank)
+    return LosslessLinear(J=j_block, B=np.vstack([w.real, -w.imag]).reshape(2 * rank, p))
 
 
 def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> LosslessLinear:
@@ -228,56 +312,60 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
     r = np.asarray(residue)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"residue must be square, got shape {r.shape}")
-    scale = max(1.0, np.abs(r).max(initial=0.0))
-    if np.abs(r - r.conj().T).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError("residue must be Hermitian")
     if frequency < 0:
         raise ValueError(f"frequency must be nonnegative, got {frequency}")
     p = r.shape[0]
-    lam, vec = np.linalg.eigh(r)
-    if lam.size and lam[0] < -psd_tol * scale:
-        raise ValueError(
-            f"residue is not positive semidefinite: smallest eigenvalue {lam[0]:.6e}"
-        )
-    lam = np.clip(lam, 0.0, None)
-    keep = lam > (lam[-1] * 1e-14 if lam.size else 0.0)
-    lam, vec = lam[keep], vec[:, keep]
+    lam, vec = _residue_eigh(r[None], psd_tol)
+    keep = lam[0] > 0
+    lam, vec = lam[0][keep], vec[0][:, keep]
     rank = int(lam.size)
     if frequency == 0.0:
         half = (vec * np.sqrt(lam / 2.0)).conj().T
         if np.abs(half.imag).max(initial=0.0) > 1e-12:
             raise ValueError("a zero-frequency residue must be real symmetric")
         return LosslessLinear(J=np.zeros((rank, rank)), B=half.real.reshape(rank, p))
-    w = (vec * np.sqrt(lam)).conj().T
-    j_block = np.zeros((2 * rank, 2 * rank))
-    j_block[:rank, rank:] = frequency * np.eye(rank)
-    j_block[rank:, :rank] = -frequency * np.eye(rank)
-    b_block = np.vstack([w.real, -w.imag]).reshape(2 * rank, p)
-    return LosslessLinear(J=j_block, B=b_block)
+    return _oscillator((vec * np.sqrt(lam)).conj().T, frequency)
 
 
-def _block_effective(block: LosslessLinear, frequency: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cosine, sine) kernel coefficients actually realized by a block."""
-    b = np.asarray(block.B)
-    if frequency == 0.0:
-        return b.T @ b, np.zeros((b.shape[1], b.shape[1]))
-    rank = block.n // 2
-    p_part, q_part = b[:rank], -b[rank:]
-    return p_part.T @ p_part + q_part.T @ q_part, q_part.T @ p_part - p_part.T @ q_part
+def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd_tol: float):
+    """Blocks, assembled system and effective (cos, sin) kernel of a bank.
 
+    `dc_residue` (p, p) is the real DC residue and `residues` (N - 1, p, p)
+    the Hermitian residues of harmonics k = 1..N-1 at k * base.  These are
+    factored by one stacked eigh, and the assembled generator, input map
+    and effective coefficients come from the stacked factors; each block
+    equals `realize_harmonic` of its residue.
+    """
+    dc = realize_harmonic(dc_residue, 0.0, psd_tol=psd_tol)
+    lam, vec = _residue_eigh(residues, psd_tol)
+    w = np.swapaxes((vec * np.sqrt(lam)[:, None, :]).conj(), 1, 2)  # row i: eigenpair i
+    keep = lam > 0
+    freqs = base * np.arange(1, len(residues) + 1)
+    blocks = (dc,) + tuple(_oscillator(wk[kk], f) for wk, kk, f in zip(w, keep, freqs))
 
-def _assemble(blocks, ports: int) -> LosslessLinear:
-    dims = [blk.n for blk in blocks]
-    total = int(sum(dims))
-    if total == 0:
-        return LosslessLinear(J=np.zeros((0, 0)), B=np.zeros((0, ports)))
-    b_all = np.vstack([np.asarray(blk.B) for blk in blocks if blk.n > 0])
-    j_parts = [np.asarray(blk.J) for blk in blocks if blk.n > 0]
-    if total > _DENSE_LIMIT:
-        j_all = scipy.sparse.block_diag(j_parts, format="csr")
-    else:
-        j_all = scipy.linalg.block_diag(*j_parts)
-    return LosslessLinear(J=j_all, B=b_all)
+    b_dc = np.asarray(dc.B)
+    p_part, q_part = w.real, w.imag
+    p_t, q_t = np.swapaxes(p_part, 1, 2), np.swapaxes(q_part, 1, 2)
+    eff_cos = np.concatenate([(b_dc.T @ b_dc)[None], p_t @ p_part + q_t @ q_part])
+    eff_sin = np.concatenate([np.zeros((1,) + dc_residue.shape), q_t @ p_part - p_t @ q_part])
+
+    # Block k holds its kept cosine states, then its kept sine states; the
+    # i-th cosine state of a block pairs with its i-th sine state.
+    halves = np.stack([p_part, -q_part], axis=1)
+    in_block = np.broadcast_to(keep[:, None, :], halves.shape[:3])
+    b_all = np.vstack([b_dc, halves[in_block]])
+    state = np.zeros(in_block.shape, dtype=int)
+    state[in_block] = dc.n + np.arange(np.count_nonzero(in_block))
+    rows, cols = state[:, 0][keep], state[:, 1][keep]
+    omega = np.broadcast_to(freqs[:, None], keep.shape)[keep]
+    total = b_all.shape[0]
+    j_all = scipy.sparse.csr_matrix(
+        (np.concatenate([omega, -omega]),
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(total, total),
+    )
+    system = LosslessLinear(J=j_all if total > _DENSE_LIMIT else j_all.toarray(), B=b_all)
+    return blocks, system, eff_cos, eff_sin
 
 
 class _HarmonicResponseMixin:
@@ -334,7 +422,7 @@ class HarmonicApprox(_HarmonicResponseMixin):
         cos_part = np.repeat((2.0 / tau) * sym[None, :, :], n, axis=0)
         cos_part[0] *= 0.5
         return _HarmonicSeries(
-            omegas=self.base_frequency * np.arange(n),
+            base=self.base_frequency,
             cos_part=cos_part,
             sin_part=np.zeros_like(cos_part),
         )
@@ -551,7 +639,7 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
 
     def _series(self) -> _HarmonicSeries:
         return _HarmonicSeries(
-            omegas=(np.pi / self.horizon) * np.arange(self.n_harmonics),
+            base=np.pi / self.horizon,
             cos_part=self.effective_cos,
             sin_part=self.effective_sin,
         )
@@ -667,27 +755,17 @@ def dissipative_lossless_approx(
     cos_coef, sin_coef = fourier_coefficients(window, n_harmonics)
     shift = target_error**2 / (horizon * error_constant * np.sqrt(ports))
 
-    eye = np.eye(ports)
     base = np.pi / horizon
-    blocks = [realize_harmonic(cos_coef[0] + shift * eye, 0.0, psd_tol=psd_tol)]
-    for k in range(1, n_harmonics):
-        blocks.append(
-            realize_harmonic(cos_coef[k] + shift * eye - 1j * sin_coef[k - 1],
-                             k * base, psd_tol=psd_tol)
-        )
-    system = _assemble(blocks, ports)
-    eff_cos = np.empty((n_harmonics, ports, ports))
-    eff_sin = np.zeros((n_harmonics, ports, ports))
-    for k, blk in enumerate(blocks):
-        eff_cos[k], eff_sin[k] = _block_effective(blk, k * base)
+    shifted = cos_coef + shift * np.eye(ports)
+    blocks, system, eff_cos, eff_sin = _realize_bank(
+        shifted[0], shifted[1:] - 1j * sin_coef, base, psd_tol)
 
     tail_mass = float(
         (cumulative_trapezoid(norms, times, initial=0.0)[-1]
          - np.interp(horizon, times, cumulative_trapezoid(norms, times, initial=0.0)))
         + beyond_mass
     )
-    series = _HarmonicSeries(omegas=base * np.arange(n_harmonics),
-                             cos_part=eff_cos, sin_part=eff_sin)
+    series = _HarmonicSeries(base=base, cos_part=eff_cos, sin_part=eff_sin)
     measured = _window_l2(series, measure_target, measure_times)
 
     n_empirical: int | None = None
@@ -696,8 +774,8 @@ def dissipative_lossless_approx(
             lo, hi = 1, n_harmonics
             while lo < hi:
                 mid = (lo + hi) // 2
-                partial = _HarmonicSeries(omegas=base * np.arange(mid),
-                                          cos_part=eff_cos[:mid], sin_part=eff_sin[:mid])
+                partial = _HarmonicSeries(base=base, cos_part=eff_cos[:mid],
+                                          sin_part=eff_sin[:mid])
                 if _window_l2(partial, measure_target, measure_times) <= target_error:
                     hi = mid
                 else:
@@ -716,7 +794,7 @@ def dissipative_lossless_approx(
         kernel_mass=kernel_mass,
         error_constant=float(error_constant),
         tail_mass=tail_mass,
-        blocks=tuple(blocks),
+        blocks=blocks,
         system=system,
         effective_cos=eff_cos,
         effective_sin=eff_sin,

@@ -1043,7 +1043,7 @@ def _run_langevin(config: ExperimentConfig, out_dir: Path) -> RunReport:
             out_dir,
             "trajectory.csv",
             ("time",) + tuple(f"x{i + 1}" for i in range(dimension)),
-            [(path.times[i],) + tuple(path.values[i]) for i in range(path.values.shape[0])],
+            [(t,) + tuple(row) for t, row in zip(path.times, path.values)],
         ),
         _write_csv(
             out_dir,

@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,7 +30,14 @@ import scipy.linalg
 import scipy.sparse
 from scipy.integrate import simpson
 
-from ._util import as_float_array, derive_rng, frozen, midpoint_samples, require_square
+from ._util import (
+    CHUNK_ELEMENTS,
+    as_float_array,
+    derive_rng,
+    frozen,
+    midpoint_samples,
+    require_square,
+)
 
 __all__ = [
     "SKEW_TOL",
@@ -107,9 +115,12 @@ class Trajectory:
     def duration(self) -> float:
         return (self.n_samples - 1) * self.dt
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.dt
+        """Sample times k * dt, computed once and read-only."""
+        t = np.arange(self.n_samples) * self.dt
+        t.setflags(write=False)
+        return t
 
     def __len__(self) -> int:
         return self.n_samples
@@ -436,18 +447,33 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
 
     The direct term D is *not* folded into the samples; it stays a separate
     algebraic channel on the system object.  Requires a dense A.
+
+    The samples come in panels of L = 2^j: the panel [B, Phi B, ...,
+    Phi^{L-1} B] (Phi = exp(A dt)) is built by doubling and advanced by
+    Phi^L, one matrix product per L samples.  L is about sqrt(n_samples),
+    which balances the j squarings against the panel count, and a panel
+    holds at most `CHUNK_ELEMENTS` entries.
     """
     A, B, C, _ = _port_matrices(sys)
     if _is_sparse(A):
         raise TypeError("impulse_response needs a dense state matrix")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    phi = matrix_exponential(A * dt)
-    cur = np.array(B, dtype=float)
-    out = np.empty((n_samples, C.shape[0], B.shape[1]))
-    for k in range(n_samples):
-        out[k] = C @ cur
-        cur = phi @ cur
+    n, p = B.shape
+    levels = min(int(np.log2(n_samples) / 2 + 0.5),
+                 int(np.log2(max(CHUNK_ELEMENTS // max(n * p, 1), 1))))
+    panel, power = np.array(B, dtype=float), matrix_exponential(A * dt)
+    for _ in range(levels):
+        panel = np.hstack([panel, power @ panel])
+        power = power @ power
+    span = 1 << levels
+    out = np.empty((n_samples, C.shape[0], p))
+    for start in range(0, n_samples, span):
+        count = min(span, n_samples - start)
+        samples = C @ panel[:, : count * p]  # p columns per sample
+        out[start : start + count] = samples.reshape(-1, count, p).swapaxes(0, 1)
+        if start + span < n_samples:
+            panel = power @ panel
     return Trajectory(dt=dt, values=out)
 
 
@@ -558,12 +584,15 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
             "kernel does not decay over the window; transform is truncated and "
             f"the verdict carries O({tail_fraction:.2e}) windowing error"
         )
-    phases = np.exp(-1j * np.outer(omegas, t))  # (n_freq, m_d)
     weights = np.empty(t.shape)
     weights[1:-1] = 0.5 * (t[2:] - t[:-2])
     weights[0] = 0.5 * (t[1] - t[0]) if len(t) > 1 else g.dt
     weights[-1] = 0.5 * (t[-1] - t[-2]) if len(t) > 1 else 0.0
-    ghat = np.einsum("fm,m,mij->fij", phases, weights, vals_d)
+    ghat = np.empty((len(omegas),) + vals_d.shape[1:], dtype=complex)
+    step = max(1, CHUNK_ELEMENTS // len(t))
+    for lo in range(0, len(omegas), step):
+        phases = np.exp(-1j * np.outer(omegas[lo : lo + step], t))  # (step, m_d)
+        ghat[lo : lo + step] = np.einsum("fm,m,mij->fij", phases, weights, vals_d)
     if decay_rate is not None and tail_fraction > 0:
         t_end = g.times[-1]
         tail = vals[-1][None, :, :] * (

@@ -9,8 +9,11 @@ pipeline at target 0.1 over a minimum window of 5 lands on a 6.296
 window, 4623 harmonics, and 9245 states; those numbers are pinned below.
 """
 
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from lossless.approx_linear import (
@@ -26,7 +29,9 @@ from lossless.approx_linear import (
     select_tau,
     split_symmetric,
 )
+from lossless.approx_linear import _HarmonicSeries, _realize_bank
 from lossless.statespace import (
+    PSD_TOL,
     LosslessLinear,
     SignatureMatrix,
     Trajectory,
@@ -370,6 +375,124 @@ class TestTwoPortPipeline:
 
     def test_l2_within_target(self, twoport_pipeline):
         assert twoport_pipeline.l2_error_measured <= 0.5
+
+    def test_blocks_equal_per_harmonic_realizations(self, twoport_pipeline):
+        f = twoport_pipeline
+        base = np.pi / f.horizon
+        shifted = f.cos_coefficients + f.shift * np.eye(2)
+        singles = [realize_harmonic(shifted[0], 0.0)] + [
+            realize_harmonic(shifted[k] - 1j * f.sin_coefficients[k - 1], k * base)
+            for k in range(1, f.n_harmonics)
+        ]
+        assert len(f.blocks) == len(singles)
+        for blk, single in zip(f.blocks, singles):
+            np.testing.assert_array_equal(blk.J, single.J)
+            np.testing.assert_array_equal(blk.B, single.B)
+        j_all = scipy.linalg.block_diag(*[np.asarray(b.J) for b in singles])
+        np.testing.assert_array_equal(scipy.sparse.csr_matrix(f.system.J).toarray(), j_all)
+        np.testing.assert_array_equal(f.system.B, np.vstack([b.B for b in singles]))
+        for k, blk in enumerate(singles):
+            rank = blk.n // 2
+            p_part, q_part = blk.B[:rank], -blk.B[rank:]
+            cos_k = blk.B.T @ blk.B if k == 0 else p_part.T @ p_part + q_part.T @ q_part
+            sin_k = 0.0 if k == 0 else q_part.T @ p_part - p_part.T @ q_part
+            np.testing.assert_allclose(f.effective_cos[k], cos_k, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(f.effective_sin[k], sin_k, rtol=0, atol=1e-15)
+
+    def test_indefinite_residue_rejected_as_by_realize_harmonic(self):
+        residues = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                             [[1.0, 0.0], [0.0, -0.5]]], dtype=complex)
+        with pytest.raises(ValueError) as single:
+            realize_harmonic(residues[1], 2.0)
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
+            _realize_bank(np.eye(2), residues, 1.0, PSD_TOL)
+
+
+def _direct_sum(series, t):
+    """Reference: the series summed term by term at each time."""
+    phase = np.outer(t, series.omegas)
+    return (np.einsum("ik,kqp->iqp", np.cos(phase), series.cos_part)
+            + np.einsum("ik,kqp->iqp", np.sin(phase), series.sin_part))
+
+
+def _reference_convolution(series, u, dt):
+    """The exact convolution of the piecewise-linear interpolant of u with
+    the series, by 16-point Gauss-Legendre on every sample interval."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    frac, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    y = np.zeros((len(u), series.cos_part.shape[1]))
+    for i in range(1, len(u)):
+        j = np.arange(i)
+        s = (j[:, None] + frac) * dt  # (i, nodes)
+        us = u[j, None] + frac[None, :, None] * (u[j + 1] - u[j])[:, None]
+        g = _direct_sum(series, (i * dt - s).ravel()).reshape(s.shape + series.cos_part.shape[1:])
+        y[i] = dt * np.einsum("n,jnqp,jnp->q", weights, g, us)
+    return y
+
+
+def _twoport_series(n_harmonics, tau, seed=3):
+    rng = np.random.default_rng(seed)
+    decay = (1.0 + np.arange(n_harmonics))[:, None, None]
+    cos_part = rng.standard_normal((n_harmonics, 2, 2)) / decay
+    sin_part = rng.standard_normal((n_harmonics, 2, 2)) / decay
+    sin_part[0] = 0.0
+    return _HarmonicSeries(base=np.pi / tau, cos_part=cos_part, sin_part=sin_part)
+
+
+class TestSpectralSeries:
+    """Grid evaluation by FFT and the hat-weight convolution, against
+    term-by-term references.  The window tau = 0.5 has W = 25 steps."""
+
+    TAU, W = 0.5, 25
+
+    @pytest.mark.parametrize("n_harmonics", [20, 40, 60])  # N <= W, N > W, N > 2W (folded)
+    def test_grid_matches_direct_sum_past_two_windows(self, n_harmonics):
+        series = _twoport_series(n_harmonics, self.TAU)
+        t = np.arange(3 * self.W + 7) * (self.TAU / self.W)  # beyond tau and 2 tau
+        assert series._grid_divisions(t) == self.W
+        scale = np.abs(series.cos_part).sum() + np.abs(series.sin_part).sum()
+        np.testing.assert_allclose(series.evaluate(t), _direct_sum(series, t),
+                                   rtol=0, atol=1e-14 * scale)
+
+    def test_linspace_grid_takes_the_transform(self):
+        series = _twoport_series(20, self.TAU)
+        t = np.linspace(0.0, 1.2, 61)
+        assert series._grid_divisions(t) == self.W
+        np.testing.assert_allclose(series.evaluate(t), _direct_sum(series, t), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("times", [
+        np.arange(60) * 0.02 * (1 + 1e-9),      # step a hair off the window's divisor
+        np.arange(1, 61) * 0.02,                # does not start at 0
+        np.sort(np.random.default_rng(5).uniform(0.0, 1.2, 60)),
+        np.arange(60) * 0.0195,                 # tau / h is not an integer
+    ])
+    def test_off_grid_times_take_the_direct_sum(self, times):
+        series = _twoport_series(20, self.TAU)
+        assert series._grid_divisions(times) == 0
+        np.testing.assert_array_equal(series.evaluate(times), _direct_sum(series, times))
+
+    @pytest.mark.parametrize("n_harmonics", [20, 60])
+    @pytest.mark.parametrize("dt", [0.02, 0.0195])  # window on the grid (FFT weights), and off it
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_convolution_is_exact_for_the_interpolant(self, n_harmonics, dt, reverse):
+        series = _twoport_series(n_harmonics, self.TAU)
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal((45, 2))
+        y = series.convolve(u, dt, reverse=reverse)
+        ref = _reference_convolution(series.transposed() if reverse else series, u, dt)
+        np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-7, 1e-8])
+    def test_convolution_keeps_precision_at_small_w_dt(self, a):
+        # Kernel 1/tau + (2/tau) cos(w t) with w dt = a, input u = t: the
+        # response is t^2 / (2 tau) + (4/tau) sin^2(w t / 2) / w^2.
+        dt = 1e-3
+        bank = memoryless_lossless_approx(1.0, np.pi * dt / a, 2)
+        w, tau = bank.base_frequency, bank.horizon
+        t = np.arange(1001) * dt
+        y = bank.zero_state_response(t, dt)[:, 0]
+        exact = t**2 / (2 * tau) + (4 / tau) * np.sin(w * t / 2) ** 2 / w**2
+        assert np.abs(y - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 class TestRealizeHarmonic:

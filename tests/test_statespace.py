@@ -64,6 +64,13 @@ class TestTrajectory:
         assert tr.duration == pytest.approx(2.0)
         np.testing.assert_allclose(tr.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    def test_times_are_computed_once_and_read_only(self):
+        tr = Trajectory(dt=0.37, values=np.zeros(1001))
+        np.testing.assert_array_equal(tr.times, np.arange(1001) * 0.37)
+        assert tr.times is tr.times
+        with pytest.raises(ValueError):
+            tr.times[3] = 0.0
+
     def test_sample_matches_function(self):
         tr = Trajectory.sample(lambda t: [t, t**2], dt=0.25, n_samples=4)
         np.testing.assert_allclose(tr.values[:, 1], (0.25 * np.arange(4)) ** 2)
@@ -164,6 +171,24 @@ class TestSimulation:
         g = impulse_response(fixture, dt=1e-3, n_samples=2001)
         expected = (1 + np.cos(W * g.times)) / 2
         np.testing.assert_allclose(g.values[:, 0, 0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 37, 1000])
+    def test_impulse_response_matches_per_sample_stepping(self, n_samples):
+        # Non-normal A and C != B^T; 37 and 1000 are not whole panels.
+        rng = np.random.default_rng(7)
+        a = np.triu(rng.standard_normal((5, 5)), 1) * 3.0 - np.diag([0.5, 1.0, 1.5, 2.0, 0.1])
+        sys = LinearStateSpace(A=a, B=rng.standard_normal((5, 2)),
+                               C=rng.standard_normal((2, 5)), D=np.zeros((2, 2)))
+        phi = matrix_exponential(a * 0.01)
+        x = np.array(sys.B)
+        expected = np.empty((n_samples, 2, 2))
+        for k in range(n_samples):
+            expected[k] = sys.C @ x
+            x = phi @ x
+        g = impulse_response(sys, dt=0.01, n_samples=n_samples)
+        assert g.values.shape == expected.shape
+        np.testing.assert_allclose(g.values, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
 
     def test_impulse_response_rejects_sparse(self, fixture):
         sp = LosslessLinear(J=scipy.sparse.csr_matrix(fixture.J), B=fixture.B)
