@@ -672,7 +672,6 @@ def dissipative_lossless_approx(
     min_horizon: float,
     state_budget: int = 20000,
     tail: Callable[[float], float] | None = None,
-    rank_tol: float = 1e-12,
     psd_tol: float = PSD_TOL,
     empirical: bool = True,
 ) -> FourierLosslessApprox:

@@ -5,8 +5,10 @@ an optional JSON config file, fills in defaults, overlays the command
 line flags, executes the experiment, and writes plain CSV data files
 plus a ``manifest.json`` that echoes the fully resolved configuration
 together with library versions and the seed.  Feeding the manifest's
-``config`` object back in as a config file reproduces the run exactly;
-with ``--threads 1`` the CSV bytes are a pure function of it.
+``config`` object back in as a config file reproduces the run exactly.
+Random streams belong to fixed-size trial chunks, not to workers, and
+results are reduced in chunk order, so the CSV bytes are a pure function
+of the config for every ``--threads`` value.
 
 Each experiment carries a small set of asserted checks, printed one per
 line.  Exit codes: 0 when every check passes, 2 for a malformed config
@@ -86,17 +88,6 @@ __all__ = [
     "validate",
 ]
 
-EXPERIMENTS = (
-    "approx-memoryless",
-    "approx-dissipative",
-    "approx-nonlinear",
-    "fdt",
-    "langevin",
-    "measure",
-    "tradeoff",
-    "table1",
-)
-
 # Experiments that draw random numbers no matter how they are configured.
 # "measure" joins them only when its probe variant carries thermal noise.
 _ALWAYS_SEEDED = frozenset(
@@ -171,7 +162,7 @@ class _Param:
     schema: dict
 
 
-def _float_param(default, *, minimum=None, strict=False, nonzero=False, allow_none=False):
+def _float_param(default=None, *, minimum=None, strict=False, nonzero=False, allow_none=False):
     schema: dict = {"type": "number"}
     if minimum is not None:
         schema["exclusiveMinimum" if strict else "minimum"] = minimum
@@ -198,12 +189,16 @@ def _float_param(default, *, minimum=None, strict=False, nonzero=False, allow_no
     return _Param(default, check, schema)
 
 
-def _int_param(default, *, minimum=None):
-    schema: dict = {"type": "integer", "default": default}
+def _int_param(default=None, *, minimum=None, allow_none=False):
+    schema: dict = {"type": "integer"}
     if minimum is not None:
         schema["minimum"] = minimum
+    if default is not None:
+        schema["default"] = default
 
     def check(value, field, base):
+        if value is None and allow_none:
+            return None
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(field, "must be an integer")
         if minimum is not None and value < minimum:
@@ -213,8 +208,10 @@ def _int_param(default, *, minimum=None):
     return _Param(default, check, schema)
 
 
-def _choice_param(default, choices):
-    schema = {"type": "string", "enum": list(choices), "default": default}
+def _choice_param(choices, default=None):
+    schema: dict = {"type": "string", "enum": list(choices)}
+    if default is not None:
+        schema["default"] = default
 
     def check(value, field, base):
         if value not in choices:
@@ -224,79 +221,44 @@ def _choice_param(default, choices):
     return _Param(default, check, schema)
 
 
-def _float_list_param(default, *, minimum=None, strict=False, min_len=1, increasing=False):
-    schema = {
-        "type": "array",
-        "items": {"type": "number"},
-        "minItems": min_len,
-        "default": default,
-    }
+def _list_param(item, default, *, min_len=1, increasing=False, distinct=False):
+    """A list whose entries each pass `item`'s check, named `field[i]`."""
+    schema = {"type": "array", "items": dict(item.schema), "minItems": min_len, "default": default}
 
     def check(value, field, base):
         if not isinstance(value, (list, tuple)) or len(value) < min_len:
-            raise ConfigError(field, f"must be a list of at least {min_len} numbers")
-        out = []
-        for entry in value:
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ConfigError(field, "entries must be numbers")
-            v = float(entry)
-            if not math.isfinite(v):
-                raise ConfigError(field, "entries must be finite")
-            if minimum is not None:
-                if strict and v <= minimum:
-                    raise ConfigError(field, f"entries must be greater than {minimum:g}")
-                if not strict and v < minimum:
-                    raise ConfigError(field, f"entries must be at least {minimum:g}")
-            out.append(v)
-        if increasing and any(b <= a for a, b in zip(out, out[1:])):
-            raise ConfigError(field, "entries must be strictly increasing")
+            raise ConfigError(field, f"must be a list of at least {min_len} entries")
+        out = [item.check(entry, f"{field}[{i}]", base) for i, entry in enumerate(value)]
+        for i in range(1, len(out)):
+            if increasing and out[i] <= out[i - 1]:
+                raise ConfigError(f"{field}[{i}]", "must be greater than the entry before it")
+            if distinct and out[i] in out[:i]:
+                raise ConfigError(f"{field}[{i}]", "must differ from every entry before it")
         return out
 
     return _Param(default, check, schema)
 
 
-def _int_list_param(default, *, minimum=None, min_len=1):
-    schema = {
-        "type": "array",
-        "items": {"type": "integer"},
-        "minItems": min_len,
-        "default": default,
-    }
+def _path_param(default):
+    def check(value, field, base):
+        if not isinstance(value, str) or value == "":
+            raise ConfigError(field, "must be a nonempty path")
+        return value
+
+    return _Param(default, check, {"type": "string", "default": default})
+
+
+def _boltzmann_param():
+    presets = _choice_param(tuple(_BOLTZMANN_PRESETS))
+    number = _float_param(minimum=0.0, strict=True)
+    schema = {"description": "positive number, or preset 'unit' (1.0) / 'si'", "default": "unit"}
 
     def check(value, field, base):
-        if not isinstance(value, (list, tuple)) or len(value) < min_len:
-            raise ConfigError(field, f"must be a list of at least {min_len} integers")
-        out = []
-        for entry in value:
-            if isinstance(entry, bool) or not isinstance(entry, int):
-                raise ConfigError(field, "entries must be integers")
-            if minimum is not None and entry < minimum:
-                raise ConfigError(field, f"entries must be at least {minimum}")
-            out.append(int(entry))
-        return out
+        if isinstance(value, str):
+            return _BOLTZMANN_PRESETS[presets.check(value, field, base)]
+        return number.check(value, field, base)
 
-    return _Param(default, check, schema)
-
-
-def _string_list_param(default, choices, *, min_len=1):
-    schema = {
-        "type": "array",
-        "items": {"type": "string", "enum": list(choices)},
-        "minItems": min_len,
-        "default": default,
-    }
-
-    def check(value, field, base):
-        if not isinstance(value, (list, tuple)) or len(value) < min_len:
-            raise ConfigError(field, f"must be a list of at least {min_len} names")
-        for entry in value:
-            if entry not in choices:
-                raise ConfigError(field, f"entries must be among {', '.join(choices)}")
-        if len(set(value)) != len(value):
-            raise ConfigError(field, "entries must be distinct")
-        return list(value)
-
-    return _Param(default, check, schema)
+    return _Param("unit", check, schema)
 
 
 def _as_nested_floats(value, field, *, ndim):
@@ -312,19 +274,15 @@ def _as_nested_floats(value, field, *, ndim):
 
 
 def _gain_param(default):
+    scalar = _float_param()
     schema = {
         "description": "scalar gain or square matrix as row-major nested arrays",
         "default": default,
     }
 
     def check(value, field, base):
-        if isinstance(value, bool):
-            raise ConfigError(field, "must be a number or a square matrix")
-        if isinstance(value, (int, float)):
-            v = float(value)
-            if not math.isfinite(v):
-                raise ConfigError(field, "must be finite")
-            return v
+        if not isinstance(value, list):
+            return scalar.check(value, field, base)
         rows = _as_nested_floats(value, field, ndim=2)
         if len(rows) != len(rows[0]):
             raise ConfigError(field, "matrix must be square")
@@ -333,7 +291,17 @@ def _gain_param(default):
     return _Param(default, check, schema)
 
 
-def _load_referenced_json(value, field, base):
+def _load_referenced_json(value, field, base, expected):
+    """`value` itself, or the JSON object its {"file": path} names.
+
+    A relative path is resolved against `base`, the config file's folder.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(field, f"must be {expected}")
+    if "file" not in value:
+        return value
+    if len(value) != 1 or not isinstance(value["file"], str):
+        raise ConfigError(field, "a file reference holds exactly {\"file\": path}")
     path = Path(value["file"])
     if not path.is_absolute():
         path = (base or Path.cwd()) / path
@@ -364,12 +332,7 @@ def _model_param(matrix_keys, vector_keys=()):
     def check(value, field, base):
         if value is None:
             return None
-        if not isinstance(value, dict):
-            raise ConfigError(field, "must be an object of named matrices")
-        if "file" in value:
-            if len(value) != 1 or not isinstance(value["file"], str):
-                raise ConfigError(field, "a file reference holds exactly {\"file\": path}")
-            value = _load_referenced_json(value, field, base)
+        value = _load_referenced_json(value, field, base, "an object of named matrices")
         unknown = sorted(set(value) - set(wanted))
         if unknown:
             raise ConfigError(field, f"unknown matrix name '{unknown[0]}'")
@@ -388,6 +351,7 @@ def _model_param(matrix_keys, vector_keys=()):
 
 
 def _kernel_param():
+    step = _float_param(minimum=0.0, strict=True)
     schema = {
         "type": "object",
         "description": (
@@ -400,17 +364,10 @@ def _kernel_param():
     def check(value, field, base):
         if value is None:
             return None
-        if not isinstance(value, dict):
-            raise ConfigError(field, "must be an object with 'dt' and 'values'")
-        if "file" in value:
-            if len(value) != 1 or not isinstance(value["file"], str):
-                raise ConfigError(field, "a file reference holds exactly {\"file\": path}")
-            value = _load_referenced_json(value, field, base)
+        value = _load_referenced_json(value, field, base, "an object with 'dt' and 'values'")
         if set(value) != {"dt", "values"}:
             raise ConfigError(field, "must hold exactly 'dt' and 'values'")
-        dt = value["dt"]
-        if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not dt > 0:
-            raise ConfigError(field, "'dt' must be a positive number")
+        dt = step.check(value["dt"], f"{field}.dt", base)
         arr = np.asarray(value["values"], dtype=float)
         if arr.ndim not in (1, 3):
             raise ConfigError(field, "'values' must be 1-D samples or stacked matrices")
@@ -418,17 +375,30 @@ def _kernel_param():
             raise ConfigError(field, "stacked kernel samples must be square")
         if arr.shape[0] < 2 or not np.all(np.isfinite(arr)):
             raise ConfigError(field, "'values' must hold at least 2 finite samples")
-        return {"dt": float(dt), "values": arr.tolist()}
+        return {"dt": dt, "values": arr.tolist()}
 
     return _Param(None, check, schema)
 
 
-_SCHEMAS = {
+def _shared_params(experiment):
+    """The fields every experiment takes; `ExperimentConfig` holds them apart."""
+    return {
+        # no default: an experiment that draws random numbers must be given one
+        "seed": _int_param(minimum=0, allow_none=True),
+        "out": _path_param(f"results/{experiment}"),
+        "threads": _int_param(1, minimum=1),
+        "boltzmann": _boltzmann_param(),
+    }
+
+
+_POSITIVE = _float_param(minimum=0.0, strict=True)
+
+_EXPERIMENT_PARAMS = {
     "approx-memoryless": {
         "gain": _float_param(1.0, nonzero=True),
         "tau": _float_param(1.0, minimum=0.0, strict=True),
         "dt": _float_param(1e-4, minimum=0.0, strict=True),
-        "n_values": _int_list_param([4, 8, 16, 32, 64, 128, 256], minimum=2),
+        "n_values": _list_param(_int_param(minimum=2), [4, 8, 16, 32, 64, 128, 256]),
     },
     "approx-dissipative": {
         "epsilon": _float_param(0.1, minimum=0.0, strict=True),
@@ -443,9 +413,7 @@ _SCHEMAS = {
         "trials": _int_param(100, minimum=1),
         "horizon": _float_param(1.0, minimum=0.0, strict=True),
         "dt": _float_param(2e-3, minimum=0.0, strict=True),
-        "e0_values": _float_list_param(
-            [1e2, 1e3, 1e4, 1e5, 1e6], minimum=0.0, strict=True, min_len=2
-        ),
+        "e0_values": _list_param(_POSITIVE, [1e2, 1e3, 1e4, 1e5, 1e6], min_len=2),
     },
     "fdt": {
         "temperature": _float_param(1.0, minimum=0.0),
@@ -466,7 +434,7 @@ _SCHEMAS = {
         "model": _model_param(("J", "K", "B")),
     },
     "measure": {
-        "variant": _choice_param("M1hat", DEVICE_VARIANTS),
+        "variant": _choice_param(DEVICE_VARIANTS, "M1hat"),
         "k_m": _float_param(1.0, minimum=0.0, strict=True),
         "t_m": _float_param(1e-3, minimum=0.0, strict=True),
         "temperature": _float_param(1.0, minimum=0.0),
@@ -476,21 +444,17 @@ _SCHEMAS = {
         "model": _model_param(("J", "B"), ("x0",)),
     },
     "tradeoff": {
-        "variant": _choice_param("M1hat", ("M1hat", "M2hat")),
-        "tm_values": _float_list_param(
-            [1e-3, 3e-3, 1e-2], minimum=0.0, strict=True, increasing=True
-        ),
-        "km_values": _float_list_param([0.5, 1.0, 2.0], minimum=0.0, strict=True),
+        "variant": _choice_param(("M1hat", "M2hat"), "M1hat"),
+        "tm_values": _list_param(_POSITIVE, [1e-3, 3e-3, 1e-2], increasing=True),
+        "km_values": _list_param(_POSITIVE, [0.5, 1.0, 2.0]),
         "temperature": _float_param(1.0, minimum=0.0, strict=True),
         "e_m": _float_param(10.0, minimum=0.0, strict=True),
         "trials": _int_param(10_000, minimum=2),
         "model": _model_param(("J", "B"), ("x0",)),
     },
     "table1": {
-        "variants": _string_list_param(list(DEVICE_VARIANTS), DEVICE_VARIANTS),
-        "tm_values": _float_list_param(
-            [1e-3, 3e-3, 1e-2], minimum=0.0, strict=True, min_len=2, increasing=True
-        ),
+        "variants": _list_param(_choice_param(DEVICE_VARIANTS), list(DEVICE_VARIANTS), distinct=True),
+        "tm_values": _list_param(_POSITIVE, [1e-3, 3e-3, 1e-2], min_len=2, increasing=True),
         "k_m": _float_param(1.0, minimum=0.0, strict=True),
         "temperature": _float_param(1.0, minimum=0.0, strict=True),
         "e_m": _float_param(10.0, minimum=0.0, strict=True),
@@ -498,6 +462,12 @@ _SCHEMAS = {
         "model": _model_param(("J", "B"), ("x0",)),
     },
 }
+
+_SCHEMAS = {
+    name: {**_shared_params(name), **own} for name, own in _EXPERIMENT_PARAMS.items()
+}
+
+EXPERIMENTS = tuple(_SCHEMAS)
 
 
 def _needs_seed(experiment: str, params: dict) -> bool:
@@ -516,16 +486,7 @@ def config_schema(experiment: str | None = None) -> dict:
         }
     if experiment not in _SCHEMAS:
         raise ConfigError("experiment", f"unknown experiment '{experiment}'")
-    properties = {
-        "experiment": {"type": "string", "const": experiment},
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string", "default": f"results/{experiment}"},
-        "threads": {"type": "integer", "minimum": 1, "default": 1},
-        "boltzmann": {
-            "description": "positive number, or preset 'unit' (1.0) / 'si'",
-            "default": "unit",
-        },
-    }
+    properties = {"experiment": {"type": "string", "const": experiment}}
     for name, param in _SCHEMAS[experiment].items():
         properties[name] = dict(param.schema)
     return {
@@ -582,57 +543,20 @@ def _normalize(experiment: str, raw: dict, base_dir) -> ExperimentConfig:
             "experiment", f"config names '{named}' but the subcommand is '{experiment}'"
         )
 
-    seed = raw.pop("seed", None)
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError("seed", "must be an integer")
-    if seed is not None and seed < 0:
-        raise ConfigError("seed", "must be nonnegative")
-
-    out = raw.pop("out", f"results/{experiment}")
-    if not isinstance(out, (str, Path)) or str(out) == "":
-        raise ConfigError("out", "must be a nonempty path")
-
-    threads = raw.pop("threads", 1)
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads", "must be a positive integer")
-
-    boltzmann = raw.pop("boltzmann", "unit")
-    if isinstance(boltzmann, str):
-        if boltzmann not in _BOLTZMANN_PRESETS:
-            raise ConfigError(
-                "boltzmann", "preset must be one of " + ", ".join(_BOLTZMANN_PRESETS)
-            )
-        boltzmann = _BOLTZMANN_PRESETS[boltzmann]
-    elif (
-        isinstance(boltzmann, bool)
-        or not isinstance(boltzmann, (int, float))
-        or not boltzmann > 0
-        or not math.isfinite(boltzmann)
-    ):
-        raise ConfigError("boltzmann", "must be a positive number or a preset name")
-    boltzmann = float(boltzmann)
-
     schema = _SCHEMAS[experiment]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(unknown[0], f"unknown field for experiment '{experiment}'")
-    params = {}
-    for name, param in schema.items():
-        value = raw.get(name, param.default)
-        params[name] = param.check(value, name, base_dir)
-
-    if seed is None and _needs_seed(experiment, params):
+    params = {
+        name: param.check(raw.get(name, param.default), name, base_dir)
+        for name, param in schema.items()
+    }
+    shared = {name: params.pop(name) for name in ("seed", "out", "threads", "boltzmann")}
+    if shared["seed"] is None and _needs_seed(experiment, params):
         raise ConfigError(
             "seed", f"required: '{experiment}' draws random numbers with this setup"
         )
-    return ExperimentConfig(
-        experiment=experiment,
-        params=params,
-        seed=seed,
-        out=str(out),
-        threads=threads,
-        boltzmann=boltzmann,
-    )
+    return ExperimentConfig(experiment=experiment, params=params, **shared)
 
 
 def validate(config: ExperimentConfig) -> list:

@@ -41,6 +41,7 @@ from ._util import as_float_array, frozen, require_square, run_chunked
 from .statespace import (
     SKEW_TOL,
     Trajectory,
+    _skew_residual,
     _step_count,
     integrate_ode,
     lc_ladder,
@@ -95,7 +96,7 @@ class MeasuredSystem:
     def __post_init__(self):
         j = as_float_array(self.J, "J", ndim=2)
         require_square(j, "J")
-        if np.abs(j + j.T).max(initial=0.0) > SKEW_TOL:
+        if _skew_residual(j) > SKEW_TOL:
             raise ValueError("J must be antisymmetric")
         b = np.asarray(self.B, dtype=float).reshape(-1)
         x0 = as_float_array(self.x0, "x0", ndim=1)

@@ -41,6 +41,7 @@ from .statespace import (
     Trajectory,
     _input_samples,
     _is_sparse,
+    _skew_residual,
 )
 
 __all__ = [
@@ -140,10 +141,7 @@ def _transient_maps(sys: LosslessLinear, times: np.ndarray) -> np.ndarray:
     """Stack of B^T e^{J t_j}, shape (m, p, n)."""
     if _is_sparse(sys.J):
         raise TypeError("fluctuation kernels need a dense J")
-    maps = np.empty((times.shape[0], sys.p, sys.n))
-    for j, t in enumerate(times):
-        maps[j] = sys.B.T @ scipy.linalg.expm(np.asarray(sys.J) * float(t))
-    return maps
+    return sys.B.T @ scipy.linalg.expm(np.asarray(sys.J) * times[:, None, None])
 
 
 def analytic_fluctuation_covariance(
@@ -159,10 +157,7 @@ def analytic_fluctuation_covariance(
     t, s = float(t), float(s)
     if t < 0 or s < 0:
         raise ValueError(f"times must be nonnegative, got t={t}, s={s}")
-    if _is_sparse(sys.J):
-        raise TypeError("fluctuation kernels need a dense J")
-    lag = abs(t - s)
-    kernel = sys.B.T @ scipy.linalg.expm(np.asarray(sys.J) * lag) @ sys.B
+    kernel = _transient_maps(sys, np.array([abs(t - s)]))[0] @ sys.B
     if t < s:
         kernel = kernel.T
     return float(boltzmann) * float(temperature) * kernel
@@ -298,7 +293,7 @@ class LangevinModel:
             raise ValueError(
                 f"shapes disagree: J {j.shape}, K {k.shape}, B {b.shape}"
             )
-        if np.abs(j + j.T).max() > SKEW_TOL:
+        if _skew_residual(j) > SKEW_TOL:
             raise ValueError("J is not antisymmetric")
         if np.abs(k - k.T).max() > SKEW_TOL:
             raise ValueError("K is not symmetric")

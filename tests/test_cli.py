@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lossless.cli import (
+    _RUNNERS,
     EXPERIMENTS,
     ConfigError,
     build_config,
@@ -29,7 +30,40 @@ def _write_config(tmp_path, name="config.json", **entries):
     return path
 
 
+# One malformed value per kind of field: (experiment, field, value).
+MALFORMED = [
+    ("approx-memoryless", "gain", 0.0),
+    ("fdt", "lag_count", 2.5),
+    ("measure", "variant", "M3"),
+    ("approx-memoryless", "n_values", [4, "8"]),
+    ("approx-memoryless", "n_values", [4, 1]),
+    ("approx-nonlinear", "e0_values", [1e2, None]),
+    ("approx-nonlinear", "e0_values", [1e2, -1.0]),
+    ("table1", "variants", ["M1", 2]),
+    ("table1", "variants", ["M1", "M3"]),
+    ("tradeoff", "tm_values", [1e-3, 1e-2, 3e-3]),
+    ("table1", "variants", ["M1", "M2", "M1"]),
+    ("fdt", "seed", -1),
+    ("fdt", "threads", 0),
+    ("fdt", "out", ""),
+    ("fdt", "boltzmann", "x"),
+    ("fdt", "boltzmann", -1),
+    ("fdt", "model", {"file": 3}),
+    ("approx-dissipative", "kernel", {"file": 3}),
+]
+
+
 class TestConfigSchema:
+    @pytest.mark.parametrize("experiment, field, value", MALFORMED)
+    def test_malformed_value_names_its_field(self, tmp_path, experiment, field, value):
+        path = _write_config(tmp_path, **{"seed": 1, field: value})
+        with pytest.raises(ConfigError) as err:
+            build_config(experiment, path)
+        assert err.value.field.startswith(field)
+
+    def test_every_experiment_has_a_runner(self):
+        assert sorted(_RUNNERS) == sorted(EXPERIMENTS)
+
     def test_defaults_fill_in(self):
         cfg = build_config("approx-memoryless")
         assert cfg.params["tau"] == 1.0
@@ -179,15 +213,18 @@ class TestRunsAndArtifacts:
         assert rebuilt.params["n_values"] == [4, 8, 16]
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
-        cfg = _write_config(tmp_path, variant="M1hat", trials=300, seed=7)
-        first, second, threaded = (tmp_path / n for n in ("a", "b", "c"))
-        assert main(["measure", "--config", str(cfg), "--out", str(first)]) == 0
-        assert main(["measure", "--config", str(cfg), "--out", str(second)]) == 0
-        assert main(["measure", "--config", str(cfg), "--out", str(threaded), "--threads", "3"]) == 0
-        for name in ("outcome.csv", "record.csv"):
-            baseline = (first / name).read_bytes()
-            assert (second / name).read_bytes() == baseline
-            assert (threaded / name).read_bytes() == baseline
+        # 300 trials fit in one chunk; 2100 span three, so --threads 3 runs the pool
+        for trials in (300, 2100):
+            cfg = _write_config(tmp_path, variant="M1hat", trials=trials, seed=7)
+            first, second, threaded = (tmp_path / f"{n}{trials}" for n in ("a", "b", "c"))
+            assert main(["measure", "--config", str(cfg), "--out", str(first)]) == 0
+            assert main(["measure", "--config", str(cfg), "--out", str(second)]) == 0
+            argv = ["measure", "--config", str(cfg), "--out", str(threaded), "--threads", "3"]
+            assert main(argv) == 0
+            for name in ("outcome.csv", "record.csv"):
+                baseline = (first / name).read_bytes()
+                assert (second / name).read_bytes() == baseline
+                assert (threaded / name).read_bytes() == baseline
 
     def test_fdt_small_run(self, tmp_path):
         cfg = _write_config(tmp_path, seed=2, trials=600, lag_max=2.0, lag_count=5, samples=800)

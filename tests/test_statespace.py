@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from lossless.measurement import MeasuredSystem
 from lossless.statespace import (
     PSD_TOL,
     EnergyLedger,
@@ -33,6 +34,7 @@ from lossless.statespace import (
     matrix_exponential,
     simulate_linear,
 )
+from lossless.thermal import LangevinModel
 
 W = np.sqrt(2.0)
 
@@ -111,6 +113,18 @@ class TestConstruction:
     def test_non_skew_generator_rejected(self):
         with pytest.raises(ValueError, match="skew"):
             LosslessLinear(J=np.array([[0.0, 1.0], [1.0, 0.0]]), B=np.ones((2, 1)))
+
+    def test_one_skew_test_for_every_class(self):
+        # each of the three pairs is off by 4e-11: max |J + J^T| is 4e-11,
+        # under SKEW_TOL, but the entrywise sum 2.4e-10 is over it
+        j = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        j += 4e-11 * np.triu(np.ones((3, 3)), 1)
+        with pytest.raises(ValueError, match="symmetric"):
+            LosslessLinear(J=j, B=np.ones((3, 1)))
+        with pytest.raises(ValueError, match="symmetric"):
+            MeasuredSystem(J=j, B=[1.0, 0.0, 0.0], x0=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="symmetric"):
+            LangevinModel(J=j, K=np.eye(3), B=np.eye(3), temperature=1.0)
 
     def test_non_skew_direct_term_rejected(self):
         with pytest.raises(ValueError, match="skew"):

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 from lossless.statespace import (
+    LosslessLinear,
     Trajectory,
     impulse_response,
     integrate_ode,
@@ -31,6 +32,7 @@ from lossless.thermal import (
     sample_johnson_noise,
     simulate_langevin,
     supply_noise_variance,
+    _transient_maps,
 )
 
 
@@ -113,6 +115,15 @@ class TestAnalyticKernel:
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             analytic_fluctuation_covariance(lc_ladder(), 1.0, -0.1, 0.0)
+
+    def test_stacked_maps_equal_one_expm_per_time(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 6))
+        two_port = LosslessLinear(J=a - a.T, B=rng.standard_normal((6, 2)))
+        times = np.linspace(0.0, 4.9, 50)
+        for sys in (lc_ladder(), two_port):
+            expected = [sys.B.T @ scipy.linalg.expm(sys.J * t) for t in times]
+            np.testing.assert_array_equal(_transient_maps(sys, times), expected)
 
 
 class TestEmpiricalFdt:
