@@ -15,9 +15,10 @@ import numpy as np
 #: (seed, *tags, i), and reductions run in chunk order.
 CHUNK_TRIALS = 1024
 
-#: Elements per temporary in the harmonic direct sum, the impulse-response
-#: panels and the kernel transform of `check_dissipative`, which bounds their
-#: working memory (4 MB of float64).
+#: Elements per temporary in the harmonic direct sum, the kernel transform
+#: of `check_dissipative` and the lifted-block operators of
+#: `statespace._lti_run` (which also serve impulse responses), which bounds
+#: their working memory (4 MB of float64).
 CHUNK_ELEMENTS = 500_000
 
 

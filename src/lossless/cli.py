@@ -60,6 +60,7 @@ from .measurement import (
 from .statespace import (
     LosslessLinear,
     Trajectory,
+    _step_count,
     check_lossless,
     integrate_ode,
     lc_ladder,
@@ -463,6 +464,24 @@ _EXPERIMENT_PARAMS = {
     },
 }
 
+
+def _step_field(field: str, span: float, dt: float) -> int:
+    """Steps of `dt` in `span`, which must be a whole multiple of it."""
+    try:
+        return _step_count(span, dt)
+    except ValueError:
+        raise ConfigError(field, f"must be a positive multiple of dt = {dt:g}") from None
+
+
+def _check_cross_fields(experiment: str, p: dict) -> None:
+    """Constraints between an experiment's fields, once each field is valid."""
+    if experiment == "langevin":
+        if p["burn_in"] > _step_field("horizon", p["horizon"], p["dt"]) - 1:
+            raise ConfigError("burn_in", "must leave at least two settled samples")
+    elif experiment == "measure" and p["dt"] is not None:
+        _step_field("t_m", p["t_m"], p["dt"])
+
+
 _SCHEMAS = {
     name: {**_shared_params(name), **own} for name, own in _EXPERIMENT_PARAMS.items()
 }
@@ -552,6 +571,7 @@ def _normalize(experiment: str, raw: dict, base_dir) -> ExperimentConfig:
         for name, param in schema.items()
     }
     shared = {name: params.pop(name) for name in ("seed", "out", "threads", "boltzmann")}
+    _check_cross_fields(experiment, params)
     if shared["seed"] is None and _needs_seed(experiment, params):
         raise ConfigError(
             "seed", f"required: '{experiment}' draws random numbers with this setup"
@@ -949,8 +969,6 @@ def _run_langevin(config: ExperimentConfig, out_dir: Path) -> RunReport:
         boltzmann=k_b,
     )
     path = simulate_langevin(langevin, None, None, p["dt"], p["horizon"], seed=config.seed)
-    if p["burn_in"] > path.values.shape[0] - 2:
-        raise ConfigError("burn_in", "must leave at least two settled samples")
     settled = path.values[p["burn_in"]:]
     variances = settled.var(axis=0)
     expected = k_b * temperature

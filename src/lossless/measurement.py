@@ -41,6 +41,7 @@ from ._util import as_float_array, frozen, require_square, run_chunked
 from .statespace import (
     SKEW_TOL,
     Trajectory,
+    _lti_run,
     _skew_residual,
     _step_count,
     integrate_ode,
@@ -283,12 +284,8 @@ def simulate_device(
     # M2's active branch cancels the loading, so its port current stays zero
     loading = km * np.outer(b, b) if device.variant == "M1" else 0.0
     phi = matrix_exponential((j - loading) * dt)
-    states = np.empty((steps + 1, system.n))
-    states[0] = x0
-    for k in range(steps):
-        states[k + 1] = phi @ states[k]
-    record = states @ b
-    back = states[-1] - x_nat if device.variant == "M1" else np.zeros(system.n)
+    record, final = _lti_run(phi, x0, c=b, steps=steps)
+    back = final - x_nat if device.variant == "M1" else np.zeros(system.n)
     y_hat = float(record[-1])
     residual = abs(y_nat - (y_hat - 0.0 - float(b @ back)))
     return MeasurementOutcome(
@@ -316,20 +313,22 @@ def _probe_trials(system, device, dt, steps, rng, count):
     The readout and the kick into the system ride on the same white
     noise.  Returns the readout records (steps + 1, count), the final
     states (count, n) and, for M2hat, each trial's supply offset (drawn
-    first from `rng`); M1hat returns None for the offsets.
+    first from `rng`); M1hat returns None for the offsets.  M1hat is
+    linear, so a chunk is one lifted run; the M2hat supply state is not.
     """
     j, b, n = system.J, system.B, system.n
     km = device.admittance
     kbt = device.boltzmann * device.temperature
     kick = -math.sqrt(2.0 * km * kbt * dt)
     meas = math.sqrt(2.0 * kbt / (km * dt))
-    offsets = None
-    if device.variant == "M2hat":
-        root = math.sqrt(2.0 * device.supply_energy)
-        offsets = math.sqrt(kbt) * rng.standard_normal(count)
-        supply = root + offsets
-    else:
+    if device.variant == "M1hat":
+        eta = rng.standard_normal((steps + 1, count))
         a_d = np.eye(n) + dt * (j - km * np.outer(b, b))
+        clean, states = _lti_run(a_d, system.x0, kick * b[:, None], eta[:-1, None], c=b)
+        return clean + meas * eta, states.T, None
+    root = math.sqrt(2.0 * device.supply_energy)
+    offsets = math.sqrt(kbt) * rng.standard_normal(count)
+    supply = root + offsets
     eta = rng.standard_normal((steps + 1, count))
     states = np.broadcast_to(system.x0, (count, n)).copy()
     records = np.empty((steps + 1, count))
@@ -338,49 +337,35 @@ def _probe_trials(system, device, dt, steps, rng, count):
         records[k] = y2 + meas * eta[k]
         if k == steps:
             break
-        kicked = kick * (eta[k][:, None] * b)
-        if offsets is None:
-            states = states @ a_d.T + kicked
-        else:
-            load = (km * (supply / root - 1.0) * y2)[:, None] * b
-            states = states + dt * (states @ j.T + load) + kicked
-            supply = supply + dt * (km / root) * y2**2
+        load = (km * (supply / root - 1.0) * y2)[:, None] * b
+        states = states + dt * (states @ j.T + load) + kick * (eta[k][:, None] * b)
+        supply = supply + dt * (km / root) * y2**2
     return records, states, offsets
 
 
-def _record_chain(a0, b, records, port, scale=None, rows=None):
-    """Rows b^T A^k and record-driven readouts of the filter recursion.
+def _record_chain(a0, b, port, scale):
+    """Rows b^T A^k and record-driven readouts of per-trial filter chains.
 
     Given its readout record, a trial's state obeys x[k+1] = A x[k] +
-    port[k] B exactly, with A = a0 + scale B B^T (one scale per trial)
-    or A = a0 for every trial when `scale` is None.  Writing x[k] =
-    A^k x0 + f[k], the readout y_m[k] - B^T f[k] is b^T A^k x0 plus
-    noise.  Returns (rows, pushed) with pushed[k] = B^T f[k], (steps + 1,
-    count); rows is (steps + 1, n) for a shared A, else (count, steps +
-    1, n).  Shared rows already known can be passed in to skip them.
+    port[k] B exactly, with A = a0 + scale B B^T and one scale per
+    trial.  Writing x[k] = A^k x0 + f[k], the readout y_m[k] - B^T f[k]
+    is b^T A^k x0 plus noise.  Returns the rows (count, steps + 1, n)
+    and pushed[k] = B^T f[k], (steps + 1, count).  A differs per trial,
+    so this is stepped; a chain with one A goes through `_lti_run`.
     """
-    steps, count = records.shape[0] - 1, records.shape[1]
+    steps, count = port.shape
     n = b.shape[0]
-    shared = scale is None
-    cur = None  # the current rows as columns, (n,) or (n, count)
-    if rows is None:
-        rows = np.empty((steps + 1, n) if shared else (count, steps + 1, n))
-        cur = b.copy() if shared else np.repeat(b[:, None], count, axis=1)
+    rows = np.empty((count, steps + 1, n))
+    cur = np.repeat(b[:, None], count, axis=1)  # the current rows as columns
     forcing = np.zeros((n, count))  # one column per trial
     pushed = np.empty((steps + 1, count))
     for k in range(steps + 1):
         pushed[k] = b @ forcing
-        if cur is not None:
-            rows[..., k, :] = cur.T
+        rows[:, k, :] = cur.T
         if k == steps:
             break
-        if shared:
-            forcing = a0 @ forcing + b[:, None] * port[k]
-            if cur is not None:
-                cur = a0.T @ cur
-        else:
-            forcing = a0 @ forcing + b[:, None] * (scale * (b @ forcing) + port[k])
-            cur = a0.T @ cur + b[:, None] * (scale * (b @ cur))
+        forcing = a0 @ forcing + b[:, None] * (scale * (b @ forcing) + port[k])
+        cur = a0.T @ cur + b[:, None] * (scale * (b @ cur))
     return rows, pushed
 
 
@@ -413,8 +398,7 @@ def _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads):
     y_nat = float(b @ x_nat)
 
     if device.variant == "M1hat":
-        # the chain run over zero trials yields just the shared rows
-        rows = _record_chain(a0, b, np.zeros((steps + 1, 0)), np.zeros((steps, 0)))[0]
+        rows, _ = _lti_run(a0.T, b, steps=steps)  # b^T a0^k
         q_shared, r_shared = np.linalg.qr(rows)
         b_det = matrix_exponential((system.J - km * np.outer(b, b)) * t_m) @ system.x0 - x_nat
         push = 0.0
@@ -428,12 +412,12 @@ def _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads):
         records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
         port = push - (km * dt) * records[:-1]
         if offsets is None:
-            _, pushed = _record_chain(a0, b, records, port, rows=rows)
+            pushed, _ = _lti_run(a0, np.zeros(n), b[:, None], port[:, None], c=b)
             theta = scipy.linalg.solve_triangular(r_shared, q_shared.T @ (records - pushed))
             estimates = rows[-1] @ theta + pushed[-1]
         else:
             scale = dt * km * (1.0 + offsets / root)
-            trial_rows, pushed = _record_chain(a0, b, records, port, scale)
+            trial_rows, pushed = _record_chain(a0, b, port, scale)
             q, r = np.linalg.qr(trial_rows)
             rhs = np.einsum("tkn,kt->tn", q, records - pushed)
             theta = np.linalg.solve(r, rhs[:, :, None])[:, :, 0]
@@ -582,18 +566,13 @@ def _fold_gramian_rows(r_fac, j, b, c, t_lo, t_hi, max_substep):
     span = t_hi - t_lo
     nsub = max(2, int(math.ceil(span / max_substep)))
     h = span / nsub
-    # rows B^T e^{Js} at the panel's nodes, advanced panel to panel by
-    # one matrix product with e^{Jh}
+    # rows B^T e^{Js} at the panel's nodes, read out of e^{J(t_lo + i h)}
     node_rows = np.stack(
         [b @ matrix_exponential(j * (0.5 * h * (xi + 1.0))) for xi in _GL_NODES]
     )
     node_rows *= np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
-    step = matrix_exponential(j * h)
-    prop = matrix_exponential(j * t_lo)
-    rows = np.empty((nsub, _GL_NODES.shape[0], b.shape[0]))
-    for i in range(nsub):
-        rows[i] = node_rows @ prop
-        prop = step @ prop
+    rows, _ = _lti_run(matrix_exponential(j * h), matrix_exponential(j * t_lo),
+                       c=node_rows, steps=nsub - 1)
     return np.linalg.qr(np.vstack([r_fac, rows.reshape(-1, b.shape[0])]))[1]
 
 
@@ -616,9 +595,11 @@ def kalman_estimate(
     the estimate is the record itself, gain zero.
 
     The filter is least squares on the initial state with a diffuse
-    prior, grown one record sample at a time; covariance stays positive
-    semidefinite by construction (it is assembled as G S G^T with S a
-    pseudoinverse), so no re-symmetrization pass is ever triggered.
+    prior, grown one record sample at a time: each sample's weighted row
+    is folded into the triangular square-root information factor R by
+    one QR, and the estimate and the covariance (R^T R)^+ = R^+ R^+T are
+    read from R.  The covariance is thus positive semidefinite by
+    construction, so no re-symmetrization pass is ever triggered.
     """
     if not device.is_noisy:
         raise ValueError("the filter applies to the realized variants M1hat and M2hat")
@@ -655,23 +636,23 @@ def kalman_estimate(
         else:
             push = np.array([float(drift(k * dt)) for k in range(steps + 1)])
 
-    a0 = np.eye(n) + dt * system.J
-    chain = a0 + scale * np.outer(b, b)
+    chain = np.eye(n) + dt * system.J + scale * np.outer(b, b)
     port = dt * push[:-1] - (km * dt) * record[:-1]
-    rows, pushed = _record_chain(a0, b, record[:, None], port[:, None], np.array([scale]))
-    rows, pushed = rows[0], pushed[:, 0]
-    z = record - pushed
+    props, _ = _lti_run(chain, np.eye(n), steps=steps)  # chain^k
+    rows = b @ props  # b^T chain^k
+    pushed, _ = _lti_run(chain, np.zeros(n), b[:, None], port[:, None], c=b)
     c = km / (2.0 * kbt)
-    infos = np.cumsum((c * dt) * (rows[:, :, None] * rows[:, None, :]), axis=0)
-    prop = np.eye(n)
+    # weighted rows [w b^T chain^k, w (y_m[k] - B^T f[k])], so that R^T R
+    # is the information matrix and the last column carries the record
+    weighted = math.sqrt(c * dt) * np.column_stack([rows, record - pushed])
+    fac = np.empty((0, n + 1))
     estimates = np.empty(steps + 1)
     gains = np.empty((steps + 1, n))
     for k in range(steps + 1):
-        theta = np.linalg.lstsq(rows[: k + 1], z[: k + 1], rcond=None)[0]
-        estimates[k] = rows[k] @ theta + pushed[k]
-        cov = prop @ np.linalg.pinv(infos[k], hermitian=True) @ prop.T
-        gains[k] = c * (cov - 2.0 * kbt * np.eye(n)) @ b
-        prop = chain @ prop
+        fac = np.linalg.qr(np.vstack([fac, weighted[k]]), mode="r")
+        r_pinv = np.linalg.pinv(fac[:n, :n])
+        estimates[k] = rows[k] @ (r_pinv @ fac[:n, n]) + pushed[k]
+        gains[k] = c * (props[k] @ (r_pinv @ (r_pinv.T @ rows[k])) - 2.0 * kbt * b)
     return Trajectory(dt=dt, values=estimates), Trajectory(dt=dt, values=gains)
 
 

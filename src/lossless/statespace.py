@@ -12,7 +12,12 @@ dissipativity, reciprocity, time reversibility) used throughout the package.
 
 Conventions
 -----------
-* Fixed-step classic RK4 everywhere; the step is the input grid spacing.
+* Fixed-step classic RK4 for simulation; the step is the input grid spacing.
+* Every time-invariant linear recursion x[k+1] = Phi x[k] + Gamma u[k] in
+  the package (impulse responses, the M1/M1hat/M2 probes and filter chains,
+  Gramian rows, Euler-Maruyama Langevin paths) runs through `_lti_run` in
+  lifted blocks.  Only RK4, the nonlinear M2hat probe and its per-trial
+  filter chains are stepped one sample at a time.
 * Sampled signals live in `Trajectory` (uniform grid, first axis is time).
 * Work integrals use composite Simpson so the quadrature error tracks the
   O(dt^4) integrator error instead of hiding it.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -342,6 +348,67 @@ def _rk4(rate, x0, u_vals, u_mids, h: float) -> np.ndarray:
     return out
 
 
+def _lti_run(phi, x0, gamma=None, u=None, c=None, steps=None):
+    """Readouts c x[k], k = 0..steps, of x[k+1] = phi x[k] + gamma u[k].
+
+    `x0` is (n,) or (n, batch); `gamma` (n, m) and `u` (steps, m) or
+    (steps, m, batch) are None for a free response.  `c` is (p, n), (n,)
+    or None for the states.  Returns the readouts, shaped (steps + 1,) +
+    c's leading shape + the batch shape, and the final state x[steps].
+
+    Lifted blocks of L = 2^j steps: from x[k], a block's readouts are
+    F x[k] + T u[k..], with F = [c; c phi; ...; c phi^{L-1}] and T the
+    block-Toeplitz matrix of the Markov parameters c phi^i gamma, and
+    phi^L and [phi^{L-1} gamma, ..., gamma] advance the state to x[k+L].
+    j doublings build them all.  L ~ sqrt(steps) balances the squarings
+    against the block count; it shrinks until these operators and one
+    block of readouts hold at most `CHUNK_ELEMENTS` entries.
+    """
+    n, m = phi.shape[0], 0 if u is None else gamma.shape[1]
+    steps = steps if u is None else len(u)
+    batch = np.shape(x0)[1:] or np.shape(u)[2:]
+    x = np.reshape(x0, (n, -1))
+    cc = np.eye(n) if c is None else np.reshape(c, (-1, n))
+    p, width = cc.shape[0], math.prod(batch)
+    levels = int(math.log2(max(steps, 1)) / 2 + 0.5)
+    while levels and (1 << levels) * (p * (n + (m << levels) + width) + n * m) > CHUNK_ELEMENTS:
+        levels -= 1
+    span = 1 << levels
+    free, drive, power, powers = cc, gamma, phi, []
+    for _ in range(levels):
+        free = np.vstack([free, free @ power])
+        if m:
+            drive = np.hstack([power @ drive, drive])
+        powers.append(power)
+        power = power @ power
+    if m:
+        u = np.reshape(u, (steps * m, math.prod(np.shape(u)[2:])))  # row k m + i: u[k][i]
+        markov = np.concatenate([(free @ gamma).reshape(span, p, m), np.zeros((1, p, m))])
+        lag = np.arange(span)[:, None] - np.arange(span) - 1
+        toeplitz = markov[np.where(lag < 0, span, lag)].swapaxes(1, 2).reshape(span * p, -1)
+    out = np.empty((steps + 1, p, width))
+    k = 0
+    while True:
+        count = min(span, steps + 1 - k)  # readouts k .. k + count - 1
+        block = free[: count * p] @ x
+        if m and count > 1:
+            block = block + toeplitz[: count * p, : (count - 1) * m] @ u[k * m : (k + count - 1) * m]
+        out[k : k + count] = block.reshape(count, p, -1)
+        if k + count > steps:
+            break
+        x = power @ x + (drive @ u[k * m : (k + span) * m] if m else 0.0)
+        k += span
+    rest = steps - k  # x[steps] from x[k]: phi^rest by the binary powers
+    for level, factor in enumerate(powers):
+        if rest >> level & 1:
+            x = factor @ x
+    if m and rest:
+        x = x + drive[:, (span - rest) * m :] @ u[k * m :]
+    lead = (n,) if c is None else np.shape(c)[:-1]
+    final = np.broadcast_to(x, (n, width)).reshape((n,) + batch)
+    return out.reshape((steps + 1,) + lead + batch), final
+
+
 def _step_count(horizon: float, dt: float) -> int:
     steps = int(round(horizon / dt))
     if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
@@ -362,9 +429,12 @@ def _input_samples(u, p: int, dt: float | None, horizon: float | None):
     """Normalize any accepted input form to (values (m, p), mids (m-1, p), dt).
 
     A sampled input is cut to `horizon` when one is given; its half-step
-    values are interpolated on the full record first.
+    values are interpolated on the full record first.  A `dt` given with
+    a sampled input must be the input's own step.
     """
     if isinstance(u, Trajectory):
+        if dt is not None and not math.isclose(dt, u.dt, rel_tol=1e-9):
+            raise ValueError(f"dt {dt} does not match the input's sample step {u.dt}")
         vals = u.values
         if vals.ndim == 1:
             vals = vals[:, None]
@@ -448,32 +518,15 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     The direct term D is *not* folded into the samples; it stays a separate
     algebraic channel on the system object.  Requires a dense A.
 
-    The samples come in panels of L = 2^j: the panel [B, Phi B, ...,
-    Phi^{L-1} B] (Phi = exp(A dt)) is built by doubling and advanced by
-    Phi^L, one matrix product per L samples.  L is about sqrt(n_samples),
-    which balances the j squarings against the panel count, and a panel
-    holds at most `CHUNK_ELEMENTS` entries.
+    The samples are the readouts of x[k+1] = Phi x[k] from x[0] = B
+    (Phi = exp(A dt)), run in lifted blocks by `_lti_run`.
     """
     A, B, C, _ = _port_matrices(sys)
     if _is_sparse(A):
         raise TypeError("impulse_response needs a dense state matrix")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n, p = B.shape
-    levels = min(int(np.log2(n_samples) / 2 + 0.5),
-                 int(np.log2(max(CHUNK_ELEMENTS // max(n * p, 1), 1))))
-    panel, power = np.array(B, dtype=float), matrix_exponential(A * dt)
-    for _ in range(levels):
-        panel = np.hstack([panel, power @ panel])
-        power = power @ power
-    span = 1 << levels
-    out = np.empty((n_samples, C.shape[0], p))
-    for start in range(0, n_samples, span):
-        count = min(span, n_samples - start)
-        samples = C @ panel[:, : count * p]  # p columns per sample
-        out[start : start + count] = samples.reshape(-1, count, p).swapaxes(0, 1)
-        if start + span < n_samples:
-            panel = power @ panel
+    out, _ = _lti_run(matrix_exponential(A * dt), B, c=C, steps=n_samples - 1)
     return Trajectory(dt=dt, values=out)
 
 

@@ -41,6 +41,7 @@ from .statespace import (
     Trajectory,
     _input_samples,
     _is_sparse,
+    _lti_run,
     _skew_residual,
 )
 
@@ -343,23 +344,23 @@ def simulate_langevin(
 
     dx = (J - K) x dt + B u dt + sqrt(2 k_B T) L dW, with unit Wiener
     increments of variance dt; the path is a deterministic function of
-    the seed.  Returns the state record (outputs are B^T x).
+    the seed.  Returns the state record (outputs are B^T x).  The
+    Euler-Maruyama map is linear in x, u and the kicks, so it is one
+    `_lti_run`.
     """
     u_vals, _, step = _input_samples(u, model.p, dt, horizon)
     steps = u_vals.shape[0] - 1
-    drift = model.J - model.K
     x = np.zeros(model.n) if x0 is None else as_float_array(x0, "x0", ndim=1)
     if x.shape[0] != model.n:
         raise ValueError(f"x0 has dimension {x.shape[0]}, state dimension is {model.n}")
     kicks = derive_rng(seed).standard_normal((steps, model.noise_dim))
     gain = math.sqrt(2.0 * model.boltzmann * model.temperature * step)
-    out = np.empty((steps + 1, model.n))
-    out[0] = x
-    for k in range(steps):
-        x = x + step * (drift @ x + model.B @ u_vals[k]) + gain * (model.L @ kicks[k])
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"state diverged at t = {(k + 1) * step:.6g}")
-        out[k + 1] = x
+    phi = np.eye(model.n) + step * (model.J - model.K)
+    drive = np.hstack([step * model.B, gain * model.L])
+    out, _ = _lti_run(phi, x, drive, np.hstack([u_vals[:-1], kicks]))
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(f"state diverged at t = {np.argmin(finite) * step:.6g}")
     return Trajectory(dt=step, values=out)
 
 

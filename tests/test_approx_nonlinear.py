@@ -249,6 +249,13 @@ class TestWrappedSystem:
         with pytest.raises(ValueError, match="samples"):
             simulate_wrapped(ws, _sine(dt=0.1, horizon=1.0), horizon=2.0)
 
+    def test_dt_must_match_a_sampled_input(self):
+        ws = wrap_lossless(lambda x, v: -x, lambda x, v: x, [1.0], 1.0)
+        with pytest.raises(ValueError, match="sample step"):
+            simulate_wrapped(ws, _sine(dt=0.01, horizon=1.0), dt=0.02)
+        states, _, _ = simulate_wrapped(ws, _sine(dt=0.01, horizon=1.0), dt=0.01)
+        assert states.dt == 0.01
+
     def test_construction_validation(self):
         with pytest.raises(TypeError, match="callable"):
             wrap_lossless(None, lambda x, v: x, [1.0], 1.0)

@@ -293,6 +293,23 @@ class TestRunsAndArtifacts:
         assert main(["fdt", "--validate"]) == 2
         assert "'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, entries, field",
+        [
+            ("langevin", {"horizon": 2.0, "burn_in": 1000}, "burn_in"),
+            ("langevin", {"horizon": 1.0, "dt": 0.3}, "horizon"),
+            ("measure", {"t_m": 0.001, "dt": 0.0003}, "t_m"),
+        ],
+    )
+    def test_cross_field_fault_caught_by_validate(self, tmp_path, capsys, experiment, entries, field):
+        cfg = _write_config(tmp_path, **entries)
+        assert main([experiment, "--config", str(cfg), "--seed", "1", "--validate"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        out = tmp_path / "never"
+        assert main([experiment, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, tau=-2.0)
         assert main(["approx-memoryless", "--config", str(cfg)]) == 2

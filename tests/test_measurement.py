@@ -412,6 +412,34 @@ class TestKalmanEstimate:
         ref = 0.5 * (sol.state_covariance[0] - 2.0 * np.eye(3)) @ B
         np.testing.assert_allclose(gains.values[-1], ref, rtol=0.02)
 
+    def test_early_gains_match_exact_normal_equations(self):
+        # Over t_m = 1e-2 the first rows b^T A^k are nearly parallel, so
+        # the information matrix of the first ~20 samples is too ill
+        # conditioned to invert in floating point; the reference inverts
+        # it exactly, in rationals, from the same floating-point rows.
+        from fractions import Fraction
+
+        steps, kbt, c = 256, 1.0, 0.5
+        dt = 1e-2 / steps
+        dev = Device(variant="M1hat", admittance=1.0, temperature=kbt)
+        out = simulate_device(SYSTEM, dev, 1e-2, dt, trials=1, seed=5)
+        _, gains = kalman_estimate(SYSTEM, dev, out.y_m)
+        exact = np.vectorize(Fraction, otypes=[object])
+        chain = np.eye(3) + dt * J
+        prop, info = np.eye(3), exact(np.zeros((3, 3)))
+        for k in range(21):
+            row = exact(B @ prop)
+            info = info + Fraction(c * dt) * np.outer(row, row)
+            if k >= 2:
+                # inverse by cofactors: the columns are cross products of rows
+                r0, r1, r2 = info
+                adj = np.array([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)]).T
+                cov_b = exact(prop) @ (adj / (r0 @ np.cross(r1, r2))) @ row
+                ref = np.array([float(v) for v in c * cov_b]) - 2.0 * c * kbt * B
+                np.testing.assert_allclose(gains.values[k], ref, rtol=0,
+                                           atol=1e-6 * np.abs(ref).max())
+            prop = chain @ prop
+
     def test_validation(self):
         noisy = Device(variant="M1hat", admittance=1.0, temperature=1.0)
         supply = Device(variant="M2hat", admittance=1.0, temperature=1.0, supply_energy=4.0)

@@ -26,6 +26,7 @@ from lossless.statespace import (
     check_dissipative,
     check_lossless,
     check_reciprocal,
+    _lti_run,
     check_time_reversible,
     energy_ledger,
     impulse_response,
@@ -236,6 +237,12 @@ class TestSimulation:
         with pytest.raises(ValueError, match="dimension"):
             simulate_linear(fixture, smooth_input, x0=[1.0, 0.0])
 
+    def test_dt_must_match_a_sampled_input(self, fixture, smooth_input):
+        with pytest.raises(ValueError, match="sample step"):
+            simulate_linear(fixture, smooth_input, dt=2e-3)
+        x, _ = simulate_linear(fixture, smooth_input, dt=1e-3)
+        assert x.n_samples == smooth_input.n_samples
+
     def test_rk4_fourth_order_convergence(self, fixture):
         def run(dt):
             u = lambda t: np.sin(3 * t)
@@ -265,6 +272,40 @@ class TestIntegrateOde:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             integrate_ode(lambda t, x: x, np.array([1.0]), dt=0.3, horizon=1.0)
+
+
+class TestLtiRun:
+    """The lifted runner against a plain per-step loop, written out here."""
+
+    @pytest.mark.parametrize("readout", ["states", "matrix", "vector"])
+    @pytest.mark.parametrize("driven", [False, True])
+    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 37, 1000, 5000])
+    def test_matches_per_step_loop(self, steps, batch, driven, readout):
+        # non-normal phi (strong upper coupling) with one eigenvalue on the
+        # unit circle, so the readouts neither vanish nor blow up
+        rng = np.random.default_rng(steps)
+        n, m = 5, 2
+        phi = np.triu(rng.standard_normal((n, n)), 1) * 0.5 + np.diag([0.9, 0.95, 0.99, 0.5, 1.0])
+        tail = () if batch is None else (batch,)
+        x0 = rng.standard_normal((n,) + tail)
+        gamma = rng.standard_normal((n, m)) if driven else None
+        u = rng.standard_normal((steps, m) + tail) if driven else None
+        c = {"states": None, "matrix": rng.standard_normal((3, n)),
+             "vector": rng.standard_normal(n)}[readout]
+        x, expected = x0.copy(), []
+        for k in range(steps + 1):
+            expected.append(x.copy() if c is None else c @ x)
+            if k < steps:
+                x = phi @ x + (gamma @ u[k] if driven else 0.0)
+        expected = np.array(expected)
+        out, final = _lti_run(phi, x0, gamma, u, c, steps)
+        assert out.shape == expected.shape
+        assert final.shape == x.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(final, x, rtol=0, atol=1e-12 * np.abs(x).max())
+        if c is None:
+            np.testing.assert_allclose(final, out[-1], rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 def test_matrix_exponential_nilpotent():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lossless._util import derive_rng
 from lossless.statespace import (
     LosslessLinear,
     Trajectory,
@@ -232,6 +233,30 @@ class TestLangevin:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="diverged at t"):
                 simulate_langevin(model, None, None, 2.5, 5000.0, seed=0)
+
+    def test_matches_per_step_euler_maruyama(self):
+        # the loop the lifted run replaced, on the same kicks
+        model = LangevinModel(
+            J=[[0.0, 1.0], [-1.0, 0.0]], K=np.diag([1.0, 0.5]), B=np.eye(2)[:, :1], temperature=0.7
+        )
+        dt, steps = 0.01, 2000
+        tr = simulate_langevin(model, lambda t: np.sin(t), [1.0, -0.5], dt, steps * dt, seed=6)
+        kicks = derive_rng(6).standard_normal((steps, model.noise_dim))
+        gain = np.sqrt(2.0 * 0.7 * dt)
+        x, expected = np.array([1.0, -0.5]), [np.array([1.0, -0.5])]
+        for k in range(steps):
+            x = x + dt * ((model.J - model.K) @ x + model.B[:, 0] * np.sin(k * dt))
+            x = x + gain * (model.L @ kicks[k])
+            expected.append(x)
+        expected = np.array(expected)
+        np.testing.assert_allclose(tr.values, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_dt_must_match_a_sampled_input(self):
+        model = LangevinModel(J=[[0.0]], K=[[1.0]], B=[[1.0]], temperature=1.0)
+        u = Trajectory(dt=0.01, values=np.ones(101))
+        with pytest.raises(ValueError, match="sample step"):
+            simulate_langevin(model, u, None, 0.02, 1.0, seed=0)
+        assert simulate_langevin(model, u, None, 0.01, 1.0, seed=0).n_samples == 101
 
     def test_factor_is_checked(self):
         with pytest.raises(ValueError, match="1e-10"):
