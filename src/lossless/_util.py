@@ -5,7 +5,9 @@ Nothing in here is part of the public API.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,14 +56,39 @@ def run_chunked(
     is bitwise reproducible for every thread count.
     """
     sizes = chunk_sizes(total)
-    if threads <= 1 or len(sizes) <= 1:
+    if threads <= 1 or len(sizes) <= 1 or getattr(_in_pool, "value", False):
         return [worker(derive_rng(seed, *tags, i), n) for i, n in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(worker, derive_rng(seed, *tags, i), n)
-            for i, n in enumerate(sizes)
-        ]
+    pool = _pool(threads)
+    futures = [pool.submit(worker, derive_rng(seed, *tags, i), n) for i, n in enumerate(sizes)]
+    try:
         return [f.result() for f in futures]
+    finally:  # after a failed chunk, no other chunk runs on past the call
+        for f in futures:
+            f.cancel()
+        wait(futures)
+
+
+#: Set in the threads of `_pool`, where a nested `run_chunked` runs serially
+#: (waiting on the pool from inside it could deadlock).
+_in_pool = threading.local()
+
+
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide worker pool of `run_chunked` for `threads` workers.
+
+    It lives as long as the process.  A pool per call would start new
+    threads every call, and a thread that Python has joined may not have
+    released its malloc arena yet, so the next call's threads could open
+    more arenas, each holding about one chunk's working set: resident
+    memory would grow by a random amount from run to run.
+    """
+    return ThreadPoolExecutor(
+        max_workers=threads,
+        thread_name_prefix="lossless-chunk",
+        initializer=setattr,
+        initargs=(_in_pool, "value", True),
+    )
 
 
 def as_float_array(x, name: str, *, ndim: int | None = None) -> np.ndarray:
@@ -72,6 +99,14 @@ def as_float_array(x, name: str, *, ndim: int | None = None) -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def positive(value, name: str, *, or_zero: bool = False) -> float:
+    """`value` as a float; raises ValueError unless finite and > 0 (>= 0 with `or_zero`)."""
+    v = float(value)
+    if not (np.isfinite(v) and (v >= 0 if or_zero else v > 0)):
+        raise ValueError(f"{name} must be {'nonnegative' if or_zero else 'positive'}, got {v}")
+    return v
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

@@ -41,8 +41,15 @@ import scipy.fft
 import scipy.sparse
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from ._util import CHUNK_ELEMENTS, as_float_array, frozen, require_square
-from .statespace import PSD_TOL, LosslessLinear, Trajectory, check_dissipative
+from ._util import CHUNK_ELEMENTS, as_float_array, frozen, positive, require_square
+from .statespace import (
+    PSD_TOL,
+    LosslessLinear,
+    Trajectory,
+    _as_kernel_samples,
+    _exponential_tail,
+    check_dissipative,
+)
 
 __all__ = [
     "MemorylessSystem",
@@ -436,8 +443,7 @@ def memoryless_lossless_approx(gain, horizon: float, n_harmonics: int,
     cosine and sine halves of the n_harmonics - 1 oscillating pairs, r
     states each, for (2 n_harmonics - 1) r states in total.
     """
-    if horizon <= 0 or not np.isfinite(horizon):
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    positive(horizon, "horizon")
     if n_harmonics < 2:
         raise ValueError(f"need at least 2 harmonics, got {n_harmonics}")
     ms = MemorylessSystem.from_gain(gain, rank_tol=rank_tol)
@@ -491,16 +497,6 @@ def memoryless_error_bound(symmetric_gain, horizon: float, n_harmonics: int,
     return Trajectory(dt=u.dt, values=factor * (dn + dn[0] + curvature_mass))
 
 
-def _as_kernel_samples(vals: np.ndarray) -> np.ndarray:
-    if vals.ndim == 1:
-        return vals[:, None, None]
-    if vals.ndim == 2 and vals.shape[1] == 1:
-        return vals[:, :, None]
-    if vals.ndim == 3 and vals.shape[1] == vals.shape[2]:
-        return vals
-    raise ValueError(f"kernel samples must be square matrices, got shape {vals.shape}")
-
-
 def fourier_coefficients(g: Trajectory, n_harmonics: int) -> tuple[np.ndarray, np.ndarray]:
     """Cosine/sine coefficients of a kernel on its own window [0, T].
 
@@ -536,13 +532,26 @@ def _spectral_norms(vals: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vals, ord=2, axis=(1, 2))
 
 
-def _exponential_tail(norms: np.ndarray, times: np.ndarray) -> float | None:
-    """Fitted decay rate of ||g|| over the second half of the window."""
-    half = norms[len(norms) // 2 :]
-    if norms.max(initial=0.0) <= 0 or np.any(half <= 0):
-        return None
-    rate = -np.polyfit(times[len(norms) // 2 :], np.log(half), 1)[0]
-    return rate if rate > 0 else None
+def _kernel_mass(vals: np.ndarray, times: np.ndarray,
+                 tail: Callable[[float], float] | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Spectral norms of kernel samples, their running mass, and the mass past the window.
+
+    The mass beyond the last sample comes from `tail` (a callable mapping t
+    to the exact remaining mass) or, failing that, from an exponential fit
+    to the sampled decay.
+    """
+    norms = _spectral_norms(vals)
+    if tail is not None:
+        beyond = float(tail(float(times[-1])))
+    else:
+        rate = _exponential_tail(norms, times)
+        if rate is None:
+            raise ValueError(
+                "kernel tail is not estimable from the samples (no decay fit); "
+                "supply an analytic tail-mass callable"
+            )
+        beyond = float(norms[-1] / rate)
+    return norms, cumulative_trapezoid(norms, times, initial=0.0), beyond
 
 
 def select_tau(g: Trajectory, target_error: float, min_horizon: float,
@@ -559,29 +568,22 @@ def select_tau(g: Trajectory, target_error: float, min_horizon: float,
     if target_error <= 0:
         raise ValueError(f"target error must be positive, got {target_error}")
     vals = _as_kernel_samples(g.values)
-    ports = vals.shape[1]
-    times = g.times
+    mass = _kernel_mass(vals, g.times, tail) if error_constant > 0 else None
+    return _select_tau(g.times, vals.shape[1], mass, target_error, min_horizon, error_constant)
+
+
+def _select_tau(times, ports, mass, target_error, min_horizon, error_constant) -> float:
+    """`select_tau` on the (norms, running mass, mass beyond) of `_kernel_mass`."""
     if min_horizon > times[-1] + 1e-12:
         raise ValueError(
             f"sample window ends at {times[-1]:.6g}, before the minimum horizon {min_horizon:.6g}"
         )
-    if error_constant <= 0:
-        return float(times[np.searchsorted(times, min_horizon - 1e-12)])
-    threshold = target_error**2 / (2.0 * error_constant * np.sqrt(ports))
-    norms = _spectral_norms(vals)
-    if tail is not None:
-        beyond = float(tail(float(times[-1])))
-    else:
-        rate = _exponential_tail(norms, times)
-        if rate is None:
-            raise ValueError(
-                "kernel tail is not estimable from the samples (no decay fit); "
-                "supply an analytic tail-mass callable"
-            )
-        beyond = float(norms[-1] / rate)
-    mass = cumulative_trapezoid(norms, times, initial=0.0)
-    remaining = (mass[-1] - mass) + beyond
     start = int(np.searchsorted(times, min_horizon - 1e-12))
+    if error_constant <= 0:
+        return float(times[start])
+    threshold = target_error**2 / (2.0 * error_constant * np.sqrt(ports))
+    _, running, beyond = mass
+    remaining = (running[-1] - running) + beyond
     hits = np.nonzero(remaining[start:] <= threshold)[0]
     if hits.size == 0:
         raise ValueError(
@@ -696,12 +698,11 @@ def dissipative_lossless_approx(
     vals = _as_kernel_samples(g.values)
     ports = vals.shape[1]
     times = g.times
-    norms = _spectral_norms(vals)
     measure_end = min(int(round(min_horizon / g.dt)), vals.shape[0] - 1)
     measure_times = times[: measure_end + 1]
     measure_target = vals[: measure_end + 1]
 
-    if norms.max(initial=0.0) == 0.0:
+    if not vals.any():
         empty = LosslessLinear(J=np.zeros((0, 0)), B=np.zeros((0, ports)))
         shape = (0, ports, ports)
         return FourierLosslessApprox(
@@ -721,26 +722,16 @@ def dissipative_lossless_approx(
             f"eigenvalue {verdict.min_eigenvalue:.6e}); no lossless realization exists"
         )
 
-    if tail is not None:
-        beyond_mass = float(tail(float(times[-1])))
-        beyond_slope = norms[-1]
-    else:
-        rate = _exponential_tail(norms, times)
-        if rate is None:
-            raise ValueError(
-                "kernel tail is not estimable from the samples; "
-                "supply an analytic tail-mass callable"
-            )
-        beyond_mass = float(norms[-1] / rate)
-        beyond_slope = float(norms[-1])
+    mass = _kernel_mass(vals, times, tail)
+    norms, running, beyond_mass = mass
     slope_norms = _spectral_norms(np.gradient(vals, g.dt, axis=0))
     peak_gain = float(norms.max())
-    derivative_mass = float(trapezoid(slope_norms, times) + beyond_slope)
+    derivative_mass = float(trapezoid(slope_norms, times) + norms[-1])
     kernel_mass = float(trapezoid(norms, times) + beyond_mass)
     error_constant = (4.0 * peak_gain + 2.0 * derivative_mass) / np.pi \
         + 4.0 * kernel_mass / min_horizon
 
-    horizon = select_tau(g, target_error, min_horizon, error_constant, tail=tail)
+    horizon = _select_tau(times, ports, mass, target_error, min_horizon, error_constant)
     n_harmonics = max(1, int(np.floor(horizon * error_constant**2 / target_error**2)))
     worst_dim = ports * (2 * n_harmonics - 1)
     if worst_dim > state_budget:
@@ -759,11 +750,7 @@ def dissipative_lossless_approx(
     blocks, system, eff_cos, eff_sin = _realize_bank(
         shifted[0], shifted[1:] - 1j * sin_coef, base, psd_tol)
 
-    tail_mass = float(
-        (cumulative_trapezoid(norms, times, initial=0.0)[-1]
-         - np.interp(horizon, times, cumulative_trapezoid(norms, times, initial=0.0)))
-        + beyond_mass
-    )
+    tail_mass = float((running[-1] - np.interp(horizon, times, running)) + beyond_mass)
     series = _HarmonicSeries(base=base, cos_part=eff_cos, sin_part=eff_sin)
     measured = _window_l2(series, measure_target, measure_times)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from ._util import as_float_array, frozen
+from ._util import as_float_array, frozen, positive
 from .statespace import Trajectory, _input_samples, _rk4
 
 __all__ = [
@@ -56,13 +56,6 @@ def _square_gain(k) -> np.ndarray:
     return gain
 
 
-def _positive(value, name: str) -> float:
-    value = float(value)
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class EnergySupplyApprox:
     """Memoryless gain played losslessly off a charged supply state.
@@ -82,7 +75,7 @@ class EnergySupplyApprox:
 
     def __post_init__(self):
         object.__setattr__(self, "gain", frozen(_square_gain(self.gain)))
-        object.__setattr__(self, "initial_energy", _positive(self.initial_energy, "initial_energy"))
+        object.__setattr__(self, "initial_energy", positive(self.initial_energy, "initial_energy"))
 
     @property
     def ports(self) -> int:
@@ -138,9 +131,9 @@ def supply_error_bound(gain, input_peak, horizon, initial_energy) -> float:
     reachable on a finite window by charging the supply high enough.
     """
     gain = _square_gain(gain)
-    peak = _positive(input_peak, "input_peak")
-    window = _positive(horizon, "horizon")
-    energy = _positive(initial_energy, "initial_energy")
+    peak = positive(input_peak, "input_peak")
+    window = positive(horizon, "horizon")
+    energy = positive(initial_energy, "initial_energy")
     top = float(np.linalg.norm(gain, 2))
     return top**2 * peak**2 * math.sqrt(window) / (2.0 * energy)
 
@@ -153,7 +146,7 @@ def supply_error_running_bound(gain, u: Trajectory, initial_energy) -> Trajector
     scalar gain it equals the actual error.
     """
     gain = _square_gain(gain)
-    energy = _positive(initial_energy, "initial_energy")
+    energy = positive(initial_energy, "initial_energy")
     vals = u.values if u.values.ndim > 1 else u.values[:, None]
     if vals.shape[1] != gain.shape[0]:
         raise ValueError(f"input has {vals.shape[1]} channels, gain has {gain.shape[0]} ports")
@@ -189,7 +182,7 @@ class WrappedSystem:
         if not np.all(np.isfinite(state)):
             raise ValueError("initial state contains non-finite entries")
         object.__setattr__(self, "initial_state", frozen(state))
-        object.__setattr__(self, "initial_energy", _positive(self.initial_energy, "initial_energy"))
+        object.__setattr__(self, "initial_energy", positive(self.initial_energy, "initial_energy"))
 
     @property
     def n(self) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._util import as_float_array, frozen, require_square, run_chunked
+from ._util import as_float_array, frozen, positive, require_square, run_chunked
 from .statespace import (
     SKEW_TOL,
     Trajectory,
@@ -153,9 +153,7 @@ class Device:
     def __post_init__(self):
         if self.variant not in DEVICE_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {DEVICE_VARIANTS}")
-        km = float(self.admittance)
-        if not (np.isfinite(km) and km > 0):
-            raise ValueError(f"admittance must be positive, got {km}")
+        km = positive(self.admittance, "admittance")
         needs = _VARIANT_NEEDS[self.variant]
         for name in ("temperature", "supply_energy"):
             value = getattr(self, name)
@@ -164,15 +162,9 @@ class Device:
                     raise ValueError(f"variant {self.variant} requires {name}")
             elif value is not None:
                 raise ValueError(f"variant {self.variant} does not use {name}")
-        t = None if self.temperature is None else float(self.temperature)
-        if t is not None and not (np.isfinite(t) and t >= 0):
-            raise ValueError(f"temperature must be nonnegative, got {t}")
-        em = None if self.supply_energy is None else float(self.supply_energy)
-        if em is not None and not (np.isfinite(em) and em > 0):
-            raise ValueError(f"supply_energy must be positive, got {em}")
-        kb = float(self.boltzmann)
-        if not (np.isfinite(kb) and kb > 0):
-            raise ValueError(f"boltzmann constant must be positive, got {kb}")
+        t = None if self.temperature is None else positive(self.temperature, "temperature", or_zero=True)
+        em = None if self.supply_energy is None else positive(self.supply_energy, "supply_energy")
+        kb = positive(self.boltzmann, "boltzmann constant")
         object.__setattr__(self, "admittance", km)
         object.__setattr__(self, "temperature", t)
         object.__setattr__(self, "supply_energy", em)
@@ -515,12 +507,8 @@ def riccati_solve(
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or times[0] <= 0 or np.any(np.diff(times) <= 0):
         raise ValueError("grid must be strictly increasing and start above 0")
-    km = float(admittance)
-    if not (np.isfinite(km) and km > 0):
-        raise ValueError(f"admittance must be positive, got {km}")
-    t_dev = float(temperature)
-    if not (np.isfinite(t_dev) and t_dev >= 0):
-        raise ValueError(f"temperature must be nonnegative, got {t_dev}")
+    km = positive(admittance, "admittance")
+    t_dev = positive(temperature, "temperature", or_zero=True)
     n = system.n
     if t_dev == 0.0:
         zeros = np.zeros((times.shape[0], n, n))

@@ -42,6 +42,7 @@ from ._util import (
     derive_rng,
     frozen,
     midpoint_samples,
+    positive,
     require_square,
 )
 
@@ -102,9 +103,7 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        dt = float(self.dt)
-        if not np.isfinite(dt) or dt <= 0:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+        dt = positive(self.dt, "dt")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim < 1 or vals.shape[0] < 1:
             raise ValueError("values must have at least one sample on axis 0")
@@ -318,8 +317,7 @@ def integrate_ode(
     The state may have any array shape (batched integration works).  Raises
     FloatingPointError with the blow-up time if the state leaves float range.
     """
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be positive, got {dt}")
+    positive(dt, "dt")
     times = np.arange(_step_count(horizon, dt) + 1) * dt
     out = _rk4(lambda x, t: f(t, x), x0, times, times[:-1] + 0.5 * dt, dt)
     return Trajectory(dt=dt, values=out)
@@ -599,6 +597,26 @@ def _default_frequencies(omega_scale: float, count: int = 200) -> np.ndarray:
     return np.concatenate(([0.0], grid))
 
 
+def _as_kernel_samples(vals: np.ndarray) -> np.ndarray:
+    """Kernel samples as an (m, p, p) stack; scalar samples become 1 x 1."""
+    if vals.ndim == 1:
+        return vals[:, None, None]
+    if vals.ndim == 2 and vals.shape[1] == 1:
+        return vals[:, :, None]
+    if vals.ndim == 3 and vals.shape[1] == vals.shape[2]:
+        return vals
+    raise ValueError(f"kernel samples must be square matrices, got shape {vals.shape}")
+
+
+def _exponential_tail(norms: np.ndarray, times: np.ndarray) -> float | None:
+    """Fitted decay rate of ||g|| over the second half of the window."""
+    half = norms[len(norms) // 2 :]
+    if norms.max(initial=0.0) <= 0 or np.any(half <= 0):
+        return None
+    rate = -np.polyfit(times[len(norms) // 2 :], np.log(half), 1)[0]
+    return rate if rate > 0 else None
+
+
 def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, float, str | None]:
     """Windowed transfer function of a sampled kernel, with decay-tail closure.
 
@@ -606,13 +624,7 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     beyond the window is closed with an exponential fit to ||g||_F; kernels
     that do not decay over the window are flagged instead of trusted.
     """
-    vals = g.values
-    if vals.ndim == 1:
-        vals = vals[:, None, None]
-    elif vals.ndim == 2:
-        if vals.shape[1] != 1:
-            raise ValueError(f"kernel samples must be p x p matrices, got shape {g.values.shape}")
-        vals = vals[:, :, None]
+    vals = _as_kernel_samples(g.values)
     m = vals.shape[0]
     # keep the transform cost bounded; psd_tol-grade accuracy survives decimation
     stride = max(1, (m - 1) // 32768)
@@ -625,13 +637,7 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     peak = float(norms.max())
     tail_fraction = float(norms[-1] / peak) if peak > 0 else 0.0
     warning = None
-    decay_rate = None
-    half = norms[m // 2 :]
-    if peak > 0 and tail_fraction < 0.05 and np.all(half > 0):
-        tt = g.times[m // 2 :]
-        slope = np.polyfit(tt, np.log(half), 1)[0]
-        if slope < 0:
-            decay_rate = -slope
+    decay_rate = _exponential_tail(norms, g.times) if tail_fraction < 0.05 else None
     if tail_fraction > 1e-6 and decay_rate is None:
         warning = (
             "kernel does not decay over the window; transform is truncated and "

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import cumulative_trapezoid
 
-from ._util import as_float_array, derive_rng, frozen, run_chunked
+from ._util import as_float_array, derive_rng, frozen, positive, run_chunked
 from .approx_linear import factor_psd
 from .statespace import (
     PSD_TOL,
@@ -81,12 +81,8 @@ class ThermalEnsemble:
     seed: int = 0
 
     def __post_init__(self):
-        t = float(self.temperature)
-        if not (np.isfinite(t) and t >= 0):
-            raise ValueError(f"temperature must be nonnegative, got {t}")
-        kb = float(self.boltzmann)
-        if not (np.isfinite(kb) and kb > 0):
-            raise ValueError(f"boltzmann constant must be positive, got {kb}")
+        t = positive(self.temperature, "temperature", or_zero=True)
+        kb = positive(self.boltzmann, "boltzmann constant")
         n = int(self.dimension)
         if n < 1:
             raise ValueError(f"dimension must be at least 1, got {n}")
@@ -306,12 +302,8 @@ class LangevinModel:
                 raise ValueError(f"L has {ell.shape[0]} rows, state dimension is {j.shape[0]}")
         if np.abs(ell @ ell.T - k).max() > 1e-10:
             raise ValueError("L L^T does not reproduce K within 1e-10")
-        t = float(self.temperature)
-        if not (np.isfinite(t) and t >= 0):
-            raise ValueError(f"temperature must be nonnegative, got {t}")
-        kb = float(self.boltzmann)
-        if not (np.isfinite(kb) and kb > 0):
-            raise ValueError(f"boltzmann constant must be positive, got {kb}")
+        t = positive(self.temperature, "temperature", or_zero=True)
+        kb = positive(self.boltzmann, "boltzmann constant")
         object.__setattr__(self, "J", frozen(j))
         object.__setattr__(self, "K", frozen(k))
         object.__setattr__(self, "B", frozen(b))
@@ -380,9 +372,7 @@ def johnson_nyquist_intensity(gain_symmetric, temperature: float, *, boltzmann: 
         raise ValueError("gain must be symmetric (split off the antisymmetric part first)")
     if ks.size and scipy.linalg.eigvalsh(ks).min() < -PSD_TOL:
         raise ValueError("gain must be positive semidefinite")
-    t = float(temperature)
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"temperature must be nonnegative, got {t}")
+    t = positive(temperature, "temperature", or_zero=True)
     return 2.0 * float(boltzmann) * t * ks
 
 
@@ -403,8 +393,7 @@ def sample_johnson_noise(
     right variance.
     """
     intensity = johnson_nyquist_intensity(gain_symmetric, temperature, boltzmann=boltzmann)
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be positive, got {dt}")
+    positive(dt, "dt")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     factor = factor_psd(intensity, psd_tol=PSD_TOL)
@@ -428,9 +417,7 @@ def nonlinear_thermal_decompose(
     thermal noise (`supply_noise_variance` gives its ensemble law).
     """
     k = float(gain)
-    e0 = float(initial_energy)
-    if not (np.isfinite(e0) and e0 > 0):
-        raise ValueError(f"initial_energy must be positive, got {e0}")
+    e0 = positive(initial_energy, "initial_energy")
     if u.values.ndim != 1:
         raise ValueError("the supply decomposition is single-port: u must be scalar-valued")
     vals = u.values
@@ -450,12 +437,8 @@ def supply_noise_variance(
     charge.  Temperature enters linearly, as always.
     """
     k = float(gain)
-    e0 = float(initial_energy)
-    if not (np.isfinite(e0) and e0 > 0):
-        raise ValueError(f"initial_energy must be positive, got {e0}")
-    t = float(temperature)
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"temperature must be nonnegative, got {t}")
+    e0 = positive(initial_energy, "initial_energy")
+    t = positive(temperature, "temperature", or_zero=True)
     if u.values.ndim != 1:
         raise ValueError("the supply decomposition is single-port: u must be scalar-valued")
     return Trajectory(

@@ -16,6 +16,7 @@ from lossless.cli import (
     _RUNNERS,
     EXPERIMENTS,
     ConfigError,
+    _check,
     build_config,
     config_schema,
     main,
@@ -51,6 +52,52 @@ MALFORMED = [
     ("fdt", "model", {"file": 3}),
     ("approx-dissipative", "kernel", {"file": 3}),
 ]
+
+# The test_11 acceptance configs and the checks each experiment asserts there.
+CHECK_NAMES = [
+    ("approx-memoryless", {"n_values": [4, 8, 16], "dt": 1e-3},
+     ["bound_dominates", "convergence_slope"]),
+    ("approx-dissipative", {"epsilon": 0.5, "tau": 2.0},
+     ["skew_residual_zero", "shifted_residues_psd", "l2_error_within_target", "coefficient_decay"]),
+    ("approx-nonlinear", {"seed": 9, "trials": 3, "e0_values": [1e2, 1e4, 1e6]},
+     ["running_bound_holds", "flat_bound_holds", "memoryless_slope", "generic_slope"]),
+    ("fdt", {"seed": 2, "trials": 600, "lag_max": 2.0, "lag_count": 5, "samples": 800},
+     ["equipartition_3se", "fluctuation_kernel_5se", "kernel_stationarity_5se"]),
+    ("langevin", {"seed": 3, "horizon": 60.0, "burn_in": 500, "noise_steps": 2000},
+     ["stationary_variance_5pct", "johnson_variance_5pct"]),
+    ("measure", {"seed": 7, "variant": "M1hat", "trials": 300},
+     ["correction_identity", "covariance_psd"]),
+    ("tradeoff", {"seed": 4, "variant": "M2hat", "tm_values": [1e-3], "km_values": [0.5, 2.0],
+                  "trials": 300},
+     ["product_floor", "rhs_admittance_invariant"]),
+    ("table1", {"seed": 1, "variants": ["M1", "M1hat"], "tm_values": [1e-3, 3e-3], "trials": 200},
+     ["m1_noise_columns_zero", "m1_bd_coefficient", "m1hat_bd_coefficient",
+      "m1hat_trace_coefficient", "m1hat_deltay_coefficient", "m1hat_mstar_exponent"]),
+]
+
+
+class TestCheck:
+    def test_value_at_the_bound_passes(self):
+        assert _check("c", 0.1, at_most=0.1, what="x").passed
+        assert _check("c", -1e-10, at_least=-1e-10, what="x").passed
+        assert not _check("c", np.nextafter(0.1, 1.0), at_most=0.1, what="x").passed
+
+    def test_nan_fails(self):
+        for bounds in ({"at_most": 1.0}, {"at_least": 0.0}, {"at_least": 0.0, "at_most": 1.0}):
+            assert not _check("c", float("nan"), what="x", **bounds).passed
+
+    def test_two_sided_bounds(self):
+        inside = _check("slope", 2.0, at_least=1.9, at_most=2.1, what="log-log slope")
+        assert inside.passed
+        assert inside.detail == "log-log slope = 2, want 1.9 to 2.1"
+        assert _check("slope", 1.9, at_least=1.9, at_most=2.1, what="s").passed
+        assert not _check("slope", 1.8, at_least=1.9, at_most=2.1, what="s").passed
+        assert not _check("slope", 2.2, at_least=1.9, at_most=2.1, what="s").passed
+
+    def test_detail_gives_value_and_bound(self):
+        check = _check("l2", 0.25, at_most=0.5, what="L2 error")
+        assert (check.name, check.detail) == ("l2", "L2 error = 0.25, want at most 0.5")
+        assert _check("psd", -3e-17, at_least=-1e-10, what="e").detail == "e = -3e-17, want at least -1e-10"
 
 
 class TestConfigSchema:
@@ -286,6 +333,7 @@ class TestRunsAndArtifacts:
             code = main(["langevin", "--config", str(cfg), "--out", str(tmp_path / "div")])
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "div").exists()
 
     def test_validate_flag(self, tmp_path, capsys):
         assert main(["fdt", "--validate", "--seed", "1"]) == 0
@@ -299,6 +347,10 @@ class TestRunsAndArtifacts:
             ("langevin", {"horizon": 2.0, "burn_in": 1000}, "burn_in"),
             ("langevin", {"horizon": 1.0, "dt": 0.3}, "horizon"),
             ("measure", {"t_m": 0.001, "dt": 0.0003}, "t_m"),
+            ("approx-memoryless", {"tau": 1.0, "dt": 0.3}, "tau"),
+            ("approx-dissipative", {"span": 10.0, "dt": 0.3}, "span"),
+            ("approx-nonlinear", {"horizon": 1.0, "dt": 0.3}, "horizon"),
+            ("approx-nonlinear", {"e0_values": [100.0, 1000.0]}, "e0_values"),
         ],
     )
     def test_cross_field_fault_caught_by_validate(self, tmp_path, capsys, experiment, entries, field):
@@ -308,6 +360,14 @@ class TestRunsAndArtifacts:
         out = tmp_path / "never"
         assert main([experiment, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, entries, names", CHECK_NAMES)
+    def test_check_names_in_order(self, tmp_path, experiment, entries, names):
+        out = tmp_path / "out"
+        config = build_config(experiment, _write_config(tmp_path, **entries), out=out)
+        report = _RUNNERS[experiment](config)
+        assert [check.name for check in report.checks] == names
         assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):

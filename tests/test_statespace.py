@@ -414,6 +414,12 @@ class TestDissipativeVerdict:
         assert v.dissipative
         assert v.min_eigenvalue >= -PSD_TOL
 
+    @pytest.mark.parametrize("shape", [(50, 2, 3), (50, 1, 1, 1), (50, 2)])
+    def test_non_square_samples_named(self, shape):
+        g = Trajectory(dt=0.1, values=np.ones(shape))
+        with pytest.raises(ValueError, match=rf"square matrices, got shape \({', '.join(map(str, shape))}\)"):
+            check_dissipative(g)
+
 
 class TestReciprocity:
     def test_scalar_kernel_always_reciprocal(self, fixture):
