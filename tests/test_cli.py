@@ -5,6 +5,8 @@ every artifact lands in a throwaway directory.  Trial counts are kept
 small; the statistical heavy lifting lives in the acceptance tests.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -16,7 +18,9 @@ from lossless.cli import (
     _RUNNERS,
     EXPERIMENTS,
     ConfigError,
+    _CSV_BLOCK_ROWS,
     _check,
+    _write_csv,
     build_config,
     config_schema,
     main,
@@ -226,6 +230,62 @@ class TestConfigSchema:
         assert fdt["properties"]["threads"]["minimum"] == 1
 
 
+def _reference_csv(header, rows) -> bytes:
+    """The CSV text of the per-cell writer: csv.writer on formatted cells."""
+    def cell(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
+
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(value) for value in row])
+    return text.getvalue().encode("utf-8")
+
+
+FLOAT_CELLS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e16, 2.0**53 + 2,
+               1.0 / 3.0, float("inf"), float("-inf"), float("nan")]
+
+
+class TestCsvWriter:
+    def test_float_cells_match_per_cell_formatting(self, tmp_path):
+        values = np.array(FLOAT_CELLS)
+        table = np.column_stack([values, -values[::-1]])
+        path = tmp_path / "floats.csv"
+        for rows in (table, [tuple(row) for row in table.tolist()]):
+            _write_csv(path, ("a", "b"), rows)
+            assert path.read_bytes() == _reference_csv(("a", "b"), table.tolist())
+
+    def test_mixed_rows_match_per_cell_formatting(self, tmp_path):
+        rows = [
+            (1, np.int64(-7), True, np.bool_(False), "a,b", 0.1, np.float32(0.1)),
+            (2, np.int32(3), False, np.bool_(True), 'say "x"', np.float64(-0.0), float("nan")),
+            (3, np.uint8(255), True, np.bool_(True), "plain", 1e16, np.float32(2.5)),
+        ]
+        path = tmp_path / "mixed.csv"
+        _write_csv(path, ("i", "n", "b", "nb", "s", "f", "f32"), rows)
+        raw = path.read_bytes()
+        assert raw == _reference_csv(("i", "n", "b", "nb", "s", "f", "f32"), rows)
+        assert b'"a,b"' in raw
+
+    def test_blocks_join_seamlessly(self, tmp_path):
+        table = np.random.default_rng(4).standard_normal((2 * _CSV_BLOCK_ROWS + 17, 3))
+        path = tmp_path / "long.csv"
+        _write_csv(path, ("x", "y", "z"), table)
+        assert path.read_bytes() == _reference_csv(("x", "y", "z"), table.tolist())
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        _write_csv(path, ("k", "v"), [])
+        assert path.read_bytes() == b"k,v\n"
+
+
 class TestRunsAndArtifacts:
     def test_memoryless_csv_contract(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, n_values=[4, 8, 16], dt=1e-3)
@@ -334,6 +394,18 @@ class TestRunsAndArtifacts:
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "div").exists()
+
+    def test_zero_kernel_gives_the_empty_bank(self, tmp_path):
+        cfg = _write_config(tmp_path, kernel={"dt": 0.1, "values": [0.0, 0.0, 0.0, 0.0]})
+        out = tmp_path / "zero"
+        assert main(["approx-dissipative", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert summary[1].split(",")[0] == "0"
+        coefficients = (out / "coefficients.csv").read_text(encoding="utf-8")
+        assert coefficients == "k,coefficient_norm,decay_envelope,shifted_min_eig\n"
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        verdicts = {check["name"]: check["passed"] for check in manifest["checks"]}
+        assert verdicts["shifted_residues_psd"] and verdicts["coefficient_decay"]
 
     def test_validate_flag(self, tmp_path, capsys):
         assert main(["fdt", "--validate", "--seed", "1"]) == 0
