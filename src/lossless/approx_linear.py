@@ -69,6 +69,19 @@ __all__ = [
 #: Dense/sparse crossover for assembled bank generators.
 _DENSE_LIMIT = 2000
 
+
+def _pair_generator(cos_states, sin_states, omega, size: int):
+    """Bank generator with J[cos, sin] = omega and J[sin, cos] = -omega for
+    each oscillating pair, built sparse and densified at or below
+    `_DENSE_LIMIT` states."""
+    j = scipy.sparse.csr_matrix(
+        (np.concatenate([omega, -omega]),
+         (np.concatenate([cos_states, sin_states]), np.concatenate([sin_states, cos_states]))),
+        shape=(size, size),
+    )
+    return j if size > _DENSE_LIMIT else j.toarray()
+
+
 def split_symmetric(gain) -> tuple[np.ndarray, np.ndarray]:
     """Split a square gain into symmetric and antisymmetric parts."""
     k = as_float_array(np.atleast_2d(gain), "gain", ndim=2)
@@ -365,13 +378,7 @@ def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd
     state[in_block] = dc.n + np.arange(np.count_nonzero(in_block))
     rows, cols = state[:, 0][keep], state[:, 1][keep]
     omega = np.broadcast_to(freqs[:, None], keep.shape)[keep]
-    total = b_all.shape[0]
-    j_all = scipy.sparse.csr_matrix(
-        (np.concatenate([omega, -omega]),
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(total, total),
-    )
-    system = LosslessLinear(J=j_all if total > _DENSE_LIMIT else j_all.toarray(), B=b_all)
+    system = LosslessLinear(J=_pair_generator(rows, cols, omega, b_all.shape[0]), B=b_all)
     return blocks, system, eff_cos, eff_sin
 
 
@@ -450,18 +457,15 @@ def memoryless_lossless_approx(gain, horizon: float, n_harmonics: int,
     r, p = ms.rank, ms.ports
     w0 = np.pi / horizon
     pairs = (n_harmonics - 1) * r
-    omega = w0 * np.kron(np.diag(np.arange(1, n_harmonics)), np.eye(r))
-    j_bank = np.zeros((r + 2 * pairs, r + 2 * pairs))
-    j_bank[r : r + pairs, r + pairs :] = omega
-    j_bank[r + pairs :, r : r + pairs] = -omega
+    cos_states = r + np.arange(pairs)
+    omega = w0 * np.repeat(np.arange(1, n_harmonics), r)
     input_map = np.vstack([
         ms.factor / np.sqrt(2.0),
         np.tile(ms.factor, (n_harmonics - 1, 1)),
         np.zeros((pairs, p)),
     ]) / np.sqrt(horizon)
-    j_stored = scipy.sparse.csr_matrix(j_bank) if j_bank.shape[0] > _DENSE_LIMIT else j_bank
-    system = LosslessLinear(J=j_stored, B=np.sqrt(2.0) * input_map,
-                            D=ms.antisymmetric_part)
+    j_bank = _pair_generator(cos_states, cos_states + pairs, omega, r + 2 * pairs)
+    system = LosslessLinear(J=j_bank, B=np.sqrt(2.0) * input_map, D=ms.antisymmetric_part)
     return HarmonicApprox(
         horizon=float(horizon),
         n_harmonics=int(n_harmonics),

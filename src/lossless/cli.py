@@ -19,14 +19,19 @@ the computation itself breaks down numerically.  An experiment computes
 all of its tables and checks before anything is written, so a run that
 exits 2 or 4 writes nothing, not even the output directory.
 
-CSV conventions: header row, UTF-8, LF line endings, floats at 17
-significant digits so values round-trip bit for bit.
+A runner names each CSV column once, next to its value: a table is one
+mapping from column name to column (a list or 1-D array, all of one
+length), and tables of library records take their headers from the
+record dataclass's fields.  CSV conventions: header row, UTF-8, LF line
+endings, floats at 17 significant digits so values round-trip bit for
+bit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import platform
@@ -54,8 +59,11 @@ from .approx_nonlinear import (
 )
 from .measurement import (
     DEVICE_VARIANTS,
+    ColumnFit,
     Device,
     MeasuredSystem,
+    SummaryRow,
+    TradeoffReport,
     device_summary,
     measured_lc,
     simulate_device,
@@ -151,8 +159,9 @@ class CheckResult:
 class RunReport:
     """What a runner hands back: its tables, checks and side notes.
 
-    `outputs` holds one (file name, header, rows) triple per CSV file;
-    `run` writes them once the runner has returned.
+    `outputs` holds one (file name, columns) pair per CSV file, where
+    `columns` maps each header to its column; `run` writes them once the
+    runner has returned.
     """
 
     outputs: tuple
@@ -171,7 +180,7 @@ class _Param:
     schema: dict
 
 
-def _float_param(default=None, *, minimum=None, strict=False, nonzero=False, allow_none=False):
+def _float_param(default=None, *, minimum=None, strict=False, allow_none=False):
     schema: dict = {"type": "number"}
     if minimum is not None:
         schema["exclusiveMinimum" if strict else "minimum"] = minimum
@@ -186,8 +195,6 @@ def _float_param(default=None, *, minimum=None, strict=False, nonzero=False, all
         v = float(value)
         if not math.isfinite(v):
             raise ConfigError(field, "must be finite")
-        if nonzero and v == 0.0:
-            raise ConfigError(field, "must be nonzero")
         if minimum is not None:
             if strict and v <= minimum:
                 raise ConfigError(field, f"must be greater than {minimum:g}")
@@ -404,7 +411,7 @@ _POSITIVE = _float_param(minimum=0.0, strict=True)
 
 _EXPERIMENT_PARAMS = {
     "approx-memoryless": {
-        "gain": _float_param(1.0, nonzero=True),
+        "gain": _float_param(1.0, minimum=0.0, strict=True),
         "tau": _float_param(1.0, minimum=0.0, strict=True),
         "dt": _float_param(1e-4, minimum=0.0, strict=True),
         "n_values": _list_param(_int_param(minimum=2), [4, 8, 16, 32, 64, 128, 256]),
@@ -483,6 +490,15 @@ def _step_field(field: str, span: float, dt: float) -> int:
 
 def _check_cross_fields(experiment: str, p: dict) -> None:
     """Constraints between an experiment's fields, once each field is valid."""
+    if "model" in p:
+        # build the model the runner builds, so its faults surface here
+        resolve = {"fdt": _resolve_lossless, "langevin": _resolve_langevin}.get(
+            experiment, _resolve_measured
+        )
+        try:
+            resolve(p)
+        except ValueError as err:
+            raise ConfigError("model", str(err)) from None
     if experiment == "langevin":
         if p["burn_in"] > _step_field("horizon", p["horizon"], p["dt"]) - 1:
             raise ConfigError("burn_in", "must leave at least two settled samples")
@@ -630,30 +646,31 @@ def _format_column(cells) -> list:
     return [_format_cell(cell) for cell in cells]
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write the header and `rows`, a sequence of equal-length row tuples or
-    a 2-D array, formatting a block of rows a column at a time."""
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write a table given as {header: column}, each column a list or 1-D
+    array of one common length, formatting a block of rows a column at a time."""
+    lengths = {len(column) for column in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of {path.name} differ in length: {sorted(lengths)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[lo : lo + _CSV_BLOCK_ROWS]
-            columns = block.T.tolist() if isinstance(block, np.ndarray) else zip(*block)
-            writer.writerows(zip(*map(_format_column, columns)))
+        writer.writerow(columns.keys())
+        for lo in range(0, max(lengths, default=0), _CSV_BLOCK_ROWS):
+            block = (column[lo : lo + _CSV_BLOCK_ROWS] for column in columns.values())
+            cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in block)
+            writer.writerows(zip(*map(_format_column, cells)))
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {key: _json_ready(entry) for key, entry in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(entry) for entry in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+def _single_row(**cells) -> dict:
+    """A one-row table: each keyword names a column holding its value."""
+    return {name: [value] for name, value in cells.items()}
+
+
+def _record_columns(cls, records, names=None, **headers) -> dict:
+    """A table of dataclass `records`: one column per field of `cls` (or per
+    name in `names`), headed by the field's name unless `headers` renames it."""
+    names = names or [field.name for field in dataclasses.fields(cls)]
+    return {headers.get(name, name): [getattr(r, name) for r in records] for name in names}
 
 
 def _check(name: str, value, *, at_most=None, at_least=None, what: str) -> CheckResult:
@@ -677,20 +694,22 @@ def _check(name: str, value, *, at_most=None, at_least=None, what: str) -> Check
 # model resolution
 
 
+# A config model holds exactly the named matrices its model class takes.
+
+
 def _resolve_lossless(params) -> LosslessLinear:
     model = params["model"]
-    if model is None:
-        return lc_ladder()
-    return LosslessLinear(J=np.asarray(model["J"]), B=np.asarray(model["B"]))
+    return lc_ladder() if model is None else LosslessLinear(**model)
 
 
 def _resolve_measured(params) -> MeasuredSystem:
     model = params["model"]
-    if model is None:
-        return measured_lc()
-    return MeasuredSystem(
-        J=np.asarray(model["J"]), B=np.asarray(model["B"]), x0=np.asarray(model["x0"])
-    )
+    return measured_lc() if model is None else MeasuredSystem(**model)
+
+
+def _resolve_langevin(params, boltzmann: float = 1.0) -> LangevinModel:
+    model = params["model"] or {"J": [[0.0]], "K": [[1.0]], "B": [[1.0]]}
+    return LangevinModel(**model, temperature=params["temperature"], boltzmann=boltzmann)
 
 
 def _resolve_device(variant: str, params, boltzmann: float) -> Device:
@@ -706,34 +725,31 @@ def _resolve_device(variant: str, params, boltzmann: float) -> Device:
 # experiment runners
 #
 # A runner computes everything before anything is written: it returns its
-# CSV tables as (file name, header, rows), its checks and its notes.
+# CSV tables as (file name, columns), its checks and its notes.
 
 
 def _run_approx_memoryless(config: ExperimentConfig) -> RunReport:
     p = config.params
-    gain, tau, dt = p["gain"], p["tau"], p["dt"]
+    gain, tau, dt, ns = p["gain"], p["tau"], p["dt"], p["n_values"]
     t = np.arange(_step_count(tau, dt) + 1) * dt
     u = Trajectory(dt=dt, values=np.sin(np.pi * t / tau) ** 2)
 
-    rows = []
-    for n in p["n_values"]:
+    measured, bounds = np.empty((2, len(ns)))
+    for i, n in enumerate(ns):
         bank = memoryless_lossless_approx(gain, tau, n)
         y = bank.zero_state_response(u.values[:, None], dt)[:, 0]
-        measured = float(np.abs(gain * u.values - y).max())
-        bound = float(memoryless_error_bound(gain, tau, n, u).values.max())
-        rows.append((n, measured, bound))
+        measured[i] = np.abs(gain * u.values - y).max()
+        bounds[i] = memoryless_error_bound(gain, tau, n, u).values.max()
 
-    measured = np.array([r[1] for r in rows])
-    bounds = np.array([r[2] for r in rows])
     checks = [
         _check("bound_dominates", (measured - bounds).max(), at_most=0.0,
                what="largest measured-minus-bound gap"),
     ]
-    if len(rows) >= 3:
-        slope = np.polyfit(np.log([r[0] for r in rows]), np.log(measured), 1)[0]
+    if len(ns) >= 3:
+        slope = np.polyfit(np.log(ns), np.log(measured), 1)[0]
         checks.append(_check("convergence_slope", slope, at_most=-0.9, what="log-log slope"))
-    tables = (("memoryless.csv", ("N", "measured_error", "error_bound"), rows),)
-    return RunReport(tables, tuple(checks))
+    table = {"N": ns, "measured_error": measured, "error_bound": bounds}
+    return RunReport((("memoryless.csv", table),), tuple(checks))
 
 
 def _run_approx_dissipative(config: ExperimentConfig) -> RunReport:
@@ -765,49 +781,27 @@ def _run_approx_dissipative(config: ExperimentConfig) -> RunReport:
     decay_gap = float((norms - envelope).max(initial=-np.inf))
 
     tables = (
-        (
-            "summary.csv",
-            (
-                "n_harmonics",
-                "horizon",
-                "shift",
-                "state_dimension",
-                "peak_gain",
-                "error_constant",
-                "kernel_mass",
-                "derivative_mass",
-                "tail_mass",
-                "l2_error",
-                "target_error",
-                "skew_residual",
-                "min_shifted_eig",
-            ),
-            [
-                (
-                    f.n_harmonics,
-                    f.horizon,
-                    f.shift,
-                    f.system.n,
-                    f.peak_gain,
-                    f.error_constant,
-                    f.kernel_mass,
-                    f.derivative_mass,
-                    f.tail_mass,
-                    f.l2_error_measured,
-                    f.target_error,
-                    skew,
-                    min_eig,
-                )
-            ],
-        ),
-        (
-            "coefficients.csv",
-            ("k", "coefficient_norm", "decay_envelope", "shifted_min_eig"),
-            [
-                (k, norms[k], envelope[k], float(eigs[k].min()))
-                for k in range(f.n_harmonics)
-            ],
-        ),
+        ("summary.csv", _single_row(
+            n_harmonics=f.n_harmonics,
+            horizon=f.horizon,
+            shift=f.shift,
+            state_dimension=f.system.n,
+            peak_gain=f.peak_gain,
+            error_constant=f.error_constant,
+            kernel_mass=f.kernel_mass,
+            derivative_mass=f.derivative_mass,
+            tail_mass=f.tail_mass,
+            l2_error=f.l2_error_measured,
+            target_error=f.target_error,
+            skew_residual=skew,
+            min_shifted_eig=min_eig,
+        )),
+        ("coefficients.csv", {
+            "k": np.arange(f.n_harmonics),
+            "coefficient_norm": norms,
+            "decay_envelope": envelope,
+            "shifted_min_eig": eigs.min(axis=1),
+        }),
     )
     checks = (
         _check("skew_residual_zero", skew, at_most=0.0, what="skew residual"),
@@ -827,34 +821,33 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
     matrix = isinstance(gain, list)
     k = np.asarray(gain) if matrix else float(gain)
     ports = k.shape[0] if matrix else 1
-    horizon, dt = p["horizon"], p["dt"]
+    horizon, dt, trials = p["horizon"], p["dt"], p["trials"]
     t = np.arange(_step_count(horizon, dt) + 1) * dt
     modes = np.stack([np.sin((m + 1) * np.pi * t / horizon) / (m + 1) for m in range(3)])
 
-    ineq_rows = []
-    for trial in range(p["trials"]):
+    energies, peaks, max_errors, running_margins, flat_margins = np.empty((5, trials))
+    for trial in range(trials):
         rng = derive_rng(config.seed, trial)
         amps = rng.standard_normal((3, ports))
         vals = np.einsum("mt,mp->tp", modes, amps)
         if not matrix:
             vals = vals[:, 0]
-        e0 = float(10.0 ** rng.uniform(0.5, 3.0))
+        e0 = energies[trial] = float(10.0 ** rng.uniform(0.5, 3.0))
         u = Trajectory(dt=dt, values=vals)
         y, _ = simulate_energy_supply(k, e0, u)
         if matrix:
             err = np.linalg.norm(y.values - vals @ k.T, axis=1)
             sq = np.sum(vals**2, axis=1)
-            peak = float(np.linalg.norm(vals, axis=1).max())
+            peak = peaks[trial] = float(np.linalg.norm(vals, axis=1).max())
         else:
             err = np.abs(y.values - k * vals)
             sq = vals**2
-            peak = float(np.abs(vals).max())
-        running = supply_error_running_bound(k, u, e0)
-        run_margin = float((running.values - err).min())
+            peak = peaks[trial] = float(np.abs(vals).max())
+        max_errors[trial] = err.max()
+        running_margins[trial] = (supply_error_running_bound(k, u, e0).values - err).min()
         flat = supply_error_bound(k, peak, horizon, e0)
         l2 = np.sqrt(np.concatenate([[0.0], np.cumsum((sq[1:] + sq[:-1]) / 2.0 * dt)]))
-        flat_margin = float((flat * l2 - err).min())
-        ineq_rows.append((trial, e0, peak, float(err.max()), run_margin, flat_margin))
+        flat_margins[trial] = (flat * l2 - err).min()
 
     e0s = p["e0_values"]
     t_m = np.arange(1001) * 1e-3
@@ -873,23 +866,25 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
     fit_g = convergence_order(generic, e0s, ref_g)
 
     tables = (
-        (
-            "inequality.csv",
-            ("trial", "e0", "peak_input", "max_error", "running_margin", "flat_margin"),
-            ineq_rows,
-        ),
-        (
-            "convergence.csv",
-            ("e0", "memoryless_error", "generic_error"),
-            list(zip(e0s, fit_m.errors, fit_g.errors)),
-        ),
+        ("inequality.csv", {
+            "trial": np.arange(trials),
+            "e0": energies,
+            "peak_input": peaks,
+            "max_error": max_errors,
+            "running_margin": running_margins,
+            "flat_margin": flat_margins,
+        }),
+        ("convergence.csv", {
+            "e0": e0s,
+            "memoryless_error": fit_m.errors,
+            "generic_error": fit_g.errors,
+        }),
     )
-    margins = np.array([r[4:] for r in ineq_rows]).min(axis=0)
     checks = (
-        _check("running_bound_holds", margins[0], at_least=-1e-12,
-               what=f"smallest bound-minus-error margin over {len(ineq_rows)} inputs"),
-        _check("flat_bound_holds", margins[1], at_least=-1e-12,
-               what=f"smallest bound-minus-error margin over {len(ineq_rows)} inputs"),
+        _check("running_bound_holds", running_margins.min(), at_least=-1e-12,
+               what=f"smallest bound-minus-error margin over {trials} inputs"),
+        _check("flat_bound_holds", flat_margins.min(), at_least=-1e-12,
+               what=f"smallest bound-minus-error margin over {trials} inputs"),
         _check("memoryless_slope", abs(fit_m.slope + 1.0), at_most=0.1,
                what="|log-log slope + 1|"),
         _check("generic_slope", fit_g.slope, at_most=-0.4, what="log-log slope"),
@@ -911,15 +906,6 @@ def _run_fdt(config: ExperimentConfig) -> RunReport:
         boltzmann=k_b,
         threads=config.threads,
     )
-    fdt_rows = [
-        (
-            grid[i],
-            report.analytic[i, 0, 0, 0],
-            report.empirical[i, 0, 0, 0],
-            report.standard_error[i, 0, 0, 0],
-        )
-        for i in range(len(grid))
-    ]
 
     dimension = np.asarray(system.J).shape[0]
     ensemble = ThermalEnsemble(
@@ -931,12 +917,18 @@ def _run_fdt(config: ExperimentConfig) -> RunReport:
     expected = 0.5 * dimension * k_b * temperature
 
     tables = (
-        ("fdt.csv", ("lag", "analytic", "empirical", "stderr"), fdt_rows),
-        (
-            "equipartition.csv",
-            ("samples", "mean_energy", "expected_energy", "stderr"),
-            [(p["samples"], mean_energy, expected, energy_se)],
-        ),
+        ("fdt.csv", {
+            "lag": grid,
+            "analytic": report.analytic[:, 0, 0, 0],
+            "empirical": report.empirical[:, 0, 0, 0],
+            "stderr": report.standard_error[:, 0, 0, 0],
+        }),
+        ("equipartition.csv", _single_row(
+            samples=p["samples"],
+            mean_energy=mean_energy,
+            expected_energy=expected,
+            stderr=energy_se,
+        )),
     )
     checks = [
         _check("equipartition_3se", abs(mean_energy - expected), at_most=3.0 * energy_se,
@@ -955,19 +947,9 @@ def _run_fdt(config: ExperimentConfig) -> RunReport:
 def _run_langevin(config: ExperimentConfig) -> RunReport:
     p = config.params
     temperature, k_b = p["temperature"], config.boltzmann
-    model = p["model"]
-    if model is None:
-        model = {"J": [[0.0]], "K": [[1.0]], "B": [[1.0]]}
-    langevin = LangevinModel(
-        J=np.asarray(model["J"]),
-        K=np.asarray(model["K"]),
-        B=np.asarray(model["B"]),
-        temperature=temperature,
-        boltzmann=k_b,
-    )
+    langevin = _resolve_langevin(p, k_b)
     path = simulate_langevin(langevin, None, None, p["dt"], p["horizon"], seed=config.seed)
-    settled = path.values[p["burn_in"]:]
-    variances = settled.var(axis=0)
+    variances = path.values[p["burn_in"]:].var(axis=0)
     expected = k_b * temperature
 
     noise = sample_johnson_noise(
@@ -976,23 +958,25 @@ def _run_langevin(config: ExperimentConfig) -> RunReport:
     noise_var = float(noise.values.var())
     noise_expected = 2.0 * k_b * temperature * p["k_s"] / p["noise_dt"]
 
-    dimension = path.values.shape[1]
+    components = range(len(variances))
     tables = (
-        (
-            "trajectory.csv",
-            ("time",) + tuple(f"x{i + 1}" for i in range(dimension)),
-            np.column_stack([path.times, path.values]),
-        ),
-        (
-            "stationary.csv",
-            ("component", "variance", "expected"),
-            [(i + 1, float(variances[i]), expected) for i in range(dimension)],
-        ),
-        (
-            "johnson.csv",
-            ("gain", "temperature", "dt", "steps", "variance", "expected"),
-            [(p["k_s"], temperature, p["noise_dt"], p["noise_steps"], noise_var, noise_expected)],
-        ),
+        ("trajectory.csv", {
+            "time": path.times,
+            **{f"x{i + 1}": path.values[:, i] for i in components},
+        }),
+        ("stationary.csv", {
+            "component": [i + 1 for i in components],
+            "variance": variances,
+            "expected": [expected for _ in components],
+        }),
+        ("johnson.csv", _single_row(
+            gain=p["k_s"],
+            temperature=temperature,
+            dt=p["noise_dt"],
+            steps=p["noise_steps"],
+            variance=noise_var,
+            expected=noise_expected,
+        )),
     )
     checks = (
         _check("stationary_variance_5pct", np.abs(variances - expected).max(),
@@ -1020,48 +1004,25 @@ def _run_measure(config: ExperimentConfig) -> RunReport:
     )
     eigs = np.linalg.eigvalsh(outcome.P)
     tables = (
-        (
-            "outcome.csv",
-            (
-                "variant",
-                "t_m",
-                "k_m",
-                "dt",
-                "trials",
-                "y_hat",
-                "b_d_norm",
-                "b_mean_norm",
-                "trace_p",
-                "delta_y",
-                "delta_y_hat",
-                "m_star",
-                "estimate_variance",
-                "mean_error",
-                "product",
-                "max_correction_residual",
-            ),
-            [
-                (
-                    outcome.variant,
-                    outcome.t_m,
-                    device.admittance,
-                    dt,
-                    outcome.trials,
-                    outcome.y_hat,
-                    float(np.linalg.norm(outcome.b_d)),
-                    float(np.linalg.norm(outcome.b_mean)),
-                    float(np.trace(outcome.P)),
-                    outcome.delta_y,
-                    outcome.delta_y_hat,
-                    outcome.m_star,
-                    outcome.estimate_variance,
-                    outcome.mean_error,
-                    outcome.product,
-                    outcome.max_correction_residual,
-                )
-            ],
-        ),
-        ("record.csv", ("time", "y_m"), list(zip(outcome.y_m.times, outcome.y_m.values))),
+        ("outcome.csv", _single_row(
+            variant=outcome.variant,
+            t_m=outcome.t_m,
+            k_m=device.admittance,
+            dt=dt,
+            trials=outcome.trials,
+            y_hat=outcome.y_hat,
+            b_d_norm=float(np.linalg.norm(outcome.b_d)),
+            b_mean_norm=float(np.linalg.norm(outcome.b_mean)),
+            trace_p=float(np.trace(outcome.P)),
+            delta_y=outcome.delta_y,
+            delta_y_hat=outcome.delta_y_hat,
+            m_star=outcome.m_star,
+            estimate_variance=outcome.estimate_variance,
+            mean_error=outcome.mean_error,
+            product=outcome.product,
+            max_correction_residual=outcome.max_correction_residual,
+        )),
+        ("record.csv", {"time": outcome.y_m.times, "y_m": outcome.y_m.values}),
     )
     checks = (
         _check("correction_identity", outcome.max_correction_residual, at_most=1e-10,
@@ -1074,18 +1035,19 @@ def _run_measure(config: ExperimentConfig) -> RunReport:
 def _run_tradeoff(config: ExperimentConfig) -> RunReport:
     p = config.params
     system = _resolve_measured(p)
-    rows = []
+    reports = []
     for i, t_m in enumerate(p["tm_values"]):
         for j, k_m in enumerate(p["km_values"]):
             device = _resolve_device(p["variant"], {**p, "k_m": k_m}, config.boltzmann)
             cell_seed = config.seed + 7919 * (i * len(p["km_values"]) + j)
-            report = tradeoff_product(
+            reports.append(tradeoff_product(
                 system, device, t_m, p["trials"], seed=cell_seed, threads=config.threads
-            )
-            rows.append((t_m, k_m, report.lhs, report.rhs, report.ratio))
+            ))
+    table = _record_columns(
+        TradeoffReport, reports, ("t_m", "admittance", "lhs", "rhs", "ratio"), admittance="k_m"
+    )
 
-    lhs = np.array([r[2] for r in rows])
-    rhs = np.array([r[3] for r in rows])
+    lhs, rhs = np.array(table["lhs"]), np.array(table["rhs"])
     # one row of the rhs per t_m, one column per k_m
     blocks = rhs.reshape(len(p["tm_values"]), len(p["km_values"]))
     spread = (np.abs(blocks - blocks[:, :1]).max(axis=1) / blocks[:, 0]).max()
@@ -1105,8 +1067,7 @@ def _run_tradeoff(config: ExperimentConfig) -> RunReport:
             ),
         },
     )
-    tables = (("tradeoff.csv", ("t_m", "k_m", "lhs", "rhs", "ratio"), rows),)
-    return RunReport(tables, checks, observations)
+    return RunReport((("tradeoff.csv", table),), checks, observations)
 
 
 def _run_table1(config: ExperimentConfig) -> RunReport:
@@ -1121,36 +1082,24 @@ def _run_table1(config: ExperimentConfig) -> RunReport:
         seed=config.seed,
         threads=config.threads,
     )
-    rows = [
-        (r.variant, r.t_m, r.b_d_norm, r.trace_p, r.delta_y_sq, r.m_star, r.estimate_variance)
-        for r in summary.rows
-    ]
     tables = (
-        (
-            "table1.csv",
-            ("variant", "t_m", "b_d_norm", "trace_p", "delta_y_sq", "m_star", "estimate_variance"),
-            rows,
-        ),
-        (
-            "fits.csv",
-            ("variant", "column", "exponent", "slope", "coefficient", "reference", "ratio", "note"),
-            [
-                (f.variant, f.column, f.exponent, f.slope, f.coefficient, f.reference, f.ratio, f.note)
-                for f in summary.fits
-            ],
-        ),
+        ("table1.csv", _record_columns(SummaryRow, summary.rows)),
+        ("fits.csv", _record_columns(ColumnFit, summary.fits)),
     )
 
+    def largest(variant, *columns):
+        """The largest |entry| of the named columns over one variant's rows."""
+        return np.abs([summary.column(variant, name) for name in columns]).max()
+
+    noise = ("trace_p", "delta_y_sq", "m_star")  # the columns a noiseless probe leaves zero
     fit_of = {(f.variant, f.column): f for f in summary.fits}
-    # |b_d|, tr P, delta_y^2 and M* of each variant's rows
-    back_action = {v: np.abs([r[2:6] for r in rows if r[0] == v]) for v in p["variants"]}
     checks = []
     observations = []
     if "M2" in p["variants"]:
-        checks.append(_check("m2_rows_zero", back_action["M2"].max(), at_most=0.0,
+        checks.append(_check("m2_rows_zero", largest("M2", "b_d_norm", *noise), at_most=0.0,
                              what="largest back-action entry"))
     if "M1" in p["variants"]:
-        checks.append(_check("m1_noise_columns_zero", back_action["M1"][:, 1:].max(), at_most=0.0,
+        checks.append(_check("m1_noise_columns_zero", largest("M1", *noise), at_most=0.0,
                              what="largest stochastic entry"))
         checks.append(_check("m1_bd_coefficient", abs(fit_of["M1", "b_d_norm"].ratio - 1.0),
                              at_most=0.1, what="|coefficient/reference - 1|"))
@@ -1212,9 +1161,6 @@ def run(config: ExperimentConfig, stream=None) -> int:
     stream = sys.stdout if stream is None else stream
     try:
         report = _RUNNERS[config.experiment](config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
@@ -1224,13 +1170,13 @@ def run(config: ExperimentConfig, stream=None) -> int:
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = [name for name, _, _ in report.outputs]
-    for name, header, rows in report.outputs:
-        _write_csv(out_dir / name, header, rows)
+    files = [name for name, _ in report.outputs]
+    for name, columns in report.outputs:
+        _write_csv(out_dir / name, columns)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,
-        "config": _json_ready(config.echo()),
+        "config": config.echo(),
         "versions": {
             "lossless": __version__,
             "numpy": np.__version__,
@@ -1238,13 +1184,12 @@ def run(config: ExperimentConfig, stream=None) -> int:
             "python": platform.python_version(),
         },
         "outputs": files,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
-        "observations": [_json_ready(o) for o in report.observations],
+        "checks": [dataclasses.asdict(c) for c in report.checks],
+        "observations": list(report.observations),
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        # numpy scalars and arrays become their plain JSON values
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
         fh.write("\n")
 
     for check in report.checks:

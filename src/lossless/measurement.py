@@ -519,14 +519,14 @@ def riccati_solve(
     r_fac = np.zeros((n, n))
     covs = np.empty((times.shape[0], n, n))
     mstars = np.empty(times.shape[0])
-    prev = 0.0
+    prev, propagator = 0.0, np.eye(n)  # e^{J prev}
     for idx, t in enumerate(times):
-        r_fac = _fold_gramian_rows(r_fac, j, b, c, prev, t, max_substep)
+        r_fac = _fold_gramian_rows(r_fac, j, b, c, prev, t, max_substep, propagator)
         diag = np.abs(np.diag(r_fac))
         if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
             # one retry at twice the resolution, then report the defect
             r_retry = _fold_gramian_rows(
-                np.zeros((n, n)), j, b, c, 0.0, t, max_substep / 2.0
+                np.zeros((n, n)), j, b, c, 0.0, t, max_substep / 2.0, np.eye(n)
             )
             diag = np.abs(np.diag(r_retry))
             if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
@@ -549,8 +549,9 @@ def riccati_solve(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
-def _fold_gramian_rows(r_fac, j, b, c, t_lo, t_hi, max_substep):
-    """Fold Gauss-Legendre Gramian rows for [t_lo, t_hi] into the QR factor."""
+def _fold_gramian_rows(r_fac, j, b, c, t_lo, t_hi, max_substep, start):
+    """Fold Gauss-Legendre Gramian rows for [t_lo, t_hi] into the QR factor;
+    `start` is e^{J t_lo}."""
     span = t_hi - t_lo
     nsub = max(2, int(math.ceil(span / max_substep)))
     h = span / nsub
@@ -559,8 +560,7 @@ def _fold_gramian_rows(r_fac, j, b, c, t_lo, t_hi, max_substep):
         [b @ matrix_exponential(j * (0.5 * h * (xi + 1.0))) for xi in _GL_NODES]
     )
     node_rows *= np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
-    rows, _ = _lti_run(matrix_exponential(j * h), matrix_exponential(j * t_lo),
-                       c=node_rows, steps=nsub - 1)
+    rows, _ = _lti_run(matrix_exponential(j * h), start, c=node_rows, steps=nsub - 1)
     return np.linalg.qr(np.vstack([r_fac, rows.reshape(-1, b.shape[0])]))[1]
 
 

@@ -10,6 +10,7 @@ window, 4623 harmonics, and 9245 states; those numbers are pinned below.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from lossless.approx_linear import (
     select_tau,
     split_symmetric,
 )
-from lossless.approx_linear import _HarmonicSeries, _realize_bank
+from lossless.approx_linear import _DENSE_LIMIT, _HarmonicSeries, _realize_bank
 from lossless.statespace import (
     PSD_TOL,
     LosslessLinear,
@@ -158,6 +159,48 @@ class TestMemorylessBank:
             memoryless_lossless_approx(1.0, 1.0, 1)
         with pytest.raises(ValueError, match="horizon"):
             memoryless_lossless_approx(1.0, 0.0, 4)
+
+    @pytest.mark.parametrize(
+        "gain, n_harmonics",
+        [
+            (1.0, 2),
+            (1.0, 7),
+            (1.0, 1200),  # 2399 states: stored sparse
+            (np.array([[2.0, 0.5], [-0.5, 1.0]]), 5),
+            (np.array([[2.0, 1.3, 0.0], [0.7, 2.0, 0.0], [0.0, 0.0, 0.0]]), 40),  # rank 2
+        ],
+    )
+    def test_generator_matches_the_kron_layout(self, gain, n_harmonics):
+        # J written out block by block: the DC states, then each pair's
+        # cosine states coupled at +k w0 to its sine states
+        tau = 1.3
+        ha = memoryless_lossless_approx(gain, tau, n_harmonics)
+        r = ha.memoryless.rank
+        pairs = (n_harmonics - 1) * r
+        omega = (np.pi / tau) * np.kron(np.diag(np.arange(1, n_harmonics)), np.eye(r))
+        expected = np.zeros((r + 2 * pairs, r + 2 * pairs))
+        expected[r : r + pairs, r + pairs :] = omega
+        expected[r + pairs :, r : r + pairs] = -omega
+        j = ha.system.J
+        assert scipy.sparse.issparse(j) == (expected.shape[0] > _DENSE_LIMIT)
+        assert np.array_equal(j.toarray() if scipy.sparse.issparse(j) else j, expected)
+        b = np.vstack([
+            ha.memoryless.factor / np.sqrt(2.0),
+            np.tile(ha.memoryless.factor, (n_harmonics - 1, 1)),
+            np.zeros((pairs, ha.memoryless.ports)),
+        ]) * np.sqrt(2.0 / tau)
+        np.testing.assert_allclose(ha.system.B, b, rtol=1e-14, atol=0.0)
+
+    def test_large_bank_never_builds_a_dense_generator(self):
+        # a dense (2N - 1)-square generator at N = 4000 alone is 488 MiB
+        tracemalloc.start()
+        try:
+            ha = memoryless_lossless_approx(1.0, 1.0, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ha.system.n == 7999
+        assert peak < 16 * 2**20
 
     def test_fast_response_matches_rk4(self):
         ha = memoryless_lossless_approx(1.0, 1.0, 16)

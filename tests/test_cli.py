@@ -55,6 +55,7 @@ MALFORMED = [
     ("fdt", "boltzmann", -1),
     ("fdt", "model", {"file": 3}),
     ("approx-dissipative", "kernel", {"file": 3}),
+    ("approx-memoryless", "gain", -1.0),
 ]
 
 # The test_11 acceptance configs and the checks each experiment asserts there.
@@ -78,6 +79,41 @@ CHECK_NAMES = [
      ["m1_noise_columns_zero", "m1_bd_coefficient", "m1hat_bd_coefficient",
       "m1hat_trace_coefficient", "m1hat_deltay_coefficient", "m1hat_mstar_exponent"]),
 ]
+
+# Every file each experiment writes, in output order, with its header row.
+HEADERS = {
+    "approx-memoryless": {"memoryless.csv": "N,measured_error,error_bound"},
+    "approx-dissipative": {
+        "summary.csv": "n_harmonics,horizon,shift,state_dimension,peak_gain,error_constant,"
+                       "kernel_mass,derivative_mass,tail_mass,l2_error,target_error,"
+                       "skew_residual,min_shifted_eig",
+        "coefficients.csv": "k,coefficient_norm,decay_envelope,shifted_min_eig",
+    },
+    "approx-nonlinear": {
+        "inequality.csv": "trial,e0,peak_input,max_error,running_margin,flat_margin",
+        "convergence.csv": "e0,memoryless_error,generic_error",
+    },
+    "fdt": {
+        "fdt.csv": "lag,analytic,empirical,stderr",
+        "equipartition.csv": "samples,mean_energy,expected_energy,stderr",
+    },
+    "langevin": {
+        "trajectory.csv": "time,x1",
+        "stationary.csv": "component,variance,expected",
+        "johnson.csv": "gain,temperature,dt,steps,variance,expected",
+    },
+    "measure": {
+        "outcome.csv": "variant,t_m,k_m,dt,trials,y_hat,b_d_norm,b_mean_norm,trace_p,delta_y,"
+                       "delta_y_hat,m_star,estimate_variance,mean_error,product,"
+                       "max_correction_residual",
+        "record.csv": "time,y_m",
+    },
+    "tradeoff": {"tradeoff.csv": "t_m,k_m,lhs,rhs,ratio"},
+    "table1": {
+        "table1.csv": "variant,t_m,b_d_norm,trace_p,delta_y_sq,m_star,estimate_variance",
+        "fits.csv": "variant,column,exponent,slope,coefficient,reference,ratio,note",
+    },
+}
 
 
 class TestCheck:
@@ -258,8 +294,8 @@ class TestCsvWriter:
         values = np.array(FLOAT_CELLS)
         table = np.column_stack([values, -values[::-1]])
         path = tmp_path / "floats.csv"
-        for rows in (table, [tuple(row) for row in table.tolist()]):
-            _write_csv(path, ("a", "b"), rows)
+        for columns in ({"a": table[:, 0], "b": table[:, 1]}, dict(zip("ab", table.T.tolist()))):
+            _write_csv(path, columns)
             assert path.read_bytes() == _reference_csv(("a", "b"), table.tolist())
 
     def test_mixed_rows_match_per_cell_formatting(self, tmp_path):
@@ -269,7 +305,7 @@ class TestCsvWriter:
             (3, np.uint8(255), True, np.bool_(True), "plain", 1e16, np.float32(2.5)),
         ]
         path = tmp_path / "mixed.csv"
-        _write_csv(path, ("i", "n", "b", "nb", "s", "f", "f32"), rows)
+        _write_csv(path, dict(zip(("i", "n", "b", "nb", "s", "f", "f32"), map(list, zip(*rows)))))
         raw = path.read_bytes()
         assert raw == _reference_csv(("i", "n", "b", "nb", "s", "f", "f32"), rows)
         assert b'"a,b"' in raw
@@ -277,13 +313,17 @@ class TestCsvWriter:
     def test_blocks_join_seamlessly(self, tmp_path):
         table = np.random.default_rng(4).standard_normal((2 * _CSV_BLOCK_ROWS + 17, 3))
         path = tmp_path / "long.csv"
-        _write_csv(path, ("x", "y", "z"), table)
+        _write_csv(path, dict(zip(("x", "y", "z"), table.T)))
         assert path.read_bytes() == _reference_csv(("x", "y", "z"), table.tolist())
 
     def test_no_rows_writes_the_header(self, tmp_path):
         path = tmp_path / "empty.csv"
-        _write_csv(path, ("k", "v"), [])
+        _write_csv(path, {"k": [], "v": np.array([])})
         assert path.read_bytes() == b"k,v\n"
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            _write_csv(tmp_path / "ragged.csv", {"k": [1, 2], "v": [0.5]})
 
 
 class TestRunsAndArtifacts:
@@ -423,6 +463,11 @@ class TestRunsAndArtifacts:
             ("approx-dissipative", {"span": 10.0, "dt": 0.3}, "span"),
             ("approx-nonlinear", {"horizon": 1.0, "dt": 0.3}, "horizon"),
             ("approx-nonlinear", {"e0_values": [100.0, 1000.0]}, "e0_values"),
+            ("fdt", {"model": {"J": [[0.0, 1.0], [1.0, 0.0]], "B": [[1.0], [0.0]]}}, "model"),
+            ("measure", {"model": {"J": [[0.0, 1.0], [-1.0, 0.0]], "B": [[1.0], [0.0]],
+                                   "x0": [1.0, 0.0, 0.0]}}, "model"),
+            ("langevin", {"model": {"J": [[0.0, 0.0], [0.0, 0.0]], "K": [[1.0, 0.5], [0.0, 1.0]],
+                                    "B": [[1.0], [0.0]]}}, "model"),
         ],
     )
     def test_cross_field_fault_caught_by_validate(self, tmp_path, capsys, experiment, entries, field):
@@ -441,6 +486,16 @@ class TestRunsAndArtifacts:
         report = _RUNNERS[experiment](config)
         assert [check.name for check in report.checks] == names
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, entries", [case[:2] for case in CHECK_NAMES])
+    def test_files_and_headers(self, tmp_path, experiment, entries):
+        out = tmp_path / "out"
+        main([experiment, "--config", str(_write_config(tmp_path, **entries)), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["outputs"] == list(HEADERS[experiment])
+        assert sorted(path.name for path in out.glob("*.csv")) == sorted(HEADERS[experiment])
+        for name, header in HEADERS[experiment].items():
+            assert (out / name).read_text(encoding="utf-8").split("\n", 1)[0] == header
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, tau=-2.0)
