@@ -1,0 +1,74 @@
+"""Record the benchmark of every workload and the Tier-1 test time in one file.
+
+    python3 bench/record.py BENCH_<n>.json
+
+Runs `perfbench/run.py --workload <w> --seed 1 --seconds 15 --trace 0` for
+each of the three workloads in its own process, then the Tier-1 test
+command, and writes one JSON object: each workload's result line (the last
+line `run.py` prints), the Tier-1 wall time and summary line, and the
+machine facts (nproc, CPU, Python, numpy and scipy versions).  It changes
+nothing under `perfbench/`; the output path is its only argument.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("synthesis", "montecarlo", "trajectories")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def _machine() -> dict:
+    import numpy
+    import scipy
+
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def _workload(name: str) -> dict:
+    args = ["perfbench/run.py", "--workload", name, "--seed", "1", "--seconds", "15", "--trace", "0"]
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    return {"command": " ".join(["python3", *args]), "exit_code": done.returncode,
+            "result": json.loads(lines[-1]) if done.returncode == 0 and lines else None,
+            "report": lines[:-1] if done.returncode == 0 else done.stderr.strip().splitlines()[-5:]}
+
+
+def _tier1() -> dict:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1), "wall_s": wall,
+            "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python3 bench/record.py OUTPUT.json", file=sys.stderr)
+        return 2
+    record = {"machine": _machine(), "workloads": {w: _workload(w) for w in WORKLOADS},
+              "tier1": _tier1()}
+    Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    failed = [w for w, run in record["workloads"].items() if run["exit_code"]]
+    return 1 if failed or record["tier1"]["exit_code"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

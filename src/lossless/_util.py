@@ -17,7 +17,7 @@ import numpy as np
 #: (seed, *tags, i), and reductions run in chunk order.
 CHUNK_TRIALS = 1024
 
-#: Elements per temporary in the harmonic direct sum, the kernel transform
+#: Elements per temporary in the off-grid harmonic sums, the kernel transform
 #: of `check_dissipative` and the lifted-block operators of
 #: `statespace._lti_run` (which also serve impulse responses), which bounds
 #: their working memory (4 MB of float64).

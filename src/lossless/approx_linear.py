@@ -24,7 +24,8 @@ Two entry points build such banks:
 Responses of the realizations are computed matrix-free from the series.
 The bank's frequencies are k pi / tau, so on a sample grid whose step
 divides the window tau the series is a DCT-I/DST-I pair, evaluated by
-FFT; other times take the direct sum.  Zero-state responses are the exact
+FFT; other times take the direct sum, or blocked angle addition when the
+phase table is large.  Zero-state responses are the exact
 convolution of the piecewise-linear interpolant of the input: closed-form
 hat-function weights from the same series, applied by FFT convolution.
 A 10^4-state bank on a 10^4-sample grid thus costs a few FFTs.
@@ -187,9 +188,11 @@ class _HarmonicSeries:
     def _grid_divisions(self, t: np.ndarray) -> int:
         """W when t is the grid t_j = j tau / W from 0, else 0.
 
-        The grid must match to a few ulps of t, the rounding the direct sum
-        already makes in w t; it is not used when its length-2W transform
-        would be larger than the direct sum's m x N phase table.
+        The grid must match to a few ulps of t, the rounding the off-grid
+        sums already make in w t.  It is not used when its length-2W
+        transform would be larger than m x N: blocked angle addition takes
+        fewer cosines and sines than that, but still m x N complex
+        multiply-adds, so the rule compares like with like.
         """
         if t.size < 2 or t[0] != 0.0 or not t[1] > 0.0 or self.base <= 0.0:
             return 0
@@ -208,22 +211,51 @@ class _HarmonicSeries:
         the full period 2 tau are the DCT-I (cosine) and DST-I (sine)
         transforms of the coefficients with their even and odd extensions,
         here one length-2W FFT of C_k + i S_k.  Harmonics past 2W fold onto
-        k mod 2W and times past 2 tau wrap, both exactly.  Any other times
-        take the direct sum, in chunks.
+        k mod 2W and times past 2 tau wrap, both exactly.
+
+        Other times take the series term by term while its m x N phase
+        table fits in one chunk of `CHUNK_ELEMENTS` (at most a few tens of
+        milliseconds), rounding every phase k w0 t once as a term-by-term
+        reference does.  Larger tables take blocked angle addition.  The series
+        is Re sum_k (C_k - i S_k) e^{i k w0 t}; with k = b L + j, j < L and
+        L about sqrt(N), e^{i k w0 t} = e^{i b L w0 t} e^{i j w0 t}.  Both
+        factors come directly from their own phases, so rounding does not
+        grow along k.  That is m (L + N / L) cosines and sines instead of
+        m N, one complex product of the inner table (m, L) with the blocked
+        coefficients (L, blocks x q p), and an anchor-weighted sum over the
+        blocks.  Against the term-by-term sum the result moves by about
+        2 eps w0 |t| sum_k k (|C_k| + |S_k|), from rounding the phase in
+        two parts, plus N eps sum_k (|C_k| + |S_k|) from the sums.  Times
+        go in chunks whose tables hold at most `CHUNK_ELEMENTS` floats.
         """
         t = np.asarray(times, float).ravel()
         n = len(self.cos_part)
+        shape = self.cos_part.shape[1:]
         w = self._grid_divisions(t)
         if w:
-            coef = np.zeros((2 * w,) + self.cos_part.shape[1:], complex)
+            coef = np.zeros((2 * w,) + shape, complex)
             np.add.at(coef, np.arange(n) % (2 * w), self.cos_part + 1j * self.sin_part)
             return scipy.fft.fft(coef, axis=0).real[np.arange(t.size) % (2 * w)]
-        out = np.zeros((t.size,) + self.cos_part.shape[1:])
-        step = max(1, CHUNK_ELEMENTS // max(n, 1))
+        if t.size * n <= CHUNK_ELEMENTS:
+            phase = np.outer(t, self.omegas)
+            return (np.einsum("ik,kqp->iqp", np.cos(phase), self.cos_part)
+                    + np.einsum("ik,kqp->iqp", np.sin(phase), self.sin_part))
+        inner = 1 << (n.bit_length() // 2)
+        blocks = -(-n // inner)
+        coef = np.zeros((blocks * inner, math.prod(shape)), complex)
+        coef[:n] = (self.cos_part - 1j * self.sin_part).reshape(n, -1)
+        # row j, column (b, qp): coefficient of harmonic b L + j
+        coef = coef.reshape(blocks, inner, -1).transpose(1, 0, 2).reshape(inner, -1)
+        inner_omegas = self.base * np.arange(inner)
+        anchor_omegas = self.base * np.arange(0, blocks * inner, inner)
+        out = np.empty((t.size,) + shape)
+        # complex tables count twice: phasors, anchors and the block sums
+        step = max(1, CHUNK_ELEMENTS // (2 * (inner + blocks + coef.shape[1])))
         for lo in range(0, t.size, step):
-            phase = np.outer(t[lo : lo + step], self.omegas)
-            out[lo : lo + step] = np.einsum("ik,kqp->iqp", np.cos(phase), self.cos_part)
-            out[lo : lo + step] += np.einsum("ik,kqp->iqp", np.sin(phase), self.sin_part)
+            chunk = t[lo : lo + step]
+            sums = (_phasors(chunk, inner_omegas) @ coef).reshape(chunk.size, blocks, -1)
+            out[lo : lo + step] = np.einsum(
+                "ib,ibx->ix", _phasors(chunk, anchor_omegas), sums).real.reshape((-1,) + shape)
         return out
 
     def convolve(self, u_vals: np.ndarray, dt: float, reverse: bool = False) -> np.ndarray:
@@ -269,6 +301,15 @@ class _HarmonicSeries:
         y += (odd - full / 2.0) @ u[0]
         y[0] = 0.0
         return y
+
+
+def _phasors(t: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Table e^{i w t} (times x frequencies), each entry from its own phase."""
+    phase = np.outer(t, omegas)
+    out = np.empty(phase.shape, complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def _half_hat_sine(a: np.ndarray) -> np.ndarray:
@@ -353,15 +394,16 @@ def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd
     `dc_residue` (p, p) is the real DC residue and `residues` (N - 1, p, p)
     the Hermitian residues of harmonics k = 1..N-1 at k * base.  These are
     factored by one stacked eigh, and the assembled generator, input map
-    and effective coefficients come from the stacked factors; each block
-    equals `realize_harmonic` of its residue.
+    and effective coefficients come from the stacked factors.  Each block
+    equals `realize_harmonic` of its residue; its arrays are read-only
+    views of the checked system's input map and of one stacked array of
+    rotation generators, so the blocks are not checked or copied again.
     """
     dc = realize_harmonic(dc_residue, 0.0, psd_tol=psd_tol)
     lam, vec = _residue_eigh(residues, psd_tol)
     w = np.swapaxes((vec * np.sqrt(lam)[:, None, :]).conj(), 1, 2)  # row i: eigenpair i
     keep = lam > 0
     freqs = base * np.arange(1, len(residues) + 1)
-    blocks = (dc,) + tuple(_oscillator(wk[kk], f) for wk, kk, f in zip(w, keep, freqs))
 
     b_dc = np.asarray(dc.B)
     p_part, q_part = w.real, w.imag
@@ -379,6 +421,23 @@ def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd
     rows, cols = state[:, 0][keep], state[:, 1][keep]
     omega = np.broadcast_to(freqs[:, None], keep.shape)[keep]
     system = LosslessLinear(J=_pair_generator(rows, cols, omega, b_all.shape[0]), B=b_all)
+
+    # Block k of rank r: generator [[0, w I_r], [-w I_r, 0]] in the leading
+    # 2r x 2r of its stacked slot, input map its 2r rows of system.B.
+    ranks = keep.sum(axis=1)
+    p = dc_residue.shape[0]
+    j_stack = np.zeros((len(residues), 2 * p, 2 * p))
+    for r in np.unique(ranks):
+        same = ranks == r
+        f = freqs[same, None, None]
+        j_stack[same, :r, r : 2 * r] = f * np.eye(r)
+        j_stack[same, r : 2 * r, :r] = -f * np.eye(r)
+    j_stack.setflags(write=False)
+    ends = dc.n + np.cumsum(2 * ranks)
+    blocks = (dc,) + tuple(
+        LosslessLinear._from_checked(j_stack[k, : 2 * r, : 2 * r], system.B[end - 2 * r : end], dc.D)
+        for k, (r, end) in enumerate(zip(ranks.tolist(), ends.tolist()))
+    )
     return blocks, system, eff_cos, eff_sin
 
 

@@ -520,13 +520,14 @@ def riccati_solve(
     covs = np.empty((times.shape[0], n, n))
     mstars = np.empty(times.shape[0])
     prev, propagator = 0.0, np.eye(n)  # e^{J prev}
+    panels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for idx, t in enumerate(times):
-        r_fac = _fold_gramian_rows(r_fac, j, b, c, prev, t, max_substep, propagator)
+        r_fac = _fold_gramian_rows(r_fac, j, b, c, prev, t, max_substep, propagator, panels)
         diag = np.abs(np.diag(r_fac))
         if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
             # one retry at twice the resolution, then report the defect
             r_retry = _fold_gramian_rows(
-                np.zeros((n, n)), j, b, c, 0.0, t, max_substep / 2.0, np.eye(n)
+                np.zeros((n, n)), j, b, c, 0.0, t, max_substep / 2.0, np.eye(n), panels
             )
             diag = np.abs(np.diag(r_retry))
             if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
@@ -549,18 +550,23 @@ def riccati_solve(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
-def _fold_gramian_rows(r_fac, j, b, c, t_lo, t_hi, max_substep, start):
+def _fold_gramian_rows(r_fac, j, b, c, t_lo, t_hi, max_substep, start, panels):
     """Fold Gauss-Legendre Gramian rows for [t_lo, t_hi] into the QR factor;
-    `start` is e^{J t_lo}."""
+    `start` is e^{J t_lo}.  `panels` maps a panel width h to its weighted
+    node rows and e^{J h}, which depend on h alone for one (J, B, c), so
+    grid intervals that share a width share them."""
     span = t_hi - t_lo
     nsub = max(2, int(math.ceil(span / max_substep)))
     h = span / nsub
-    # rows B^T e^{Js} at the panel's nodes, read out of e^{J(t_lo + i h)}
-    node_rows = np.stack(
-        [b @ matrix_exponential(j * (0.5 * h * (xi + 1.0))) for xi in _GL_NODES]
-    )
-    node_rows *= np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
-    rows, _ = _lti_run(matrix_exponential(j * h), start, c=node_rows, steps=nsub - 1)
+    if h not in panels:
+        # rows B^T e^{Js} at the panel's nodes, read out of e^{J(t_lo + i h)}
+        node_rows = np.stack(
+            [b @ matrix_exponential(j * (0.5 * h * (xi + 1.0))) for xi in _GL_NODES]
+        )
+        node_rows *= np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
+        panels[h] = node_rows, matrix_exponential(j * h)
+    node_rows, step = panels[h]
+    rows, _ = _lti_run(step, start, c=node_rows, steps=nsub - 1)
     return np.linalg.qr(np.vstack([r_fac, rows.reshape(-1, b.shape[0])]))[1]
 
 

@@ -9,6 +9,7 @@ pipeline at target 0.1 over a minimum window of 5 lands on a 6.296
 window, 4623 harmonics, and 9245 states; those numbers are pinned below.
 """
 
+import math
 import re
 import tracemalloc
 
@@ -30,6 +31,7 @@ from lossless.approx_linear import (
     select_tau,
     split_symmetric,
 )
+from lossless import approx_linear
 from lossless.approx_linear import _DENSE_LIMIT, _HarmonicSeries, _realize_bank
 from lossless.statespace import (
     PSD_TOL,
@@ -442,6 +444,21 @@ class TestTwoPortPipeline:
             np.testing.assert_allclose(f.effective_cos[k], cos_k, rtol=0, atol=1e-15)
             np.testing.assert_allclose(f.effective_sin[k], sin_k, rtol=0, atol=1e-15)
 
+    def test_scalar_bank_blocks_are_read_only_skew_realizations(self, exp_pipeline):
+        f = exp_pipeline
+        base = np.pi / f.horizon
+        shifted = f.cos_coefficients + f.shift
+        residues = [shifted[0]] + [shifted[k] - 1j * f.sin_coefficients[k - 1]
+                                   for k in range(1, f.n_harmonics)]
+        assert len(f.blocks) == f.n_harmonics
+        for k, (blk, residue) in enumerate(zip(f.blocks, residues)):
+            j, b = np.asarray(blk.J), blk.B
+            assert not j.flags.writeable and not b.flags.writeable
+            assert not np.any(j + j.T)
+            single = realize_harmonic(residue, k * base)
+            for mine, theirs in ((j, single.J), (b, single.B), (blk.D, single.D)):
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+
     def test_indefinite_residue_rejected_as_by_realize_harmonic(self):
         residues = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
                              [[1.0, 0.0], [0.0, -0.5]]], dtype=complex)
@@ -536,6 +553,97 @@ class TestSpectralSeries:
         y = bank.zero_state_response(t, dt)[:, 0]
         exact = t**2 / (2 * tau) + (4 / tau) * np.sin(w * t / 2) ** 2 / w**2
         assert np.abs(y - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def _fsum_series(series, t):
+    """Reference: every entry of the series summed exactly by `math.fsum`,
+    one time at a time, each phase k w0 t rounded once."""
+    c, s = series.cos_part, series.sin_part
+    out = np.empty((len(t),) + c.shape[1:])
+    for i, ti in enumerate(t):
+        phase = series.omegas * ti
+        cos, sin = np.cos(phase), np.sin(phase)
+        for q, p in np.ndindex(*c.shape[1:]):
+            out[i, q, p] = math.fsum(np.concatenate([c[:, q, p] * cos, s[:, q, p] * sin]))
+    return out
+
+
+def _offgrid_tolerance(series, t):
+    """Entrywise bound on |evaluate - reference| off the grid.
+
+    Blocked angle addition rounds the phase of harmonic k in two parts,
+    (k0 w0) t and (j w0) t, each within eps of its size, where the
+    reference rounds k w0 t once: the phases then differ by at most
+    2 eps k w0 |t|, and term k by 2 eps k w0 |t| (|C_k| + |S_k|).  The
+    cosines, sines, products and the sums over L and N / L terms add at
+    most N eps sum_k (|C_k| + |S_k|).
+    """
+    eps = np.finfo(float).eps
+    weight = np.abs(series.cos_part) + np.abs(series.sin_part)
+    k = np.arange(len(weight))[:, None, None]
+    return (2 * eps * series.base * np.abs(np.asarray(t))[:, None, None] * (k * weight).sum(axis=0)
+            + len(weight) * eps * weight.sum(axis=0))
+
+
+def _offgrid_times(tau, case):
+    rng = np.random.default_rng(17)
+    if case == "unsorted":  # includes 0 and times past 2 tau
+        return rng.permutation(np.concatenate([[0.0, 2.2 * tau, 3.1 * tau],
+                                               rng.uniform(0.0, 3.0 * tau, 47)]))
+    return {"zero": np.array([0.0]), "single": np.array([1.37 * tau]), "none": np.zeros(0)}[case]
+
+
+class TestOffGridSeries:
+    """Off-grid times against the `math.fsum` reference.  Small tables take
+    the term-by-term sum; "blocked" shrinks `CHUNK_ELEMENTS` so that every
+    case with more than a few terms takes blocked angle addition, with
+    chunk boundaries inside the time array."""
+
+    @pytest.fixture(params=["default", "blocked"])
+    def chunking(self, request, monkeypatch):
+        if request.param == "blocked":
+            monkeypatch.setattr(approx_linear, "CHUNK_ELEMENTS", 40)
+        return request.param
+
+    @pytest.mark.parametrize("case", ["unsorted", "zero", "single", "none"])
+    def test_scalar_bank(self, exp_pipeline, chunking, case):
+        series = exp_pipeline._series()
+        t = _offgrid_times(exp_pipeline.horizon, case)
+        if case == "unsorted":  # past one chunk of the term-by-term table
+            t = np.concatenate([t, np.random.default_rng(2).uniform(0.0, 20.0, 100)])
+        assert series._grid_divisions(t) == 0
+        y = exp_pipeline.kernel(t)
+        assert y.shape == (t.size, 1, 1)
+        assert np.all(np.abs(y - _fsum_series(series, t)) <= _offgrid_tolerance(series, t))
+
+    @pytest.mark.parametrize("n_harmonics", [1, 37, 300])  # DC only; N = 37, 300 not multiples of L
+    @pytest.mark.parametrize("case", ["unsorted", "zero", "single", "none"])
+    def test_twoport_series(self, chunking, n_harmonics, case):
+        series = _twoport_series(n_harmonics, 0.5)
+        t = _offgrid_times(0.5, case)
+        y = series.evaluate(t)
+        assert y.shape == (t.size, 2, 2)
+        assert np.all(np.abs(y - _fsum_series(series, t)) <= _offgrid_tolerance(series, t))
+
+    def test_empty_bank_gives_zeros(self, chunking):
+        z = dissipative_lossless_approx(Trajectory(dt=0.01, values=np.zeros((500, 2, 2))), 0.5, 2.0)
+        t = _offgrid_times(2.0, "unsorted")
+        y = z.kernel(t)
+        assert y.shape == (t.size, 2, 2)
+        assert not y.any()
+
+    def test_memory_stays_chunked(self):
+        rng = np.random.default_rng(4)
+        series = _HarmonicSeries(base=np.pi / 6.296, cos_part=rng.standard_normal((4623, 1, 1)),
+                                 sin_part=rng.standard_normal((4623, 1, 1)))
+        t = np.sort(rng.uniform(0.0, 5.0, 5001))
+        tracemalloc.start()
+        try:
+            series.evaluate(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRealizeHarmonic:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lossless import measurement
 from lossless._util import derive_rng
 from lossless.measurement import (
     DEVICE_VARIANTS,
@@ -251,6 +252,38 @@ class TestRiccatiSolve:
         )
         with pytest.raises(ArithmeticError, match="singular"):
             riccati_solve(deaf, 1.0, 1.0, [0.5])
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.01, 10.0, 1000),  # 13 distinct panel widths among 1000 intervals
+        np.cumsum(np.random.default_rng(7).uniform(1e-3, 0.05, 200)),
+    ])
+    def test_panels_shared_by_equal_widths_change_nothing(self, grid, monkeypatch):
+        calls = []
+        expm = measurement.matrix_exponential
+        monkeypatch.setattr(measurement, "matrix_exponential", lambda a: calls.append(1) or expm(a))
+        shared = riccati_solve(SYSTEM, 1.0, 1.0, grid)
+        spans = np.diff(grid, prepend=0.0)
+        widths = {s / max(2, math.ceil(s / 5e-3)) for s in spans}
+        # one propagator per grid point, four node maps and one step per width
+        assert len(calls) == grid.size + 5 * len(widths)
+        fold = measurement._fold_gramian_rows
+        monkeypatch.setattr(measurement, "_fold_gramian_rows", lambda *args: fold(*args[:-1], {}))
+        fresh = riccati_solve(SYSTEM, 1.0, 1.0, grid)
+        np.testing.assert_array_equal(shared.m_star, fresh.m_star)
+        np.testing.assert_array_equal(shared.state_covariance, fresh.state_covariance)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_panel_reuse_is_exact_on_random_systems(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        system = MeasuredSystem(J=a - a.T, B=rng.standard_normal(n), x0=np.zeros(n))
+        grid = np.concatenate([np.linspace(0.02, 1.0, 50), np.geomspace(1.1, 30.0, 20)])
+        shared = riccati_solve(system, 0.8, 1.2, grid)
+        fold = measurement._fold_gramian_rows
+        monkeypatch.setattr(measurement, "_fold_gramian_rows", lambda *args: fold(*args[:-1], {}))
+        fresh = riccati_solve(system, 0.8, 1.2, grid)
+        np.testing.assert_array_equal(shared.m_star, fresh.m_star)
+        np.testing.assert_array_equal(shared.state_covariance, fresh.state_covariance)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
