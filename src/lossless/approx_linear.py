@@ -352,15 +352,6 @@ def _residue_eigh(residues: np.ndarray, psd_tol: float) -> tuple[np.ndarray, np.
     return lam, vec
 
 
-def _oscillator(w: np.ndarray, frequency: float) -> LosslessLinear:
-    """Skew block [[0, wI], [-wI, 0]] with input map [Re W; -Im W]."""
-    rank, p = w.shape
-    j_block = np.zeros((2 * rank, 2 * rank))
-    j_block[:rank, rank:] = frequency * np.eye(rank)
-    j_block[rank:, :rank] = -frequency * np.eye(rank)
-    return LosslessLinear(J=j_block, B=np.vstack([w.real, -w.imag]).reshape(2 * rank, p))
-
-
 def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> LosslessLinear:
     """Skew oscillator block whose impulse response is one kernel harmonic.
 
@@ -376,16 +367,16 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
     if frequency < 0:
         raise ValueError(f"frequency must be nonnegative, got {frequency}")
     p = r.shape[0]
+    if frequency > 0:  # block 1 of the one-harmonic bank
+        return _realize_bank(np.zeros((p, p)), r[None], float(frequency), psd_tol)[0][1]
     lam, vec = _residue_eigh(r[None], psd_tol)
     keep = lam[0] > 0
     lam, vec = lam[0][keep], vec[0][:, keep]
     rank = int(lam.size)
-    if frequency == 0.0:
-        half = (vec * np.sqrt(lam / 2.0)).conj().T
-        if np.abs(half.imag).max(initial=0.0) > 1e-12:
-            raise ValueError("a zero-frequency residue must be real symmetric")
-        return LosslessLinear(J=np.zeros((rank, rank)), B=half.real.reshape(rank, p))
-    return _oscillator((vec * np.sqrt(lam)).conj().T, frequency)
+    half = (vec * np.sqrt(lam / 2.0)).conj().T
+    if np.abs(half.imag).max(initial=0.0) > 1e-12:
+        raise ValueError("a zero-frequency residue must be real symmetric")
+    return LosslessLinear(J=np.zeros((rank, rank)), B=half.real.reshape(rank, p))
 
 
 def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd_tol: float):

@@ -817,10 +817,8 @@ def _run_approx_dissipative(config: ExperimentConfig) -> RunReport:
 
 def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
     p = config.params
-    gain = p["gain"]
-    matrix = isinstance(gain, list)
-    k = np.asarray(gain) if matrix else float(gain)
-    ports = k.shape[0] if matrix else 1
+    k = np.atleast_2d(p["gain"])  # a scalar gain is the one-port case
+    ports = k.shape[0]
     horizon, dt, trials = p["horizon"], p["dt"], p["trials"]
     t = np.arange(_step_count(horizon, dt) + 1) * dt
     modes = np.stack([np.sin((m + 1) * np.pi * t / horizon) / (m + 1) for m in range(3)])
@@ -830,19 +828,12 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
         rng = derive_rng(config.seed, trial)
         amps = rng.standard_normal((3, ports))
         vals = np.einsum("mt,mp->tp", modes, amps)
-        if not matrix:
-            vals = vals[:, 0]
         e0 = energies[trial] = float(10.0 ** rng.uniform(0.5, 3.0))
         u = Trajectory(dt=dt, values=vals)
         y, _ = simulate_energy_supply(k, e0, u)
-        if matrix:
-            err = np.linalg.norm(y.values - vals @ k.T, axis=1)
-            sq = np.sum(vals**2, axis=1)
-            peak = peaks[trial] = float(np.linalg.norm(vals, axis=1).max())
-        else:
-            err = np.abs(y.values - k * vals)
-            sq = vals**2
-            peak = peaks[trial] = float(np.abs(vals).max())
+        err = np.linalg.norm(y.values - vals @ k.T, axis=1)
+        sq = np.sum(vals**2, axis=1)
+        peak = peaks[trial] = float(np.linalg.norm(vals, axis=1).max())
         max_errors[trial] = err.max()
         running_margins[trial] = (supply_error_running_bound(k, u, e0).values - err).min()
         flat = supply_error_bound(k, peak, horizon, e0)

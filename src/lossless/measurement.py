@@ -31,8 +31,11 @@ than a large-prior approximation.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -256,46 +259,109 @@ def simulate_device(
 ) -> MeasurementOutcome:
     """Probe the system on [0, t_m] and collect back-action statistics.
 
-    The ideal variants are deterministic, so a single closed-form run
-    suffices regardless of `trials`.  The realized variants simulate
-    `trials` independent thermal histories (Euler-Maruyama on the grid,
-    measurement noise matched to the same step) and push each readout
-    record through the optimal filter; chunked substreams make the
-    result independent of `threads` bit for bit.
+    The ideal variants are deterministic: their closed-form run is one
+    noiseless trial, regardless of `trials`, whose exact readout is its
+    own estimate.  The realized variants simulate `trials` independent
+    thermal histories (Euler-Maruyama on the grid, measurement noise
+    matched to the same step) and filter each record optimally: the
+    unknown is only x0, so the estimate is least squares over the rows
+    of `_record_chain`, whose QR factors a chunk's trials share for
+    M1hat and batch per trial for M2hat.  Chunked substreams make the
+    result independent of `threads` bit for bit.  Both reduce their
+    chunk sums in `_outcome`.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     steps = _step_count(t_m, dt)
-    if device.is_noisy:
-        return _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads)
-
-    km = device.admittance
-    j, b, x0 = system.J, system.B, system.x0
+    b, km = system.B, device.admittance
     x_nat = _natural_final(system, t_m)
     y_nat = float(b @ x_nat)
-    # M2's active branch cancels the loading, so its port current stays zero
-    loading = km * np.outer(b, b) if device.variant == "M1" else 0.0
-    phi = matrix_exponential((j - loading) * dt)
-    record, final = _lti_run(phi, x0, c=b, steps=steps)
-    back = final - x_nat if device.variant == "M1" else np.zeros(system.n)
-    y_hat = float(record[-1])
-    residual = abs(y_nat - (y_hat - 0.0 - float(b @ back)))
+    if not device.is_noisy:
+        # M2's active branch cancels the loading, so its port current stays zero
+        loading = km * np.outer(b, b) if device.variant == "M1" else 0.0
+        phi = matrix_exponential((system.J - loading) * dt)
+        record, final = _lti_run(phi, system.x0, c=b, steps=steps)
+        b_d = final - x_nat if device.variant == "M1" else np.zeros(system.n)
+        y_hat = record[-1:]
+        sums = _chunk_sums(record[:, None], y_hat, y_hat, b_d[None], y_nat, b)
+        return _outcome(system, device, t_m, dt, 1, b_d, [sums])
+
+    if device.variant == "M1hat":
+        loaded = matrix_exponential((system.J - km * np.outer(b, b)) * t_m)
+        b_d, drift = loaded @ system.x0 - x_nat, None
+    else:
+        aux_states, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
+        b_d, drift = aux_states[-1] - x_nat, drift[:, None]
+
+    def worker(rng, count):
+        records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
+        _, rows, pushed = _record_chain(system, device, dt, records, drift, offsets)
+        q, r = np.linalg.qr(rows)
+        if rows.ndim == 2:
+            theta = scipy.linalg.solve_triangular(r, q.T @ (records - pushed))
+            estimates = rows[-1] @ theta + pushed[-1]  # b^T A^steps x0_hat + B^T f[steps]
+        else:
+            rhs = np.einsum("tkn,kt->tn", q, records - pushed)
+            theta = np.linalg.solve(r, rhs[:, :, None])[:, :, 0]
+            estimates = np.einsum("tn,tn->t", rows[:, -1], theta) + pushed[-1]
+        return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
+
+    parts = run_chunked(trials, worker, seed, threads=threads)
+    return _outcome(system, device, t_m, dt, trials, b_d, parts)
+
+
+class _ChunkSums(NamedTuple):
+    """What one chunk of trials adds to its `MeasurementOutcome`."""
+
+    back: np.ndarray  # sum of the back actions
+    back_outer: np.ndarray  # sum of their outer products
+    error: float  # sum of the estimation errors
+    error_sq: float  # sum of their squares
+    residual: float  # largest correction residual
+    record: np.ndarray  # readout record of the chunk's first trial
+    y_hat: float  # and its final estimate
+
+
+def _chunk_sums(records, estimates, truth, back, y_nat, b) -> _ChunkSums:
+    """Sums of one chunk: records (steps + 1, count), the final estimates
+    and true potentials (count,) and the back actions (count, n)."""
+    errors = estimates - truth
+    residual = np.abs(y_nat - (estimates - errors - back @ b)).max()
+    return _ChunkSums(back.sum(axis=0), back.T @ back, errors.sum(), errors @ errors,
+                      residual, records[:, 0].copy(), float(estimates[0]))
+
+
+def _outcome(system, device, t_m, dt, trials, b_d, parts) -> MeasurementOutcome:
+    """Reduce the chunk sums of `trials` trials, in chunk order."""
+
+    def total(name):
+        return functools.reduce(operator.add, [getattr(p, name) for p in parts])
+
+    b_mean = total("back") / trials
+    if trials > 1:
+        cov = (total("back_outer") - trials * np.outer(b_mean, b_mean)) / (trials - 1)
+    else:
+        cov = np.zeros((system.n, system.n))
+    cov = 0.5 * (cov + cov.T)
+    m_star = _m_star(system, device, t_m)
+    delta_y = math.sqrt(max(float(system.B @ cov @ system.B), 0.0))
+    delta_y_hat = math.sqrt(m_star)
     return MeasurementOutcome(
         variant=device.variant,
         t_m=float(t_m),
-        trials=1,
-        y_m=Trajectory(dt=dt, values=record),
-        y_hat=y_hat,
-        b_d=back,
-        b_mean=back,
-        P=np.zeros((system.n, system.n)),
-        m_star=0.0,
-        estimate_variance=0.0,
-        mean_error=0.0,
-        delta_y=0.0,
-        delta_y_hat=0.0,
-        product=0.0,
-        max_correction_residual=residual,
+        trials=trials,
+        y_m=Trajectory(dt=dt, values=parts[0].record),
+        y_hat=parts[0].y_hat,
+        b_d=b_d,
+        b_mean=b_mean,
+        P=cov,
+        m_star=m_star,
+        estimate_variance=total("error_sq") / trials,
+        mean_error=total("error") / trials,
+        delta_y=delta_y,
+        delta_y_hat=delta_y_hat,
+        product=delta_y * delta_y_hat,
+        max_correction_residual=float(max(p.residual for p in parts)),
     )
 
 
@@ -335,18 +401,30 @@ def _probe_trials(system, device, dt, steps, rng, count):
     return records, states, offsets
 
 
-def _record_chain(a0, b, port, scale):
-    """Rows b^T A^k and record-driven readouts of per-trial filter chains.
+def _record_chain(system, device, dt, records, drift=None, offset=None):
+    """The thermal probes' filter model, driven by the readout record y_m.
 
-    Given its readout record, a trial's state obeys x[k+1] = A x[k] +
-    port[k] B exactly, with A = a0 + scale B B^T and one scale per
-    trial.  Writing x[k] = A^k x0 + f[k], the readout y_m[k] - B^T f[k]
-    is b^T A^k x0 plus noise.  Returns the rows (count, steps + 1, n)
-    and pushed[k] = B^T f[k], (steps + 1, count).  A differs per trial,
-    so this is stepped; a chain with one A goes through `_lti_run`.
+    Given y_m, a trial's state obeys x[k+1] = A x[k] + port[k] B exactly,
+    with A = I + dt J + scale B B^T, port[k] = dt w_d[k] - k_m dt y_m[k],
+    and, for M2hat, scale = dt k_m (1 + offset/sqrt(2 E_m)) and the
+    supply's noise-free drift w_d (M1hat: scale 0, no drift).  Writing
+    x[k] = A^k x0 + f[k], y_m[k] - B^T f[k] is b^T A^k x0 plus noise.
+    Returns A, the rows b^T A^k and pushed[k] = B^T f[k] (shaped like
+    `records`).  One scale runs through `_lti_run`; one scale per trial
+    (count,) is stepped, giving A = None and rows (count, steps + 1, n).
     """
-    steps, count = port.shape
-    n = b.shape[0]
+    b, n, km = system.B, system.n, device.admittance
+    a0 = np.eye(n) + dt * system.J
+    port = (0.0 if drift is None else dt * drift[:-1]) - (km * dt) * records[:-1]
+    scale = (0.0 if offset is None
+             else dt * km * (1.0 + offset / math.sqrt(2.0 * device.supply_energy)))
+    steps = port.shape[0]
+    if np.ndim(scale) == 0:
+        chain = a0 + scale * np.outer(b, b)
+        rows, _ = _lti_run(chain.T, b, steps=steps)
+        pushed, _ = _lti_run(chain, np.zeros(n), b[:, None], port[:, None], c=b)
+        return chain, rows, pushed
+    count = scale.shape[0]
     rows = np.empty((count, steps + 1, n))
     cur = np.repeat(b[:, None], count, axis=1)  # the current rows as columns
     forcing = np.zeros((n, count))  # one column per trial
@@ -358,108 +436,17 @@ def _record_chain(a0, b, port, scale):
             break
         forcing = a0 @ forcing + b[:, None] * (scale * (b @ forcing) + port[k])
         cur = a0.T @ cur + b[:, None] * (scale * (b @ cur))
-    return rows, pushed
+    return None, rows, pushed
 
 
 def _m_star(system, device, t_m) -> float:
-    """Riccati error floor at t_m (zero for a noiseless readout)."""
-    if device.temperature == 0.0:
+    """Riccati error floor at t_m (zero for a noiseless readout: an ideal
+    probe, whose temperature is None, or a realized one at zero)."""
+    if not device.temperature:
         return 0.0
     sol = riccati_solve(system, device.admittance, device.temperature, [t_m],
                         boltzmann=device.boltzmann)
     return float(sol.m_star[0])
-
-
-def _noisy_outcome(system, device, t_m, dt, steps, trials, seed, threads):
-    """Monte-Carlo trials of a realized probe, each record filtered optimally.
-
-    Substituting the record into the state update gives the exact
-    affine recursion  x[k+1] = A x[k] + dt B (w_d[k] - k_m y_m[k]),
-    with A = I + dt J for M1hat and, for M2hat, the supply-corrected
-    A = I + dt (J + k_m (1 + offset/sqrt(2 E_m)) B B^T) that treats the
-    trial's supply offset as known to the observer.  The unknown is
-    only x0, so the estimate is least squares over the record; the
-    rows and their QR factors are shared across trials for M1hat and
-    trial-specific (batched QR) for M2hat.  The final estimate is
-    b^T A^steps x0_hat + B^T f[steps].
-    """
-    b, n = system.B, system.n
-    km = device.admittance
-    a0 = np.eye(n) + dt * system.J  # record-driven transition
-    x_nat = _natural_final(system, t_m)
-    y_nat = float(b @ x_nat)
-
-    if device.variant == "M1hat":
-        rows, _ = _lti_run(a0.T, b, steps=steps)  # b^T a0^k
-        q_shared, r_shared = np.linalg.qr(rows)
-        b_det = matrix_exponential((system.J - km * np.outer(b, b)) * t_m) @ system.x0 - x_nat
-        push = 0.0
-    else:
-        root = math.sqrt(2.0 * device.supply_energy)
-        aux_states, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
-        push = dt * drift[:-1, None]
-        b_det = aux_states[-1] - x_nat
-
-    def worker(rng, count):
-        records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
-        port = push - (km * dt) * records[:-1]
-        if offsets is None:
-            pushed, _ = _lti_run(a0, np.zeros(n), b[:, None], port[:, None], c=b)
-            theta = scipy.linalg.solve_triangular(r_shared, q_shared.T @ (records - pushed))
-            estimates = rows[-1] @ theta + pushed[-1]
-        else:
-            scale = dt * km * (1.0 + offsets / root)
-            trial_rows, pushed = _record_chain(a0, b, port, scale)
-            q, r = np.linalg.qr(trial_rows)
-            rhs = np.einsum("tkn,kt->tn", q, records - pushed)
-            theta = np.linalg.solve(r, rhs[:, :, None])[:, :, 0]
-            estimates = np.einsum("tn,tn->t", trial_rows[:, -1], theta) + pushed[-1]
-        truth = states @ b
-        errors = estimates - truth
-        back = states - x_nat
-        residual = np.abs(y_nat - (estimates - errors - back @ b)).max()
-        return (
-            back.sum(axis=0),
-            back.T @ back,
-            errors.sum(),
-            errors @ errors,
-            residual,
-            records[:, 0].copy(),
-            float(estimates[0]),
-        )
-
-    parts = run_chunked(trials, worker, seed, threads=threads)
-    total_b = sum(p[0] for p in parts)
-    total_bb = sum(p[1] for p in parts)
-    total_e = sum(p[2] for p in parts)
-    total_e2 = sum(p[3] for p in parts)
-    residual = max(p[4] for p in parts)
-    b_mean = total_b / trials
-    if trials > 1:
-        cov = (total_bb - trials * np.outer(b_mean, b_mean)) / (trials - 1)
-    else:
-        cov = np.zeros((n, n))
-    cov = 0.5 * (cov + cov.T)
-    m_star = _m_star(system, device, t_m)
-    delta_y = math.sqrt(max(float(b @ cov @ b), 0.0))
-    delta_y_hat = math.sqrt(m_star)
-    return MeasurementOutcome(
-        variant=device.variant,
-        t_m=float(t_m),
-        trials=trials,
-        y_m=Trajectory(dt=dt, values=parts[0][5]),
-        y_hat=parts[0][6],
-        b_d=b_det,
-        b_mean=b_mean,
-        P=cov,
-        m_star=m_star,
-        estimate_variance=total_e2 / trials,
-        mean_error=total_e / trials,
-        delta_y=delta_y,
-        delta_y_hat=delta_y_hat,
-        product=delta_y * delta_y_hat,
-        max_correction_residual=float(residual),
-    )
 
 
 @dataclass(frozen=True)
@@ -521,22 +508,24 @@ def riccati_solve(
     mstars = np.empty(times.shape[0])
     prev, propagator = 0.0, np.eye(n)  # e^{J prev}
     panels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def singular(fac):
+        diag = np.abs(np.diag(fac))
+        return diag.min() <= 1e-14 * max(diag.max(), 1e-300)
+
     for idx, t in enumerate(times):
         r_fac = _fold_gramian_rows(r_fac, j, b, c, prev, t, max_substep, propagator, panels)
-        diag = np.abs(np.diag(r_fac))
-        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
+        if singular(r_fac):
             # one retry at twice the resolution, then report the defect
-            r_retry = _fold_gramian_rows(
+            r_fac = _fold_gramian_rows(
                 np.zeros((n, n)), j, b, c, 0.0, t, max_substep / 2.0, np.eye(n), panels
             )
-            diag = np.abs(np.diag(r_retry))
-            if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
+            if singular(r_fac):
                 raise ArithmeticError(
                     f"information matrix is singular at t = {t:.6g}: "
                     "the port does not excite the full state, so the "
                     "diffuse start cannot be resolved"
                 )
-            r_fac = r_retry
         propagator = matrix_exponential(j * t)
         half = scipy.linalg.solve_triangular(r_fac, propagator.T, trans="T")
         cov = half.T @ half
@@ -589,11 +578,13 @@ def kalman_estimate(
     the estimate is the record itself, gain zero.
 
     The filter is least squares on the initial state with a diffuse
-    prior, grown one record sample at a time: each sample's weighted row
-    is folded into the triangular square-root information factor R by
-    one QR, and the estimate and the covariance (R^T R)^+ = R^+ R^+T are
-    read from R.  The covariance is thus positive semidefinite by
-    construction, so no re-symmetrization pass is ever triggered.
+    prior over the rows of `_record_chain`, the model `simulate_device`
+    filters with, grown one record sample at a time: each sample's
+    weighted row is folded into the triangular square-root information
+    factor R by one QR, and the estimate and the covariance
+    (R^T R)^+ = R^+ R^+T are read from R.  The covariance is thus
+    positive semidefinite by construction, so no re-symmetrization pass
+    is ever triggered.
     """
     if not device.is_noisy:
         raise ValueError("the filter applies to the realized variants M1hat and M2hat")
@@ -618,23 +609,17 @@ def kalman_estimate(
             Trajectory(dt=dt, values=np.zeros((steps + 1, n))),
         )
 
-    scale, push = 0.0, np.zeros(steps + 1)
-    if device.variant == "M2hat":
-        scale = dt * km * (1.0 + float(state_offset) / math.sqrt(2.0 * device.supply_energy))
-        if drift is None:
-            _, push = _supply_aux_path(system, km, device.supply_energy, dt, steps)
-        elif isinstance(drift, Trajectory):
-            if drift.values.shape[0] != steps + 1 or not math.isclose(drift.dt, dt, rel_tol=1e-9):
-                raise ValueError("drift record does not match the readout grid")
-            push = drift.values
-        else:
-            push = np.array([float(drift(k * dt)) for k in range(steps + 1)])
-
-    chain = np.eye(n) + dt * system.J + scale * np.outer(b, b)
-    port = dt * push[:-1] - (km * dt) * record[:-1]
-    props, _ = _lti_run(chain, np.eye(n), steps=steps)  # chain^k
-    rows = b @ props  # b^T chain^k
-    pushed, _ = _lti_run(chain, np.zeros(n), b[:, None], port[:, None], c=b)
+    offset = None if state_offset is None else float(state_offset)
+    if device.variant == "M2hat" and drift is None:
+        _, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
+    elif isinstance(drift, Trajectory):
+        if drift.values.shape[0] != steps + 1 or not math.isclose(drift.dt, dt, rel_tol=1e-9):
+            raise ValueError("drift record does not match the readout grid")
+        drift = drift.values
+    elif drift is not None:
+        drift = np.array([float(drift(k * dt)) for k in range(steps + 1)])
+    chain, rows, pushed = _record_chain(system, device, dt, record, drift, offset)
+    props, _ = _lti_run(chain, np.eye(n), steps=steps)  # chain^k, for the gains
     c = km / (2.0 * kbt)
     # weighted rows [w b^T chain^k, w (y_m[k] - B^T f[k])], so that R^T R
     # is the information matrix and the last column carries the record
@@ -855,12 +840,11 @@ def _fit_columns(system, device, rows):
     y0 = system.y0
     bnorm = float(np.linalg.norm(system.B))
     btb = float(system.B @ system.B)
-    em = device.supply_energy
+    m2hat = device.variant == "M2hat"
+    if m2hat:  # the two candidate coefficients of b_d, the first one the reference
+        quad, lin = (k * abs(y0) ** 3 * bnorm / (4.0 * device.supply_energy) for k in (km**2, km))
     plan = {
-        "b_d_norm": (2 if device.variant == "M2hat" else 1,
-                     km**2 * abs(y0) ** 3 * bnorm / (4.0 * em)
-                     if device.variant == "M2hat"
-                     else km * abs(y0) * bnorm),
+        "b_d_norm": (2, quad) if m2hat else (1, km * abs(y0) * bnorm),
         "trace_p": (1, 2.0 * km * kbt * btb),
         "delta_y_sq": (1, 2.0 * km * kbt * btb**2),
         "m_star": (-1, 2.0 * kbt / km),
@@ -879,9 +863,7 @@ def _fit_columns(system, device, rows):
         coefficient = float(vals[0] / tms[0] ** exponent)
         ratio = coefficient / reference if reference > 0 else float("nan")
         note = ""
-        if device.variant == "M2hat" and column == "b_d_norm":
-            quad = km**2 * abs(y0) ** 3 * bnorm / (4.0 * em)
-            lin = km * abs(y0) ** 3 * bnorm / (4.0 * em)
+        if m2hat and column == "b_d_norm":
             closer = "k_m^2 y0^3/(4 E_m)" if abs(coefficient - quad) <= abs(coefficient - lin) else "k_m y0^3/(4 E_m)"
             note = f"coefficient follows {closer}"
         out.append(ColumnFit(device.variant, column, exponent, slope, coefficient, reference, ratio, note))

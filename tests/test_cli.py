@@ -411,6 +411,32 @@ class TestRunsAndArtifacts:
         m2 = [line for line in fits[1:] if line.startswith("M2,")]
         assert len(m2) == 4 and all("identically zero" in line for line in m2)
 
+    def test_table1_supply_backed_variant(self, tmp_path):
+        # b_d is deterministic, so its slope check holds at every seed
+        cfg = _write_config(
+            tmp_path, seed=1, variants=["M2", "M2hat"], tm_values=[1e-3, 3e-3], trials=64
+        )
+        out = tmp_path / "t1"
+        assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        checks = {c["name"]: c for c in manifest["checks"]}
+        assert checks["m2hat_bd_exponent"]["passed"]
+        assert "slope = 2," in checks["m2hat_bd_exponent"]["detail"]
+        notes = {obs["name"]: obs["detail"] for obs in manifest["observations"]}
+        assert notes["m2hat_bd_adjudication"].startswith("coefficient follows k_m^2 y0^3/(4 E_m)")
+
+    def test_nonlinear_scalar_gain_is_the_one_port_case(self, tmp_path):
+        blobs = []
+        for name, gain in (("scalar", -0.7), ("matrix", [[-0.7]])):
+            cfg = _write_config(
+                tmp_path, f"{name}.json", seed=9, trials=3, e0_values=[1e2, 1e4, 1e6], gain=gain
+            )
+            out = tmp_path / name
+            assert main(["approx-nonlinear", "--config", str(cfg), "--out", str(out),
+                         "--threads", "1"]) == 0
+            blobs.append({f: (out / f).read_bytes() for f in ("inequality.csv", "convergence.csv")})
+        assert blobs[0] == blobs[1]
+
     def test_nonlinear_small_run(self, tmp_path):
         cfg = _write_config(tmp_path, seed=9, trials=3, e0_values=[1e2, 1e4, 1e6])
         out = tmp_path / "nl"

@@ -157,6 +157,18 @@ class TestIdealProbes:
             assert out.y_m.values[k] == pytest.approx(float(B @ free), abs=1e-12)
 
 
+    @pytest.mark.parametrize("variant", ["M1", "M2"])
+    def test_ideal_outcome_is_one_exact_trial(self, variant):
+        dev = Device(variant=variant, admittance=0.7)
+        out = simulate_device(SYSTEM, dev, 2e-3, 2e-3 / 128, trials=5, seed=3)
+        assert out.trials == 1
+        for name in ("estimate_variance", "mean_error", "delta_y", "delta_y_hat", "product"):
+            value = getattr(out, name)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, name
+        assert out.b_mean.tobytes() == out.b_d.tobytes()
+        assert out.y_hat == out.y_m.values[-1]
+
+
 class TestRiccatiSolve:
     def test_scalar_port_is_exact(self):
         # for n = 1 the information is c * B^2 * t, so t * m* = 2 kbt / k_m
