@@ -5,8 +5,10 @@
 Runs `perfbench/run.py --workload <w> --seed 1 --seconds 15 --trace 0` for
 each of the three workloads in its own process, then the Tier-1 test
 command, and writes one JSON object: each workload's result line (the last
-line `run.py` prints), the Tier-1 wall time and summary line, and the
-machine facts (nproc, CPU, Python, numpy and scipy versions).  It changes
+line `run.py` prints), the Tier-1 wall time and summary line, the count of
+non-blank lines in the Python files under `src/` (so that the size of the
+library can be compared between records), and the machine facts (nproc,
+CPU, Python, numpy and scipy versions).  It changes
 nothing under `perfbench/`; the output path is its only argument.
 """
 
@@ -48,6 +50,12 @@ def _workload(name: str) -> dict:
             "report": lines[:-1] if done.returncode == 0 else done.stderr.strip().splitlines()[-5:]}
 
 
+def _src_lines() -> int:
+    """Non-blank lines of the Python files under src/."""
+    return sum(1 for path in sorted((ROOT / "src").rglob("*.py"))
+               for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+
+
 def _tier1() -> dict:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -64,7 +72,7 @@ def main(argv: list[str]) -> int:
         print("usage: python3 bench/record.py OUTPUT.json", file=sys.stderr)
         return 2
     record = {"machine": _machine(), "workloads": {w: _workload(w) for w in WORKLOADS},
-              "tier1": _tier1()}
+              "tier1": _tier1(), "src_nonblank_lines": _src_lines()}
     Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     failed = [w for w, run in record["workloads"].items() if run["exit_code"]]
     return 1 if failed or record["tier1"]["exit_code"] else 0

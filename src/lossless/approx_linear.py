@@ -42,13 +42,15 @@ import scipy.fft
 import scipy.sparse
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from ._util import CHUNK_ELEMENTS, as_float_array, frozen, positive, require_square
+from ._util import CHUNK_ELEMENTS, frozen, positive, require_square
 from .statespace import (
     PSD_TOL,
     LosslessLinear,
     Trajectory,
     _as_kernel_samples,
     _exponential_tail,
+    _port_samples,
+    _square_gain,
     check_dissipative,
 )
 
@@ -73,20 +75,22 @@ _DENSE_LIMIT = 2000
 
 def _pair_generator(cos_states, sin_states, omega, size: int):
     """Bank generator with J[cos, sin] = omega and J[sin, cos] = -omega for
-    each oscillating pair, built sparse and densified at or below
-    `_DENSE_LIMIT` states."""
-    j = scipy.sparse.csr_matrix(
+    each oscillating pair: dense at or below `_DENSE_LIMIT` states, CSR
+    above."""
+    if size <= _DENSE_LIMIT:
+        j = np.zeros((size, size))
+        j[cos_states, sin_states], j[sin_states, cos_states] = omega, -omega
+        return j
+    return scipy.sparse.csr_matrix(
         (np.concatenate([omega, -omega]),
          (np.concatenate([cos_states, sin_states]), np.concatenate([sin_states, cos_states]))),
         shape=(size, size),
     )
-    return j if size > _DENSE_LIMIT else j.toarray()
 
 
 def split_symmetric(gain) -> tuple[np.ndarray, np.ndarray]:
     """Split a square gain into symmetric and antisymmetric parts."""
-    k = as_float_array(np.atleast_2d(gain), "gain", ndim=2)
-    require_square(k, "gain")
+    k = _square_gain(gain)
     return (k + k.T) / 2.0, (k - k.T) / 2.0
 
 
@@ -98,8 +102,7 @@ def factor_psd(sym, rank: int | None = None, rank_tol: float = 1e-12,
     one, unless forced.  Indefinite input is rejected with the offending
     eigenvalue; eigenvalues negative within psd_tol are clipped to zero.
     """
-    s = as_float_array(np.atleast_2d(sym), "matrix", ndim=2)
-    require_square(s, "matrix")
+    s = _square_gain(sym, "matrix")
     if np.abs(s - s.T).max(initial=0.0) > 1e-10 * max(1.0, np.abs(s).max(initial=0.0)):
         raise ValueError("matrix must be symmetric")
     lam, vec = np.linalg.eigh(s)
@@ -149,7 +152,8 @@ class MemorylessSystem:
 
     @classmethod
     def from_gain(cls, gain, rank_tol: float = 1e-12) -> "MemorylessSystem":
-        sym, antisym = split_symmetric(gain)
+        k = _square_gain(gain)
+        sym, antisym = split_symmetric(k)
         try:
             fac = factor_psd(sym, rank_tol=rank_tol)
         except ValueError as exc:
@@ -157,7 +161,7 @@ class MemorylessSystem:
                 "gain has an active (indefinite) symmetric part; "
                 "use the nonlinear energy-supply construction instead"
             ) from exc
-        return cls(gain=np.atleast_2d(np.asarray(gain, float)), symmetric_part=sym,
+        return cls(gain=k, symmetric_part=sym,
                    antisymmetric_part=antisym, factor=fac)
 
 
@@ -272,9 +276,7 @@ class _HarmonicSeries:
         frequency is.
         """
         series = self.transposed() if reverse else self
-        u = np.asarray(u_vals, float)
-        if u.ndim == 1:
-            u = u[:, None]
+        u = _port_samples(u_vals, series.cos_part.shape[2], owner="the kernel")
         m = u.shape[0]
         c, s = series.cos_part, series.sin_part
         q = c.shape[1]
@@ -362,8 +364,7 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
     zero; anything lower is rejected.
     """
     r = np.asarray(residue)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"residue must be square, got shape {r.shape}")
+    require_square(r, "residue")
     if frequency < 0:
         raise ValueError(f"frequency must be nonnegative, got {frequency}")
     p = r.shape[0]
@@ -446,9 +447,9 @@ class _HarmonicResponseMixin:
 
     def respond(self, u: Trajectory) -> Trajectory:
         """Full port response to a sampled input, direct term included."""
-        vals = u.values if u.values.ndim > 1 else u.values[:, None]
+        vals = _port_samples(u)  # the kernel checks its channel count
         y = self.zero_state_response(vals, u.dt) + vals @ np.asarray(self.direct_term).T
-        return Trajectory(dt=u.dt, values=y)
+        return Trajectory(dt=u.dt, values=y.reshape(u.values.shape))
 
 
 @dataclass(frozen=True)
@@ -537,8 +538,8 @@ def memoryless_error_bound(symmetric_gain, horizon: float, n_harmonics: int,
     """
     if n_harmonics < 2:
         raise ValueError(f"need at least 2 harmonics, got {n_harmonics}")
-    sym = as_float_array(np.atleast_2d(symmetric_gain), "symmetric gain", ndim=2)
-    vals = u.values if u.values.ndim > 1 else u.values[:, None]
+    sym = _square_gain(symmetric_gain, "symmetric gain")
+    vals = _port_samples(u, sym.shape[0], owner="the gain")
     peak = np.abs(vals).max(initial=0.0)
     if np.abs(vals[0]).max(initial=0.0) > 1e-12 * max(1.0, peak):
         raise ValueError("the bound requires an input starting at zero, u(0) = 0")

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from ._util import as_float_array, frozen, positive
-from .statespace import Trajectory, _input_samples, _rk4
+from .statespace import Trajectory, _input_samples, _port_samples, _rk4, _square_gain
 
 __all__ = [
     "ConvergenceFit",
@@ -43,17 +43,6 @@ __all__ = [
     "supply_error_running_bound",
     "wrap_lossless",
 ]
-
-
-def _square_gain(k) -> np.ndarray:
-    gain = np.asarray(k, dtype=float)
-    if gain.ndim == 0:
-        gain = gain.reshape(1, 1)
-    if gain.ndim != 2 or gain.shape[0] != gain.shape[1]:
-        raise ValueError(f"gain must be scalar or square, got shape {gain.shape}")
-    if not np.all(np.isfinite(gain)):
-        raise ValueError("gain contains non-finite entries")
-    return gain
 
 
 @dataclass(frozen=True)
@@ -90,21 +79,13 @@ class EnergySupplyApprox:
         """Output and supply trajectories, in closed form.
 
         The running integral of u^T k u uses the trapezoid rule on the
-        input grid; no ODE solve is involved.  Scalar input records give
-        scalar outputs.
+        input grid; no ODE solve is involved.
         """
-        vals = u.values
-        flat = vals.ndim == 1
-        if flat:
-            vals = vals[:, None]
-        if vals.shape[1] != self.ports:
-            raise ValueError(f"input has {vals.shape[1]} channels, gain has {self.ports} ports")
+        vals = _port_samples(u, self.ports, owner="the gain")
         drive = vals @ self.gain.T
         absorbed = cumulative_trapezoid(np.sum(vals * drive, axis=1), dx=u.dt, initial=0.0)
         supply = self.initial_supply + absorbed / self.initial_supply
-        outputs = drive * (supply / self.initial_supply)[:, None]
-        if flat:
-            outputs = outputs[:, 0]
+        outputs = (drive * (supply / self.initial_supply)[:, None]).reshape(u.values.shape)
         return Trajectory(dt=u.dt, values=outputs), Trajectory(dt=u.dt, values=supply)
 
 
@@ -147,9 +128,7 @@ def supply_error_running_bound(gain, u: Trajectory, initial_energy) -> Trajector
     """
     gain = _square_gain(gain)
     energy = positive(initial_energy, "initial_energy")
-    vals = u.values if u.values.ndim > 1 else u.values[:, None]
-    if vals.shape[1] != gain.shape[0]:
-        raise ValueError(f"input has {vals.shape[1]} channels, gain has {gain.shape[0]} ports")
+    vals = _port_samples(u, gain.shape[0], owner="the gain")
     norms = np.linalg.norm(vals, axis=1)
     mass = cumulative_trapezoid(norms**2, dx=u.dt, initial=0.0)
     top = float(np.linalg.norm(gain, 2))
@@ -237,10 +216,7 @@ def simulate_wrapped(
     """
     if u is None:
         raise TypeError("u must be a Trajectory or a callable (the port count comes from it)")
-    if callable(u) and not isinstance(u, Trajectory):
-        ports = np.asarray(u(0.0), dtype=float).reshape(-1).shape[0]
-    else:
-        ports = 1 if u.values.ndim == 1 else u.values.shape[1]
+    ports = np.size(u(0.0)) if callable(u) else _port_samples(u).shape[1]
     u_vals, u_mids, h = _input_samples(u, ports, dt, horizon)
     steps = u_vals.shape[0] - 1
     root = ws.initial_supply

@@ -64,6 +64,10 @@ from .measurement import (
     MeasuredSystem,
     SummaryRow,
     TradeoffReport,
+    _PROBE_STEPS,
+    _VARIANT_NEEDS,
+    _cell_seed,
+    _is_noisy,
     device_summary,
     measured_lc,
     simulate_device,
@@ -72,6 +76,7 @@ from .measurement import (
 from .statespace import (
     LosslessLinear,
     Trajectory,
+    _square_gain,
     _step_count,
     check_lossless,
     integrate_ode,
@@ -522,11 +527,8 @@ EXPERIMENTS = tuple(_SCHEMAS)
 
 
 def _needs_seed(experiment: str, params: dict) -> bool:
-    if experiment in _ALWAYS_SEEDED:
-        return True
-    if experiment == "measure":
-        return params["variant"] in ("M1hat", "M2hat")
-    return False
+    return experiment in _ALWAYS_SEEDED or (
+        experiment == "measure" and _is_noisy(params["variant"]))
 
 
 def config_schema(experiment: str | None = None) -> dict:
@@ -713,11 +715,8 @@ def _resolve_langevin(params, boltzmann: float = 1.0) -> LangevinModel:
 
 
 def _resolve_device(variant: str, params, boltzmann: float) -> Device:
-    kwargs = {}
-    if variant in ("M1hat", "M2hat"):
-        kwargs["temperature"] = params["temperature"]
-    if variant == "M2hat":
-        kwargs["supply_energy"] = params["e_m"]
+    field = {"temperature": "temperature", "supply_energy": "e_m"}  # config field of each
+    kwargs = {name: params[field[name]] for name in _VARIANT_NEEDS[variant]}
     return Device(variant, admittance=params["k_m"], boltzmann=boltzmann, **kwargs)
 
 
@@ -737,7 +736,7 @@ def _run_approx_memoryless(config: ExperimentConfig) -> RunReport:
     measured, bounds = np.empty((2, len(ns)))
     for i, n in enumerate(ns):
         bank = memoryless_lossless_approx(gain, tau, n)
-        y = bank.zero_state_response(u.values[:, None], dt)[:, 0]
+        y = bank.zero_state_response(u.values, dt)[:, 0]
         measured[i] = np.abs(gain * u.values - y).max()
         bounds[i] = memoryless_error_bound(gain, tau, n, u).values.max()
 
@@ -817,7 +816,7 @@ def _run_approx_dissipative(config: ExperimentConfig) -> RunReport:
 
 def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
     p = config.params
-    k = np.atleast_2d(p["gain"])  # a scalar gain is the one-port case
+    k = _square_gain(p["gain"])
     ports = k.shape[0]
     horizon, dt, trials = p["horizon"], p["dt"], p["trials"]
     t = np.arange(_step_count(horizon, dt) + 1) * dt
@@ -983,7 +982,7 @@ def _run_measure(config: ExperimentConfig) -> RunReport:
     system = _resolve_measured(p)
     device = _resolve_device(p["variant"], p, config.boltzmann)
     t_m = p["t_m"]
-    dt = p["dt"] if p["dt"] is not None else t_m / 256.0
+    dt = p["dt"] if p["dt"] is not None else t_m / _PROBE_STEPS
     outcome = simulate_device(
         system,
         device,
@@ -1030,7 +1029,7 @@ def _run_tradeoff(config: ExperimentConfig) -> RunReport:
     for i, t_m in enumerate(p["tm_values"]):
         for j, k_m in enumerate(p["km_values"]):
             device = _resolve_device(p["variant"], {**p, "k_m": k_m}, config.boltzmann)
-            cell_seed = config.seed + 7919 * (i * len(p["km_values"]) + j)
+            cell_seed = _cell_seed(config.seed, i * len(p["km_values"]) + j)
             reports.append(tradeoff_product(
                 system, device, t_m, p["trials"], seed=cell_seed, threads=config.threads
             ))

@@ -45,6 +45,7 @@ from .statespace import (
     SKEW_TOL,
     Trajectory,
     _lti_run,
+    _port_samples,
     _skew_residual,
     _step_count,
     integrate_ode,
@@ -81,6 +82,19 @@ _VARIANT_NEEDS = {
     "M2": (),
     "M2hat": ("temperature", "supply_energy"),
 }
+
+#: Probe steps per horizon where no step is given: dt = t_m / _PROBE_STEPS.
+_PROBE_STEPS = 256
+
+
+def _is_noisy(variant: str) -> bool:
+    """True for the realized (thermal) variants, the ones with a temperature."""
+    return "temperature" in _VARIANT_NEEDS[variant]
+
+
+def _cell_seed(seed: int, index: int) -> int:
+    """Seed of cell `index` of a sweep, so that cells draw disjoint streams."""
+    return seed + 7919 * index
 
 
 @dataclass(frozen=True)
@@ -176,7 +190,7 @@ class Device:
     @property
     def is_noisy(self) -> bool:
         """True for the realized (thermal) variants."""
-        return self.variant in ("M1hat", "M2hat")
+        return _is_noisy(self.variant)
 
 
 @dataclass(frozen=True)
@@ -489,7 +503,9 @@ def riccati_solve(
     dominate small horizons), so the hugely ill-conditioned small-time
     regime (eigenvalues spread like t, t^3, t^5, ...) is handled at
     the square root of its condition number.  Works on any increasing
-    positive grid, uniform or not.
+    positive grid, uniform or not.  A factor whose smallest diagonal is
+    1e-14 of its largest raises ArithmeticError: every interval folds at
+    least 8 node rows, so no finer quadrature restores what rounding lost.
     """
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or times[0] <= 0 or np.any(np.diff(times) <= 0):
@@ -508,24 +524,15 @@ def riccati_solve(
     mstars = np.empty(times.shape[0])
     prev, propagator = 0.0, np.eye(n)  # e^{J prev}
     panels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def singular(fac):
-        diag = np.abs(np.diag(fac))
-        return diag.min() <= 1e-14 * max(diag.max(), 1e-300)
-
     for idx, t in enumerate(times):
         r_fac = _fold_gramian_rows(r_fac, j, b, c, prev, t, max_substep, propagator, panels)
-        if singular(r_fac):
-            # one retry at twice the resolution, then report the defect
-            r_fac = _fold_gramian_rows(
-                np.zeros((n, n)), j, b, c, 0.0, t, max_substep / 2.0, np.eye(n), panels
+        diag = np.abs(np.diag(r_fac))
+        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
+            raise ArithmeticError(
+                f"information matrix is singular at t = {t:.6g}: "
+                "the port does not excite the full state, so the "
+                "diffuse start cannot be resolved"
             )
-            if singular(r_fac):
-                raise ArithmeticError(
-                    f"information matrix is singular at t = {t:.6g}: "
-                    "the port does not excite the full state, so the "
-                    "diffuse start cannot be resolved"
-                )
         propagator = matrix_exponential(j * t)
         half = scipy.linalg.solve_triangular(r_fac, propagator.T, trans="T")
         cov = half.T @ half
@@ -588,9 +595,8 @@ def kalman_estimate(
     """
     if not device.is_noisy:
         raise ValueError("the filter applies to the realized variants M1hat and M2hat")
-    record = y_m.values
-    if record.ndim != 1:
-        raise ValueError("the readout record must be scalar-valued")
+    one_port = "the filter of a scalar-valued port"
+    record = _port_samples(y_m, 1, what="the readout record", owner=one_port)[:, 0]
     if device.variant == "M1hat" and (state_offset is not None or drift is not None):
         raise ValueError("M1hat has no supply state, so state_offset and drift must be None")
     if device.variant == "M2hat" and state_offset is None:
@@ -605,7 +611,7 @@ def kalman_estimate(
     kbt = device.boltzmann * device.temperature
     if kbt == 0.0:
         return (
-            Trajectory(dt=dt, values=record.copy()),
+            Trajectory(dt=dt, values=y_m.values),
             Trajectory(dt=dt, values=np.zeros((steps + 1, n))),
         )
 
@@ -615,7 +621,7 @@ def kalman_estimate(
     elif isinstance(drift, Trajectory):
         if drift.values.shape[0] != steps + 1 or not math.isclose(drift.dt, dt, rel_tol=1e-9):
             raise ValueError("drift record does not match the readout grid")
-        drift = drift.values
+        drift = _port_samples(drift, 1, what="the drift record", owner=one_port)[:, 0]
     elif drift is not None:
         drift = np.array([float(drift(k * dt)) for k in range(steps + 1)])
     chain, rows, pushed = _record_chain(system, device, dt, record, drift, offset)
@@ -632,7 +638,7 @@ def kalman_estimate(
         r_pinv = np.linalg.pinv(fac[:n, :n])
         estimates[k] = rows[k] @ (r_pinv @ fac[:n, n]) + pushed[k]
         gains[k] = c * (props[k] @ (r_pinv @ (r_pinv.T @ rows[k])) - 2.0 * kbt * b)
-    return Trajectory(dt=dt, values=estimates), Trajectory(dt=dt, values=gains)
+    return Trajectory(dt=dt, values=estimates.reshape(y_m.values.shape)), Trajectory(dt=dt, values=gains)
 
 
 @dataclass(frozen=True)
@@ -669,7 +675,7 @@ def tradeoff_product(
     if not device.is_noisy:
         raise ValueError("the trade-off is defined for the realized variants")
     if dt is None:
-        dt = t_m / 256.0
+        dt = t_m / _PROBE_STEPS
     outcome = simulate_device(system, device, t_m, dt, trials, seed, threads=threads)
     rhs = 2.0 * device.boltzmann * device.temperature / system.c_cap
     emp = math.sqrt(max(outcome.estimate_variance, 0.0))
@@ -815,10 +821,9 @@ def device_summary(
     fits = []
     for d_idx, device in enumerate(devices):
         for t_idx, t_m in enumerate(grid):
-            run_seed = seed + 7919 * (d_idx * grid.shape[0] + t_idx)
-            out = simulate_device(
-                system, device, float(t_m), float(t_m) / 256.0, trials, run_seed, threads=threads
-            )
+            run_seed = _cell_seed(seed, d_idx * grid.shape[0] + t_idx)
+            out = simulate_device(system, device, float(t_m), float(t_m) / _PROBE_STEPS,
+                                  trials, run_seed, threads=threads)
             rows.append(
                 SummaryRow(
                     variant=device.variant,

@@ -24,6 +24,12 @@ Conventions
   the nonlinear M2hat probe and its per-trial filter chains are also
   stepped one sample at a time.
 * Sampled signals live in `Trajectory` (uniform grid, first axis is time).
+* Ports: a port record (`Trajectory` or array) is (m,) for one port or
+  (m, p) for m samples of p ports, so (m,) and (m, 1) are the same
+  record, and an output record mirrors its input's shape.  A gain is a
+  scalar (one port) or a square p x p matrix, never 1-D.  `_port_samples`
+  and `_square_gain` apply these rules everywhere; a record whose channel
+  count differs from its ports is rejected, naming both counts.
 * Work integrals use composite Simpson so the quadrature error tracks the
   O(dt^4) integrator error instead of hiding it.
 """
@@ -34,7 +40,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -142,8 +148,20 @@ class Trajectory:
         return cls(dt=dt, values=np.stack(rows, axis=0))
 
 
+class _StatePorts:
+    """State count n and port count p, read off the n x p input map B."""
+
+    @property
+    def n(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.B.shape[1]
+
+
 @dataclass(frozen=True)
-class LinearStateSpace:
+class LinearStateSpace(_StatePorts):
     """General LTI system dx/dt = A x + B u, y = C x + D u (square port)."""
 
     A: np.ndarray
@@ -170,17 +188,9 @@ class LinearStateSpace:
         object.__setattr__(self, "C", frozen(C))
         object.__setattr__(self, "D", frozen(D))
 
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
-
 
 @dataclass(frozen=True)
-class LosslessLinear:
+class LosslessLinear(_StatePorts):
     """Lossless port realization (J skew, output B^T x + D u, D skew).
 
     `J` may be dense or scipy.sparse (large block-diagonal realizations);
@@ -210,14 +220,6 @@ class LosslessLinear:
         object.__setattr__(self, "J", J if _is_sparse(J) else frozen(J))
         object.__setattr__(self, "B", frozen(B))
         object.__setattr__(self, "D", frozen(D))
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
 
     def as_statespace(self) -> LinearStateSpace:
         return LinearStateSpace(A=self.J, B=self.B, C=self.B.T, D=self.D)
@@ -438,6 +440,32 @@ def _port_matrices(sys) -> tuple:
     raise TypeError(f"expected LinearStateSpace or LosslessLinear, got {type(sys).__name__}")
 
 
+def _port_samples(record, ports: int | None = None, *, what: str = "input",
+                  owner: str = "the system") -> np.ndarray:
+    """A port record (Trajectory or array) as samples x ports, checked
+    against `ports` when given."""
+    vals = record.values if isinstance(record, Trajectory) else np.asarray(record, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.ndim != 2:
+        raise ValueError(f"{what} must be (samples,) or (samples, ports), got shape {vals.shape}")
+    if ports is not None and vals.shape[1] != ports:
+        raise ValueError(f"{what} has {vals.shape[1]} channels, {owner} expects {ports}")
+    return vals
+
+
+def _square_gain(gain, name: str = "gain") -> np.ndarray:
+    """A finite gain as a p x p matrix, a scalar as the 1 x 1 case."""
+    k = np.asarray(gain, dtype=float)
+    if k.ndim == 0:
+        k = k.reshape(1, 1)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValueError(f"{name} must be scalar or square, got shape {k.shape}")
+    if not np.all(np.isfinite(k)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return k
+
+
 def _input_samples(u, p: int, dt: float | None, horizon: float | None):
     """Normalize any accepted input form to (values (m, p), mids (m-1, p), dt).
 
@@ -448,11 +476,7 @@ def _input_samples(u, p: int, dt: float | None, horizon: float | None):
     if isinstance(u, Trajectory):
         if dt is not None and not math.isclose(dt, u.dt, rel_tol=1e-9):
             raise ValueError(f"dt {dt} does not match the input's sample step {u.dt}")
-        vals = u.values
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape[1] != p:
-            raise ValueError(f"input has {vals.shape[1]} channels, system expects {p}")
+        vals = _port_samples(u, p)
         mids = midpoint_samples(vals)
         if horizon is not None:
             steps = _step_count(horizon, u.dt)
@@ -597,8 +621,8 @@ def energy_ledger(x: Trajectory, u: Trajectory, y: Trajectory) -> EnergyLedger:
     if not (abs(x.dt - u.dt) < 1e-15 and abs(x.dt - y.dt) < 1e-15):
         raise ValueError("state, input, and output records must share dt")
     energy = 0.5 * np.sum(x.values**2, axis=-1)
-    u2 = u.values if u.values.ndim > 1 else u.values[:, None]
-    y2 = y.values if y.values.ndim > 1 else y.values[:, None]
+    u2 = _port_samples(u)
+    y2 = _port_samples(y, u2.shape[1], what="output", owner="the input record")
     rate = np.sum(u2 * y2, axis=-1)
     return EnergyLedger(times=x.times, total_energy=energy, work_rate=rate)
 
@@ -773,8 +797,7 @@ def check_dissipative(
         omegas = _default_frequencies(omega_scale) if frequencies is None else np.asarray(frequencies, float)
         ghat, tail_fraction, warning = _kernel_transform(obj, omegas)
     else:
-        k = as_float_array(obj, "direct term", ndim=2)
-        require_square(k, "direct term")
+        k = _square_gain(obj, "direct term")
         omegas = np.array([0.0]) if frequencies is None else np.asarray(frequencies, float)
         ghat = np.broadcast_to(k.astype(complex), (len(omegas),) + k.shape)
     herm = ghat + np.conjugate(np.transpose(ghat, (0, 2, 1)))
@@ -826,9 +849,7 @@ def check_time_reversible(
     if x0 is not None and np.any(np.asarray(x0) != 0):
         raise ValueError("time-reversal experiments are defined from rest; x0 must be zero")
     s = sigma.matrix
-    u_fwd = u1.values if u1.values.ndim > 1 else u1.values[:, None]
-    if s.shape[0] != u_fwd.shape[1]:
-        raise ValueError("signature dimension does not match the input")
+    u_fwd = _port_samples(u1, sigma.p, owner="the signature")
     u_mirror = u_fwd @ s  # Sigma u1(s), symmetric diagonal signature
     if hasattr(sys, "zero_state_response"):
         d_term = np.asarray(sys.direct_term, dtype=float)
@@ -836,6 +857,7 @@ def check_time_reversible(
         v_out = sys.zero_state_response(u_mirror, u1.dt, reverse=True)
     else:
         A, B, C, d_term = _port_matrices(sys)
+        _port_samples(u_fwd, B.shape[1])
         rest = np.zeros(B.shape[0])
         xs = _rk4_states(A, B, u_fwd, midpoint_samples(u_fwd), u1.dt, rest)
         y1 = xs @ C.T + u_fwd @ d_term.T

@@ -39,10 +39,13 @@ from .statespace import (
     SKEW_TOL,
     LosslessLinear,
     Trajectory,
+    _StatePorts,
     _input_samples,
     _is_sparse,
     _lti_run,
+    _port_samples,
     _skew_residual,
+    _square_gain,
 )
 
 __all__ = [
@@ -266,7 +269,7 @@ def _stationarity_spread(times, mean, stderr) -> float:
 
 
 @dataclass(frozen=True)
-class LangevinModel:
+class LangevinModel(_StatePorts):
     """Dissipative realization (J - K, B, B^T) with its thermal drive.
 
     `L` factors the dissipation, L L^T = K; the stochastic term
@@ -312,14 +315,6 @@ class LangevinModel:
         object.__setattr__(self, "boltzmann", kb)
 
     @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
-
-    @property
     def noise_dim(self) -> int:
         return self.L.shape[1]
 
@@ -363,11 +358,7 @@ def johnson_nyquist_intensity(gain_symmetric, temperature: float, *, boltzmann: 
     a delta in the lag; a resistor R at temperature T gives the classic
     2 k_B T R.
     """
-    ks = np.asarray(gain_symmetric, dtype=float)
-    if ks.ndim == 0:
-        ks = ks.reshape(1, 1)
-    if ks.ndim != 2 or ks.shape[0] != ks.shape[1]:
-        raise ValueError(f"symmetric gain must be scalar or square, got shape {ks.shape}")
+    ks = _square_gain(gain_symmetric, "symmetric gain")
     if np.abs(ks - ks.T).max() > SKEW_TOL:
         raise ValueError("gain must be symmetric (split off the antisymmetric part first)")
     if ks.size and scipy.linalg.eigvalsh(ks).min() < -PSD_TOL:
@@ -401,6 +392,12 @@ def sample_johnson_noise(
     return Trajectory(dt=dt, values=(kicks @ factor) / math.sqrt(dt))
 
 
+def _one_port(u: Trajectory) -> np.ndarray:
+    """The samples of u, which must be one port."""
+    _port_samples(u, 1, owner="the single-port supply decomposition")
+    return u.values
+
+
 def nonlinear_thermal_decompose(
     gain: float, initial_energy: float, u: Trajectory, state_offset: float
 ) -> tuple[Trajectory, Trajectory]:
@@ -418,10 +415,8 @@ def nonlinear_thermal_decompose(
     """
     k = float(gain)
     e0 = positive(initial_energy, "initial_energy")
-    if u.values.ndim != 1:
-        raise ValueError("the supply decomposition is single-port: u must be scalar-valued")
-    vals = u.values
-    mass = cumulative_trapezoid(vals**2, dx=u.dt, initial=0.0)
+    vals = _one_port(u)
+    mass = cumulative_trapezoid(vals**2, dx=u.dt, axis=0, initial=0.0)
     drift = (k**2 / (2.0 * e0)) * vals * mass
     leak = (k * float(state_offset) / math.sqrt(2.0 * e0)) * vals
     return Trajectory(dt=u.dt, values=drift), Trajectory(dt=u.dt, values=leak)
@@ -439,8 +434,6 @@ def supply_noise_variance(
     k = float(gain)
     e0 = positive(initial_energy, "initial_energy")
     t = positive(temperature, "temperature", or_zero=True)
-    if u.values.ndim != 1:
-        raise ValueError("the supply decomposition is single-port: u must be scalar-valued")
     return Trajectory(
-        dt=u.dt, values=(k**2 * float(boltzmann) * t / (2.0 * e0)) * u.values**2
+        dt=u.dt, values=(k**2 * float(boltzmann) * t / (2.0 * e0)) * _one_port(u)**2
     )
