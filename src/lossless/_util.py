@@ -17,11 +17,37 @@ import numpy as np
 #: (seed, *tags, i), and reductions run in chunk order.
 CHUNK_TRIALS = 1024
 
-#: Elements per temporary in the off-grid harmonic sums, the kernel transform
-#: of `check_dissipative` and the lifted-block operators of
-#: `statespace._lti_run` (which also serve impulse responses), which bounds
-#: their working memory (4 MB of float64).
+#: Elements per temporary in the rotation sums of `angle_phasors` (the
+#: off-grid harmonic sums, the kernel transform of `check_dissipative` and
+#: rotation-block impulse responses, each within a few eps w t per term of
+#: the sum phase by phase) and in the lifted-block operators of
+#: `statespace._lti_run` (all other impulse responses): 4 MB of float64.
 CHUNK_ELEMENTS = 500_000
+
+
+def angle_blocks(count: int) -> tuple[int, int]:
+    """(L, blocks) with k = a L + l for k < count, l < L ~ sqrt(count), a < blocks."""
+    inner = 1 << (count.bit_length() // 2)
+    return inner, -(-count // inner)
+
+
+def angle_phasors(x, step: float, count: int, extra: int = 0):
+    """The factors of e^{i x k step} = inner[l] anchor[a], k = a L + l < count.
+
+    Yields (rows, inner, anchor) for chunks x[rows]: inner[r, l] = e^{i x l step}
+    and anchor[r, a] = e^{i x a L step}, each from its own phase, so rounding
+    does not grow along k.  A chunk's two tables and the `extra` complex
+    numbers per x that the caller forms fit in `CHUNK_ELEMENTS` floats.
+    """
+    inner, blocks = angle_blocks(count)
+    omegas = step * np.concatenate([np.arange(inner), np.arange(0, blocks * inner, inner)])
+    size = max(1, CHUNK_ELEMENTS // (2 * (inner + blocks + extra)))
+    for lo in range(0, x.size, size):
+        phase = x[lo : lo + size, None] * omegas
+        table = np.empty(phase.shape, complex)
+        np.cos(phase, out=table.real)
+        np.sin(phase, out=table.imag)
+        yield slice(lo, lo + len(table)), table[:, :inner], table[:, inner:]
 
 
 def derive_rng(seed: int, *indices: int) -> np.random.Generator:

@@ -42,7 +42,7 @@ import scipy.fft
 import scipy.sparse
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from ._util import CHUNK_ELEMENTS, frozen, positive, require_square
+from ._util import CHUNK_ELEMENTS, angle_blocks, angle_phasors, frozen, positive, require_square
 from .statespace import (
     PSD_TOL,
     LosslessLinear,
@@ -220,17 +220,13 @@ class _HarmonicSeries:
         Other times take the series term by term while its m x N phase
         table fits in one chunk of `CHUNK_ELEMENTS` (at most a few tens of
         milliseconds), rounding every phase k w0 t once as a term-by-term
-        reference does.  Larger tables take blocked angle addition.  The series
-        is Re sum_k (C_k - i S_k) e^{i k w0 t}; with k = b L + j, j < L and
-        L about sqrt(N), e^{i k w0 t} = e^{i b L w0 t} e^{i j w0 t}.  Both
-        factors come directly from their own phases, so rounding does not
-        grow along k.  That is m (L + N / L) cosines and sines instead of
-        m N, one complex product of the inner table (m, L) with the blocked
-        coefficients (L, blocks x q p), and an anchor-weighted sum over the
-        blocks.  Against the term-by-term sum the result moves by about
-        2 eps w0 |t| sum_k k (|C_k| + |S_k|), from rounding the phase in
-        two parts, plus N eps sum_k (|C_k| + |S_k|) from the sums.  Times
-        go in chunks whose tables hold at most `CHUNK_ELEMENTS` floats.
+        reference does.  Larger tables sum Re sum_k (C_k - i S_k) e^{i k w0 t}
+        by blocked angle addition (`angle_phasors`): m (L + N / L) cosines
+        and sines instead of m N, one product of the inner table (m, L) with
+        the blocked coefficients (L, blocks x q p), and an anchor-weighted
+        sum over the blocks.  Against the term-by-term sum the result moves
+        by about 2 eps w0 |t| sum_k k (|C_k| + |S_k|), from rounding the
+        phase in two parts, plus N eps sum_k (|C_k| + |S_k|) from the sums.
         """
         t = np.asarray(times, float).ravel()
         n = len(self.cos_part)
@@ -244,22 +240,15 @@ class _HarmonicSeries:
             phase = np.outer(t, self.omegas)
             return (np.einsum("ik,kqp->iqp", np.cos(phase), self.cos_part)
                     + np.einsum("ik,kqp->iqp", np.sin(phase), self.sin_part))
-        inner = 1 << (n.bit_length() // 2)
-        blocks = -(-n // inner)
+        inner, blocks = angle_blocks(n)
         coef = np.zeros((blocks * inner, math.prod(shape)), complex)
         coef[:n] = (self.cos_part - 1j * self.sin_part).reshape(n, -1)
         # row j, column (b, qp): coefficient of harmonic b L + j
         coef = coef.reshape(blocks, inner, -1).transpose(1, 0, 2).reshape(inner, -1)
-        inner_omegas = self.base * np.arange(inner)
-        anchor_omegas = self.base * np.arange(0, blocks * inner, inner)
         out = np.empty((t.size,) + shape)
-        # complex tables count twice: phasors, anchors and the block sums
-        step = max(1, CHUNK_ELEMENTS // (2 * (inner + blocks + coef.shape[1])))
-        for lo in range(0, t.size, step):
-            chunk = t[lo : lo + step]
-            sums = (_phasors(chunk, inner_omegas) @ coef).reshape(chunk.size, blocks, -1)
-            out[lo : lo + step] = np.einsum(
-                "ib,ibx->ix", _phasors(chunk, anchor_omegas), sums).real.reshape((-1,) + shape)
+        for rows, phasors, anchors in angle_phasors(t, self.base, n, extra=coef.shape[1]):
+            sums = (phasors @ coef).reshape(len(phasors), blocks, -1)
+            out[rows] = np.einsum("ib,ibx->ix", anchors, sums).real.reshape((-1,) + shape)
         return out
 
     def convolve(self, u_vals: np.ndarray, dt: float, reverse: bool = False) -> np.ndarray:
@@ -303,15 +292,6 @@ class _HarmonicSeries:
         y += (odd - full / 2.0) @ u[0]
         y[0] = 0.0
         return y
-
-
-def _phasors(t: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Table e^{i w t} (times x frequencies), each entry from its own phase."""
-    phase = np.outer(t, omegas)
-    out = np.empty(phase.shape, complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
 
 
 def _half_hat_sine(a: np.ndarray) -> np.ndarray:

@@ -150,9 +150,9 @@ def analytic_fluctuation_covariance(
     """Autocovariance k_B T B^T e^{J (t-s)} B of the thermal transient.
 
     For t >= s this is k_B T g(t - s), the impulse response at the lag;
-    for t < s the transpose at the mirrored lag.  Built from the same
-    matrix exponential as `impulse_response`, so the two agree to
-    roundoff.
+    for t < s the transpose at the mirrored lag.  Built from the matrix
+    exponential of `impulse_response`, so the two agree to roundoff, or
+    within a few eps of w t |B|^2 where J is rotation blocks (its closed form).
     """
     t, s = float(t), float(s)
     if t < 0 or s < 0:

@@ -562,6 +562,21 @@ class TestReciprocity:
         with pytest.raises(ValueError):
             check_reciprocal(g, SignatureMatrix.identity(2))
 
+    @pytest.mark.parametrize("shape", [(50,), (50, 1)])
+    def test_one_port_shapes_share_the_verdict(self, shape):
+        vals = np.exp(-np.arange(50) * 0.1)
+        reference = check_reciprocal(Trajectory(dt=0.1, values=vals[:, None, None]),
+                                     SignatureMatrix.identity(1))
+        v = check_reciprocal(Trajectory(dt=0.1, values=vals.reshape(shape)),
+                             SignatureMatrix.identity(1))
+        assert v == reference
+        assert v.reciprocal and v.max_residual == 0.0
+
+    def test_non_square_stack_rejected(self):
+        g = Trajectory(dt=0.1, values=np.zeros((50, 2, 3)))
+        with pytest.raises(ValueError, match=r"kernel samples must be square matrices"):
+            check_reciprocal(g, SignatureMatrix.identity(2))
+
 
 class TestReversibility:
     def test_lossless_fixture_reverses(self, fixture, smooth_input):
