@@ -22,7 +22,11 @@ The shared noise process is what keeps the estimation problem exactly
 solvable.  Substituting the readout record back into the state update
 removes the noise term, so given the record the perturbed state evolves
 deterministically from x0 and optimal filtering reduces to weighted
-least squares on x0 with a diffuse prior.  `riccati_solve` exploits the
+least squares on x0 with a diffuse prior.  For M1hat the whole chain,
+probe and filter, is linear in the noise, so a Monte-Carlo chunk of
+trials is one matrix product with a noise map built once per horizon;
+the supply-backed probe is bilinear, so its trials are stepped together,
+one column each.  `riccati_solve` exploits the
 same collapse in continuous time; its minimum error variance agrees
 with the matrix Riccati equation of the optimal filter, integrated here
 in square-root information form so the diffuse start is exact rather
@@ -279,10 +283,14 @@ def simulate_device(
     thermal histories (Euler-Maruyama on the grid, measurement noise
     matched to the same step) and filter each record optimally: the
     unknown is only x0, so the estimate is least squares over the rows
-    of `_record_chain`, whose QR factors a chunk's trials share for
-    M1hat and batch per trial for M2hat.  Chunked substreams make the
-    result independent of `threads` bit for bit.  Both reduce their
-    chunk sums in `_outcome`.
+    of `_record_chain`.  M1hat is linear in its noise: a trial's final
+    state and estimate are one affine map of it, built once per call
+    (`_noise_map`), so a chunk of trials is one product with the map, and
+    only the first trial's record is run, for `y_m`.  M2hat steps a
+    chunk's trials together and solves their least-squares problems as
+    one batch of QR factors.  Chunked substreams make the result
+    independent of `threads` bit for bit.  Both reduce their chunk sums
+    in `_outcome`.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -302,23 +310,27 @@ def simulate_device(
 
     if device.variant == "M1hat":
         loaded = matrix_exponential((system.J - km * np.outer(b, b)) * t_m)
-        b_d, drift = loaded @ system.x0 - x_nat, None
+        b_d = loaded @ system.x0 - x_nat
+        const, gain = _noise_map(system, device, dt, steps)
+
+        def worker(rng, count):
+            eta = rng.standard_normal((steps + 1, count))
+            final = gain @ eta + const[:, None]  # rows :n the final states, row n the estimates
+            record, _ = _m1hat_probe(system, device, dt, eta[:, :1])
+            states = final[:-1].T
+            return _chunk_sums(record, final[-1], states @ b, states - x_nat, y_nat, b)
     else:
         aux_states, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
         b_d, drift = aux_states[-1] - x_nat, drift[:, None]
 
-    def worker(rng, count):
-        records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
-        _, rows, pushed = _record_chain(system, device, dt, records, drift, offsets)
-        q, r = np.linalg.qr(rows)
-        if rows.ndim == 2:
-            theta = scipy.linalg.solve_triangular(r, q.T @ (records - pushed))
-            estimates = rows[-1] @ theta + pushed[-1]  # b^T A^steps x0_hat + B^T f[steps]
-        else:
-            rhs = np.einsum("tkn,kt->tn", q, records - pushed)
-            theta = np.linalg.solve(r, rhs[:, :, None])[:, :, 0]
-            estimates = np.einsum("tn,tn->t", rows[:, -1], theta) + pushed[-1]
-        return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
+        def worker(rng, count):
+            records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
+            _, rows, pushed = _record_chain(system, device, dt, records, drift, offsets)
+            q, r = np.linalg.qr(rows)
+            rhs = (records - pushed).T[:, None, :] @ q  # Q^T (y_m - pushed), trial by trial
+            theta = np.linalg.solve(r, rhs.swapaxes(1, 2))
+            estimates = (rows[:, -1:] @ theta)[:, 0, 0] + pushed[-1]
+            return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
 
     parts = run_chunked(trials, worker, seed, threads=threads)
     return _outcome(system, device, t_m, dt, trials, b_d, parts)
@@ -379,6 +391,14 @@ def _outcome(system, device, t_m, dt, trials, b_d, parts) -> MeasurementOutcome:
     )
 
 
+def _noise_scales(device, dt) -> tuple[float, float]:
+    """(kick, meas): what one unit of a thermal probe's white noise adds to
+    the port drive of a step and to the readout sample."""
+    km = device.admittance
+    kbt = device.boltzmann * device.temperature
+    return -math.sqrt(2.0 * km * kbt * dt), math.sqrt(2.0 * kbt / (km * dt))
+
+
 def _probe_trials(system, device, dt, steps, rng, count):
     """Euler-Maruyama histories of `count` thermal probe trials.
 
@@ -386,33 +406,89 @@ def _probe_trials(system, device, dt, steps, rng, count):
     noise.  Returns the readout records (steps + 1, count), the final
     states (count, n) and, for M2hat, each trial's supply offset (drawn
     first from `rng`); M1hat returns None for the offsets.  M1hat is
-    linear, so a chunk is one lifted run; the M2hat supply state is not.
+    linear, so a chunk is one lifted run.  The M2hat supply state is not:
+    its chunk steps all trials at once on (n, count) columns, each step's
+    port term stacked under the states so that a step is one product.
     """
-    j, b, n = system.J, system.B, system.n
-    km = device.admittance
-    kbt = device.boltzmann * device.temperature
-    kick = -math.sqrt(2.0 * km * kbt * dt)
-    meas = math.sqrt(2.0 * kbt / (km * dt))
     if device.variant == "M1hat":
-        eta = rng.standard_normal((steps + 1, count))
-        a_d = np.eye(n) + dt * (j - km * np.outer(b, b))
-        clean, states = _lti_run(a_d, system.x0, kick * b[:, None], eta[:-1, None], c=b)
-        return clean + meas * eta, states.T, None
+        records, states = _m1hat_probe(system, device, dt, rng.standard_normal((steps + 1, count)))
+        return records, states, None
+    b, n = system.B, system.n
+    kick, meas = _noise_scales(device, dt)
     root = math.sqrt(2.0 * device.supply_energy)
-    offsets = math.sqrt(kbt) * rng.standard_normal(count)
-    supply = root + offsets
+    rate = dt * device.admittance / root
+    offsets = math.sqrt(device.boltzmann * device.temperature) * rng.standard_normal(count)
     eta = rng.standard_normal((steps + 1, count))
-    states = np.broadcast_to(system.x0, (count, n)).copy()
-    records = np.empty((steps + 1, count))
+    records, kicks = meas * eta, kick * eta
+    charge = offsets.copy()  # the supply state less sqrt(2 E_m)
+    # rows :n hold x[k], row n the port term g[k]: x[k+1] = (I + dt J) x[k] + g[k] B
+    step = np.column_stack([np.eye(n) + dt * system.J, b])
+    cur = np.empty((n + 1, count))
+    cur[:n] = system.x0[:, None]
     for k in range(steps + 1):
-        y2 = states @ b
-        records[k] = y2 + meas * eta[k]
+        y = b @ cur[:n]
+        records[k] += y
         if k == steps:
             break
-        load = (km * (supply / root - 1.0) * y2)[:, None] * b
-        states = states + dt * (states @ j.T + load) + kick * (eta[k][:, None] * b)
-        supply = supply + dt * (km / root) * y2**2
-    return records, states, offsets
+        cur[n] = rate * charge * y + kicks[k]  # the load k_m dt (x_r/sqrt(2 E_m) - 1) y, the kick
+        cur[:n] = step @ cur
+        charge += rate * y * y
+    return records, cur[:n].T, offsets
+
+
+def _m1hat_probe(system, device, dt, eta):
+    """Readout records (steps + 1, count) and final states (count, n) of the
+    M1hat trials whose white noise is eta (steps + 1, count)."""
+    b = system.B
+    kick, meas = _noise_scales(device, dt)
+    readouts, states = _lti_run(_loaded_step(system, device, dt), system.x0, kick * b[:, None],
+                                eta[:-1, None], c=b)
+    return readouts + meas * eta, states.T
+
+
+def _loaded_step(system, device, dt) -> np.ndarray:
+    """The M1hat probe's Euler step I + dt (J - k_m B B^T)."""
+    b = system.B
+    return np.eye(system.n) + dt * (system.J - device.admittance * np.outer(b, b))
+
+
+def _noise_map(system, device, dt, steps):
+    """(const, G): an M1hat trial's final state and batch estimate as const
+    + G eta, affine in its white noise eta (steps + 1,); G is (n + 1, steps + 1).
+
+    With a_d the loaded step, the record is y_m = clean + meas eta + kick
+    M eta, clean[k] = b^T a_d^k x0 and M[k, j] = b^T a_d^{k-1-j} b for
+    j < k, and the final state is
+    a_d^steps x0 + kick sum_j a_d^{steps-1-j} b eta[j].  The batch filter
+    (`_record_chain`'s rows, least squares, then the push) is linear in
+    y_m: with pushed = P y_m, P[k, j] = -k_m dt b^T chain^{k-1-j} b, and w =
+    Q R^-T rows[steps] from the QR of the rows, the estimate w^T (y_m -
+    pushed) + pushed[steps] is v^T y_m, v = w - P^T (w - e_steps).  Both
+    transposed products are one reverse run each, so G takes O(steps n)
+    memory.
+    """
+    b, n, km = system.B, system.n, device.admittance
+    kick, meas = _noise_scales(device, dt)
+    a_d = _loaded_step(system, device, dt)
+    chain, rows, _ = _record_chain(system, device, dt, np.zeros(steps + 1))
+    q, r = np.linalg.qr(rows)
+    w = q @ scipy.linalg.solve_triangular(r, rows[-1], trans="T")
+    resid = w.copy()
+    resid[-1] -= 1.0
+    v = w + (km * dt) * _adjoint_run(chain, b, resid)
+    powers, _ = _lti_run(a_d, b, steps=steps - 1)  # a_d^i b, i < steps
+    gain = np.zeros((n + 1, steps + 1))
+    gain[:n, :-1] = kick * powers[::-1].T
+    gain[n] = meas * v + kick * _adjoint_run(a_d, b, v)
+    clean, final = _lti_run(a_d, system.x0, c=b, steps=steps)
+    return np.append(final, v @ clean), gain
+
+
+def _adjoint_run(phi, b, weights) -> np.ndarray:
+    """sum_{k > j} weights[k] b^T phi^{k-1-j} b for j = 0..steps, one reverse
+    run of phi^T driven by weights[steps], ..., weights[1]."""
+    out, _ = _lti_run(phi.T, np.zeros(b.shape[0]), b[:, None], weights[:0:-1, None], c=b)
+    return out[::-1]
 
 
 def _record_chain(system, device, dt, records, drift=None, offset=None):
@@ -424,8 +500,10 @@ def _record_chain(system, device, dt, records, drift=None, offset=None):
     supply's noise-free drift w_d (M1hat: scale 0, no drift).  Writing
     x[k] = A^k x0 + f[k], y_m[k] - B^T f[k] is b^T A^k x0 plus noise.
     Returns A, the rows b^T A^k and pushed[k] = B^T f[k] (shaped like
-    `records`).  One scale runs through `_lti_run`; one scale per trial
-    (count,) is stepped, giving A = None and rows (count, steps + 1, n).
+    `records`).  One scale runs through `_lti_run`.  One scale per trial
+    (count,) gives A = None and rows (count, steps + 1, n), stepped on
+    (n, count) columns with each step's port term stacked under them, so
+    that a step of the forcing and of the rows is one product each.
     """
     b, n, km = system.B, system.n, device.admittance
     a0 = np.eye(n) + dt * system.J
@@ -439,17 +517,21 @@ def _record_chain(system, device, dt, records, drift=None, offset=None):
         pushed, _ = _lti_run(chain, np.zeros(n), b[:, None], port[:, None], c=b)
         return chain, rows, pushed
     count = scale.shape[0]
+    forward, backward = np.column_stack([a0, b]), np.column_stack([a0.T, b])
+    # rows :n hold the forcing f[k] and the row b^T A^k as columns, row n their port terms
+    forcing, cur = np.zeros((n + 1, count)), np.empty((n + 1, count))
+    cur[:n] = b[:, None]
     rows = np.empty((count, steps + 1, n))
-    cur = np.repeat(b[:, None], count, axis=1)  # the current rows as columns
-    forcing = np.zeros((n, count))  # one column per trial
     pushed = np.empty((steps + 1, count))
     for k in range(steps + 1):
-        pushed[k] = b @ forcing
-        rows[:, k, :] = cur.T
+        pushed[k] = b @ forcing[:n]
+        rows[:, k] = cur[:n].T
         if k == steps:
             break
-        forcing = a0 @ forcing + b[:, None] * (scale * (b @ forcing) + port[k])
-        cur = a0.T @ cur + b[:, None] * (scale * (b @ cur))
+        forcing[n] = scale * pushed[k] + port[k]
+        cur[n] = scale * (b @ cur[:n])
+        forcing[:n] = forward @ forcing
+        cur[:n] = backward @ cur
     return None, rows, pushed
 
 

@@ -22,9 +22,10 @@ Conventions
   Gramian rows, Euler-Maruyama Langevin paths) runs through `_lti_run` in
   lifted blocks.  RK4 is kept out of it on purpose (see `_rk4_states`);
   the nonlinear M2hat probe and its per-trial filter chains are also
-  stepped one sample at a time.  Impulse responses of rotation blocks
-  (as every bank is) are their closed-form sum of cosines and sines
-  instead, within a few eps of sum_s (1 + |w_s| t)|c_s||b_s| per sample.
+  stepped one sample at a time, all trials of a chunk at once.  Impulse
+  responses of rotation blocks (as every bank is, dense or CSR) are their
+  closed-form sum of cosines and sines instead, within a few eps of
+  sum_s (1 + |w_s| t)|c_s||b_s| per sample.
 * Sampled signals live in `Trajectory` (uniform grid, first axis is time).
 * Ports: a port record (`Trajectory` or array) is (m,) for one port or
   (m, p) for m samples of p ports, so (m,) and (m, 1) are the same
@@ -604,40 +605,49 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     """Impulse-response kernel g(t_k) = C exp(A t_k) B on a uniform grid.
 
     The direct term D is *not* folded into the samples; it stays a separate
-    algebraic channel on the system object.  Requires a dense A.
+    algebraic channel on the system object.
 
     When A is a direct sum of 2 x 2 rotations A[i, j] = w = -A[j, i] and
     zero states (every bank is), the samples are the closed-form sum of
     cosines and sines of `_rotation_response`, within a few eps of
     sum_s (1 + |w_s| t)|c_s||b_s| each; 5001 samples of an 813-state bank
-    take about 10 ms.  Any other A takes the readouts of x[k+1] = Phi x[k]
-    from x[0] = B (Phi = exp(A dt)), run in lifted blocks by `_lti_run`.
+    take about 10 ms.  A may then be dense or sparse (the CSR generator of
+    a large bank).  Any other A must be dense, and takes the readouts of
+    x[k+1] = Phi x[k] from x[0] = B (Phi = exp(A dt)), run in lifted blocks
+    by `_lti_run`.
     """
     A, B, C, _ = _port_matrices(sys)
-    if _is_sparse(A):
-        raise TypeError("impulse_response needs a dense state matrix")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     out = _rotation_response(A, B, C, dt, n_samples)
     if out is None:
+        if _is_sparse(A):
+            raise TypeError("impulse_response needs a dense state matrix or rotation blocks")
         out, _ = _lti_run(matrix_exponential(A * dt), B, c=C, steps=n_samples - 1)
     return Trajectory(dt=dt, values=out)
 
 
 def _rotation_response(A, B, C, dt: float, n_samples: int) -> np.ndarray | None:
     """The closed form of `impulse_response`, or None unless A is rotation
-    blocks: in one pass over its nonzeros, at most one per row and
-    A[j, i] == -A[i, j] exactly (so a zero diagonal).  Row s of e^{At} B is
-    b_s cos(w_s t) + b_r sin(w_s t), r the state that s rotates with (s
-    itself for a zero state) and w_s = A[s, r], so g(t) = Re sum_s c_s
-    (b_s - i b_r)^T e^{i w_s t}, from the factors of `angle_phasors`.
+    blocks: in one pass over its nonzeros (dense or sparse A), at most one
+    per row and A[j, i] == -A[i, j] exactly (so a zero diagonal).  Row s of
+    e^{At} B is b_s cos(w_s t) + b_r sin(w_s t), r the state that s rotates
+    with (s itself for a zero state) and w_s = A[s, r], so g(t) = Re sum_s
+    c_s (b_s - i b_r)^T e^{i w_s t}, from the factors of `angle_phasors`.
     """
-    rows, cols = np.nonzero(A)
-    w = A[rows, cols]
-    if not ((rows[1:] > rows[:-1]).all() and (A[cols, rows] == -w).all()):
-        return None
+    if _is_sparse(A):
+        entries = scipy.sparse.csr_array(A).tocoo()  # row-major
+        keep = entries.data != 0
+        rows, cols, w = entries.row[keep], entries.col[keep], entries.data[keep]
+    else:
+        rows, cols = np.nonzero(A)
+        w = A[rows, cols]
     partner, omega = np.arange(len(B)), np.zeros(len(B))
     partner[rows], omega[rows] = cols, w
+    # with one entry per row, A[c, r] is the entry of row c if it sits in column r
+    if not ((rows[1:] > rows[:-1]).all() and (partner[cols] == rows).all()
+            and (omega[cols] == -w).all()):
+        return None
     q, p = C.shape[0], B.shape[1]
     coef = (C.T[:, :, None] * (B - 1j * B[partner])[:, None]).reshape(len(B), q * p)
     inner, blocks = angle_blocks(n_samples)

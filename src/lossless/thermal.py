@@ -204,7 +204,9 @@ def empirical_fdt_check(
     transients n_i(t_j) = B^T e^{J t_j} x_i on the grid, and compares
     their second moment against the analytic kernel entry by entry.
     The fluctuations have known zero mean, so the raw second moment is
-    the unbiased estimator.
+    the unbiased estimator.  A chunk of trials forms its transients as
+    one product with the stacked maps and its first and second moments
+    as the Gram matrices of the transients and of their squares.
     """
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or np.any(times < 0):
@@ -217,12 +219,13 @@ def empirical_fdt_check(
         temperature=temperature, dimension=sys.n, boltzmann=boltzmann, seed=seed
     )
 
+    rows, shape = maps.reshape(-1, sys.n), maps.shape[:2] * 2
+
     def worker(rng, size):
         states = math.sqrt(ensemble.state_variance) * rng.standard_normal((size, sys.n))
-        noise = np.einsum("cn,jpn->cjp", states, maps)
-        first = np.einsum("cjp,clq->jplq", noise, noise)
-        second = np.einsum("cjp,clq->jplq", noise**2, noise**2)
-        return first, second
+        noise = states @ rows.T  # column j p + i: n_i(t_j)
+        squares = noise**2
+        return (noise.T @ noise).reshape(shape), (squares.T @ squares).reshape(shape)
 
     chunks = run_chunked(trials, worker, seed, threads=threads)
     first = sum(c[0] for c in chunks)

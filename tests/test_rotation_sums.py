@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from lossless import dissipative_lossless_approx, memoryless_lossless_approx
 from lossless._util import CHUNK_ELEMENTS, angle_blocks, angle_phasors
@@ -146,6 +147,29 @@ class TestRotationImpulse:
             assert _rotation_response(*_port_matrices(sys)[:3], 0.01, n_samples) is None
             assert np.array_equal(impulse_response(sys, 0.01, n_samples).values,
                                   _lifted(sys, 0.01, n_samples))
+
+    def test_sparse_bank_takes_the_closed_form(self):
+        # above the dense limit a bank's generator is CSR; the closed form
+        # reads its nonzeros and equals the same generator densified, bit for bit
+        bank = memoryless_lossless_approx(1.0, 1.0, 1200)
+        assert scipy.sparse.issparse(bank.system.J) and bank.system.n == 2399
+        g = impulse_response(bank.system, 1e-3, 100)
+        dense = LosslessLinear(J=bank.system.J.toarray(), B=bank.system.B, D=bank.system.D)
+        assert np.array_equal(g.values, impulse_response(dense, 1e-3, 100).values)
+        kernel = bank.kernel(np.arange(100) * 1e-3)
+        scale = float(np.sum(bank.system.B**2))
+        wt = float(abs(bank.system.J).max()) * 99e-3
+        np.testing.assert_allclose(g.values, kernel, rtol=0, atol=16 * EPS * scale * (1.0 + wt))
+
+    def test_sparse_non_rotation_generator_is_rejected(self):
+        rng = np.random.default_rng(6)
+        a = np.zeros((4, 4))
+        a[0, 1], a[1, 0], a[2, 3], a[3, 2] = 2.0, -2.0, 0.5, -0.5
+        a[2, 2] = -0.1
+        sys = LinearStateSpace(A=scipy.sparse.csr_matrix(a), B=rng.standard_normal((4, 1)),
+                               C=rng.standard_normal((1, 4)), D=np.zeros((1, 1)))
+        with pytest.raises(TypeError, match="dense state matrix"):
+            impulse_response(sys, 0.01, 10)
 
     def test_memory_stays_chunked(self, dense_bank):
         tracemalloc.start()
