@@ -50,6 +50,7 @@ from .statespace import (
     _as_kernel_samples,
     _exponential_tail,
     _port_samples,
+    _psd_eigh,
     _square_gain,
     check_dissipative,
 )
@@ -99,19 +100,12 @@ def factor_psd(sym, rank: int | None = None, rank_tol: float = 1e-12,
     """Low-rank factor F (r x p) of a symmetric PSD matrix, F^T F = sym.
 
     The rank is the number of eigenvalues above rank_tol times the largest
-    one, unless forced.  Indefinite input is rejected with the offending
-    eigenvalue; eigenvalues negative within psd_tol are clipped to zero.
+    one, unless forced.  Input that is not symmetric, or is indefinite
+    beyond psd_tol max(1, max|entry|), is rejected (`_psd_eigh`);
+    eigenvalues negative within that bound are clipped to zero.
     """
     s = _square_gain(sym, "matrix")
-    if np.abs(s - s.T).max(initial=0.0) > 1e-10 * max(1.0, np.abs(s).max(initial=0.0)):
-        raise ValueError("matrix must be symmetric")
-    lam, vec = np.linalg.eigh(s)
-    scale = max(lam[-1], 1.0) if lam.size else 1.0
-    if lam.size and lam[0] < -psd_tol * scale:
-        raise ValueError(
-            f"matrix is not positive semidefinite: smallest eigenvalue {lam[0]:.6e}"
-        )
-    lam = np.clip(lam, 0.0, None)
+    lam, vec = (a[0] for a in _psd_eigh(s[None], "matrix", psd_tol))
     order = np.argsort(lam)[::-1]
     lam, vec = lam[order], vec[:, order]
     if rank is None:
@@ -309,39 +303,14 @@ def _half_hat_sine(a: np.ndarray) -> np.ndarray:
     return np.where(small, a * series, (x - np.sin(x)) / (x * x))
 
 
-def _residue_eigh(residues: np.ndarray, psd_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (lam (n, p), vec (n, p, p)) of a stack of PSD residues.
-
-    Each residue must be Hermitian and PSD within psd_tol times
-    max(1, max|R|); the first one that is not is rejected, naming its
-    smallest eigenvalue.  Eigenvalues are clipped at zero, and those not
-    above 1e-14 of the residue's largest are set to zero, so lam > 0 marks
-    the eigenvectors a factor keeps.
-    """
-    r = np.asarray(residues)
-    scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2), initial=0.0))
-    asym = np.abs(r - np.conj(np.swapaxes(r, 1, 2))).max(axis=(1, 2), initial=0.0)
-    if np.any(asym > 1e-10 * scale):
-        raise ValueError("residue must be Hermitian")
-    lam, vec = np.linalg.eigh(r)
-    bad = np.nonzero((lam[:, :1] < -psd_tol * scale[:, None]).any(axis=1))[0]
-    if bad.size:
-        raise ValueError(
-            f"residue is not positive semidefinite: smallest eigenvalue {lam[bad[0], 0]:.6e}"
-        )
-    lam = np.clip(lam, 0.0, None)
-    lam[lam <= lam[:, -1:] * 1e-14] = 0.0
-    return lam, vec
-
-
 def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> LosslessLinear:
     """Skew oscillator block whose impulse response is one kernel harmonic.
 
     For a Hermitian PSD residue R = (P + jQ)^H (P + jQ) and frequency w > 0
     the block below satisfies B^T e^{Jt} B = Re(R) cos wt - Im(R) sin wt;
     at w = 0 the block is static with B^T B = R/2 (the half-weight DC term
-    of a cosine series).  Eigenvalues of R in [-psd_tol, 0] are clipped to
-    zero; anything lower is rejected.
+    of a cosine series).  Eigenvalues of R negative within psd_tol
+    max(1, max|R|) are clipped to zero; anything lower is rejected.
     """
     r = np.asarray(residue)
     require_square(r, "residue")
@@ -350,8 +319,8 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
     p = r.shape[0]
     if frequency > 0:  # block 1 of the one-harmonic bank
         return _realize_bank(np.zeros((p, p)), r[None], float(frequency), psd_tol)[0][1]
-    lam, vec = _residue_eigh(r[None], psd_tol)
-    keep = lam[0] > 0
+    lam, vec = _psd_eigh(r[None], "residue", psd_tol)
+    keep = lam[0] > 1e-14 * lam[0, -1:]  # the bank's rank cut, as in `_realize_bank`
     lam, vec = lam[0][keep], vec[0][:, keep]
     rank = int(lam.size)
     half = (vec * np.sqrt(lam / 2.0)).conj().T
@@ -372,7 +341,8 @@ def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd
     rotation generators, so the blocks are not checked or copied again.
     """
     dc = realize_harmonic(dc_residue, 0.0, psd_tol=psd_tol)
-    lam, vec = _residue_eigh(residues, psd_tol)
+    lam, vec = _psd_eigh(residues, "residue", psd_tol)
+    lam[lam <= lam[:, -1:] * 1e-14] = 0.0  # rank cut: lam > 0 marks the kept eigenpairs
     w = np.swapaxes((vec * np.sqrt(lam)[:, None, :]).conj(), 1, 2)  # row i: eigenpair i
     keep = lam > 0
     freqs = base * np.arange(1, len(residues) + 1)

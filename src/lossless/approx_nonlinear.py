@@ -157,9 +157,7 @@ class WrappedSystem:
     def __post_init__(self):
         if not callable(self.field) or not callable(self.output):
             raise TypeError("field and output must be callables of (state, input)")
-        state = np.asarray(self.initial_state, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(state)):
-            raise ValueError("initial state contains non-finite entries")
+        state = as_float_array(self.initial_state, "initial state").reshape(-1)
         object.__setattr__(self, "initial_state", frozen(state))
         object.__setattr__(self, "initial_energy", positive(self.initial_energy, "initial_energy"))
 

@@ -68,6 +68,7 @@ from .measurement import (
     _VARIANT_NEEDS,
     _cell_seed,
     _is_noisy,
+    _require_x0_determined,
     device_summary,
     measured_lc,
     simulate_device,
@@ -501,14 +502,18 @@ def _check_cross_fields(experiment: str, p: dict) -> None:
             experiment, _resolve_measured
         )
         try:
-            resolve(p)
+            model = resolve(p)
         except ValueError as err:
             raise ConfigError("model", str(err)) from None
     if experiment == "langevin":
         if p["burn_in"] > _step_field("horizon", p["horizon"], p["dt"]) - 1:
             raise ConfigError("burn_in", "must leave at least two settled samples")
-    elif experiment == "measure" and p["dt"] is not None:
-        _step_field("t_m", p["t_m"], p["dt"])
+    elif experiment == "measure":
+        steps = _PROBE_STEPS if p["dt"] is None else _step_field("t_m", p["t_m"], p["dt"])
+        try:
+            _require_x0_determined(model, p["variant"], steps)
+        except ValueError as err:
+            raise ConfigError("model" if p["dt"] is None else "dt", str(err)) from None
     elif experiment == "approx-memoryless":
         _step_field("tau", p["tau"], p["dt"])
     elif experiment == "approx-dissipative" and p["kernel"] is None:

@@ -44,13 +44,14 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._util import as_float_array, frozen, positive, require_square, run_chunked
+from ._util import as_float_array, frozen, positive, run_chunked
 from .statespace import (
-    SKEW_TOL,
     Trajectory,
     _lti_run,
     _port_samples,
-    _skew_residual,
+    _require_finite,
+    _skew_generator,
+    _state_vector,
     _step_count,
     integrate_ode,
     lc_ladder,
@@ -96,6 +97,12 @@ def _is_noisy(variant: str) -> bool:
     return "temperature" in _VARIANT_NEEDS[variant]
 
 
+def _require_x0_determined(system, variant: str, steps: int) -> None:
+    """A thermal probe's filter needs at least n readout samples for x0."""
+    if _is_noisy(variant) and steps + 1 < system.n:
+        raise ValueError(f"x0 is not determined: {steps + 1} readout samples for {system.n} states")
+
+
 def _cell_seed(seed: int, index: int) -> int:
     """Seed of cell `index` of a sweep, so that cells draw disjoint streams."""
     return seed + 7919 * index
@@ -105,10 +112,10 @@ def _cell_seed(seed: int, index: int) -> int:
 class MeasuredSystem:
     """Conservative single-port system with a fixed, deterministic start.
 
-    The port vector B is scalar-valued (one potential is measured); the
-    capacitance-like scale C = 1/(B^T B) measures how much charge the
-    port soaks up per unit potential, and y0 = B^T x0 is the initial
-    potential the probes try to estimate.
+    The port vector B, (n,) or (n, 1), is one port: one potential is
+    measured.  The capacitance-like scale C = 1/(B^T B) measures how much
+    charge the port soaks up per unit potential, and y0 = B^T x0 is the
+    initial potential the probes try to estimate.  J must be dense.
     """
 
     J: np.ndarray
@@ -116,22 +123,15 @@ class MeasuredSystem:
     x0: np.ndarray
 
     def __post_init__(self):
-        j = as_float_array(self.J, "J", ndim=2)
-        require_square(j, "J")
-        if _skew_residual(j) > SKEW_TOL:
-            raise ValueError("J must be antisymmetric")
-        b = np.asarray(self.B, dtype=float).reshape(-1)
-        x0 = as_float_array(self.x0, "x0", ndim=1)
-        if b.shape[0] != j.shape[0] or x0.shape[0] != j.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: J is {j.shape[0]}x{j.shape[0]}, "
-                f"B has {b.shape[0]} entries, x0 has {x0.shape[0]}"
-            )
-        if not np.all(np.isfinite(b)) or b @ b <= 0.0:
-            raise ValueError("B must be finite and nonzero")
-        object.__setattr__(self, "J", frozen(j))
+        j = _skew_generator(self.J, "J", dense=True)
+        b = as_float_array(_port_samples(self.B, 1, what="B", owner="the measured port")[:, 0], "B")
+        if b.shape[0] != j.shape[0]:
+            raise ValueError(f"dimension mismatch: J is {j.shape[0]}x{j.shape[0]}, B has {b.shape[0]} entries")
+        if b @ b <= 0.0:
+            raise ValueError("B must be nonzero")
+        object.__setattr__(self, "J", j)
         object.__setattr__(self, "B", frozen(b))
-        object.__setattr__(self, "x0", frozen(x0))
+        object.__setattr__(self, "x0", frozen(_state_vector(self.x0, j.shape[0])))
 
     @property
     def n(self) -> int:
@@ -290,11 +290,13 @@ def simulate_device(
     chunk's trials together and solves their least-squares problems as
     one batch of QR factors.  Chunked substreams make the result
     independent of `threads` bit for bit.  Both reduce their chunk sums
-    in `_outcome`.
+    in `_outcome`.  A thermal record needs n samples to determine x0; a
+    diverging M2hat probe raises FloatingPointError at its first bad time.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     steps = _step_count(t_m, dt)
+    _require_x0_determined(system, device.variant, steps)
     b, km = system.B, device.admittance
     x_nat = _natural_final(system, t_m)
     y_nat = float(b @ x_nat)
@@ -425,14 +427,16 @@ def _probe_trials(system, device, dt, steps, rng, count):
     step = np.column_stack([np.eye(n) + dt * system.J, b])
     cur = np.empty((n + 1, count))
     cur[:n] = system.x0[:, None]
-    for k in range(steps + 1):
-        y = b @ cur[:n]
-        records[k] += y
-        if k == steps:
-            break
-        cur[n] = rate * charge * y + kicks[k]  # the load k_m dt (x_r/sqrt(2 E_m) - 1) y, the kick
-        cur[:n] = step @ cur
-        charge += rate * y * y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            y = b @ cur[:n]
+            records[k] += y
+            if k == steps:
+                break
+            cur[n] = rate * charge * y + kicks[k]  # the load k_m dt (x_r/sqrt(2 E_m) - 1) y, the kick
+            cur[:n] = step @ cur
+            charge += rate * y * y
+    _require_finite(records, dt)  # a non-finite state reaches y = b^T x
     return records, cur[:n].T, offsets
 
 

@@ -33,6 +33,11 @@ Conventions
   scalar (one port) or a square p x p matrix, never 1-D.  `_port_samples`
   and `_square_gain` apply these rules everywhere; a record whose channel
   count differs from its ports is rejected, naming both counts.
+* Structural matrices: `_generator` checks that a dense or sparse matrix
+  is square and finite, `_skew_generator` that it passes `_skew_test` too,
+  `_psd_eigh` that a stack is symmetric PSD (returning its eigenpairs),
+  and `_state_vector` an initial state.  Each tolerance is relative to
+  max(1, max|entry|), since rounding grows with the entries.
 * Work integrals use composite Simpson so the quadrature error tracks the
   O(dt^4) integrator error instead of hiding it.
 """
@@ -86,10 +91,12 @@ __all__ = [
     "lc_ladder",
 ]
 
-#: Absolute tolerance on ||J + J^T||_1 (entrywise sum) for skew validation.
+#: Tolerance on ||J + J^T||_1 (entrywise sum) for skew validation, times
+#: the scale max(1, max|J_ij|).
 SKEW_TOL = 1e-10
 
-#: Eigenvalue tolerance for positive-semidefiniteness verdicts.
+#: Eigenvalue tolerance for PSD: `_psd_eigh`'s input checks scale it by
+#: max(1, max|entry|); `check_dissipative`'s verdict takes it as it is.
 PSD_TOL = 1e-8
 
 
@@ -97,13 +104,67 @@ def _is_sparse(m) -> bool:
     return scipy.sparse.issparse(m)
 
 
-def _skew_residual(m) -> float:
-    """Entrywise 1-norm of M + M^T (0 for exactly skew-symmetric M)."""
-    if m.shape[0] == 0:
-        return 0.0
-    if _is_sparse(m):
-        return float(abs(m + m.T).sum())
-    return float(np.abs(m + m.T).sum())
+def _generator(m, name: str, *, dense: bool = False):
+    """A finite square matrix: a read-only float copy if dense, a
+    scipy.sparse one (rejected when `dense`) as given."""
+    sparse = _is_sparse(m)
+    if sparse and dense:
+        raise TypeError(f"{name} must be a dense matrix, got {type(m).__name__}")
+    values = as_float_array(m.tocoo().data if sparse else m, name)
+    require_square(m if sparse else values, name)
+    return m if sparse else frozen(values)
+
+
+def _skew_test(m, partner=None) -> tuple[float, bool]:
+    """The one skew test: ||M + N^T||_1 (entrywise; N = M unless given), and
+    whether it is within SKEW_TOL max(1, max|M_ij|, max|N_ij|); NaN is not."""
+    if 0 in m.shape:
+        return 0.0, True
+    residual = float(abs(m + (m if partner is None else partner).T).sum())
+    size = max(abs(m).max(), 0.0 if partner is None else abs(partner).max())
+    return residual, residual <= SKEW_TOL * max(1.0, size)
+
+
+def _skew_generator(m, name: str, *, dense: bool = False):
+    """`_generator` for a matrix that must pass `_skew_test`."""
+    m = _generator(m, name, dense=dense)
+    residual, skew = _skew_test(m)
+    if not skew:
+        raise ValueError(f"{name} is not skew-symmetric (antisymmetric): ||{name} + {name}^T||_1 = "
+                         f"{residual:.3e} exceeds SKEW_TOL max(1, max|{name}_ij|)")
+    return m
+
+
+def _psd_eigh(stack, name: str, psd_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lam (k, p), vec (k, p, p)) of a stack of k matrices, each
+    Hermitian within 1e-10 and PSD within psd_tol, both times its scale
+    max(1, max|entry|); the first that is not PSD is rejected, naming its
+    smallest eigenvalue.  lam is clipped at zero; callers cut the rank."""
+    r = np.asarray(stack)
+    scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2), initial=0.0))
+    asym = np.abs(r - np.conj(np.swapaxes(r, 1, 2))).max(axis=(1, 2), initial=0.0)
+    if np.any(asym > 1e-10 * scale):
+        raise ValueError(f"{name} is not symmetric (Hermitian) within 1e-10 max(1, max|entry|)")
+    lam, vec = np.linalg.eigh(r)
+    bad = np.nonzero((lam[:, :1] < -psd_tol * scale[:, None]).any(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"{name} is not positive semidefinite: smallest eigenvalue {lam[bad[0], 0]:.6e}")
+    return np.clip(lam, 0.0, None), vec
+
+
+def _require_finite(path, dt: float) -> None:
+    """FloatingPointError at the first time (axis 0) with a non-finite sample."""
+    finite = np.isfinite(path).reshape(len(path), -1).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(f"state diverged at t = {int(np.argmin(finite)) * dt:.6g}")
+
+
+def _state_vector(x, n: int, name: str = "x0") -> np.ndarray:
+    """A finite state of dimension n, the zero state for None."""
+    x = np.zeros(n) if x is None else as_float_array(x, name, ndim=1)
+    if x.shape[0] != n:
+        raise ValueError(f"{name} has dimension {x.shape[0]}, state dimension is {n}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -120,11 +181,9 @@ class Trajectory:
 
     def __post_init__(self):
         dt = positive(self.dt, "dt")
-        vals = np.asarray(self.values, dtype=float)
+        vals = as_float_array(self.values, "trajectory")
         if vals.ndim < 1 or vals.shape[0] < 1:
             raise ValueError("values must have at least one sample on axis 0")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("trajectory contains non-finite samples")
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "values", frozen(vals))
 
@@ -175,12 +234,10 @@ class LinearStateSpace(_StatePorts):
     D: np.ndarray
 
     def __post_init__(self):
-        A = self.A if _is_sparse(self.A) else as_float_array(self.A, "A", ndim=2)
-        require_square(A, "A")
+        A = _generator(self.A, "A")
         B = as_float_array(self.B, "B", ndim=2)
         C = as_float_array(self.C, "C", ndim=2)
-        D = as_float_array(self.D, "D", ndim=2)
-        require_square(D, "D")
+        D = _generator(self.D, "D", dense=True)
         n, p = B.shape
         if A.shape[0] != n:
             raise ValueError(f"A is {A.shape} but B has {n} rows")
@@ -188,10 +245,10 @@ class LinearStateSpace(_StatePorts):
             raise ValueError(f"C must be {(p, n)} to pair the port, got {C.shape}")
         if D.shape != (p, p):
             raise ValueError(f"D must be {(p, p)}, got {D.shape}")
-        object.__setattr__(self, "A", A if _is_sparse(A) else frozen(A))
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", frozen(B))
         object.__setattr__(self, "C", frozen(C))
-        object.__setattr__(self, "D", frozen(D))
+        object.__setattr__(self, "D", D)
 
 
 @dataclass(frozen=True)
@@ -199,7 +256,7 @@ class LosslessLinear(_StatePorts):
     """Lossless port realization (J skew, output B^T x + D u, D skew).
 
     `J` may be dense or scipy.sparse (large block-diagonal realizations);
-    construction rejects matrices whose skew residual exceeds `SKEW_TOL`.
+    J and D must pass the skew test of `_skew_generator`.
     """
 
     J: np.ndarray
@@ -207,24 +264,17 @@ class LosslessLinear(_StatePorts):
     D: np.ndarray | None = None
 
     def __post_init__(self):
-        J = self.J if _is_sparse(self.J) else as_float_array(self.J, "J", ndim=2)
-        require_square(J, "J")
+        J = _skew_generator(self.J, "J")
         B = as_float_array(self.B, "B", ndim=2)
         n, p = B.shape
         if J.shape[0] != n:
             raise ValueError(f"J is {J.shape} but B has {n} rows")
-        D = np.zeros((p, p)) if self.D is None else as_float_array(self.D, "D", ndim=2)
+        D = _skew_generator(np.zeros((p, p)) if self.D is None else self.D, "D", dense=True)
         if D.shape != (p, p):
             raise ValueError(f"D must be {(p, p)}, got {D.shape}")
-        rj = _skew_residual(J)
-        if rj > SKEW_TOL:
-            raise ValueError(f"J is not skew-symmetric: ||J + J^T||_1 = {rj:.3e}")
-        rd = _skew_residual(D)
-        if rd > SKEW_TOL:
-            raise ValueError(f"D is not skew-symmetric: ||D + D^T||_1 = {rd:.3e}")
-        object.__setattr__(self, "J", J if _is_sparse(J) else frozen(J))
+        object.__setattr__(self, "J", J)
         object.__setattr__(self, "B", frozen(B))
-        object.__setattr__(self, "D", frozen(D))
+        object.__setattr__(self, "D", D)
 
     def as_statespace(self) -> LinearStateSpace:
         return LinearStateSpace(A=self.J, B=self.B, C=self.B.T, D=self.D)
@@ -461,13 +511,11 @@ def _port_samples(record, ports: int | None = None, *, what: str = "input",
 
 def _square_gain(gain, name: str = "gain") -> np.ndarray:
     """A finite gain as a p x p matrix, a scalar as the 1 x 1 case."""
-    k = np.asarray(gain, dtype=float)
+    k = as_float_array(gain, name)
     if k.ndim == 0:
         k = k.reshape(1, 1)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"{name} must be scalar or square, got shape {k.shape}")
-    if not np.all(np.isfinite(k)):
-        raise ValueError(f"{name} contains non-finite entries")
     return k
 
 
@@ -548,9 +596,7 @@ def _rk4_states(A, B, u_vals, u_mids, dt: float, x0) -> np.ndarray:
             d += e @ x
             d += x
             x = d
-    finite = np.isfinite(out).reshape(steps + 1, -1).all(axis=1)
-    if not finite.all():
-        raise FloatingPointError(f"state diverged at t = {int(np.argmin(finite)) * dt:.6g}")
+    _require_finite(out, dt)
     return out.reshape((steps + 1, n) + batch)
 
 
@@ -593,10 +639,7 @@ def simulate_linear(
     """
     A, B, C, D = _port_matrices(sys)
     u_vals, u_mids, step = _input_samples(u, B.shape[1], dt, horizon)
-    x_init = np.zeros(B.shape[0]) if x0 is None else as_float_array(x0, "x0", ndim=1)
-    if x_init.shape[0] != B.shape[0]:
-        raise ValueError(f"x0 has dimension {x_init.shape[0]}, state dimension is {B.shape[0]}")
-    xs = _rk4_states(A, B, u_vals, u_mids, step, x_init)
+    xs = _rk4_states(A, B, u_vals, u_mids, step, _state_vector(x0, B.shape[0]))
     ys = xs @ C.T + u_vals @ D.T
     return Trajectory(dt=step, values=xs), Trajectory(dt=step, values=ys)
 
@@ -699,8 +742,9 @@ def check_lossless(
 ) -> LosslessVerdict:
     """Structural and behavioural losslessness check.
 
-    Structure: entrywise 1-norm of J + J^T and D + D^T (and ||C - B^T|| for a
-    general state space) must vanish within `SKEW_TOL`.  Behaviour: for
+    Structure: A, D and the pair (B, -C), the blocks of [[A, B], [-C, -D]],
+    which is skew iff dE/dt = y^T u, must pass construction's `_skew_test`;
+    the residual is the largest of the three.  Behaviour: for
     `trials` random band-limited inputs from rest, the energy balance
     |E(T) - E(0) - int y.u dt| must vanish relative to the input work within
     `energy_tol`.  All trials run as one batch through the RK4 increment
@@ -711,9 +755,7 @@ def check_lossless(
     trials=0 to run the structural check alone.
     """
     A, B, C, D = _port_matrices(sys)
-    residual = max(_skew_residual(A), _skew_residual(D))
-    if not isinstance(sys, LosslessLinear):
-        residual = max(residual, float(np.abs(C - B.T).sum()))
+    residuals, skew = zip(_skew_test(A), _skew_test(D), _skew_test(B, -C))
     worst = float("nan")
     if trials > 0:
         steps = _step_count(horizon, dt)
@@ -727,9 +769,9 @@ def check_lossless(
         balance = np.abs(energy[-1] - energy[0] - simpson(rate, x=times, axis=0))
         scale = np.maximum(simpson(np.abs(rate), x=times, axis=0), 1e-300)
         worst = float(np.max(balance / scale))
-    passed = residual <= SKEW_TOL and (trials == 0 or worst <= energy_tol)
+    passed = all(skew) and (trials == 0 or worst <= energy_tol)
     return LosslessVerdict(
-        skew_residual=residual, energy_residual=worst, trials=trials, passed=passed
+        skew_residual=max(residuals), energy_residual=worst, trials=trials, passed=passed
     )
 
 

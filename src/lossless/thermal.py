@@ -36,7 +36,6 @@ from ._util import as_float_array, derive_rng, frozen, positive, run_chunked
 from .approx_linear import factor_psd
 from .statespace import (
     PSD_TOL,
-    SKEW_TOL,
     LosslessLinear,
     Trajectory,
     _StatePorts,
@@ -44,8 +43,11 @@ from .statespace import (
     _is_sparse,
     _lti_run,
     _port_samples,
-    _skew_residual,
+    _psd_eigh,
+    _require_finite,
+    _skew_generator,
     _square_gain,
+    _state_vector,
 )
 
 __all__ = [
@@ -89,9 +91,7 @@ class ThermalEnsemble:
         n = int(self.dimension)
         if n < 1:
             raise ValueError(f"dimension must be at least 1, got {n}")
-        mean = np.zeros(n) if self.mean is None else as_float_array(self.mean, "mean", ndim=1)
-        if mean.shape[0] != n:
-            raise ValueError(f"mean has length {mean.shape[0]}, dimension is {n}")
+        mean = _state_vector(self.mean, n, "mean")
         object.__setattr__(self, "temperature", t)
         object.__setattr__(self, "boltzmann", kb)
         object.__setattr__(self, "dimension", n)
@@ -289,28 +289,22 @@ class LangevinModel(_StatePorts):
     boltzmann: float = 1.0
 
     def __post_init__(self):
-        j = as_float_array(self.J, "J", ndim=2)
+        j = _skew_generator(self.J, "J", dense=True)
         k = as_float_array(self.K, "K", ndim=2)
         b = as_float_array(self.B, "B", ndim=2)
-        if j.shape[0] != j.shape[1] or j.shape != k.shape or b.shape[0] != j.shape[0]:
+        if j.shape != k.shape or b.shape[0] != j.shape[0]:
             raise ValueError(
                 f"shapes disagree: J {j.shape}, K {k.shape}, B {b.shape}"
             )
-        if _skew_residual(j) > SKEW_TOL:
-            raise ValueError("J is not antisymmetric")
-        if np.abs(k - k.T).max() > SKEW_TOL:
-            raise ValueError("K is not symmetric")
-        if self.L is None:
-            ell = factor_psd(k, psd_tol=PSD_TOL).T
-        else:
-            ell = as_float_array(self.L, "L", ndim=2)
-            if ell.shape[0] != j.shape[0]:
-                raise ValueError(f"L has {ell.shape[0]} rows, state dimension is {j.shape[0]}")
-        if np.abs(ell @ ell.T - k).max() > 1e-10:
-            raise ValueError("L L^T does not reproduce K within 1e-10")
+        _psd_eigh(k[None], "K", PSD_TOL)
+        ell = factor_psd(k).T if self.L is None else as_float_array(self.L, "L", ndim=2)
+        if ell.shape[0] != j.shape[0]:
+            raise ValueError(f"L has {ell.shape[0]} rows, state dimension is {j.shape[0]}")
+        if np.abs(ell @ ell.T - k).max(initial=0.0) > 1e-10 * max(1.0, np.abs(k).max(initial=0.0)):
+            raise ValueError("L L^T does not reproduce K within 1e-10 max(1, max|K_ij|)")
         t = positive(self.temperature, "temperature", or_zero=True)
         kb = positive(self.boltzmann, "boltzmann constant")
-        object.__setattr__(self, "J", frozen(j))
+        object.__setattr__(self, "J", j)
         object.__setattr__(self, "K", frozen(k))
         object.__setattr__(self, "B", frozen(b))
         object.__setattr__(self, "L", frozen(ell))
@@ -340,17 +334,13 @@ def simulate_langevin(
     """
     u_vals, _, step = _input_samples(u, model.p, dt, horizon)
     steps = u_vals.shape[0] - 1
-    x = np.zeros(model.n) if x0 is None else as_float_array(x0, "x0", ndim=1)
-    if x.shape[0] != model.n:
-        raise ValueError(f"x0 has dimension {x.shape[0]}, state dimension is {model.n}")
+    x = _state_vector(x0, model.n)
     kicks = derive_rng(seed).standard_normal((steps, model.noise_dim))
     gain = math.sqrt(2.0 * model.boltzmann * model.temperature * step)
     phi = np.eye(model.n) + step * (model.J - model.K)
     drive = np.hstack([step * model.B, gain * model.L])
     out, _ = _lti_run(phi, x, drive, np.hstack([u_vals[:-1], kicks]))
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        raise FloatingPointError(f"state diverged at t = {np.argmin(finite) * step:.6g}")
+    _require_finite(out, step)
     return Trajectory(dt=step, values=out)
 
 
@@ -362,10 +352,7 @@ def johnson_nyquist_intensity(gain_symmetric, temperature: float, *, boltzmann: 
     2 k_B T R.
     """
     ks = _square_gain(gain_symmetric, "symmetric gain")
-    if np.abs(ks - ks.T).max() > SKEW_TOL:
-        raise ValueError("gain must be symmetric (split off the antisymmetric part first)")
-    if ks.size and scipy.linalg.eigvalsh(ks).min() < -PSD_TOL:
-        raise ValueError("gain must be positive semidefinite")
+    _psd_eigh(ks[None], "gain", PSD_TOL)
     t = positive(temperature, "temperature", or_zero=True)
     return 2.0 * float(boltzmann) * t * ks
 

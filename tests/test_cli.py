@@ -537,3 +537,41 @@ class TestRunsAndArtifacts:
         )
         assert proc.returncode == 0
         assert "lossless" in proc.stdout
+
+
+def _rotation_bank(states):
+    """A lossless measured model of `states` states: 2 x 2 rotations."""
+    j = np.zeros((states, states))
+    j[np.arange(0, states, 2), np.arange(1, states, 2)] = 1.0
+    j -= j.T
+    return {"J": j.tolist(), "B": np.eye(states)[:, :1].tolist(), "x0": [1.0] + [0.0] * (states - 1)}
+
+
+@pytest.mark.parametrize(
+    "entries, field",
+    [
+        ({"t_m": 0.001, "dt": 0.001}, "dt"),
+        ({"variant": "M2hat", "t_m": 0.001, "dt": 0.001}, "dt"),
+        ({"model": _rotation_bank(258)}, "model"),  # 257 samples at the default dt
+    ],
+)
+def test_a_record_shorter_than_the_state_is_caught_by_validate(tmp_path, capsys, entries, field):
+    cfg = _write_config(tmp_path, **entries)
+    assert main(["measure", "--config", str(cfg), "--seed", "1", "--validate"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "x0 is not determined" in err
+
+
+def test_an_ideal_probe_needs_no_record_length(tmp_path):
+    cfg = _write_config(tmp_path, variant="M1", t_m=0.001, dt=0.001)
+    assert main(["measure", "--config", str(cfg), "--validate"]) == 0
+    assert main(["measure", "--config", str(_write_config(tmp_path, model=_rotation_bank(256))),
+                 "--seed", "1", "--validate"]) == 0
+
+
+def test_a_diverging_probe_exits_4(tmp_path, capsys):
+    cfg = _write_config(tmp_path, variant="M2hat", t_m=2.0, trials=3000)
+    out = tmp_path / "out"
+    assert main(["measure", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 4
+    assert "diverged at t = " in capsys.readouterr().err
+    assert not out.exists()

@@ -12,6 +12,7 @@ those appear with their derivations inline.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -672,6 +673,46 @@ class TestBenchmarkEstimator:
                 SYSTEM, Device(variant="M2", admittance=1.0), lambda t, r: 0.0,
                 1e-3, 1e-3 / 256, 10,
             )
+
+    @pytest.mark.parametrize("variant", ["M1hat", "M2hat"])
+    def test_the_last_sample_errs_by_the_readout_noise_alone(self, variant):
+        # record[-1] is y(t_m) + meas eta_steps exactly, so its mean square
+        # error is meas^2 = 2 k_B T / (k_m dt): variance * k_m dt / (2 k_B T)
+        # is the mean of `trials` squared unit normals, sd sqrt(2 / trials).
+        # A 5-sd band fails with probability about 6e-7 per run; a sweep of
+        # 300 seeds per variant measured a z-score sd of 1.03 (M1hat) and
+        # 0.96 (M2hat), largest |z| 3.3 and 3.7.
+        km, temperature, t_m, trials = 1.3, 0.7, 1e-3, 4000
+        dt = t_m / 64
+        extra = {"supply_energy": 10.0} if variant == "M2hat" else {}
+        dev = Device(variant=variant, admittance=km, temperature=temperature, **extra)
+        rep = benchmark_estimator(SYSTEM, dev, lambda times, record: record[-1], t_m, dt, trials, seed=5)
+        ratio = rep.variance * km * dt / (2.0 * temperature)
+        assert abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / trials)
+
+
+class TestProbeFaults:
+    def test_a_diverging_supply_backed_probe_raises(self):
+        # at t_m = 2 the M2hat probe leaves float range; the statistics
+        # would be NaN, so the run stops at the first non-finite sample
+        dev = Device(variant="M2hat", admittance=1.0, temperature=1.0, supply_energy=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="diverged at t = "):
+                simulate_device(SYSTEM, dev, 2.0, 2.0 / 256, 3000, seed=3)
+
+    @pytest.mark.parametrize("variant", ["M1hat", "M2hat"])
+    def test_a_record_shorter_than_the_state_is_rejected(self, variant):
+        # 2 readout samples cannot determine the 3 states of x0
+        extra = {"supply_energy": 10.0} if variant == "M2hat" else {}
+        dev = Device(variant=variant, admittance=1.0, temperature=1.0, **extra)
+        with pytest.raises(ValueError, match="x0 is not determined: 2 readout samples for 3 states"):
+            simulate_device(SYSTEM, dev, 1e-3, 1e-3, 10, seed=1)
+        assert simulate_device(SYSTEM, dev, 2e-3, 1e-3, 10, seed=1).trials == 10
+
+    def test_ideal_probes_need_no_filter(self):
+        out = simulate_device(SYSTEM, Device(variant="M1", admittance=1.0), 1e-3, 1e-3, 1)
+        assert out.estimate_variance == 0.0
 
 
 @pytest.fixture(scope="module")
