@@ -30,7 +30,12 @@ one column each.  `riccati_solve` exploits the
 same collapse in continuous time; its minimum error variance agrees
 with the matrix Riccati equation of the optimal filter, integrated here
 in square-root information form so the diffuse start is exact rather
-than a large-prior approximation.
+than a large-prior approximation.  Both square-root information folds,
+the filter's over record samples and the floor's over grid intervals,
+run through `_prefix_factors` (Bierman's square-root information
+filter, blocked): one batched QR per block of rows gives the factor of
+every prefix in the block, the same factors as one QR per sample up to
+rounding.
 """
 
 from __future__ import annotations
@@ -243,16 +248,25 @@ def _natural_final(system: MeasuredSystem, t: float) -> np.ndarray:
 
 
 def _supply_aux_path(system, km: float, supply_energy: float, dt: float, steps: int):
-    """Noise-free closed loop of the active probe, plus its drift signal.
+    """Noise-free closed loop of the active probe: its final state and drift.
 
     Integrates the measured state together with the supply state x_r
-    (charged exactly to sqrt(2 E_m)) and returns the state path and the
+    (charged exactly to sqrt(2 E_m)) and returns the final state and the
     drift w_d(t) = k_m (x_r/sqrt(2 E_m) - 1) y(t) that the supply's slow
-    discharge injects at the port.
+    discharge injects at the port, (steps + 1,).  Both are read-only and
+    remembered by the content of their inputs, so the filter of a record
+    reuses the path its `simulate_device` call built.
     """
-    j, b = system.J, system.B
+    return _aux_path(system.J.tobytes(), system.B.tobytes(), system.x0.tobytes(),
+                     float(km), float(supply_energy), float(dt), int(steps))
+
+
+@functools.lru_cache(maxsize=8)
+def _aux_path(j_bytes, b_bytes, x0_bytes, km, supply_energy, dt, steps):
+    b, x0 = np.frombuffer(b_bytes), np.frombuffer(x0_bytes)
+    n = b.shape[0]
+    j = np.frombuffer(j_bytes).reshape(n, n)
     root = math.sqrt(2.0 * supply_energy)
-    n = system.n
 
     def rates(_, z):
         x2, xr = z[:n], z[n]
@@ -260,9 +274,9 @@ def _supply_aux_path(system, km: float, supply_energy: float, dt: float, steps: 
         dx2 = j @ x2 + km * (xr / root - 1.0) * y2 * b
         return np.concatenate([dx2, [(km / root) * y2**2]])
 
-    path = integrate_ode(rates, np.concatenate([system.x0, [root]]), dt, steps * dt)
+    path = integrate_ode(rates, np.concatenate([x0, [root]]), dt, steps * dt)
     states, supply = path.values[:, :n], path.values[:, n]
-    return states, km * (supply / root - 1.0) * (states @ b)
+    return frozen(states[-1]), frozen(km * (supply / root - 1.0) * (states @ b))
 
 
 def simulate_device(
@@ -322,8 +336,8 @@ def simulate_device(
             states = final[:-1].T
             return _chunk_sums(record, final[-1], states @ b, states - x_nat, y_nat, b)
     else:
-        aux_states, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
-        b_d, drift = aux_states[-1] - x_nat, drift[:, None]
+        aux_final, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
+        b_d, drift = aux_final - x_nat, drift[:, None]
 
         def worker(rng, count):
             records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
@@ -589,9 +603,14 @@ def riccati_solve(
     dominate small horizons), so the hugely ill-conditioned small-time
     regime (eigenvalues spread like t, t^3, t^5, ...) is handled at
     the square root of its condition number.  Works on any increasing
-    positive grid, uniform or not.  A factor whose smallest diagonal is
-    1e-14 of its largest raises ArithmeticError: every interval folds at
-    least 8 node rows, so no finer quadrature restores what rounding lost.
+    positive grid, uniform or not.  Each grid interval contributes its
+    node rows (at least 8), zero-padded to a common count (an interval
+    of more than `_RICCATI_PAD_ROWS` rows is reduced to its own factor
+    first), and `_prefix_factors` folds them, giving the factor at every
+    grid point; the triangular solves for all points are one batched
+    forward substitution.  If a factor's smallest diagonal is 1e-14 of
+    its largest, ArithmeticError names the first such grid time: no
+    finer quadrature restores what rounding lost.
     """
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or times[0] <= 0 or np.any(np.diff(times) <= 0):
@@ -605,38 +624,51 @@ def riccati_solve(
 
     c = km / (2.0 * float(boltzmann) * t_dev)
     j, b = system.J, system.B
-    r_fac = np.zeros((n, n))
-    covs = np.empty((times.shape[0], n, n))
-    mstars = np.empty(times.shape[0])
+    props = np.empty((times.shape[0], n, n))  # e^{J t}
+    intervals = []
     prev, propagator = 0.0, np.eye(n)  # e^{J prev}
     panels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for idx, t in enumerate(times):
-        r_fac = _fold_gramian_rows(r_fac, j, b, c, prev, t, max_substep, propagator, panels)
-        diag = np.abs(np.diag(r_fac))
-        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-            raise ArithmeticError(
-                f"information matrix is singular at t = {t:.6g}: "
-                "the port does not excite the full state, so the "
-                "diffuse start cannot be resolved"
-            )
-        propagator = matrix_exponential(j * t)
-        half = scipy.linalg.solve_triangular(r_fac, propagator.T, trans="T")
-        cov = half.T @ half
-        covs[idx] = 0.5 * (cov + cov.T)
-        vec = scipy.linalg.solve_triangular(r_fac, propagator.T @ b, trans="T")
-        mstars[idx] = vec @ vec
+        intervals.append(_fold_gramian_rows(j, b, c, prev, t, max_substep, propagator, panels))
+        props[idx] = propagator = matrix_exponential(j * t)
         prev = t
-    return RiccatiSolution(times=times, state_covariance=covs, m_star=mstars)
+    # an interval longer than the pad is reduced to its own factor first
+    pad = min(max(rows.shape[0] for rows in intervals), max(_RICCATI_PAD_ROWS, n))
+    blocks = np.zeros((times.shape[0], pad, n))
+    for idx, rows in enumerate(intervals):
+        rows = rows if rows.shape[0] <= pad else np.linalg.qr(rows, mode="r")
+        blocks[idx, :rows.shape[0]] = rows
+    facs = _prefix_factors(blocks, n)
+    diag = np.abs(np.diagonal(facs, axis1=1, axis2=2))
+    singular = diag.min(axis=1) <= 1e-14 * np.maximum(diag.max(axis=1), 1e-300)
+    if singular.any():
+        raise ArithmeticError(
+            f"information matrix is singular at t = {times[singular.argmax()]:.6g}: "
+            "the port does not excite the full state, so the "
+            "diffuse start cannot be resolved"
+        )
+    # columns :n give R^-T e^{J^T t}, column n gives R^-T e^{J^T t} B
+    tops = props.transpose(0, 2, 1)
+    solved = _solve_transposed(facs, np.concatenate([tops, tops @ b[:, None]], axis=2))
+    half, vec = solved[:, :, :n], solved[:, :, n]
+    covs = half.transpose(0, 2, 1) @ half
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    return RiccatiSolution(times=times, state_covariance=covs, m_star=np.einsum("ki,ki->k", vec, vec))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
+#: Most rows a grid interval is padded to in the Riccati fold (8 panels of
+#: 4 nodes); a longer interval is reduced to its own factor first.
+_RICCATI_PAD_ROWS = 32
 
-def _fold_gramian_rows(r_fac, j, b, c, t_lo, t_hi, max_substep, start, panels):
-    """Fold Gauss-Legendre Gramian rows for [t_lo, t_hi] into the QR factor;
-    `start` is e^{J t_lo}.  `panels` maps a panel width h to its weighted
-    node rows and e^{J h}, which depend on h alone for one (J, B, c), so
-    grid intervals that share a width share them."""
+
+def _fold_gramian_rows(j, b, c, t_lo, t_hi, max_substep, start, panels):
+    """Weighted Gauss-Legendre Gramian rows for [t_lo, t_hi] (at least 8,
+    4 per panel), to fold into the square-root information factor; `start`
+    is e^{J t_lo}.  `panels` maps a panel width h to its weighted node rows
+    and e^{J h}, which depend on h alone for one (J, B, c), so grid
+    intervals that share a width share them."""
     span = t_hi - t_lo
     nsub = max(2, int(math.ceil(span / max_substep)))
     h = span / nsub
@@ -649,7 +681,16 @@ def _fold_gramian_rows(r_fac, j, b, c, t_lo, t_hi, max_substep, start, panels):
         panels[h] = node_rows, matrix_exponential(j * h)
     node_rows, step = panels[h]
     rows, _ = _lti_run(step, start, c=node_rows, steps=nsub - 1)
-    return np.linalg.qr(np.vstack([r_fac, rows.reshape(-1, b.shape[0])]))[1]
+    return rows.reshape(-1, b.shape[0])
+
+
+def _solve_transposed(r, rhs):
+    """Solve R^T x = rhs for a stack of upper-triangular R (K, n, n) and
+    right-hand sides (K, n, p), by forward substitution over the rows."""
+    x = np.empty_like(rhs)
+    for i in range(r.shape[1]):
+        x[:, i] = (rhs[:, i] - np.einsum("kj,kjp->kp", r[:, :i, i], x[:, :i])) / r[:, i, i, None]
+    return x
 
 
 def kalman_estimate(
@@ -666,18 +707,22 @@ def kalman_estimate(
     and the record of the filter gain vector.  The M2hat filter needs
     the trial's supply offset (`state_offset`), and accepts the drift
     signal w_d as a Trajectory on the readout grid or a callable; by
-    default it recomputes the noise-free drift itself.  M1hat takes
-    neither.  At T_m = 0 the readout is exact and
-    the estimate is the record itself, gain zero.
+    default it takes the noise-free drift of `_supply_aux_path`, which
+    is the path `simulate_device` built for the same system, probe and
+    grid, bit for bit.  M1hat takes neither.  At T_m = 0 the readout is
+    exact and the estimate is the record itself, gain zero.
 
     The filter is least squares on the initial state with a diffuse
     prior over the rows of `_record_chain`, the model `simulate_device`
-    filters with, grown one record sample at a time: each sample's
-    weighted row is folded into the triangular square-root information
-    factor R by one QR, and the estimate and the covariance
-    (R^T R)^+ = R^+ R^+T are read from R.  The covariance is thus
-    positive semidefinite by construction, so no re-symmetrization pass
-    is ever triggered.
+    filters with.  Sample k's estimate uses the triangular square-root
+    information factor R_k of the weighted rows of samples 0..k;
+    `_prefix_factors` gives every R_k, a batched QR per `_FOLD_BLOCK`
+    samples, and one batched `pinv` reads the estimates and the
+    covariances (R_k^T R_k)^+ = R_k^+ R_k^+T off all of them.  The
+    covariance is thus positive semidefinite by construction.  Until the
+    record determines x0 (fewer than n samples, or a factor that `pinv`'s
+    relative cutoff finds rank-deficient) an estimate is the minimum-norm
+    least-squares one, and rounding can move it across the cutoff.
     """
     if not device.is_noisy:
         raise ValueError("the filter applies to the realized variants M1hat and M2hat")
@@ -716,15 +761,42 @@ def kalman_estimate(
     # weighted rows [w b^T chain^k, w (y_m[k] - B^T f[k])], so that R^T R
     # is the information matrix and the last column carries the record
     weighted = math.sqrt(c * dt) * np.column_stack([rows, record - pushed])
-    fac = np.empty((0, n + 1))
-    estimates = np.empty(steps + 1)
-    gains = np.empty((steps + 1, n))
-    for k in range(steps + 1):
-        fac = np.linalg.qr(np.vstack([fac, weighted[k]]), mode="r")
-        r_pinv = np.linalg.pinv(fac[:n, :n])
-        estimates[k] = rows[k] @ (r_pinv @ fac[:n, n]) + pushed[k]
-        gains[k] = c * (props[k] @ (r_pinv @ (r_pinv.T @ rows[k])) - 2.0 * kbt * b)
+    facs = _prefix_factors(weighted[:, None], n + 1)
+    r_pinv = np.linalg.pinv(facs[:, :n, :n])
+    estimates = np.einsum("ki,kij,kj->k", rows, r_pinv, facs[:, :n, n]) + pushed
+    info_rows = np.einsum("kij,klj,kl->ki", r_pinv, r_pinv, rows)  # (R^T R)^+ rows[k]
+    gains = c * (np.einsum("kij,kj->ki", props, info_rows) - 2.0 * kbt * b)
     return Trajectory(dt=dt, values=estimates.reshape(y_m.values.shape)), Trajectory(dt=dt, values=gains)
+
+
+#: Row blocks per batched QR of `_prefix_factors` (chosen by timing the
+#: 2049-sample filter record and the 1000-point Riccati grid).
+_FOLD_BLOCK = 16
+
+
+def _prefix_factors(blocks, m):
+    """Square-root information factors of every prefix of a row-block stack.
+
+    `blocks` is (K, r, m); factor k (of the (K, m, m) result) is upper
+    triangular with R_k^T R_k = sum_{i <= k} blocks[i]^T blocks[i].  The
+    blocks are folded `_FOLD_BLOCK` at a time: matrix i of a fold stacks
+    the carried factor over the fold's rows with the rows after its block
+    i zeroed, and one batched QR gives all of them, since zero rows do
+    not change R.
+    """
+    count, r = blocks.shape[:2]
+    facs = np.empty((count, m, m))
+    carried = np.zeros((m, m))
+    keep = np.tril(np.ones((_FOLD_BLOCK, _FOLD_BLOCK), dtype=bool))[:, :, None, None]
+    for start in range(0, count, _FOLD_BLOCK):
+        fold = blocks[start:start + _FOLD_BLOCK]
+        size = fold.shape[0]
+        stack = np.zeros((size, m + size * r, m))
+        stack[:, :m] = carried
+        stack[:, m:] = np.where(keep[:size, :size], fold, 0.0).reshape(size, size * r, m)
+        facs[start:start + size] = np.linalg.qr(stack, mode="r")
+        carried = facs[start + size - 1]
+    return facs
 
 
 @dataclass(frozen=True)

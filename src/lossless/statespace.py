@@ -853,6 +853,21 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     return ghat, tail_fraction, warning
 
 
+def _resolvent_solve(m, rhs):
+    """m^-1 rhs by LU, or None where m is singular to working precision:
+    exactly, or with a 1-norm reciprocal condition number below eps."""
+    if m.shape[0] == 0:
+        return np.zeros(rhs.shape, complex)
+    getrf, getrs, gecon = scipy.linalg.get_lapack_funcs(("getrf", "getrs", "gecon"), (m, rhs))
+    lu, piv, info = getrf(m)
+    if info > 0:
+        return None
+    rcond, _ = gecon(lu, np.abs(m).sum(axis=0).max())
+    if rcond < np.finfo(float).eps:
+        return None
+    return getrs(lu, piv, rhs)[0]
+
+
 def check_dissipative(
     obj,
     frequencies: np.ndarray | None = None,
@@ -865,6 +880,9 @@ def check_dissipative(
     p x p matrix treated as a constant direct term.  The verdict is the
     minimum eigenvalue of the Hermitian part ghat(jw) + ghat(jw)^H over the
     frequency grid; the system is declared dissipative when it is >= -psd_tol.
+    A state-space frequency whose resolvent jw I - A is singular, or has a
+    reciprocal condition number below machine epsilon, is a pole on the
+    imaginary axis and is left out of the grid.
     """
     warning = None
     tail_fraction = 0.0
@@ -879,12 +897,10 @@ def check_dissipative(
         rows = []
         kept = []
         for w in omegas:
-            try:
-                rows.append(C @ np.linalg.solve(1j * w * eye - A, B) + D)
+            x = _resolvent_solve(1j * w * eye - A, B)
+            if x is not None:  # None: a pole on the imaginary axis (lossless resonance)
+                rows.append(C @ x + D)
                 kept.append(w)
-            except np.linalg.LinAlgError:
-                # pole on the imaginary axis (lossless resonance); skip the point
-                continue
         if not rows:
             raise ValueError("transfer function is singular on the whole frequency grid")
         ghat = np.stack(rows)

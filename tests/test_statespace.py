@@ -543,6 +543,51 @@ class TestDissipativeVerdict:
             check_dissipative(g)
 
 
+def _rotated_ladder(seed):
+    """The LC ladder in rotated coordinates Q J Q^T, Q B: its J is singular
+    in exact arithmetic (odd state count) but not in floating point."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    lc = lc_ladder()
+    return q @ np.asarray(lc.J) @ q.T, q @ lc.B
+
+
+class TestDissipativeNearPoles:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rotated_lossless_ladder_sits_on_the_boundary(self, seed):
+        # At w = 0 the resolvent of -J has reciprocal condition below eps
+        # (1e-17 for seed 0): it is the pole at the origin, skipped like an
+        # exactly singular one, instead of a -3.8e16 Hermitian part.
+        j, b = _rotated_ladder(seed)
+        v = check_dissipative(LosslessLinear(J=j, B=b))
+        assert v.dissipative
+        assert abs(v.min_eigenvalue) < 1e-9
+        assert 0.0 not in v.frequencies
+
+    def test_rotated_negative_resistance_is_still_rejected(self):
+        # the same rotated ladder with a negative direct term: Hermitian part
+        # -1 at every frequency kept
+        j, b = _rotated_ladder(0)
+        sys = LinearStateSpace(A=j, B=b, C=b.T, D=np.array([[-0.5]]))
+        v = check_dissipative(sys)
+        assert not v.dissipative
+        assert v.min_eigenvalue == pytest.approx(-1.0, abs=1e-9)
+
+    def test_stateless_system_is_its_direct_term(self):
+        sys = LosslessLinear(J=np.zeros((0, 0)), B=np.zeros((0, 1)), D=np.zeros((1, 1)))
+        v = check_dissipative(sys)
+        assert v.dissipative and v.min_eigenvalue == 0.0
+        assert v.frequencies.size == 201
+
+    def test_active_load_is_rejected(self):
+        # x' = (J + B B^T) x + B u: the port feeds energy back, Re ghat < 0
+        lc = lc_ladder()
+        j = np.asarray(lc.J)
+        sys = LinearStateSpace(A=j + lc.B @ lc.B.T, B=lc.B, C=lc.B.T, D=np.zeros((1, 1)))
+        v = check_dissipative(sys)
+        assert not v.dissipative
+        assert v.min_eigenvalue < -0.1
+
+
 class TestReciprocity:
     def test_scalar_kernel_always_reciprocal(self, fixture):
         g = impulse_response(fixture, dt=0.01, n_samples=200)
