@@ -253,15 +253,15 @@ def _supply_aux_path(system, km: float, supply_energy: float, dt: float, steps: 
     Integrates the measured state together with the supply state x_r
     (charged exactly to sqrt(2 E_m)) and returns the final state and the
     drift w_d(t) = k_m (x_r/sqrt(2 E_m) - 1) y(t) that the supply's slow
-    discharge injects at the port, (steps + 1,).  Both are read-only and
-    remembered by the content of their inputs, so the filter of a record
-    reuses the path its `simulate_device` call built.
+    discharge injects at the port, (steps + 1,).  Both are read-only; the
+    last path is remembered by the content of its inputs, so the filter
+    of a record reuses the path its `simulate_device` call just built.
     """
     return _aux_path(system.J.tobytes(), system.B.tobytes(), system.x0.tobytes(),
                      float(km), float(supply_energy), float(dt), int(steps))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _aux_path(j_bytes, b_bytes, x0_bytes, km, supply_energy, dt, steps):
     b, x0 = np.frombuffer(b_bytes), np.frombuffer(x0_bytes)
     n = b.shape[0]
@@ -606,11 +606,11 @@ def riccati_solve(
     positive grid, uniform or not.  Each grid interval contributes its
     node rows (at least 8), zero-padded to a common count (an interval
     of more than `_RICCATI_PAD_ROWS` rows is reduced to its own factor
-    first), and `_prefix_factors` folds them, giving the factor at every
-    grid point; the triangular solves for all points are one batched
-    forward substitution.  If a factor's smallest diagonal is 1e-14 of
-    its largest, ArithmeticError names the first such grid time: no
-    finer quadrature restores what rounding lost.
+    as it is produced), and `_prefix_factors` folds them, giving the
+    factor at every grid point; the triangular solves for all points are
+    one batched `np.linalg.solve`.  If a factor's smallest diagonal is
+    1e-14 of its largest, ArithmeticError names the first such grid
+    time: no finer quadrature restores what rounding lost.
     """
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or times[0] <= 0 or np.any(np.diff(times) <= 0):
@@ -625,20 +625,20 @@ def riccati_solve(
     c = km / (2.0 * float(boltzmann) * t_dev)
     j, b = system.J, system.B
     props = np.empty((times.shape[0], n, n))  # e^{J t}
-    intervals = []
+    limit = max(_RICCATI_PAD_ROWS, n)
+    blocks = np.zeros((times.shape[0], limit, n))
+    pad = 0
     prev, propagator = 0.0, np.eye(n)  # e^{J prev}
     panels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for idx, t in enumerate(times):
-        intervals.append(_fold_gramian_rows(j, b, c, prev, t, max_substep, propagator, panels))
+        rows = _fold_gramian_rows(j, b, c, prev, t, max_substep, propagator, panels)
+        if rows.shape[0] > limit:  # a long interval is reduced to its own factor
+            rows = np.linalg.qr(rows, mode="r")
+        blocks[idx, :rows.shape[0]] = rows
+        pad = max(pad, rows.shape[0])
         props[idx] = propagator = matrix_exponential(j * t)
         prev = t
-    # an interval longer than the pad is reduced to its own factor first
-    pad = min(max(rows.shape[0] for rows in intervals), max(_RICCATI_PAD_ROWS, n))
-    blocks = np.zeros((times.shape[0], pad, n))
-    for idx, rows in enumerate(intervals):
-        rows = rows if rows.shape[0] <= pad else np.linalg.qr(rows, mode="r")
-        blocks[idx, :rows.shape[0]] = rows
-    facs = _prefix_factors(blocks, n)
+    facs = _prefix_factors(blocks[:, :pad], n)
     diag = np.abs(np.diagonal(facs, axis1=1, axis2=2))
     singular = diag.min(axis=1) <= 1e-14 * np.maximum(diag.max(axis=1), 1e-300)
     if singular.any():
@@ -649,7 +649,8 @@ def riccati_solve(
         )
     # columns :n give R^-T e^{J^T t}, column n gives R^-T e^{J^T t} B
     tops = props.transpose(0, 2, 1)
-    solved = _solve_transposed(facs, np.concatenate([tops, tops @ b[:, None]], axis=2))
+    rhs = np.concatenate([tops, tops @ b[:, None]], axis=2)
+    solved = np.linalg.solve(facs.transpose(0, 2, 1), rhs)
     half, vec = solved[:, :, :n], solved[:, :, n]
     covs = half.transpose(0, 2, 1) @ half
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
@@ -659,7 +660,7 @@ def riccati_solve(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 #: Most rows a grid interval is padded to in the Riccati fold (8 panels of
-#: 4 nodes); a longer interval is reduced to its own factor first.
+#: 4 nodes); a longer interval is reduced to its own factor as it is made.
 _RICCATI_PAD_ROWS = 32
 
 
@@ -682,15 +683,6 @@ def _fold_gramian_rows(j, b, c, t_lo, t_hi, max_substep, start, panels):
     node_rows, step = panels[h]
     rows, _ = _lti_run(step, start, c=node_rows, steps=nsub - 1)
     return rows.reshape(-1, b.shape[0])
-
-
-def _solve_transposed(r, rhs):
-    """Solve R^T x = rhs for a stack of upper-triangular R (K, n, n) and
-    right-hand sides (K, n, p), by forward substitution over the rows."""
-    x = np.empty_like(rhs)
-    for i in range(r.shape[1]):
-        x[:, i] = (rhs[:, i] - np.einsum("kj,kjp->kp", r[:, :i, i], x[:, :i])) / r[:, i, i, None]
-    return x
 
 
 def kalman_estimate(

@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -853,21 +854,6 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     return ghat, tail_fraction, warning
 
 
-def _resolvent_solve(m, rhs):
-    """m^-1 rhs by LU, or None where m is singular to working precision:
-    exactly, or with a 1-norm reciprocal condition number below eps."""
-    if m.shape[0] == 0:
-        return np.zeros(rhs.shape, complex)
-    getrf, getrs, gecon = scipy.linalg.get_lapack_funcs(("getrf", "getrs", "gecon"), (m, rhs))
-    lu, piv, info = getrf(m)
-    if info > 0:
-        return None
-    rcond, _ = gecon(lu, np.abs(m).sum(axis=0).max())
-    if rcond < np.finfo(float).eps:
-        return None
-    return getrs(lu, piv, rhs)[0]
-
-
 def check_dissipative(
     obj,
     frequencies: np.ndarray | None = None,
@@ -897,10 +883,16 @@ def check_dissipative(
         rows = []
         kept = []
         for w in omegas:
-            x = _resolvent_solve(1j * w * eye - A, B)
-            if x is not None:  # None: a pole on the imaginary axis (lossless resonance)
-                rows.append(C @ x + D)
-                kept.append(w)
+            # scipy's solve warns when the 1-norm reciprocal condition number
+            # is below eps; either way the point is a pole on the imaginary
+            # axis (lossless resonance) and is skipped
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                try:
+                    rows.append(C @ scipy.linalg.solve(1j * w * eye - A, B) + D)
+                    kept.append(w)
+                except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+                    continue
         if not rows:
             raise ValueError("transfer function is singular on the whole frequency grid")
         ghat = np.stack(rows)

@@ -7,8 +7,8 @@ with the sequential fold it replaces, kept in this file as the reference.
 Both are backward-stable QR factorizations of the same rows, so they differ
 by rounding: a factor of k folded rows moves by about sqrt(k) eps of their
 norm, and what is solved with it moves by that times its condition number.
-The supply path of the active probe is remembered by the content of its
-inputs; its tests check that a hit is the same path, bit for bit, and that
+The last supply path of the active probe is remembered by the content of
+its inputs; its tests check that a hit is the same path, bit for bit, and that
 no other input is served it.
 """
 
@@ -237,7 +237,7 @@ class TestBlockedRiccati:
         # a degree-(n-1) least-squares polynomial fit.  The O((t |J|)^2)
         # terms are below 1e-6 at t = 1e-3.  At n = 4 the fold's rounding
         # dominates (kappa(R) about 1e9): one of these systems reads 16.0535
-        # with the sequential fold and 16.0555 with the blocked one.
+        # with the sequential fold and 16.0445 with the blocked one.
         rel = 1e-2 if n == 4 else 1e-6
         for seed in range(3):
             system = _random_system(n, 100 + 10 * seed + n)
