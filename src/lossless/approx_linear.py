@@ -101,7 +101,7 @@ def factor_psd(sym, rank: int | None = None, rank_tol: float = 1e-12,
 
     The rank is the number of eigenvalues above rank_tol times the largest
     one, unless forced.  Input that is not symmetric, or is indefinite
-    beyond psd_tol max(1, max|entry|), is rejected (`_psd_eigh`);
+    beyond psd_tol max|entry|, is rejected (`_psd_eigh`);
     eigenvalues negative within that bound are clipped to zero.
     """
     s = _square_gain(sym, "matrix")
@@ -310,7 +310,7 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
     the block below satisfies B^T e^{Jt} B = Re(R) cos wt - Im(R) sin wt;
     at w = 0 the block is static with B^T B = R/2 (the half-weight DC term
     of a cosine series).  Eigenvalues of R negative within psd_tol
-    max(1, max|R|) are clipped to zero; anything lower is rejected.
+    max|R| are clipped to zero; anything lower is rejected.
     """
     r = np.asarray(residue)
     require_square(r, "residue")

@@ -25,17 +25,18 @@ deterministically from x0 and optimal filtering reduces to weighted
 least squares on x0 with a diffuse prior.  For M1hat the whole chain,
 probe and filter, is linear in the noise, so a Monte-Carlo chunk of
 trials is one matrix product with a noise map built once per horizon;
-the supply-backed probe is bilinear, so its trials are stepped together,
-one column each.  `riccati_solve` exploits the
-same collapse in continuous time; its minimum error variance agrees
-with the matrix Riccati equation of the optimal filter, integrated here
-in square-root information form so the diffuse start is exact rather
-than a large-prior approximation.  Both square-root information folds,
-the filter's over record samples and the floor's over grid intervals,
-run through `_prefix_factors` (Bierman's square-root information
-filter, blocked): one batched QR per block of rows gives the factor of
-every prefix in the block, the same factors as one QR per sample up to
-rounding.
+the supply-backed probe is bilinear, so a chunk steps its trials and
+their filter chains together, one column each, and reads the estimates
+off the triangular factor of the filter rows augmented with the record.
+`riccati_solve` exploits the same collapse in continuous time; its
+minimum error variance agrees with the matrix Riccati equation of the
+optimal filter, integrated here in square-root information form so the
+diffuse start is exact rather than a large-prior approximation.  Both
+square-root information folds, the filter's over record samples and the
+floor's over grid intervals, run through `_prefix_factors` (Bierman's
+square-root information filter, blocked): one batched QR per block of
+rows gives the factor of every prefix in the block, the same factors as
+one QR per sample up to rounding.
 """
 
 from __future__ import annotations
@@ -301,11 +302,12 @@ def simulate_device(
     state and estimate are one affine map of it, built once per call
     (`_noise_map`), so a chunk of trials is one product with the map, and
     only the first trial's record is run, for `y_m`.  M2hat steps a
-    chunk's trials together and solves their least-squares problems as
-    one batch of QR factors.  Chunked substreams make the result
-    independent of `threads` bit for bit.  Both reduce their chunk sums
-    in `_outcome`.  A thermal record needs n samples to determine x0; a
-    diverging M2hat probe raises FloatingPointError at its first bad time.
+    chunk's probes and filter chains in one loop and reads the estimates
+    off the triangular factors of the filter rows alone.  Chunked
+    substreams make the result independent of `threads` bit for bit.
+    Both reduce their chunk sums in `_outcome`.  A thermal record needs n
+    samples to determine x0; a diverging M2hat probe raises
+    FloatingPointError at its first bad time.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -336,16 +338,11 @@ def simulate_device(
             states = final[:-1].T
             return _chunk_sums(record, final[-1], states @ b, states - x_nat, y_nat, b)
     else:
-        aux_final, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
-        b_d, drift = aux_final - x_nat, drift[:, None]
+        b_d = _supply_aux_path(system, km, device.supply_energy, dt, steps)[0] - x_nat
 
         def worker(rng, count):
-            records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
-            _, rows, pushed = _record_chain(system, device, dt, records, drift, offsets)
-            q, r = np.linalg.qr(rows)
-            rhs = (records - pushed).T[:, None, :] @ q  # Q^T (y_m - pushed), trial by trial
-            theta = np.linalg.solve(r, rhs.swapaxes(1, 2))
-            estimates = (rows[:, -1:] @ theta)[:, 0, 0] + pushed[-1]
+            records, states, (_, aug, pushed) = _probe_trials(system, device, dt, steps, rng, count)
+            estimates = _supply_estimates(aug, pushed[-1])
             return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
 
     parts = run_chunked(trials, worker, seed, threads=threads)
@@ -416,42 +413,60 @@ def _noise_scales(device, dt) -> tuple[float, float]:
 
 
 def _probe_trials(system, device, dt, steps, rng, count):
-    """Euler-Maruyama histories of `count` thermal probe trials.
-
-    The readout and the kick into the system ride on the same white
-    noise.  Returns the readout records (steps + 1, count), the final
-    states (count, n) and, for M2hat, each trial's supply offset (drawn
-    first from `rng`); M1hat returns None for the offsets.  M1hat is
-    linear, so a chunk is one lifted run.  The M2hat supply state is not:
-    its chunk steps all trials at once on (n, count) columns, each step's
-    port term stacked under the states so that a step is one product.
-    """
+    """Euler-Maruyama histories of `count` thermal probe trials, readout and
+    kick riding on the same white noise: records (steps + 1, count), final
+    states (count, n) and, for M2hat, the filter (None for M1hat, which is
+    linear, so a chunk is one lifted run): the supply offsets (drawn first),
+    the `_record_chain` rows with the record, [b^T A^k, y_m[k] - pushed[k]]
+    (count, steps + 1, n + 1), and pushed (steps + 1, count).  M2hat steps
+    all trials on (n, count) columns with each step's port term stacked
+    under them, one product a step, and the chains in the same loop."""
     if device.variant == "M1hat":
         records, states = _m1hat_probe(system, device, dt, rng.standard_normal((steps + 1, count)))
         return records, states, None
-    b, n = system.B, system.n
+    b, n, km = system.B, system.n, device.admittance
+    port_drift = dt * _supply_aux_path(system, km, device.supply_energy, dt, steps)[1]
     kick, meas = _noise_scales(device, dt)
     root = math.sqrt(2.0 * device.supply_energy)
-    rate = dt * device.admittance / root
+    rate = dt * km / root
     offsets = math.sqrt(device.boltzmann * device.temperature) * rng.standard_normal(count)
     eta = rng.standard_normal((steps + 1, count))
     records, kicks = meas * eta, kick * eta
     charge = offsets.copy()  # the supply state less sqrt(2 E_m)
-    # rows :n hold x[k], row n the port term g[k]: x[k+1] = (I + dt J) x[k] + g[k] B
-    step = np.column_stack([np.eye(n) + dt * system.J, b])
-    cur = np.empty((n + 1, count))
-    cur[:n] = system.x0[:, None]
+    scale = dt * km * (1.0 + offsets / root)  # the chain's A = I + dt J + scale B B^T
+    forward = np.column_stack([np.eye(n) + dt * system.J, b])
+    backward = np.column_stack([forward[:, :n].T, b])
+    # rows :n hold the state x[k], the forcing f[k] and the row b^T A^k as
+    # columns, row n their port terms: x[k+1] = (I + dt J) x[k] + g[k] B
+    cur, forcing, chain = np.empty((n + 1, count)), np.zeros((n + 1, count)), np.empty((n + 1, count))
+    cur[:n], chain[:n] = system.x0[:, None], b[:, None]
+    aug, pushed = np.empty((count, steps + 1, n + 1)), np.empty((steps + 1, count))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             y = b @ cur[:n]
             records[k] += y
+            pushed[k] = b @ forcing[:n]
+            aug[:, k, :n] = chain[:n].T
             if k == steps:
                 break
             cur[n] = rate * charge * y + kicks[k]  # the load k_m dt (x_r/sqrt(2 E_m) - 1) y, the kick
-            cur[:n] = step @ cur
+            cur[:n] = forward @ cur
             charge += rate * y * y
+            forcing[n] = scale * pushed[k] + (port_drift[k] - (km * dt) * records[k])
+            forcing[:n] = forward @ forcing
+            chain[n] = scale * (b @ chain[:n])
+            chain[:n] = backward @ chain
     _require_finite(records, dt)  # a non-finite state reaches y = b^T x
-    return records, cur[:n].T, offsets
+    aug[:, :, n] = (records - pushed).T
+    return records, cur[:n].T, (offsets, aug, pushed)
+
+
+def _supply_estimates(aug, pushed_last):
+    """M2hat estimates rows[steps] R11^-1 R12 + pushed[steps], [R11 R12] the augmented rows' R."""
+    n = aug.shape[2] - 1  # R has n rows when the record has only n samples
+    r = np.linalg.qr(aug, mode="r")
+    theta = np.linalg.solve(r[:, :n, :n], r[:, :n, n:])
+    return (aug[:, -1:, :n] @ theta)[:, 0, 0] + pushed_last
 
 
 def _m1hat_probe(system, device, dt, eta):
@@ -518,39 +533,15 @@ def _record_chain(system, device, dt, records, drift=None, offset=None):
     supply's noise-free drift w_d (M1hat: scale 0, no drift).  Writing
     x[k] = A^k x0 + f[k], y_m[k] - B^T f[k] is b^T A^k x0 plus noise.
     Returns A, the rows b^T A^k and pushed[k] = B^T f[k] (shaped like
-    `records`).  One scale runs through `_lti_run`.  One scale per trial
-    (count,) gives A = None and rows (count, steps + 1, n), stepped on
-    (n, count) columns with each step's port term stacked under them, so
-    that a step of the forcing and of the rows is one product each.
+    `records`) through `_lti_run`; an M2hat chunk steps it in `_probe_trials`.
     """
     b, n, km = system.B, system.n, device.admittance
-    a0 = np.eye(n) + dt * system.J
     port = (0.0 if drift is None else dt * drift[:-1]) - (km * dt) * records[:-1]
-    scale = (0.0 if offset is None
-             else dt * km * (1.0 + offset / math.sqrt(2.0 * device.supply_energy)))
-    steps = port.shape[0]
-    if np.ndim(scale) == 0:
-        chain = a0 + scale * np.outer(b, b)
-        rows, _ = _lti_run(chain.T, b, steps=steps)
-        pushed, _ = _lti_run(chain, np.zeros(n), b[:, None], port[:, None], c=b)
-        return chain, rows, pushed
-    count = scale.shape[0]
-    forward, backward = np.column_stack([a0, b]), np.column_stack([a0.T, b])
-    # rows :n hold the forcing f[k] and the row b^T A^k as columns, row n their port terms
-    forcing, cur = np.zeros((n + 1, count)), np.empty((n + 1, count))
-    cur[:n] = b[:, None]
-    rows = np.empty((count, steps + 1, n))
-    pushed = np.empty((steps + 1, count))
-    for k in range(steps + 1):
-        pushed[k] = b @ forcing[:n]
-        rows[:, k] = cur[:n].T
-        if k == steps:
-            break
-        forcing[n] = scale * pushed[k] + port[k]
-        cur[n] = scale * (b @ cur[:n])
-        forcing[:n] = forward @ forcing
-        cur[:n] = backward @ cur
-    return None, rows, pushed
+    scale = 0.0 if offset is None else dt * km * (1.0 + offset / math.sqrt(2.0 * device.supply_energy))
+    chain = np.eye(n) + dt * system.J + scale * np.outer(b, b)
+    rows, _ = _lti_run(chain.T, b, steps=port.shape[0])
+    pushed, _ = _lti_run(chain, np.zeros(n), b[:, None], port[:, None], c=b)
+    return chain, rows, pushed
 
 
 def _m_star(system, device, t_m) -> float:

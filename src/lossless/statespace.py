@@ -37,7 +37,8 @@ Conventions
   is square and finite, `_skew_generator` that it passes `_skew_test` too,
   `_psd_eigh` that a stack is symmetric PSD (returning its eigenpairs),
   and `_state_vector` an initial state.  Each tolerance is relative to
-  max(1, max|entry|), since rounding grows with the entries.
+  max|entry|, since rounding grows with the entries, so a matrix in small
+  units is judged on its own scale and an all-zero one must be exact.
 * Work integrals use composite Simpson so the quadrature error tracks the
   O(dt^4) integrator error instead of hiding it.
 """
@@ -93,11 +94,11 @@ __all__ = [
 ]
 
 #: Tolerance on ||J + J^T||_1 (entrywise sum) for skew validation, times
-#: the scale max(1, max|J_ij|).
+#: the scale max|J_ij|.
 SKEW_TOL = 1e-10
 
 #: Eigenvalue tolerance for PSD: `_psd_eigh`'s input checks scale it by
-#: max(1, max|entry|); `check_dissipative`'s verdict takes it as it is.
+#: max|entry|, `check_dissipative`'s verdict by max(1, max|ghat(jw)|).
 PSD_TOL = 1e-8
 
 
@@ -118,12 +119,12 @@ def _generator(m, name: str, *, dense: bool = False):
 
 def _skew_test(m, partner=None) -> tuple[float, bool]:
     """The one skew test: ||M + N^T||_1 (entrywise; N = M unless given), and
-    whether it is within SKEW_TOL max(1, max|M_ij|, max|N_ij|); NaN is not."""
+    whether it is within SKEW_TOL max(max|M_ij|, max|N_ij|); NaN is not."""
     if 0 in m.shape:
         return 0.0, True
     residual = float(abs(m + (m if partner is None else partner).T).sum())
     size = max(abs(m).max(), 0.0 if partner is None else abs(partner).max())
-    return residual, residual <= SKEW_TOL * max(1.0, size)
+    return residual, residual <= SKEW_TOL * size
 
 
 def _skew_generator(m, name: str, *, dense: bool = False):
@@ -132,20 +133,20 @@ def _skew_generator(m, name: str, *, dense: bool = False):
     residual, skew = _skew_test(m)
     if not skew:
         raise ValueError(f"{name} is not skew-symmetric (antisymmetric): ||{name} + {name}^T||_1 = "
-                         f"{residual:.3e} exceeds SKEW_TOL max(1, max|{name}_ij|)")
+                         f"{residual:.3e} exceeds SKEW_TOL max|{name}_ij|")
     return m
 
 
 def _psd_eigh(stack, name: str, psd_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (lam (k, p), vec (k, p, p)) of a stack of k matrices, each
     Hermitian within 1e-10 and PSD within psd_tol, both times its scale
-    max(1, max|entry|); the first that is not PSD is rejected, naming its
+    max|entry|; the first that is not PSD is rejected, naming its
     smallest eigenvalue.  lam is clipped at zero; callers cut the rank."""
     r = np.asarray(stack)
-    scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2), initial=0.0))
+    scale = np.abs(r).max(axis=(1, 2), initial=0.0)
     asym = np.abs(r - np.conj(np.swapaxes(r, 1, 2))).max(axis=(1, 2), initial=0.0)
     if np.any(asym > 1e-10 * scale):
-        raise ValueError(f"{name} is not symmetric (Hermitian) within 1e-10 max(1, max|entry|)")
+        raise ValueError(f"{name} is not symmetric (Hermitian) within 1e-10 max|entry|")
     lam, vec = np.linalg.eigh(r)
     bad = np.nonzero((lam[:, :1] < -psd_tol * scale[:, None]).any(axis=1))[0]
     if bad.size:
@@ -865,7 +866,10 @@ def check_dissipative(
     Trajectory (windowed transform with exponential tail closure), or a bare
     p x p matrix treated as a constant direct term.  The verdict is the
     minimum eigenvalue of the Hermitian part ghat(jw) + ghat(jw)^H over the
-    frequency grid; the system is declared dissipative when it is >= -psd_tol.
+    frequency grid; the system is declared dissipative when at every
+    frequency it is >= -psd_tol max(1, max|ghat(jw)|): rounding in the
+    Hermitian part grows with ghat, as next to a pole, but a kernel
+    transform's is set by its samples, not by a small ghat at high w.
     A state-space frequency whose resolvent jw I - A is singular, or has a
     reciprocal condition number below machine epsilon, is a pole on the
     imaginary axis and is left out of the grid.
@@ -907,11 +911,11 @@ def check_dissipative(
         ghat = np.broadcast_to(k.astype(complex), (len(omegas),) + k.shape)
     herm = ghat + np.conjugate(np.transpose(ghat, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(herm)
-    min_eig = float(eigs.min())
+    scale = np.maximum(1.0, np.abs(ghat).max(axis=(1, 2), initial=0.0))
     return DissipativeVerdict(
-        min_eigenvalue=min_eig,
+        min_eigenvalue=float(eigs.min()),
         frequencies=omegas,
-        dissipative=bool(min_eig >= -psd_tol),
+        dissipative=bool(np.all(eigs[:, 0] >= -psd_tol * scale)),
         tail_fraction=tail_fraction,
         warning=warning,
     )

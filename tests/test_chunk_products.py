@@ -28,6 +28,7 @@ from lossless.measurement import (
     _probe_trials,
     _record_chain,
     _supply_aux_path,
+    _supply_estimates,
     matrix_exponential,
     measured_lc,
     simulate_device,
@@ -180,7 +181,7 @@ class TestFusedSupplyProbe:
     def test_probe_and_chain_match_the_stepped_loops(self, n, t_m):
         system, steps = _random_system(n, 20 + n), 256
         dt = t_m / steps
-        records, states, offsets = _probe_trials(
+        records, states, (offsets, aug, pushed) = _probe_trials(
             system, M2HAT, dt, steps, np.random.default_rng(n), 300)
         old_records, old_states, old_offsets = _old_probe(
             system, M2HAT, dt, steps, np.random.default_rng(n), 300)
@@ -191,15 +192,26 @@ class TestFusedSupplyProbe:
         np.testing.assert_allclose(states, old_states, rtol=0,
                                    atol=bound * np.abs(old_states).max())
 
+        # the chain steps in the probe's loop, on the probe's own records
         _, drift = _supply_aux_path(system, 1.0, 10.0, dt, steps)
-        chain, rows, pushed = _record_chain(system, M2HAT, dt, old_records, drift[:, None],
-                                            old_offsets)
-        old_rows, old_pushed = _old_chain(system, M2HAT, dt, old_records, drift[:, None],
-                                          old_offsets)
-        assert chain is None and rows.shape == old_rows.shape
+        old_rows, old_pushed = _old_chain(system, M2HAT, dt, records, drift[:, None], offsets)
+        rows = aug[:, :, :n]
+        assert rows.shape == old_rows.shape
+        np.testing.assert_array_equal(aug[:, :, n], (records - pushed).T)
         np.testing.assert_allclose(rows, old_rows, rtol=0, atol=bound * np.abs(old_rows).max())
         np.testing.assert_allclose(pushed, old_pushed, rtol=0,
                                    atol=bound * np.abs(old_pushed).max())
+
+        # The estimates, read off the augmented rows' triangular factor, and
+        # an SVD least-squares solve per trial over the old rows part by eps
+        # kappa(R) in the solve and by eps per term in the 257-term sums,
+        # relative to the largest |y_m| or |pushed| (the TestNoiseMap bound).
+        ref = np.array([old_rows[i, -1] @ np.linalg.lstsq(old_rows[i], records[:, i] - old_pushed[:, i],
+                                                          rcond=None)[0] for i in range(300)])
+        kappa = np.linalg.cond(np.linalg.qr(old_rows, mode="r")).max()
+        scale = max(np.abs(records).max(), np.abs(old_pushed).max())
+        np.testing.assert_allclose(_supply_estimates(aug, pushed[-1]), ref + old_pushed[-1],
+                                   rtol=0, atol=EPS * (steps + 16 * kappa) * scale)
 
 
 def _einsum_moments(sys, temperature, trials, times, seed):

@@ -563,6 +563,16 @@ class TestDissipativeNearPoles:
         assert abs(v.min_eigenvalue) < 1e-9
         assert 0.0 not in v.frequencies
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_rotated_ladder_is_dissipative_in_any_port_units(self, scale):
+        # next to the skipped pole at w = 0 the Hermitian part carries
+        # rounding of order eps |B|^2 / w: -1.6e-5 at scale 1e3, far over
+        # PSD_TOL but within PSD_TOL of |ghat(jw)| at that frequency
+        j, b = _rotated_ladder(0)
+        v = check_dissipative(LosslessLinear(J=j, B=scale * b))
+        assert v.dissipative
+        assert abs(v.min_eigenvalue) < 1e-9 * scale**2
+
     def test_rotated_negative_resistance_is_still_rejected(self):
         # the same rotated ladder with a negative direct term: Hermitian part
         # -1 at every frequency kept

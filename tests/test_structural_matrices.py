@@ -2,12 +2,12 @@
 
 A generator is square with finite entries, dense or sparse (a sparse
 one's stored entries included).  A skew generator passes one skew test,
-||M + M^T||_1 <= SKEW_TOL max(1, max|M_ij|), and a symmetric PSD matrix
+||M + M^T||_1 <= SKEW_TOL max|M_ij|, and a symmetric PSD matrix
 one Hermitian and PSD test on the same scale.  So every class that takes
 a model, and `check_lossless`, judge it alike, and the rounding error of a
 model in large units, which grows with its entries, is not mistaken for
-a fault.  Matrices with entries at most 1 in size are judged absolutely,
-as `test_statespace.py` pins.
+a fault.  The scale has no floor: a model in small units is judged on its
+own scale too, and an all-zero matrix, whose scale is 0, must be exact.
 """
 
 import numpy as np
@@ -33,6 +33,7 @@ from lossless.thermal import (
 
 ROTATION = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
 SCALE = 1e6  # large units, as the SI preset gives
+TINY = 1e-12  # small units
 PORT = np.eye(3)[:, :1]
 
 
@@ -141,6 +142,24 @@ def test_psd_inputs_are_judged_on_their_scale():
         johnson_nyquist_intensity(indefinite, 1.0)
     with pytest.raises(ValueError, match="positive semidefinite"):
         factor_psd(indefinite)
+
+
+def test_small_units_are_judged_on_their_own_scale():
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        LosslessLinear(J=[[0.0, TINY], [0.0, 0.0]], B=np.ones((2, 1)))
+    for build in CLASSES.values():
+        assert build(rotated(TINY * np.asarray(lc_ladder().J))).B.shape[0] == 3
+    gain = rotated(TINY * np.diag([0.0, 1.0, 2.0]))
+    assert factor_psd(gain).shape == (2, 3)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        factor_psd(rotated(TINY * np.diag([-1e-6, 1.0, 2.0])))
+
+
+def test_an_all_zero_matrix_passes_exactly():
+    # its scale is 0, so a nonzero residual would fail, and it has none
+    assert LosslessLinear(J=np.zeros((2, 2)), B=np.ones((2, 1))).J.shape == (2, 2)
+    assert factor_psd(np.zeros((2, 2))).shape == (0, 2)
+    assert check_lossless(LosslessLinear(J=np.zeros((2, 2)), B=np.zeros((2, 1))), trials=0).passed
 
 
 def test_state_vectors_share_one_check():
