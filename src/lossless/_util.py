@@ -1,4 +1,5 @@
-"""Internal helpers: seeded RNG streams, chunked Monte-Carlo, grid utilities.
+"""Internal helpers: seeded RNG streams, chunked Monte-Carlo, grid utilities,
+FFT lengths and transforms, quadrature rules.
 
 Nothing in here is part of the public API.
 """
@@ -145,6 +146,68 @@ def frozen(a: np.ndarray) -> np.ndarray:
 def require_square(a: np.ndarray, name: str) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+
+
+def fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length the FFT splits into radix 2-5 passes."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def dct1(x: np.ndarray) -> np.ndarray:
+    """Type-I DCT along axis 0: the real rfft of the even extension x_0 .. x_{N-1} .. x_1.
+
+    y_k = x_0 + (-1)^k x_{N-1} + 2 sum_{0<j<N-1} x_j cos(pi j k / (N - 1)),
+    the transform as scipy.fft.dct(x, type=1) defines it (Makhoul, 1980).
+    """
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]]), axis=0).real
+
+
+def dst1(x: np.ndarray) -> np.ndarray:
+    """Type-I DST along axis 0: minus the imaginary rfft of 0, x, 0, -x reversed.
+
+    y_k = 2 sum_j x_j sin(pi (j + 1)(k + 1) / (N + 1)), as scipy.fft.dst(x, type=1).
+    """
+    zero = np.zeros_like(x[:1])
+    return -np.fft.rfft(np.concatenate([zero, x, zero, -x[::-1]]), axis=0).imag[1:-1]
+
+
+def trapezoid(y: np.ndarray, dx) -> np.ndarray:
+    """Trapezoid rule along axis 0; `dx` is the step or the array of interval widths."""
+    return np.sum(dx * (y[1:] + y[:-1]) / 2.0, axis=0)
+
+
+def cumulative_trapezoid(y: np.ndarray, dx) -> np.ndarray:
+    """Running trapezoid integral along axis 0, from 0 at the first sample."""
+    running = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros((1,) + running.shape[1:]), running])
+
+
+def simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Composite Simpson's rule along axis 0 on a uniform grid of step dx.
+
+    An odd sample count takes the weights 1, 4, 2, 4, ..., 4, 1 times dx/3.
+    An even count takes them on all but the last interval, which adds
+    5 dx/12, 2 dx/3 and -dx/12 times its last three samples (Cartwright
+    2017, the rule of scipy.integrate.simpson from scipy 1.11; older scipy
+    averaged two trapezoid-ended rules), so the result no longer depends on
+    the installed scipy.  Two samples take the trapezoid rule.
+    """
+    n = len(y)
+    if n < 3:
+        return 0.5 * dx * np.sum(y[1:] + y[:-1], axis=0)
+    m = n - 1 + n % 2
+    total = np.sum(y[: m - 2 : 2] + 4.0 * y[1 : m - 1 : 2] + y[2:m:2], axis=0) * (dx / 3.0)
+    if m < n:
+        total += (5.0 * dx / 12.0) * y[-1] + (2.0 * dx / 3.0) * y[-2] - (dx / 12.0) * y[-3]
+    return total
 
 
 def midpoint_samples(values: np.ndarray) -> np.ndarray:

@@ -38,11 +38,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 import scipy.sparse
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from ._util import CHUNK_ELEMENTS, angle_blocks, angle_phasors, frozen, positive, require_square
+from ._util import (
+    CHUNK_ELEMENTS,
+    angle_blocks,
+    angle_phasors,
+    cumulative_trapezoid,
+    dct1,
+    dst1,
+    fast_len,
+    frozen,
+    positive,
+    require_square,
+    trapezoid,
+)
 from .statespace import (
     PSD_TOL,
     LosslessLinear,
@@ -229,7 +239,7 @@ class _HarmonicSeries:
         if w:
             coef = np.zeros((2 * w,) + shape, complex)
             np.add.at(coef, np.arange(n) % (2 * w), self.cos_part + 1j * self.sin_part)
-            return scipy.fft.fft(coef, axis=0).real[np.arange(t.size) % (2 * w)]
+            return np.fft.fft(coef, axis=0).real[np.arange(t.size) % (2 * w)]
         if t.size * n <= CHUNK_ELEMENTS:
             phase = np.outer(t, self.omegas)
             return (np.einsum("ik,kqp->iqp", np.cos(phase), self.cos_part)
@@ -276,10 +286,10 @@ class _HarmonicSeries:
             sin_part=np.concatenate([hat * s, half * c], axis=1),
         ).evaluate(np.arange(m) * dt)
         full, odd = weights[:, :q], weights[:, q:]
-        size = scipy.fft.next_fast_len(2 * m - 1, real=True)
-        spectrum = np.einsum("fqp,fp->fq", scipy.fft.rfft(full, size, axis=0),
-                             scipy.fft.rfft(u, size, axis=0))
-        y = scipy.fft.irfft(spectrum, size, axis=0)[:m]
+        size = fast_len(2 * m - 1)
+        spectrum = np.einsum("fqp,fp->fq", np.fft.rfft(full, size, axis=0),
+                             np.fft.rfft(u, size, axis=0))
+        y = np.fft.irfft(spectrum, size, axis=0)[:m]
         # The hat at j = i is its left half only, the same weight for every i.
         left = (hat * c / 2.0 + half * s).sum(axis=0)
         y += u @ (left - full[0]).T
@@ -497,7 +507,7 @@ def memoryless_error_bound(symmetric_gain, horizon: float, n_harmonics: int,
     du = np.gradient(vals, u.dt, axis=0)
     ddu = np.gradient(du, u.dt, axis=0)
     dn = np.linalg.norm(du, axis=1)
-    curvature_mass = cumulative_trapezoid(np.linalg.norm(ddu, axis=1), dx=u.dt, initial=0.0)
+    curvature_mass = cumulative_trapezoid(np.linalg.norm(ddu, axis=1), u.dt)
     factor = 2.0 * s_max * horizon / (np.pi**2 * (n_harmonics - 1))
     return Trajectory(dt=u.dt, values=factor * (dn + dn[0] + curvature_mass))
 
@@ -522,12 +532,8 @@ def fourier_coefficients(g: Trajectory, n_harmonics: int) -> tuple[np.ndarray, n
         )
     sym = vals + np.transpose(vals, (0, 2, 1))
     antisym = vals - np.transpose(vals, (0, 2, 1))
-    cos_coef = scipy.fft.dct(sym, type=1, axis=0)[:n_harmonics] / (2.0 * intervals)
-    if n_harmonics > 1:
-        sin_coef = scipy.fft.dst(antisym[1:intervals], type=1, axis=0)[: n_harmonics - 1]
-        sin_coef = sin_coef / (2.0 * intervals)
-    else:
-        sin_coef = np.zeros((0,) + vals.shape[1:])
+    cos_coef = dct1(sym)[:n_harmonics] / (2.0 * intervals)
+    sin_coef = dst1(antisym[1:intervals])[: n_harmonics - 1] / (2.0 * intervals)
     return cos_coef, sin_coef
 
 
@@ -556,7 +562,7 @@ def _kernel_mass(vals: np.ndarray, times: np.ndarray,
                 "supply an analytic tail-mass callable"
             )
         beyond = float(norms[-1] / rate)
-    return norms, cumulative_trapezoid(norms, times, initial=0.0), beyond
+    return norms, cumulative_trapezoid(norms, np.diff(times)), beyond
 
 
 def select_tau(g: Trajectory, target_error: float, min_horizon: float,
@@ -664,13 +670,13 @@ def l2_error(a: Trajectory, b: Trajectory, horizon: float | None = None) -> floa
         m = min(m, int(round(horizon / a.dt)) + 1)
     diff = va[:m] - vb[:m]
     sq = np.sum(diff * diff, axis=(1, 2))
-    return float(np.sqrt(trapezoid(sq, dx=a.dt)))
+    return float(np.sqrt(trapezoid(sq, a.dt)))
 
 
 def _window_l2(series: _HarmonicSeries, target: np.ndarray, times: np.ndarray) -> float:
     diff = series.evaluate(times) - target
     sq = np.sum(diff * diff, axis=(1, 2))
-    return float(np.sqrt(trapezoid(sq, x=times)))
+    return float(np.sqrt(trapezoid(sq, np.diff(times))))
 
 
 def dissipative_lossless_approx(
@@ -731,8 +737,9 @@ def dissipative_lossless_approx(
     norms, running, beyond_mass = mass
     slope_norms = _spectral_norms(np.gradient(vals, g.dt, axis=0))
     peak_gain = float(norms.max())
-    derivative_mass = float(trapezoid(slope_norms, times) + norms[-1])
-    kernel_mass = float(trapezoid(norms, times) + beyond_mass)
+    widths = np.diff(times)
+    derivative_mass = float(trapezoid(slope_norms, widths) + norms[-1])
+    kernel_mass = float(trapezoid(norms, widths) + beyond_mass)
     error_constant = (4.0 * peak_gain + 2.0 * derivative_mass) / np.pi \
         + 4.0 * kernel_mass / min_horizon
 

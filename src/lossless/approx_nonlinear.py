@@ -27,9 +27,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
-from ._util import as_float_array, frozen, positive
+from ._util import as_float_array, cumulative_trapezoid, frozen, positive, simpson
 from .statespace import Trajectory, _input_samples, _port_samples, _rk4, _square_gain
 
 __all__ = [
@@ -83,7 +82,7 @@ class EnergySupplyApprox:
         """
         vals = _port_samples(u, self.ports, owner="the gain")
         drive = vals @ self.gain.T
-        absorbed = cumulative_trapezoid(np.sum(vals * drive, axis=1), dx=u.dt, initial=0.0)
+        absorbed = cumulative_trapezoid(np.sum(vals * drive, axis=1), u.dt)
         supply = self.initial_supply + absorbed / self.initial_supply
         outputs = (drive * (supply / self.initial_supply)[:, None]).reshape(u.values.shape)
         return Trajectory(dt=u.dt, values=outputs), Trajectory(dt=u.dt, values=supply)
@@ -130,7 +129,7 @@ def supply_error_running_bound(gain, u: Trajectory, initial_energy) -> Trajector
     energy = positive(initial_energy, "initial_energy")
     vals = _port_samples(u, gain.shape[0], owner="the gain")
     norms = np.linalg.norm(vals, axis=1)
-    mass = cumulative_trapezoid(norms**2, dx=u.dt, initial=0.0)
+    mass = cumulative_trapezoid(norms**2, u.dt)
     top = float(np.linalg.norm(gain, 2))
     return Trajectory(dt=u.dt, values=top**2 * norms * mass / (2.0 * energy))
 
@@ -242,7 +241,7 @@ def simulate_wrapped(
     # only way the books fail to balance is integration error; audit it.
     energy = 0.5 * (np.sum(states**2, axis=1) + supply**2)
     work = np.sum(outputs * u_vals, axis=1)
-    residual = abs(energy[-1] - energy[0] - float(simpson(work, dx=h)))
+    residual = abs(energy[-1] - energy[0] - float(simpson(work, h)))
     guard = 1e3 * h**4 * steps * max(1.0, float(np.abs(work).max())) + 1e-12 * float(
         np.abs(energy).max()
     )

@@ -55,7 +55,6 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.integrate import simpson
 
 from ._util import (
     CHUNK_ELEMENTS,
@@ -67,6 +66,7 @@ from ._util import (
     midpoint_samples,
     positive,
     require_square,
+    simpson,
 )
 
 __all__ = [
@@ -331,8 +331,11 @@ class EnergyLedger:
         object.__setattr__(self, "work_rate", frozen(np.asarray(self.work_rate, dtype=float)))
 
     def net_work(self) -> float:
-        """Simpson integral of the work rate over the full record."""
-        return float(simpson(self.work_rate, x=self.times))
+        """Simpson integral of the work rate over the full record (evenly spaced times)."""
+        widths = np.diff(self.times)
+        if widths.size and np.ptp(widths) > 1e-6 * abs(widths[0]):
+            raise ValueError("the net work needs evenly spaced times")
+        return float(simpson(self.work_rate, widths[0] if widths.size else 0.0))
 
     def balance_residual(self) -> float:
         """|Delta E - net work|, zero (to integrator order) for lossless systems."""
@@ -768,8 +771,8 @@ def check_lossless(
         xs = _rk4_states(A, B, u, mids, dt, np.zeros(B.shape[0]))
         rate = np.sum(u * (C @ xs + D @ u), axis=1)
         energy = 0.5 * np.sum(xs**2, axis=1)
-        balance = np.abs(energy[-1] - energy[0] - simpson(rate, x=times, axis=0))
-        scale = np.maximum(simpson(np.abs(rate), x=times, axis=0), 1e-300)
+        balance = np.abs(energy[-1] - energy[0] - simpson(rate, dt))
+        scale = np.maximum(simpson(np.abs(rate), dt), 1e-300)
         worst = float(np.max(balance / scale))
     passed = all(skew) and (trials == 0 or worst <= energy_tol)
     return LosslessVerdict(
@@ -909,6 +912,8 @@ def check_dissipative(
         k = _square_gain(obj, "direct term")
         omegas = np.array([0.0]) if frequencies is None else np.asarray(frequencies, float)
         ghat = np.broadcast_to(k.astype(complex), (len(omegas),) + k.shape)
+    if not ghat.shape[-1]:
+        raise ValueError("the system has no ports, so there is no transfer function to scan")
     herm = ghat + np.conjugate(np.transpose(ghat, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(herm)
     scale = np.maximum(1.0, np.abs(ghat).max(axis=(1, 2), initial=0.0))

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import cumulative_trapezoid
 
-from ._util import as_float_array, derive_rng, frozen, positive, run_chunked
+from ._util import as_float_array, cumulative_trapezoid, derive_rng, frozen, positive, run_chunked
 from .approx_linear import factor_psd
 from .statespace import (
     PSD_TOL,
@@ -406,7 +405,7 @@ def nonlinear_thermal_decompose(
     k = float(gain)
     e0 = positive(initial_energy, "initial_energy")
     vals = _one_port(u)
-    mass = cumulative_trapezoid(vals**2, dx=u.dt, axis=0, initial=0.0)
+    mass = cumulative_trapezoid(vals**2, u.dt)
     drift = (k**2 / (2.0 * e0)) * vals * mass
     leak = (k * float(state_offset) / math.sqrt(2.0 * e0)) * vals
     return Trajectory(dt=u.dt, values=drift), Trajectory(dt=u.dt, values=leak)

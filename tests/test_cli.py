@@ -8,12 +8,15 @@ small; the statistical heavy lifting lives in the acceptance tests.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lossless
 from lossless.cli import (
     _RUNNERS,
     EXPERIMENTS,
@@ -537,6 +540,22 @@ class TestRunsAndArtifacts:
         )
         assert proc.returncode == 0
         assert "lossless" in proc.stdout
+
+
+def test_setup_code_loads_no_heavy_scipy_subpackage():
+    """Importing the CLI and building every config stays off scipy.fft,
+    scipy.integrate and what they import: they cost most of a run's start-up."""
+    code = (
+        "import sys, lossless.cli\n"
+        "for name in lossless.cli.EXPERIMENTS:\n"
+        "    lossless.cli.build_config(name, seed=0, out='unused', threads=1)\n"
+        "heavy = ('scipy.fft', 'scipy.integrate', 'scipy.optimize', 'scipy.special')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+    )
+    src = Path(lossless.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _rotation_bank(states):

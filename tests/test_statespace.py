@@ -449,6 +449,13 @@ def test_energy_ledger_net_work_quadrature():
     assert ledger.net_work() == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
+def test_energy_ledger_net_work_needs_even_times():
+    t = np.linspace(0.0, 1.0, 101) ** 2
+    ledger = EnergyLedger(times=t, total_energy=np.zeros_like(t), work_rate=t)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        ledger.net_work()
+
+
 class TestLosslessVerdict:
     def test_fixture_passes(self, fixture):
         v = check_lossless(fixture, trials=4, seed=7)
@@ -497,6 +504,16 @@ class TestDissipativeVerdict:
         v = check_dissipative(np.array([[-1.0]]))
         assert not v.dissipative
         assert v.min_eigenvalue == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("obj", [
+        LosslessLinear(J=np.zeros((2, 2)), B=np.zeros((2, 0))),
+        LosslessLinear(J=np.array([[0.0, 1.0], [-1.0, 0.0]]), B=np.zeros((2, 0))),
+        np.zeros((0, 0)),
+        Trajectory(dt=0.1, values=np.zeros((5, 0, 0))),
+    ], ids=["zero-J", "rotation", "direct-term", "kernel"])
+    def test_no_ports_is_refused(self, obj):
+        with pytest.raises(ValueError, match="no ports"):
+            check_dissipative(obj)
 
     def test_antisymmetric_kernel_is_borderline(self):
         v = check_dissipative(np.array([[0.0, 1.0], [-1.0, 0.0]]))
