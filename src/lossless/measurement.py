@@ -594,12 +594,12 @@ def riccati_solve(
     dominate small horizons), so the hugely ill-conditioned small-time
     regime (eigenvalues spread like t, t^3, t^5, ...) is handled at
     the square root of its condition number.  Works on any increasing
-    positive grid, uniform or not.  Each grid interval contributes its
-    node rows (at least 8), zero-padded to a common count (an interval
-    of more than `_RICCATI_PAD_ROWS` rows is reduced to its own factor
-    as it is produced), and `_prefix_factors` folds them, giving the
-    factor at every grid point; the triangular solves for all points are
-    one batched `np.linalg.solve`.  If a factor's smallest diagonal is
+    positive grid, uniform or not.  Each grid interval contributes one
+    n x n block, the factor of its span's Gramian times e^{J t_lo}
+    (the factor is cached per span, so equal spans share it), and
+    `_prefix_factors` folds the blocks, giving the factor at every grid
+    point; the triangular solves for all points are one batched
+    `np.linalg.solve`.  If a factor's smallest diagonal is
     1e-14 of its largest, ArithmeticError names the first such grid
     time: no finer quadrature restores what rounding lost.
     """
@@ -608,28 +608,25 @@ def riccati_solve(
         raise ValueError("grid must be strictly increasing and start above 0")
     km = positive(admittance, "admittance")
     t_dev = positive(temperature, "temperature", or_zero=True)
+    kb = positive(boltzmann, "boltzmann constant")
+    max_substep = positive(max_substep, "max_substep")
     n = system.n
     if t_dev == 0.0:
         zeros = np.zeros((times.shape[0], n, n))
         return RiccatiSolution(times=times, state_covariance=zeros, m_star=np.zeros(times.shape[0]))
 
-    c = km / (2.0 * float(boltzmann) * t_dev)
+    c = km / (2.0 * kb * t_dev)
     j, b = system.J, system.B
     props = np.empty((times.shape[0], n, n))  # e^{J t}
-    limit = max(_RICCATI_PAD_ROWS, n)
-    blocks = np.zeros((times.shape[0], limit, n))
-    pad = 0
+    blocks = np.zeros((times.shape[0], n, n))
     prev, propagator = 0.0, np.eye(n)  # e^{J prev}
-    panels: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    panels: dict[float, np.ndarray] = {}
     for idx, t in enumerate(times):
-        rows = _fold_gramian_rows(j, b, c, prev, t, max_substep, propagator, panels)
-        if rows.shape[0] > limit:  # a long interval is reduced to its own factor
-            rows = np.linalg.qr(rows, mode="r")
-        blocks[idx, :rows.shape[0]] = rows
-        pad = max(pad, rows.shape[0])
+        block = _fold_gramian_rows(j, b, c, prev, t, max_substep, propagator, panels)
+        blocks[idx, :block.shape[0]] = block
         props[idx] = propagator = matrix_exponential(j * t)
         prev = t
-    facs = _prefix_factors(blocks[:, :pad], n)
+    facs = _prefix_factors(blocks, n)
     diag = np.abs(np.diagonal(facs, axis1=1, axis2=2))
     singular = diag.min(axis=1) <= 1e-14 * np.maximum(diag.max(axis=1), 1e-300)
     if singular.any():
@@ -650,30 +647,26 @@ def riccati_solve(
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
-#: Most rows a grid interval is padded to in the Riccati fold (8 panels of
-#: 4 nodes); a longer interval is reduced to its own factor as it is made.
-_RICCATI_PAD_ROWS = 32
-
 
 def _fold_gramian_rows(j, b, c, t_lo, t_hi, max_substep, start, panels):
-    """Weighted Gauss-Legendre Gramian rows for [t_lo, t_hi] (at least 8,
-    4 per panel), to fold into the square-root information factor; `start`
-    is e^{J t_lo}.  `panels` maps a panel width h to its weighted node rows
-    and e^{J h}, which depend on h alone for one (J, B, c), so grid
-    intervals that share a width share them."""
+    """The interval [t_lo, t_hi]'s block of the square-root information
+    fold: R_span e^{J t_lo}, where `start` is e^{J t_lo} and R_span is the
+    triangular factor of the weighted Gauss-Legendre rows (4 nodes per
+    panel, at least 2 panels) of the Gramian over [0, span], since the
+    interval's Gramian is e^{J^T t_lo} G(span) e^{J t_lo}.  R_span depends
+    on the span alone for one (J, B, c), so `panels` caches it per span."""
     span = t_hi - t_lo
-    nsub = max(2, int(math.ceil(span / max_substep)))
-    h = span / nsub
-    if h not in panels:
-        # rows B^T e^{Js} at the panel's nodes, read out of e^{J(t_lo + i h)}
+    if span not in panels:
+        nsub = max(2, int(math.ceil(span / max_substep)))
+        h = span / nsub
+        # rows B^T e^{Js} at the panel's nodes, read out of e^{J i h}
         node_rows = np.stack(
             [b @ matrix_exponential(j * (0.5 * h * (xi + 1.0))) for xi in _GL_NODES]
         )
         node_rows *= np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
-        panels[h] = node_rows, matrix_exponential(j * h)
-    node_rows, step = panels[h]
-    rows, _ = _lti_run(step, start, c=node_rows, steps=nsub - 1)
-    return rows.reshape(-1, b.shape[0])
+        rows, _ = _lti_run(matrix_exponential(j * h), np.eye(b.shape[0]), c=node_rows, steps=nsub - 1)
+        panels[span] = np.linalg.qr(rows.reshape(-1, b.shape[0]), mode="r")
+    return panels[span] @ start
 
 
 def kalman_estimate(

@@ -156,10 +156,11 @@ def analytic_fluctuation_covariance(
     t, s = float(t), float(s)
     if t < 0 or s < 0:
         raise ValueError(f"times must be nonnegative, got t={t}, s={s}")
+    kbt = positive(boltzmann, "boltzmann constant") * positive(temperature, "temperature", or_zero=True)
     kernel = _transient_maps(sys, np.array([abs(t - s)]))[0] @ sys.B
     if t < s:
         kernel = kernel.T
-    return float(boltzmann) * float(temperature) * kernel
+    return kbt * kernel
 
 
 @dataclass(frozen=True)
@@ -353,7 +354,7 @@ def johnson_nyquist_intensity(gain_symmetric, temperature: float, *, boltzmann: 
     ks = _square_gain(gain_symmetric, "symmetric gain")
     _psd_eigh(ks[None], "gain", PSD_TOL)
     t = positive(temperature, "temperature", or_zero=True)
-    return 2.0 * float(boltzmann) * t * ks
+    return 2.0 * positive(boltzmann, "boltzmann constant") * t * ks
 
 
 def sample_johnson_noise(
@@ -423,6 +424,5 @@ def supply_noise_variance(
     k = float(gain)
     e0 = positive(initial_energy, "initial_energy")
     t = positive(temperature, "temperature", or_zero=True)
-    return Trajectory(
-        dt=u.dt, values=(k**2 * float(boltzmann) * t / (2.0 * e0)) * _one_port(u)**2
-    )
+    kb = positive(boltzmann, "boltzmann constant")
+    return Trajectory(dt=u.dt, values=(k**2 * kb * t / (2.0 * e0)) * _one_port(u)**2)

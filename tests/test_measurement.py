@@ -308,6 +308,20 @@ class TestRiccatiSolve:
         with pytest.raises(ValueError, match="temperature"):
             riccati_solve(SYSTEM, 1.0, -1.0, [0.5])
 
+    @pytest.mark.parametrize("temperature", [1.0, 0.0])
+    @pytest.mark.parametrize("option, value, message", [
+        ("boltzmann", -1.0, "boltzmann constant must be positive, got -1.0"),
+        ("boltzmann", 0.0, "boltzmann constant must be positive, got 0.0"),
+        ("boltzmann", math.nan, "boltzmann constant must be positive, got nan"),
+        ("max_substep", -1.0, "max_substep must be positive, got -1.0"),
+        ("max_substep", 0.0, "max_substep must be positive, got 0.0"),
+        ("max_substep", math.nan, "max_substep must be positive, got nan"),
+    ])
+    def test_constants_are_checked(self, option, value, message, temperature):
+        # checked before the zero-temperature early return, as `Device` checks them
+        with pytest.raises(ValueError, match=message):
+            riccati_solve(SYSTEM, 1.0, temperature, [0.5], **{option: value})
+
 
 @pytest.fixture(scope="module")
 def thermal_probe_run():

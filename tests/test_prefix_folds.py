@@ -212,6 +212,17 @@ class TestBlockedRiccati:
         scale = np.abs(covs).max(axis=(1, 2))
         _assert_within(np.abs(sol.state_covariance - covs).max(axis=(1, 2)), bound * scale)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_floor_does_not_depend_on_the_partition(self, n):
+        # the same 5e-3 panels cover [0, 1] and [1, 10] as 1000 intervals or
+        # as two (measured: at most 0.6 of the bound, at t = 10 for n = 4)
+        system = measured_lc() if n == 3 else _random_system(n, 70 + n)
+        fine = riccati_solve(system, 0.8, 1.2, np.linspace(0.01, 10.0, 1000))
+        coarse = riccati_solve(system, 0.8, 1.2, [1.0, 10.0])
+        _, _, kappa = _sequential_riccati(system, 0.8, 1.2, np.array([1.0, 10.0]))
+        _assert_within(np.abs(fine.m_star[[99, 999]] - coarse.m_star),
+                       256 * EPS * kappa * coarse.m_star)
+
     def test_a_long_interval_is_reduced_before_padding(self):
         # 4 points, one interval of 7984 node rows; the others are padded
         grid = np.array([0.01, 0.02, 10.0, 10.01])
@@ -237,7 +248,7 @@ class TestBlockedRiccati:
         # a degree-(n-1) least-squares polynomial fit.  The O((t |J|)^2)
         # terms are below 1e-6 at t = 1e-3.  At n = 4 the fold's rounding
         # dominates (kappa(R) about 1e9): one of these systems reads 16.0535
-        # with the sequential fold and 16.0445 with the blocked one.
+        # with the sequential fold and 16.0246 with the blocked one.
         rel = 1e-2 if n == 4 else 1e-6
         for seed in range(3):
             system = _random_system(n, 100 + 10 * seed + n)

@@ -7,6 +7,8 @@ as exact identities where the math is exact (the analytic kernel versus
 the impulse response, the closed-form noise decomposition).
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -308,6 +310,38 @@ class TestJohnsonNyquist:
             johnson_nyquist_intensity(-1.0, 1.0)
         with pytest.raises(ValueError, match="temperature"):
             johnson_nyquist_intensity(1.0, -0.5)
+
+
+#: The four thermal functions that take k_B and T as plain numbers, each
+#: called as f(temperature, boltzmann).
+_KBT_ENTRY_POINTS = {
+    "analytic_fluctuation_covariance":
+        lambda t, kb: analytic_fluctuation_covariance(lc_ladder(), t, 1.0, 0.5, boltzmann=kb),
+    "johnson_nyquist_intensity": lambda t, kb: johnson_nyquist_intensity(1.0, t, boltzmann=kb),
+    "sample_johnson_noise":
+        lambda t, kb: sample_johnson_noise(1.0, t, dt=0.1, steps=4, seed=0, boltzmann=kb).values,
+    "supply_noise_variance":
+        lambda t, kb: supply_noise_variance(1.0, 10.0, t, Trajectory(dt=0.1, values=np.ones(3)),
+                                            boltzmann=kb).values,
+}
+
+
+class TestThermalConstants:
+    # the rule of ThermalEnsemble, LangevinModel and Device: k_B > 0, T >= 0
+    @pytest.mark.parametrize("entry", sorted(_KBT_ENTRY_POINTS))
+    @pytest.mark.parametrize("temperature, boltzmann, message", [
+        (1.0, -1.0, "boltzmann constant must be positive, got -1.0"),
+        (1.0, 0.0, "boltzmann constant must be positive, got 0.0"),
+        (1.0, math.nan, "boltzmann constant must be positive, got nan"),
+        (-1.0, 1.0, "temperature must be nonnegative, got -1.0"),
+    ])
+    def test_constants_are_checked_and_zero_temperature_is_valid(
+        self, entry, temperature, boltzmann, message
+    ):
+        call = _KBT_ENTRY_POINTS[entry]
+        assert np.all(call(0.0, 1.0) == 0.0)
+        with pytest.raises(ValueError, match=message):
+            call(temperature, boltzmann)
 
 
 class TestNonlinearDecomposition:
