@@ -23,11 +23,12 @@ solvable.  Substituting the readout record back into the state update
 removes the noise term, so given the record the perturbed state evolves
 deterministically from x0 and optimal filtering reduces to weighted
 least squares on x0 with a diffuse prior.  For M1hat the whole chain,
-probe and filter, is linear in the noise, so a Monte-Carlo chunk of
-trials is one matrix product with a noise map built once per horizon;
-the supply-backed probe is bilinear, so a chunk steps its trials and
-their filter chains together, one column each, and reads the estimates
-off the triangular factor of the filter rows augmented with the record.
+probe and filter, is linear in the noise, so a trial's final state and
+estimate are Gaussian with a covariance built once per horizon, and a
+Monte-Carlo chunk draws them directly; the supply-backed probe is
+bilinear, so a chunk steps its trials and their filter chains together,
+one column each, and reads each estimate off the least-squares residual
+of its record.
 `riccati_solve` exploits the same collapse in continuous time; its
 minimum error variance agrees with the matrix Riccati equation of the
 optimal filter, integrated here in square-root information form so the
@@ -272,8 +273,10 @@ def _aux_path(j_bytes, b_bytes, x0_bytes, km, supply_energy, dt, steps):
     def rates(_, z):
         x2, xr = z[:n], z[n]
         y2 = b @ x2
-        dx2 = j @ x2 + km * (xr / root - 1.0) * y2 * b
-        return np.concatenate([dx2, [(km / root) * y2**2]])
+        out = np.empty(n + 1)
+        out[:n] = j @ x2 + km * (xr / root - 1.0) * y2 * b
+        out[n] = (km / root) * y2**2
+        return out
 
     path = integrate_ode(rates, np.concatenate([x0, [root]]), dt, steps * dt)
     states, supply = path.values[:, :n], path.values[:, n]
@@ -299,11 +302,14 @@ def simulate_device(
     matched to the same step) and filter each record optimally: the
     unknown is only x0, so the estimate is least squares over the rows
     of `_record_chain`.  M1hat is linear in its noise: a trial's final
-    state and estimate are one affine map of it, built once per call
-    (`_noise_map`), so a chunk of trials is one product with the map, and
-    only the first trial's record is run, for `y_m`.  M2hat steps a
-    chunk's probes and filter chains in one loop and reads the estimates
-    off the triangular factors of the filter rows alone.  Chunked
+    state and estimate are const + G eta (`_noise_map`, once per call),
+    Gaussian with covariance G G^T.  A chunk's first trial draws its white
+    noise eta, the others F xi with F F^T = G G^T (`_noise_factor`), so
+    values differ from a per-trial run in sample, not in distribution;
+    only chunk 0's first trial runs its record, for `y_m`.  These chunks
+    run in the calling thread; `threads` sizes the pool of M2hat, which
+    steps a chunk's probes and filter chains in one loop and reads the
+    estimates off the least-squares residuals of the records.  Chunked
     substreams make the result independent of `threads` bit for bit.
     Both reduce their chunk sums in `_outcome`.  A thermal record needs n
     samples to determine x0; a diverging M2hat probe raises
@@ -330,20 +336,28 @@ def simulate_device(
         loaded = matrix_exponential((system.J - km * np.outer(b, b)) * t_m)
         b_d = loaded @ system.x0 - x_nat
         const, gain = _noise_map(system, device, dt, steps)
+        factor = _noise_factor(gain)
 
         def worker(rng, count):
-            eta = rng.standard_normal((steps + 1, count))
-            final = gain @ eta + const[:, None]  # rows :n the final states, row n the estimates
-            record, _ = _m1hat_probe(system, device, dt, eta[:, :1])
-            states = final[:-1].T
-            return _chunk_sums(record, final[-1], states @ b, states - x_nat, y_nat, b)
-    else:
-        b_d = _supply_aux_path(system, km, device.supply_energy, dt, steps)[0] - x_nat
+            # trial 0 draws its white noise, kept in place of its record;
+            # the others draw their image under the map, N(0, G G^T), as F xi
+            eta = rng.standard_normal(steps + 1)
+            xi = rng.standard_normal((system.n + 1, count - 1))
+            final = np.column_stack([gain @ eta, factor @ xi]) + const[:, None]
+            states = final[:-1].T  # rows :n of `final` the final states, row n the estimates
+            return _chunk_sums(eta[:, None], final[-1], states @ b, states - x_nat, y_nat, b)
 
-        def worker(rng, count):
-            records, states, (_, aug, pushed) = _probe_trials(system, device, dt, steps, rng, count)
-            estimates = _supply_estimates(aug, pushed[-1])
-            return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
+        parts = run_chunked(trials, worker, seed)
+        record, _ = _m1hat_probe(system, device, dt, parts[0].record[:, None])
+        parts[0] = parts[0]._replace(record=record[:, 0])
+        return _outcome(system, device, t_m, dt, trials, b_d, parts)
+
+    b_d = _supply_aux_path(system, km, device.supply_energy, dt, steps)[0] - x_nat
+
+    def worker(rng, count):
+        records, states, (_, aug, pushed) = _probe_trials(system, device, dt, steps, rng, count)
+        estimates = _supply_estimates(aug, pushed[-1])
+        return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
 
     parts = run_chunked(trials, worker, seed, threads=threads)
     return _outcome(system, device, t_m, dt, trials, b_d, parts)
@@ -357,7 +371,7 @@ class _ChunkSums(NamedTuple):
     error: float  # sum of the estimation errors
     error_sq: float  # sum of their squares
     residual: float  # largest correction residual
-    record: np.ndarray  # readout record of the chunk's first trial
+    record: np.ndarray  # readout record of the chunk's first trial (M1hat: its white noise)
     y_hat: float  # and its final estimate
 
 
@@ -417,10 +431,11 @@ def _probe_trials(system, device, dt, steps, rng, count):
     kick riding on the same white noise: records (steps + 1, count), final
     states (count, n) and, for M2hat, the filter (None for M1hat, which is
     linear, so a chunk is one lifted run): the supply offsets (drawn first),
-    the `_record_chain` rows with the record, [b^T A^k, y_m[k] - pushed[k]]
-    (count, steps + 1, n + 1), and pushed (steps + 1, count).  M2hat steps
-    all trials on (n, count) columns with each step's port term stacked
-    under them, one product a step, and the chains in the same loop."""
+    the columns of the `_record_chain` rows with the record, aug[:n, k] =
+    (A^T)^k b and aug[n] = y_m - pushed (n + 1, steps + 1, count), and pushed
+    (steps + 1, count).  M2hat steps all trials on (n, count) columns with
+    each step's port term stacked under them, one product a step, and the
+    chains in the same loop, writing each step's rows trial-fastest."""
     if device.variant == "M1hat":
         records, states = _m1hat_probe(system, device, dt, rng.standard_normal((steps + 1, count)))
         return records, states, None
@@ -431,7 +446,7 @@ def _probe_trials(system, device, dt, steps, rng, count):
     rate = dt * km / root
     offsets = math.sqrt(device.boltzmann * device.temperature) * rng.standard_normal(count)
     eta = rng.standard_normal((steps + 1, count))
-    records, kicks = meas * eta, kick * eta
+    records, kicks = meas * eta, np.multiply(kick, eta, out=eta)  # eta is spent
     charge = offsets.copy()  # the supply state less sqrt(2 E_m)
     scale = dt * km * (1.0 + offsets / root)  # the chain's A = I + dt J + scale B B^T
     forward = np.column_stack([np.eye(n) + dt * system.J, b])
@@ -440,13 +455,13 @@ def _probe_trials(system, device, dt, steps, rng, count):
     # columns, row n their port terms: x[k+1] = (I + dt J) x[k] + g[k] B
     cur, forcing, chain = np.empty((n + 1, count)), np.zeros((n + 1, count)), np.empty((n + 1, count))
     cur[:n], chain[:n] = system.x0[:, None], b[:, None]
-    aug, pushed = np.empty((count, steps + 1, n + 1)), np.empty((steps + 1, count))
+    aug, pushed = np.empty((n + 1, steps + 1, count)), np.empty((steps + 1, count))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             y = b @ cur[:n]
             records[k] += y
             pushed[k] = b @ forcing[:n]
-            aug[:, k, :n] = chain[:n].T
+            aug[:n, k] = chain[:n]
             if k == steps:
                 break
             cur[n] = rate * charge * y + kicks[k]  # the load k_m dt (x_r/sqrt(2 E_m) - 1) y, the kick
@@ -457,16 +472,31 @@ def _probe_trials(system, device, dt, steps, rng, count):
             chain[n] = scale * (b @ chain[:n])
             chain[:n] = backward @ chain
     _require_finite(records, dt)  # a non-finite state reaches y = b^T x
-    aug[:, :, n] = (records - pushed).T
+    np.subtract(records, pushed, out=aug[n])
     return records, cur[:n].T, (offsets, aug, pushed)
 
 
 def _supply_estimates(aug, pushed_last):
-    """M2hat estimates rows[steps] R11^-1 R12 + pushed[steps], [R11 R12] the augmented rows' R."""
-    n = aug.shape[2] - 1  # R has n rows when the record has only n samples
-    r = np.linalg.qr(aug, mode="r")
-    theta = np.linalg.solve(r[:, :n, :n], r[:, :n, n:])
-    return (aug[:, -1:, :n] @ theta)[:, 0, 0] + pushed_last
+    """M2hat estimates: each record's least-squares fit at t_m, the last
+    sample y_m[steps] less the fit's residual there.  Modified Gram-Schmidt
+    over the augmented columns aug[j] (steps + 1, count), in place, leaves
+    the residual in aug[n], backward stable for the augmented matrix
+    (Bjorck & Paige, SIAM J. Matrix Anal. Appl. 1992).  A column that is
+    exactly dependent on the ones before it leaves no estimate and raises
+    LinAlgError, as a singular triangular factor does."""
+    n = aug.shape[0] - 1
+    estimates = aug[n, -1] + pushed_last
+    scratch = np.empty(aug.shape[1:])
+    for j in range(n):
+        col = aug[j]
+        norm = np.sqrt(np.einsum("kc,kc->c", col, col))
+        if not norm.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        col /= norm
+        proj = np.einsum("kc,ikc->ic", col, aug[j + 1:])
+        for other, p in zip(aug[j + 1:], proj):
+            other -= np.multiply(col, p, out=scratch)
+    return estimates - aug[n, -1]
 
 
 def _m1hat_probe(system, device, dt, eta):
@@ -515,6 +545,13 @@ def _noise_map(system, device, dt, steps):
     gain[n] = meas * v + kick * _adjoint_run(a_d, b, v)
     clean, final = _lti_run(a_d, system.x0, c=b, steps=steps)
     return np.append(final, v @ clean), gain
+
+
+def _noise_factor(gain) -> np.ndarray:
+    """F (n + 1, n + 1) with F F^T = G G^T: R^T from one QR of G^T, with a
+    zero last column when the record has only n samples."""
+    r = np.linalg.qr(gain.T, mode="r")
+    return np.pad(r.T, ((0, 0), (0, gain.shape[0] - r.shape[0])))
 
 
 def _adjoint_run(phi, b, weights) -> np.ndarray:
@@ -805,7 +842,8 @@ def tradeoff_product(
     dt: float | None = None,
     threads: int = 1,
 ) -> TradeoffReport:
-    """Measure |dy| |dyhat| against its floor 2 k_B T_m / C."""
+    """Measure |dy| |dyhat| against its floor 2 k_B T_m / C (`threads`
+    sizes the M2hat worker pool; M1hat runs in the calling thread)."""
     if not device.is_noisy:
         raise ValueError("the trade-off is defined for the realized variants")
     if dt is None:
@@ -853,7 +891,9 @@ def benchmark_estimator(
     The estimator sees exactly what the optimal filter sees, one readout
     record at a time, and must return its estimate of the perturbed
     potential at t_m.  No estimator can beat `m_star` by more than
-    Monte-Carlo fluctuation, however it is built.
+    Monte-Carlo fluctuation, however it is built.  Its trials are its own,
+    each with its full record (`simulate_device` draws only the M1hat
+    statistic); `threads` sizes the worker pool for both variants.
     """
     if not device.is_noisy:
         raise ValueError("benchmarking needs a noisy readout")
@@ -941,7 +981,9 @@ def device_summary(
     For each device and each t_m the four columns are the norm of the
     deterministic back action, the trace of the back-action covariance,
     the potential variance B^T P B, and the Riccati floor; stochastic
-    columns are Monte-Carlo with `trials` histories at dt = t_m/256.
+    columns are Monte-Carlo with `trials` histories at dt = t_m/256
+    (`threads` sizes the worker pool of the M2hat cells; M1hat cells run
+    in the calling thread).
     Each column is then fitted to its leading power law.  The
     deterministic back action of M2hat is adjudicated against the two
     candidate coefficients k_m^2 y0^3/(4 E_m) and k_m y0^3/(4 E_m),

@@ -363,10 +363,11 @@ class TestRunsAndArtifacts:
         assert rebuilt.params["n_values"] == [4, 8, 16]
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
-        # 300 trials fit in one chunk; 2100 span three, so --threads 3 runs the pool
-        for trials in (300, 2100):
-            cfg = _write_config(tmp_path, variant="M1hat", trials=trials, seed=7)
-            first, second, threaded = (tmp_path / f"{n}{trials}" for n in ("a", "b", "c"))
+        # 300 trials fit in one chunk and 2100 span three; M1hat chunks run in
+        # the calling thread, and M2hat's three chunks run the --threads 3 pool
+        for variant, trials in (("M1hat", 300), ("M1hat", 2100), ("M2hat", 2100)):
+            cfg = _write_config(tmp_path, variant=variant, trials=trials, seed=7)
+            first, second, threaded = (tmp_path / f"{n}{variant}{trials}" for n in ("a", "b", "c"))
             assert main(["measure", "--config", str(cfg), "--out", str(first)]) == 0
             assert main(["measure", "--config", str(cfg), "--out", str(second)]) == 0
             argv = ["measure", "--config", str(cfg), "--out", str(threaded), "--threads", "3"]

@@ -388,13 +388,18 @@ class TestThermalMemorylessProbe:
         assert np.linalg.eigvalsh(out.P).min() >= -1e-12 * np.abs(out.P).max()
 
     def test_thread_count_never_changes_results(self):
-        dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
-        one = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 256, trials=3000, seed=21)
-        four = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 256, trials=3000, seed=21, threads=4)
-        assert np.array_equal(one.P, four.P)
-        assert np.array_equal(one.b_mean, four.b_mean)
-        assert one.y_hat == four.y_hat
-        assert one.estimate_variance == four.estimate_variance
+        # M1hat chunks run in the calling thread whatever `threads` says;
+        # M2hat's 2100 trials span three chunks, so threads=4 runs the pool
+        for dev, trials in ((Device(variant="M1hat", admittance=1.0, temperature=1.0), 3000),
+                            (Device(variant="M2hat", admittance=1.0, temperature=1.0,
+                                    supply_energy=10.0), 2100)):
+            one = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 256, trials=trials, seed=21)
+            four = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 256, trials=trials, seed=21, threads=4)
+            assert np.array_equal(one.P, four.P)
+            assert np.array_equal(one.b_mean, four.b_mean)
+            assert one.y_hat == four.y_hat
+            assert one.estimate_variance == four.estimate_variance
+            assert np.array_equal(one.y_m.values, four.y_m.values)
 
     def test_validation(self):
         dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
@@ -667,19 +672,23 @@ class TestBenchmarkEstimator:
         )
         assert 0.9 <= rep.ratio <= 1.1  # measured 1.0026
 
-    def test_scores_the_trials_simulate_device_draws(self):
-        # the sequential filter's final value is the batch filter's
-        # estimate, so scoring it must reproduce the batch error variance
+    def test_the_sequential_filter_scores_the_batch_error_variance(self):
+        # benchmark_estimator draws each trial's full white noise (64 trials,
+        # one chunk, substream (4, 0)); the sequential filter's final value
+        # is the batch filter's estimate, row n of the noise map, so scoring
+        # it gives the error variance of the map's estimates on those draws
         dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
-        t_m, dt = 1e-3, 1e-3 / 64
+        t_m, dt, steps = 1e-3, 1e-3 / 64, 64
 
         def sequential(times, record):
             estimates, _ = kalman_estimate(SYSTEM, dev, Trajectory(dt=dt, values=record))
             return estimates.values[-1]
 
         rep = benchmark_estimator(SYSTEM, dev, sequential, t_m, dt, 64, seed=4)
-        out = simulate_device(SYSTEM, dev, t_m, dt, 64, seed=4)
-        assert rep.variance == pytest.approx(out.estimate_variance, rel=1e-9)
+        const, gain = measurement._noise_map(SYSTEM, dev, dt, steps)
+        final = gain @ derive_rng(4, 0).standard_normal((steps + 1, 64)) + const[:, None]
+        errors = final[-1] - B @ final[:-1]
+        assert rep.variance == pytest.approx(errors @ errors / 64, rel=1e-9)
 
     def test_rejects_noiseless_devices(self):
         with pytest.raises(ValueError, match="noisy"):
