@@ -6,16 +6,13 @@ Nothing in here is part of the public API.
 
 from __future__ import annotations
 
-import functools
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
 
-#: Trials per Monte-Carlo chunk.  Fixed so that results never depend on the
-#: worker count: chunk i always consumes the substream derived from
-#: (seed, *tags, i), and reductions run in chunk order.
+#: Trials per Monte-Carlo chunk.  Fixed because the chunks own the random
+#: streams: chunk i always consumes the substream derived from
+#: (seed, *tags, i), so changing the size would change every result.
 CHUNK_TRIALS = 1024
 
 #: Elements per temporary in the rotation sums of `angle_phasors` (the
@@ -55,7 +52,7 @@ def derive_rng(seed: int, *indices: int) -> np.random.Generator:
     """Counter-based generator for the substream keyed by (seed, *indices).
 
     Philox under a SeedSequence gives independent streams for distinct keys,
-    which is what makes per-trial/per-chunk parallelism reproducible.
+    so each chunk's draws depend only on its key.
     """
     key = (int(seed),) + tuple(int(i) for i in indices)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
@@ -74,48 +71,13 @@ def run_chunked(
     worker: Callable[[np.random.Generator, int], object],
     seed: int,
     *tags: int,
-    threads: int = 1,
 ) -> list:
     """Run `worker(rng, count)` over fixed-size trial chunks, in order.
 
-    Each chunk gets the substream (seed, *tags, chunk_index); the returned
-    list is in chunk order regardless of `threads`, so any reduction over it
-    is bitwise reproducible for every thread count.
+    Each chunk gets the substream (seed, *tags, chunk_index) and runs in the
+    calling thread; the returned list is in chunk order.
     """
-    sizes = chunk_sizes(total)
-    if threads <= 1 or len(sizes) <= 1 or getattr(_in_pool, "value", False):
-        return [worker(derive_rng(seed, *tags, i), n) for i, n in enumerate(sizes)]
-    pool = _pool(threads)
-    futures = [pool.submit(worker, derive_rng(seed, *tags, i), n) for i, n in enumerate(sizes)]
-    try:
-        return [f.result() for f in futures]
-    finally:  # after a failed chunk, no other chunk runs on past the call
-        for f in futures:
-            f.cancel()
-        wait(futures)
-
-
-#: Set in the threads of `_pool`, where a nested `run_chunked` runs serially
-#: (waiting on the pool from inside it could deadlock).
-_in_pool = threading.local()
-
-
-@functools.cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """The process-wide worker pool of `run_chunked` for `threads` workers.
-
-    It lives as long as the process.  A pool per call would start new
-    threads every call, and a thread that Python has joined may not have
-    released its malloc arena yet, so the next call's threads could open
-    more arenas, each holding about one chunk's working set: resident
-    memory would grow by a random amount from run to run.
-    """
-    return ThreadPoolExecutor(
-        max_workers=threads,
-        thread_name_prefix="lossless-chunk",
-        initializer=setattr,
-        initargs=(_in_pool, "value", True),
-    )
+    return [worker(derive_rng(seed, *tags, i), n) for i, n in enumerate(chunk_sizes(total))]
 
 
 def as_float_array(x, name: str, *, ndim: int | None = None) -> np.ndarray:
@@ -137,7 +99,7 @@ def positive(value, name: str, *, or_zero: bool = False) -> float:
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """Return a read-only view-safe copy (types are shared across threads)."""
+    """Return a read-only copy, so a frozen record's arrays cannot change under it."""
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out

@@ -6,9 +6,10 @@ line flags, executes the experiment, and writes plain CSV data files
 plus a ``manifest.json`` that echoes the fully resolved configuration
 together with library versions and the seed.  Feeding the manifest's
 ``config`` object back in as a config file reproduces the run exactly.
-Random streams belong to fixed-size trial chunks, not to workers, and
-results are reduced in chunk order, so the CSV bytes are a pure function
-of the config for every ``--threads`` value.
+Random streams belong to fixed-size trial chunks, which run in order in
+the calling thread, so the CSV bytes are a pure function of the config.
+``--threads`` (and the config's ``threads`` field) is still accepted,
+validated and echoed in the manifest, but changes nothing.
 
 Each experiment carries a small set of asserted checks, printed one per
 line as ``check <name>: pass (<what> = <value>, want at most <bound>)``
@@ -899,14 +900,13 @@ def _run_fdt(config: ExperimentConfig) -> RunReport:
         grid,
         seed=config.seed,
         boltzmann=k_b,
-        threads=config.threads,
     )
 
     dimension = np.asarray(system.J).shape[0]
     ensemble = ThermalEnsemble(
         temperature=temperature, dimension=dimension, boltzmann=k_b, seed=config.seed + 1
     )
-    energies = internal_energy(sample_gibbs(ensemble, p["samples"], threads=config.threads))
+    energies = internal_energy(sample_gibbs(ensemble, p["samples"]))
     mean_energy = float(energies.mean())
     energy_se = float(energies.std(ddof=1) / math.sqrt(p["samples"]))
     expected = 0.5 * dimension * k_b * temperature
@@ -995,7 +995,6 @@ def _run_measure(config: ExperimentConfig) -> RunReport:
         dt,
         p["trials"],
         seed=0 if config.seed is None else config.seed,
-        threads=config.threads,
     )
     eigs = np.linalg.eigvalsh(outcome.P)
     tables = (
@@ -1035,9 +1034,7 @@ def _run_tradeoff(config: ExperimentConfig) -> RunReport:
         for j, k_m in enumerate(p["km_values"]):
             device = _resolve_device(p["variant"], {**p, "k_m": k_m}, config.boltzmann)
             cell_seed = _cell_seed(config.seed, i * len(p["km_values"]) + j)
-            reports.append(tradeoff_product(
-                system, device, t_m, p["trials"], seed=cell_seed, threads=config.threads
-            ))
+            reports.append(tradeoff_product(system, device, t_m, p["trials"], seed=cell_seed))
     table = _record_columns(
         TradeoffReport, reports, ("t_m", "admittance", "lhs", "rhs", "ratio"), admittance="k_m"
     )
@@ -1075,7 +1072,6 @@ def _run_table1(config: ExperimentConfig) -> RunReport:
         devices,
         p["trials"],
         seed=config.seed,
-        threads=config.threads,
     )
     tables = (
         ("table1.csv", _record_columns(SummaryRow, summary.rows)),
@@ -1210,7 +1206,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and validated; changes nothing")
         p.add_argument(
             "--validate",
             action="store_true",

@@ -306,12 +306,11 @@ def simulate_device(
     Gaussian with covariance G G^T.  A chunk's first trial draws its white
     noise eta, the others F xi with F F^T = G G^T (`_noise_factor`), so
     values differ from a per-trial run in sample, not in distribution;
-    only chunk 0's first trial runs its record, for `y_m`.  These chunks
-    run in the calling thread; `threads` sizes the pool of M2hat, which
-    steps a chunk's probes and filter chains in one loop and reads the
-    estimates off the least-squares residuals of the records.  Chunked
-    substreams make the result independent of `threads` bit for bit.
-    Both reduce their chunk sums in `_outcome`.  A thermal record needs n
+    only chunk 0's first trial runs its record, for `y_m`.  An M2hat chunk
+    steps its probes and filter chains in one loop and reads the estimates
+    off the least-squares residuals of the records.  Both reduce their
+    chunk sums in `_outcome`.  Every chunk runs in the calling thread;
+    `threads` is accepted and changes nothing.  A thermal record needs n
     samples to determine x0; a diverging M2hat probe raises
     FloatingPointError at its first bad time.
     """
@@ -359,7 +358,7 @@ def simulate_device(
         estimates = _supply_estimates(aug, pushed[-1])
         return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
 
-    parts = run_chunked(trials, worker, seed, threads=threads)
+    parts = run_chunked(trials, worker, seed)
     return _outcome(system, device, t_m, dt, trials, b_d, parts)
 
 
@@ -842,13 +841,13 @@ def tradeoff_product(
     dt: float | None = None,
     threads: int = 1,
 ) -> TradeoffReport:
-    """Measure |dy| |dyhat| against its floor 2 k_B T_m / C (`threads`
-    sizes the M2hat worker pool; M1hat runs in the calling thread)."""
+    """Measure |dy| |dyhat| against its floor 2 k_B T_m / C (`threads` is
+    accepted and changes nothing)."""
     if not device.is_noisy:
         raise ValueError("the trade-off is defined for the realized variants")
     if dt is None:
         dt = t_m / _PROBE_STEPS
-    outcome = simulate_device(system, device, t_m, dt, trials, seed, threads=threads)
+    outcome = simulate_device(system, device, t_m, dt, trials, seed)
     rhs = 2.0 * device.boltzmann * device.temperature / system.c_cap
     emp = math.sqrt(max(outcome.estimate_variance, 0.0))
     lhs = outcome.delta_y * outcome.delta_y_hat
@@ -893,7 +892,7 @@ def benchmark_estimator(
     potential at t_m.  No estimator can beat `m_star` by more than
     Monte-Carlo fluctuation, however it is built.  Its trials are its own,
     each with its full record (`simulate_device` draws only the M1hat
-    statistic); `threads` sizes the worker pool for both variants.
+    statistic).  `threads` is accepted and changes nothing.
     """
     if not device.is_noisy:
         raise ValueError("benchmarking needs a noisy readout")
@@ -911,7 +910,7 @@ def benchmark_estimator(
             total += err * err
         return total
 
-    total = sum(run_chunked(trials, worker, seed, threads=threads))
+    total = sum(run_chunked(trials, worker, seed))
     variance = total / trials
     m_star = _m_star(system, device, t_m)
     return BenchmarkReport(
@@ -982,8 +981,7 @@ def device_summary(
     deterministic back action, the trace of the back-action covariance,
     the potential variance B^T P B, and the Riccati floor; stochastic
     columns are Monte-Carlo with `trials` histories at dt = t_m/256
-    (`threads` sizes the worker pool of the M2hat cells; M1hat cells run
-    in the calling thread).
+    (`threads` is accepted and changes nothing).
     Each column is then fitted to its leading power law.  The
     deterministic back action of M2hat is adjudicated against the two
     candidate coefficients k_m^2 y0^3/(4 E_m) and k_m y0^3/(4 E_m),
@@ -999,7 +997,7 @@ def device_summary(
         for t_idx, t_m in enumerate(grid):
             run_seed = _cell_seed(seed, d_idx * grid.shape[0] + t_idx)
             out = simulate_device(system, device, float(t_m), float(t_m) / _PROBE_STEPS,
-                                  trials, run_seed, threads=threads)
+                                  trials, run_seed)
             rows.append(
                 SummaryRow(
                     variant=device.variant,

@@ -174,8 +174,8 @@ class Trajectory:
     """Uniformly sampled signal: values[k] is the sample at t = k * dt.
 
     The first axis of `values` is time; trailing axes are free (vectors,
-    matrices, batches).  Arrays are stored read-only so trajectories can be
-    shared across threads.
+    matrices, batches).  Arrays are stored read-only, so a trajectory never
+    changes after it is made.
     """
 
     dt: float

@@ -107,8 +107,8 @@ def sample_gibbs(ensemble: ThermalEnsemble, count: int, *, threads: int = 1) -> 
     """Draw `count` i.i.d. states from the ensemble, as a (count, n) array.
 
     Sampling is chunked on fixed boundaries with one substream per chunk,
-    so the result is bitwise identical for every thread count.  At zero
-    temperature all samples equal the mean exactly.
+    each run in the calling thread; `threads` is accepted and changes
+    nothing.  At zero temperature all samples equal the mean exactly.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -118,7 +118,7 @@ def sample_gibbs(ensemble: ThermalEnsemble, count: int, *, threads: int = 1) -> 
     def worker(rng, size):
         return ensemble.mean + scale * rng.standard_normal((size, n))
 
-    parts = run_chunked(count, worker, ensemble.seed, threads=threads)
+    parts = run_chunked(count, worker, ensemble.seed)
     if not parts:
         return np.empty((0, n))
     return np.concatenate(parts, axis=0)
@@ -206,7 +206,9 @@ def empirical_fdt_check(
     The fluctuations have known zero mean, so the raw second moment is
     the unbiased estimator.  A chunk of trials forms its transients as
     one product with the stacked maps and its first and second moments
-    as the Gram matrices of the transients and of their squares.
+    as the Gram matrices of the transients and of their squares.  Every
+    chunk runs in the calling thread; `threads` is accepted and changes
+    nothing.
     """
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or np.any(times < 0):
@@ -227,7 +229,7 @@ def empirical_fdt_check(
         squares = noise**2
         return (noise.T @ noise).reshape(shape), (squares.T @ squares).reshape(shape)
 
-    chunks = run_chunked(trials, worker, seed, threads=threads)
+    chunks = run_chunked(trials, worker, seed)
     first = sum(c[0] for c in chunks)
     second = sum(c[1] for c in chunks)
     mean = first / trials

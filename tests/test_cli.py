@@ -363,8 +363,8 @@ class TestRunsAndArtifacts:
         assert rebuilt.params["n_values"] == [4, 8, 16]
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
-        # 300 trials fit in one chunk and 2100 span three; M1hat chunks run in
-        # the calling thread, and M2hat's three chunks run the --threads 3 pool
+        # 300 trials fit in one chunk and 2100 span three; every chunk runs in
+        # the calling thread, and --threads 3 must not change a byte
         for variant, trials in (("M1hat", 300), ("M1hat", 2100), ("M2hat", 2100)):
             cfg = _write_config(tmp_path, variant=variant, trials=trials, seed=7)
             first, second, threaded = (tmp_path / f"{n}{variant}{trials}" for n in ("a", "b", "c"))
@@ -543,20 +543,33 @@ class TestRunsAndArtifacts:
         assert "lossless" in proc.stdout
 
 
-def test_setup_code_loads_no_heavy_scipy_subpackage():
-    """Importing the CLI and building every config stays off scipy.fft,
-    scipy.integrate and what they import: they cost most of a run's start-up."""
+@pytest.fixture(scope="module")
+def setup_modules():
+    """The modules a fresh interpreter holds after importing the CLI and
+    building every config."""
     code = (
         "import sys, lossless.cli\n"
         "for name in lossless.cli.EXPERIMENTS:\n"
         "    lossless.cli.build_config(name, seed=0, out='unused', threads=1)\n"
-        "heavy = ('scipy.fft', 'scipy.integrate', 'scipy.optimize', 'scipy.special')\n"
-        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+        "print('\\n'.join(sys.modules))\n"
     )
     src = Path(lossless.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.split())
+
+
+def test_setup_code_loads_no_heavy_scipy_subpackage(setup_modules):
+    """Importing the CLI and building every config stays off scipy.fft,
+    scipy.integrate and what they import: they cost most of a run's start-up."""
+    heavy = ("scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special")
+    assert sorted(m for m in setup_modules if m.startswith(heavy)) == []
+
+
+def test_setup_code_loads_no_thread_pool(setup_modules):
+    """Importing the CLI and building every config loads no thread pool
+    (scipy imports `concurrent.futures` itself, but not its `thread` module)."""
+    assert "concurrent.futures.thread" not in setup_modules
 
 
 def _rotation_bank(states):

@@ -388,8 +388,8 @@ class TestThermalMemorylessProbe:
         assert np.linalg.eigvalsh(out.P).min() >= -1e-12 * np.abs(out.P).max()
 
     def test_thread_count_never_changes_results(self):
-        # M1hat chunks run in the calling thread whatever `threads` says;
-        # M2hat's 2100 trials span three chunks, so threads=4 runs the pool
+        # 3000 and 2100 trials span three chunks each; every chunk runs in
+        # the calling thread, and threads=4 must not change a bit
         for dev, trials in ((Device(variant="M1hat", admittance=1.0, temperature=1.0), 3000),
                             (Device(variant="M2hat", admittance=1.0, temperature=1.0,
                                     supply_energy=10.0), 2100)):
