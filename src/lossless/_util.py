@@ -1,11 +1,12 @@
 """Internal helpers: seeded RNG streams, chunked Monte-Carlo, grid utilities,
-FFT lengths and transforms, quadrature rules.
+FFT lengths and transforms, quadrature rules, the matrix exponential.
 
 Nothing in here is part of the public API.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,3 +194,81 @@ def midpoint_samples(values: np.ndarray) -> np.ndarray:
     mid[0] = np.tensordot(w, v[:4], axes=(0, 0))
     mid[-1] = np.tensordot(w[::-1], v[-4:], axes=(0, 0))
     return mid
+
+
+#: Largest 1-norm at which the degree-m Pade approximant of e^A is accurate
+#: to double precision without scaling (Higham 2005, Table 2.3).
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068e0, 13: 5.371920351148152e0}
+#: Coefficients b_j = (2m - j)! / (j! (m - j)!) of p_m(A) = sum_j b_j A^j,
+#: where r_m(A) = p_m(A) / p_m(-A).
+_PADE_COEFFS = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+                    for j in range(m + 1)] for m in _PADE_THETA}
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """r_m(A) for a stack (k, n, n): p_m(A) = V + U, p_m(-A) = V - U, with U
+    the odd and V the even part, m = 13 through A^2, A^4 and A^6 only.
+
+    Below degree 13 r_m is I + 2 (V - U)^-1 U, which keeps the digits of a
+    small A's offset from I (so e^{J h} of a short step stays orthogonal to
+    rounding); degree 13 is squared afterwards, where that offset can cancel
+    against I, so it takes (V - U)^-1 (V + U).
+    """
+    b = _PADE_COEFFS[m]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m < 13:
+        powers = [eye, a2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+        return eye + np.linalg.solve(v - u, 2.0 * u)
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a) -> np.ndarray:
+    """e^A for every n x n matrix of a stack (..., n, n): scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3).
+
+    Each matrix takes the lowest Pade degree of 3, 5, 7, 9 whose theta
+    bounds its 1-norm; the others take degree 13 on A / 2^s, with s the
+    least that brings the norm under theta_13, then s squarings.  Degree
+    and s are chosen per matrix, and a matrix goes through the same
+    operations alone as in any stack, so its result is the same bit for
+    bit.  The zero matrix gives I exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expm needs square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("expm input contains non-finite entries")
+    if a.size == 0:
+        return a.copy()
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    out = np.empty_like(flat)
+    norms = np.abs(flat).sum(axis=1).max(axis=1, initial=0.0)
+    degrees = list(_PADE_THETA)
+    choice = np.minimum(np.searchsorted(list(_PADE_THETA.values()), norms), len(degrees) - 1)
+    for pick, m in enumerate(degrees):
+        (idx,) = np.nonzero(choice == pick)
+        if not idx.size:
+            continue
+        if m < 13:
+            out[idx] = _pade(flat[idx], m)
+            continue
+        s = np.maximum(0, np.ceil(np.log2(norms[idx] / _PADE_THETA[13]))).astype(int)
+        order = np.argsort(-s, kind="stable")  # most squarings first
+        idx, s = idx[order], s[order]
+        x = _pade(np.ldexp(flat[idx], -s[:, None, None]), 13)
+        for k in range(s[0]):
+            live = np.count_nonzero(s > k)
+            x[:live] = x[:live] @ x[:live]
+        out[idx] = x
+    return out.reshape(a.shape)

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
 
 from ._util import (
     CHUNK_ELEMENTS,
@@ -87,11 +86,13 @@ _DENSE_LIMIT = 2000
 def _pair_generator(cos_states, sin_states, omega, size: int):
     """Bank generator with J[cos, sin] = omega and J[sin, cos] = -omega for
     each oscillating pair: dense at or below `_DENSE_LIMIT` states, CSR
-    above."""
+    above, which is when the package first imports scipy.sparse."""
     if size <= _DENSE_LIMIT:
         j = np.zeros((size, size))
         j[cos_states, sin_states], j[sin_states, cos_states] = omega, -omega
         return j
+    import scipy.sparse
+
     return scipy.sparse.csr_matrix(
         (np.concatenate([omega, -omega]),
          (np.concatenate([cos_states, sin_states]), np.concatenate([sin_states, cos_states]))),

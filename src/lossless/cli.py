@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._util import derive_rng
@@ -1164,6 +1163,8 @@ def run(config: ExperimentConfig, stream=None) -> int:
     files = [name for name, _ in report.outputs]
     for name, columns in report.outputs:
         _write_csv(out_dir / name, columns)
+    import scipy  # its version only: the package itself, no subpackage
+
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,

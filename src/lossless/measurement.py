@@ -49,9 +49,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from ._util import as_float_array, frozen, positive, run_chunked
+from ._util import as_float_array, expm, frozen, positive, run_chunked
 from .statespace import (
     Trajectory,
     _lti_run,
@@ -534,7 +533,7 @@ def _noise_map(system, device, dt, steps):
     a_d = _loaded_step(system, device, dt)
     chain, rows, _ = _record_chain(system, device, dt, np.zeros(steps + 1))
     q, r = np.linalg.qr(rows)
-    w = q @ scipy.linalg.solve_triangular(r, rows[-1], trans="T")
+    w = q @ np.linalg.solve(r.T, rows[-1])
     resid = w.copy()
     resid[-1] -= 1.0
     v = w + (km * dt) * _adjoint_run(chain, b, resid)
@@ -632,7 +631,8 @@ def riccati_solve(
     the square root of its condition number.  Works on any increasing
     positive grid, uniform or not.  Each grid interval contributes one
     n x n block, the factor of its span's Gramian times e^{J t_lo}
-    (the factor is cached per span, so equal spans share it), and
+    (the factor is cached per span, so equal spans share it; the e^{J t}
+    of all grid points are one batched `expm`), and
     `_prefix_factors` folds the blocks, giving the factor at every grid
     point; the triangular solves for all points are one batched
     `np.linalg.solve`.  If a factor's smallest diagonal is
@@ -653,15 +653,13 @@ def riccati_solve(
 
     c = km / (2.0 * kb * t_dev)
     j, b = system.J, system.B
-    props = np.empty((times.shape[0], n, n))  # e^{J t}
+    props = expm(j * times[:, None, None])  # e^{J t}
+    starts = np.concatenate([np.eye(n)[None], props[:-1]])  # e^{J t_lo} per interval
     blocks = np.zeros((times.shape[0], n, n))
-    prev, propagator = 0.0, np.eye(n)  # e^{J prev}
     panels: dict[float, np.ndarray] = {}
-    for idx, t in enumerate(times):
-        block = _fold_gramian_rows(j, b, c, prev, t, max_substep, propagator, panels)
+    for idx, (t_lo, t) in enumerate(zip(np.append(0.0, times[:-1]), times)):
+        block = _fold_gramian_rows(j, b, c, t_lo, t, max_substep, starts[idx], panels)
         blocks[idx, :block.shape[0]] = block
-        props[idx] = propagator = matrix_exponential(j * t)
-        prev = t
     facs = _prefix_factors(blocks, n)
     diag = np.abs(np.diagonal(facs, axis1=1, axis2=2))
     singular = diag.min(axis=1) <= 1e-14 * np.maximum(diag.max(axis=1), 1e-300)
@@ -696,11 +694,9 @@ def _fold_gramian_rows(j, b, c, t_lo, t_hi, max_substep, start, panels):
         nsub = max(2, int(math.ceil(span / max_substep)))
         h = span / nsub
         # rows B^T e^{Js} at the panel's nodes, read out of e^{J i h}
-        node_rows = np.stack(
-            [b @ matrix_exponential(j * (0.5 * h * (xi + 1.0))) for xi in _GL_NODES]
-        )
-        node_rows *= np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
-        rows, _ = _lti_run(matrix_exponential(j * h), np.eye(b.shape[0]), c=node_rows, steps=nsub - 1)
+        *node_maps, step = expm(j * np.append(0.5 * h * (_GL_NODES + 1.0), h)[:, None, None])
+        node_rows = b @ np.stack(node_maps) * np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
+        rows, _ = _lti_run(step, np.eye(b.shape[0]), c=node_rows, steps=nsub - 1)
         panels[span] = np.linalg.qr(rows.reshape(-1, b.shape[0]), mode="r")
     return panels[span] @ start
 

@@ -48,13 +48,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from ._util import (
     CHUNK_ELEMENTS,
@@ -62,6 +61,7 @@ from ._util import (
     angle_phasors,
     as_float_array,
     derive_rng,
+    expm,
     frozen,
     midpoint_samples,
     positive,
@@ -103,7 +103,10 @@ PSD_TOL = 1e-8
 
 
 def _is_sparse(m) -> bool:
-    return scipy.sparse.issparse(m)
+    """Whether m is a scipy.sparse matrix or array.  Nothing can be one
+    unless scipy.sparse is loaded, so the test never imports it."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(m)
 
 
 def _generator(m, name: str, *, dense: bool = False):
@@ -377,10 +380,10 @@ class ReversibilityVerdict:
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(M) for a square matrix (scaling-and-squaring Pade, via scipy)."""
+    """exp(M) for a finite square matrix (scaling-and-squaring Pade, `_util.expm`)."""
     a = as_float_array(m, "matrix", ndim=2)
     require_square(a, "matrix")
-    return scipy.linalg.expm(a)
+    return expm(a)
 
 
 def integrate_ode(
@@ -684,6 +687,8 @@ def _rotation_response(A, B, C, dt: float, n_samples: int) -> np.ndarray | None:
     c_s (b_s - i b_r)^T e^{i w_s t}, from the factors of `angle_phasors`.
     """
     if _is_sparse(A):
+        import scipy.sparse  # loaded already: A is one of its matrices
+
         entries = scipy.sparse.csr_array(A).tocoo()  # row-major
         keep = entries.data != 0
         rows, cols, w = entries.row[keep], entries.col[keep], entries.data[keep]
@@ -875,11 +880,15 @@ def check_dissipative(
     transform's is set by its samples, not by a small ghat at high w.
     A state-space frequency whose resolvent jw I - A is singular, or has a
     reciprocal condition number below machine epsilon, is a pole on the
-    imaginary axis and is left out of the grid.
+    imaginary axis and is left out of the grid.  That test is scipy's
+    `LinAlgWarning`, so a state-space scan imports scipy.linalg when it runs;
+    nothing else in the package loads it.
     """
     warning = None
     tail_fraction = 0.0
     if isinstance(obj, (LinearStateSpace, LosslessLinear)):
+        import scipy.linalg
+
         A, B, C, D = _port_matrices(obj)
         if _is_sparse(A):
             A = A.toarray()

@@ -29,9 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._util import as_float_array, cumulative_trapezoid, derive_rng, frozen, positive, run_chunked
+from ._util import as_float_array, cumulative_trapezoid, derive_rng, expm, frozen, positive, run_chunked
 from .approx_linear import factor_psd
 from .statespace import (
     PSD_TOL,
@@ -140,7 +139,7 @@ def _transient_maps(sys: LosslessLinear, times: np.ndarray) -> np.ndarray:
     """Stack of B^T e^{J t_j}, shape (m, p, n)."""
     if _is_sparse(sys.J):
         raise TypeError("fluctuation kernels need a dense J")
-    return sys.B.T @ scipy.linalg.expm(np.asarray(sys.J) * times[:, None, None])
+    return sys.B.T @ expm(np.asarray(sys.J) * times[:, None, None])
 
 
 def analytic_fluctuation_covariance(

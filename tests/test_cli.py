@@ -543,27 +543,73 @@ class TestRunsAndArtifacts:
         assert "lossless" in proc.stdout
 
 
-@pytest.fixture(scope="module")
-def setup_modules():
-    """The modules a fresh interpreter holds after importing the CLI and
-    building every config."""
-    code = (
-        "import sys, lossless.cli\n"
-        "for name in lossless.cli.EXPERIMENTS:\n"
-        "    lossless.cli.build_config(name, seed=0, out='unused', threads=1)\n"
-        "print('\\n'.join(sys.modules))\n"
-    )
+def _fresh_modules(code: str, *args: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code` (which
+    gets `args` as sys.argv[1:]) with this package on its path."""
+    code += "\nprint('\\n'.join(sys.modules))\n"
     src = Path(lossless.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     return set(proc.stdout.split())
 
 
+@pytest.fixture(scope="module")
+def setup_modules():
+    """The modules a fresh interpreter holds after importing the CLI and
+    building every config."""
+    return _fresh_modules(
+        "import sys, lossless.cli\n"
+        "for name in lossless.cli.EXPERIMENTS:\n"
+        "    lossless.cli.build_config(name, seed=0, out='unused', threads=1)\n"
+    )
+
+
 def test_setup_code_loads_no_heavy_scipy_subpackage(setup_modules):
-    """Importing the CLI and building every config stays off scipy.fft,
-    scipy.integrate and what they import: they cost most of a run's start-up."""
-    heavy = ("scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special")
-    assert sorted(m for m in setup_modules if m.startswith(heavy)) == []
+    """Importing the CLI and building every config loads no scipy module and
+    no numpy.f2py (which scipy's array-API layer imports): they cost most of
+    a run's start-up."""
+    assert sorted(m for m in setup_modules if m.startswith(("scipy", "numpy.f2py"))) == []
+
+
+# Reduced configs, as the benchmark's tiny runs take them.
+_TINY_RUNS = {
+    "measure": {"trials": 64},
+    "tradeoff": {"trials": 64, "tm_values": [1e-3, 3e-3], "km_values": [0.5, 1.0]},
+    "table1": {"trials": 64, "tm_values": [1e-3, 3e-3]},
+    "fdt": {"trials": 2000, "samples": 2000, "lag_count": 10},
+    "langevin": {"horizon": 20.0, "burn_in": 100, "noise_steps": 2000},
+    "approx-nonlinear": {"trials": 3, "e0_values": [1e2, 1e3, 1e4, 1e5]},
+    "approx-memoryless": {"n_values": [4, 8, 16], "dt": 1e-3},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_TINY_RUNS))
+def test_a_run_loads_neither_scipy_linalg_nor_sparse(tmp_path, experiment):
+    """A fresh run imports the scipy package for the manifest's version, but
+    no experiment except a CSR bank's loads scipy.linalg or scipy.sparse."""
+    config = _write_config(tmp_path, **_TINY_RUNS[experiment])
+    modules = _fresh_modules(
+        "import sys, lossless.cli\n"
+        "code = lossless.cli.main(sys.argv[1:])\n"
+        "assert code in (0, 3), code\n",
+        experiment, "--seed", "1", "--config", str(config), "--out", str(tmp_path / "out"),
+    )
+    assert "scipy" in modules
+    assert sorted(m for m in modules if m.startswith(("scipy.linalg", "scipy.sparse"))) == []
+
+
+def test_sparse_test_never_imports_scipy_sparse():
+    modules = _fresh_modules(
+        "import sys\n"
+        "import numpy as np\n"
+        "from lossless.statespace import _is_sparse\n"
+        "assert _is_sparse(np.eye(3)) is False\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "import scipy.sparse\n"
+        "assert _is_sparse(scipy.sparse.csr_matrix(np.eye(3))) is True\n"
+        "assert _is_sparse(np.eye(3)) is False\n"
+    )
+    assert "scipy.sparse" in modules
 
 
 def test_setup_code_loads_no_thread_pool(setup_modules):

@@ -272,13 +272,14 @@ class TestRiccatiSolve:
     ])
     def test_panels_shared_by_equal_widths_change_nothing(self, grid, monkeypatch):
         calls = []
-        expm = measurement.matrix_exponential
-        monkeypatch.setattr(measurement, "matrix_exponential", lambda a: calls.append(1) or expm(a))
+        expm = measurement.expm
+        monkeypatch.setattr(measurement, "expm", lambda a: calls.append(len(a)) or expm(a))
         shared = riccati_solve(SYSTEM, 1.0, 1.0, grid)
         spans = np.diff(grid, prepend=0.0)
         widths = {s / max(2, math.ceil(s / 5e-3)) for s in spans}
-        # one propagator per grid point, four node maps and one step per width
-        assert len(calls) == grid.size + 5 * len(widths)
+        # one batched call for the grid's propagators, then one per width
+        # for its four node maps and its step
+        assert calls == [grid.size] + [5] * len(widths)
         fold = measurement._fold_gramian_rows
         monkeypatch.setattr(measurement, "_fold_gramian_rows", lambda *args: fold(*args[:-1], {}))
         fresh = riccati_solve(SYSTEM, 1.0, 1.0, grid)
