@@ -33,6 +33,7 @@ A 10^4-state bank on a 10^4-sample grid thus costs a few FFTs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -321,15 +322,17 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
     the block below satisfies B^T e^{Jt} B = Re(R) cos wt - Im(R) sin wt;
     at w = 0 the block is static with B^T B = R/2 (the half-weight DC term
     of a cosine series).  Eigenvalues of R negative within psd_tol
-    max|R| are clipped to zero; anything lower is rejected.
+    max|R| are clipped to zero; anything lower is rejected.  A block at
+    w > 0 is the `system` of the one-harmonic bank of `_realize_bank`, so
+    it equals that harmonic's states of any bank holding the residue.
     """
     r = np.asarray(residue)
     require_square(r, "residue")
     if frequency < 0:
         raise ValueError(f"frequency must be nonnegative, got {frequency}")
     p = r.shape[0]
-    if frequency > 0:  # block 1 of the one-harmonic bank
-        return _realize_bank(np.zeros((p, p)), r[None], float(frequency), psd_tol)[0][1]
+    if frequency > 0:
+        return _realize_bank(np.zeros((p, p)), r[None], float(frequency), psd_tol)[0]
     lam, vec = _psd_eigh(r[None], "residue", psd_tol)
     keep = lam[0] > 1e-14 * lam[0, -1:]  # the bank's rank cut, as in `_realize_bank`
     lam, vec = lam[0][keep], vec[0][:, keep]
@@ -341,15 +344,15 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
 
 
 def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd_tol: float):
-    """Blocks, assembled system and effective (cos, sin) kernel of a bank.
+    """Assembled system and effective (cos, sin) kernel of a bank.
 
     `dc_residue` (p, p) is the real DC residue and `residues` (N - 1, p, p)
     the Hermitian residues of harmonics k = 1..N-1 at k * base.  These are
-    factored by one stacked eigh, and the assembled generator, input map
-    and effective coefficients come from the stacked factors.  Each block
-    equals `realize_harmonic` of its residue; its arrays are read-only
-    views of the checked system's input map and of one stacked array of
-    rotation generators, so the blocks are not checked or copied again.
+    factored by one stacked eigh, and the generator, input map and
+    effective coefficients come from the stacked factors.  The system
+    holds the DC block's states, then each harmonic's kept cosine states
+    and its kept sine states; no per-harmonic block is built here
+    (`FourierLosslessApprox.blocks` makes them on first read).
     """
     dc = realize_harmonic(dc_residue, 0.0, psd_tol=psd_tol)
     lam, vec = _psd_eigh(residues, "residue", psd_tol)
@@ -364,8 +367,7 @@ def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd
     eff_cos = np.concatenate([(b_dc.T @ b_dc)[None], p_t @ p_part + q_t @ q_part])
     eff_sin = np.concatenate([np.zeros((1,) + dc_residue.shape), q_t @ p_part - p_t @ q_part])
 
-    # Block k holds its kept cosine states, then its kept sine states; the
-    # i-th cosine state of a block pairs with its i-th sine state.
+    # The i-th cosine state of a block pairs with its i-th sine state.
     halves = np.stack([p_part, -q_part], axis=1)
     in_block = np.broadcast_to(keep[:, None, :], halves.shape[:3])
     b_all = np.vstack([b_dc, halves[in_block]])
@@ -374,24 +376,7 @@ def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd
     rows, cols = state[:, 0][keep], state[:, 1][keep]
     omega = np.broadcast_to(freqs[:, None], keep.shape)[keep]
     system = LosslessLinear(J=_pair_generator(rows, cols, omega, b_all.shape[0]), B=b_all)
-
-    # Block k of rank r: generator [[0, w I_r], [-w I_r, 0]] in the leading
-    # 2r x 2r of its stacked slot, input map its 2r rows of system.B.
-    ranks = keep.sum(axis=1)
-    p = dc_residue.shape[0]
-    j_stack = np.zeros((len(residues), 2 * p, 2 * p))
-    for r in np.unique(ranks):
-        same = ranks == r
-        f = freqs[same, None, None]
-        j_stack[same, :r, r : 2 * r] = f * np.eye(r)
-        j_stack[same, r : 2 * r, :r] = -f * np.eye(r)
-    j_stack.setflags(write=False)
-    ends = dc.n + np.cumsum(2 * ranks)
-    blocks = (dc,) + tuple(
-        LosslessLinear._from_checked(j_stack[k, : 2 * r, : 2 * r], system.B[end - 2 * r : end], dc.D)
-        for k, (r, end) in enumerate(zip(ranks.tolist(), ends.tolist()))
-    )
-    return blocks, system, eff_cos, eff_sin
+    return system, eff_cos, eff_sin
 
 
 class _HarmonicResponseMixin:
@@ -613,12 +598,11 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
     the realization adds `shift` to every cosine coefficient (the PSD
     guarantee) and may clip residue eigenvalues at zero, so the kernel the
     bank actually plays back is recorded in `effective_cos`/`effective_sin`
-    (DC entry stored at half weight).  `blocks` are the per-harmonic
-    oscillator blocks in frequency order, direct-summed into `system`.
-    `l2_error_measured` is the realized-vs-input kernel error over the
-    measurement window; `n_empirical` is the smallest harmonic count whose
-    partial bank already meets `target_error` there (None when even the
-    full bank does not).
+    (DC entry stored at half weight).  `system` is the bank, the one
+    realization a build stores.  `window` holds the kernel samples on
+    [0, min_horizon] as an (m, p, p) stack, over which `l2_error_measured`
+    is the realized-vs-input kernel error.  `blocks` and `n_empirical` are
+    computed on first read (see each).
     """
 
     horizon: float
@@ -632,12 +616,11 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
     kernel_mass: float
     error_constant: float
     tail_mass: float
-    blocks: tuple[LosslessLinear, ...]
     system: LosslessLinear
     effective_cos: np.ndarray
     effective_sin: np.ndarray
+    window: Trajectory
     l2_error_measured: float
-    n_empirical: int | None
 
     def __post_init__(self):
         for name in ("cos_coefficients", "sin_coefficients", "effective_cos", "effective_sin"):
@@ -650,6 +633,34 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
     @property
     def direct_term(self) -> np.ndarray:
         return np.zeros((self.ports, self.ports))
+
+    @functools.cached_property
+    def blocks(self) -> tuple[LosslessLinear, ...]:
+        """The per-harmonic oscillator blocks in frequency order, whose
+        direct sum is `system`: `realize_harmonic` of each shifted residue
+        at k pi / horizon, built on first read."""
+        base = np.pi / self.horizon
+        shifted = self.cos_coefficients + self.shift * np.eye(self.ports)
+        residues = (*shifted[:1], *(shifted[1:] - 1j * self.sin_coefficients))
+        return tuple(realize_harmonic(r, k * base) for k, r in enumerate(residues))
+
+    @functools.cached_property
+    def n_empirical(self) -> int | None:
+        """The smallest harmonic count whose partial bank already meets
+        `target_error` over `window` (None when even the full bank does
+        not, 0 for the empty bank), found by bisection on first read."""
+        if self.l2_error_measured > self.target_error:
+            return None
+        lo, hi = min(1, self.n_harmonics), self.n_harmonics
+        while lo < hi:
+            mid = (lo + hi) // 2
+            partial = _HarmonicSeries(base=np.pi / self.horizon, cos_part=self.effective_cos[:mid],
+                                      sin_part=self.effective_sin[:mid])
+            if _window_l2(partial, self.window) <= self.target_error:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def _series(self) -> _HarmonicSeries:
         return _HarmonicSeries(
@@ -674,8 +685,10 @@ def l2_error(a: Trajectory, b: Trajectory, horizon: float | None = None) -> floa
     return float(np.sqrt(trapezoid(sq, a.dt)))
 
 
-def _window_l2(series: _HarmonicSeries, target: np.ndarray, times: np.ndarray) -> float:
-    diff = series.evaluate(times) - target
+def _window_l2(series: _HarmonicSeries, window: Trajectory) -> float:
+    """L2 distance of the series from the kernel samples of `window`."""
+    times = window.times
+    diff = series.evaluate(times) - window.values
     sq = np.sum(diff * diff, axis=(1, 2))
     return float(np.sqrt(trapezoid(sq, np.diff(times))))
 
@@ -686,8 +699,6 @@ def dissipative_lossless_approx(
     min_horizon: float,
     state_budget: int = 20000,
     tail: Callable[[float], float] | None = None,
-    psd_tol: float = PSD_TOL,
-    empirical: bool = True,
 ) -> FourierLosslessApprox:
     """Synthesize a lossless bank within a target L2 error of a kernel.
 
@@ -695,9 +706,11 @@ def dissipative_lossless_approx(
     kernel admits no lossless realization and is refused); bound the
     kernel's size, slope mass, and tail; choose the window from the tail
     mass and the harmonic count from the window; compute windowed Fourier
-    coefficients; shift them into PSD territory; realize each harmonic as
-    an oscillator block; and measure the realized kernel against the input
-    samples over [0, min_horizon].
+    coefficients; shift them into PSD territory; realize the bank from one
+    stacked factorization of the residues (eigenvalues clipped within
+    `PSD_TOL`); and measure the realized kernel against the input samples
+    over [0, min_horizon], one evaluation of the series.  The record's
+    `blocks` and `n_empirical` are left to their first read.
 
     Raises when the kernel is not dissipative, when its tail cannot be
     bounded, when the sample window is shorter than the selected horizon,
@@ -711,8 +724,7 @@ def dissipative_lossless_approx(
     ports = vals.shape[1]
     times = g.times
     measure_end = min(int(round(min_horizon / g.dt)), vals.shape[0] - 1)
-    measure_times = times[: measure_end + 1]
-    measure_target = vals[: measure_end + 1]
+    measured_window = Trajectory(dt=g.dt, values=vals[: measure_end + 1])
 
     if not vals.any():
         empty = LosslessLinear(J=np.zeros((0, 0)), B=np.zeros((0, ports)))
@@ -722,9 +734,9 @@ def dissipative_lossless_approx(
             target_error=float(target_error),
             cos_coefficients=np.zeros(shape), sin_coefficients=np.zeros(shape),
             peak_gain=0.0, derivative_mass=0.0, kernel_mass=0.0,
-            error_constant=0.0, tail_mass=0.0, blocks=(), system=empty,
+            error_constant=0.0, tail_mass=0.0, system=empty,
             effective_cos=np.zeros(shape), effective_sin=np.zeros(shape),
-            l2_error_measured=0.0, n_empirical=0,
+            window=measured_window, l2_error_measured=0.0,
         )
 
     verdict = check_dissipative(g)
@@ -753,33 +765,18 @@ def dissipative_lossless_approx(
             f"over the budget of {state_budget}; raise the budget or the target error"
         )
     window_idx = int(round(horizon / g.dt))
-    window = Trajectory(dt=g.dt, values=vals[: window_idx + 1])
     n_harmonics = min(n_harmonics, window_idx)
-    cos_coef, sin_coef = fourier_coefficients(window, n_harmonics)
+    cos_coef, sin_coef = fourier_coefficients(
+        Trajectory(dt=g.dt, values=vals[: window_idx + 1]), n_harmonics)
     shift = target_error**2 / (horizon * error_constant * np.sqrt(ports))
 
     base = np.pi / horizon
     shifted = cos_coef + shift * np.eye(ports)
-    blocks, system, eff_cos, eff_sin = _realize_bank(
-        shifted[0], shifted[1:] - 1j * sin_coef, base, psd_tol)
+    system, eff_cos, eff_sin = _realize_bank(
+        shifted[0], shifted[1:] - 1j * sin_coef, base, PSD_TOL)
 
     tail_mass = float((running[-1] - np.interp(horizon, times, running)) + beyond_mass)
     series = _HarmonicSeries(base=base, cos_part=eff_cos, sin_part=eff_sin)
-    measured = _window_l2(series, measure_target, measure_times)
-
-    n_empirical: int | None = None
-    if empirical:
-        if measured <= target_error:
-            lo, hi = 1, n_harmonics
-            while lo < hi:
-                mid = (lo + hi) // 2
-                partial = _HarmonicSeries(base=base, cos_part=eff_cos[:mid],
-                                          sin_part=eff_sin[:mid])
-                if _window_l2(partial, measure_target, measure_times) <= target_error:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            n_empirical = lo
 
     return FourierLosslessApprox(
         horizon=float(horizon),
@@ -793,10 +790,9 @@ def dissipative_lossless_approx(
         kernel_mass=kernel_mass,
         error_constant=float(error_constant),
         tail_mass=tail_mass,
-        blocks=blocks,
         system=system,
         effective_cos=eff_cos,
         effective_sin=eff_sin,
-        l2_error_measured=measured,
-        n_empirical=n_empirical,
+        window=measured_window,
+        l2_error_measured=_window_l2(series, measured_window),
     )

@@ -646,10 +646,12 @@ def _format_cell(value) -> str:
 
 
 def _format_column(cells) -> list:
-    """One column of a block as CSV text: a column of floats in one pass,
-    any other column cell by cell through `_format_cell`."""
-    if all(isinstance(cell, float) for cell in cells):
-        return list(map("%.17g".__mod__, cells))
+    """One column of a block as CSV text: a float64 array in one '%.17g'
+    map, any other column cell by cell through `_format_cell`."""
+    if isinstance(cells, np.ndarray):
+        if cells.dtype == np.float64:
+            return list(map("%.17g".__mod__, cells.tolist()))
+        cells = cells.tolist()
     return [_format_cell(cell) for cell in cells]
 
 
@@ -664,8 +666,7 @@ def _write_csv(path: Path, columns: dict) -> None:
         writer.writerow(columns.keys())
         for lo in range(0, max(lengths, default=0), _CSV_BLOCK_ROWS):
             block = (column[lo : lo + _CSV_BLOCK_ROWS] for column in columns.values())
-            cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in block)
-            writer.writerows(zip(*map(_format_column, cells)))
+            writer.writerows(zip(*map(_format_column, block)))
 
 
 def _single_row(**cells) -> dict:

@@ -289,8 +289,6 @@ def simulate_device(
     dt: float,
     trials: int,
     seed: int = 0,
-    *,
-    threads: int = 1,
 ) -> MeasurementOutcome:
     """Probe the system on [0, t_m] and collect back-action statistics.
 
@@ -308,10 +306,9 @@ def simulate_device(
     only chunk 0's first trial runs its record, for `y_m`.  An M2hat chunk
     steps its probes and filter chains in one loop and reads the estimates
     off the least-squares residuals of the records.  Both reduce their
-    chunk sums in `_outcome`.  Every chunk runs in the calling thread;
-    `threads` is accepted and changes nothing.  A thermal record needs n
-    samples to determine x0; a diverging M2hat probe raises
-    FloatingPointError at its first bad time.
+    chunk sums in `_outcome`.  Every chunk runs in the calling thread.  A
+    thermal record needs n samples to determine x0; a diverging M2hat
+    probe raises FloatingPointError at its first bad time.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -835,10 +832,8 @@ def tradeoff_product(
     seed: int = 0,
     *,
     dt: float | None = None,
-    threads: int = 1,
 ) -> TradeoffReport:
-    """Measure |dy| |dyhat| against its floor 2 k_B T_m / C (`threads` is
-    accepted and changes nothing)."""
+    """Measure |dy| |dyhat| against its floor 2 k_B T_m / C."""
     if not device.is_noisy:
         raise ValueError("the trade-off is defined for the realized variants")
     if dt is None:
@@ -878,8 +873,6 @@ def benchmark_estimator(
     dt: float,
     trials: int,
     seed: int = 0,
-    *,
-    threads: int = 1,
 ) -> BenchmarkReport:
     """Score `estimator(times, record) -> float` against the error floor.
 
@@ -888,7 +881,7 @@ def benchmark_estimator(
     potential at t_m.  No estimator can beat `m_star` by more than
     Monte-Carlo fluctuation, however it is built.  Its trials are its own,
     each with its full record (`simulate_device` draws only the M1hat
-    statistic).  `threads` is accepted and changes nothing.
+    statistic).
     """
     if not device.is_noisy:
         raise ValueError("benchmarking needs a noisy readout")
@@ -968,16 +961,13 @@ def device_summary(
     devices,
     trials: int,
     seed: int = 0,
-    *,
-    threads: int = 1,
 ) -> DeviceSummary:
     """Tabulate back action and estimation floor over a horizon sweep.
 
     For each device and each t_m the four columns are the norm of the
     deterministic back action, the trace of the back-action covariance,
     the potential variance B^T P B, and the Riccati floor; stochastic
-    columns are Monte-Carlo with `trials` histories at dt = t_m/256
-    (`threads` is accepted and changes nothing).
+    columns are Monte-Carlo with `trials` histories at dt = t_m/256.
     Each column is then fitted to its leading power law.  The
     deterministic back action of M2hat is adjudicated against the two
     candidate coefficients k_m^2 y0^3/(4 E_m) and k_m y0^3/(4 E_m),

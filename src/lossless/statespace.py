@@ -284,16 +284,6 @@ class LosslessLinear(_StatePorts):
     def as_statespace(self) -> LinearStateSpace:
         return LinearStateSpace(A=self.J, B=self.B, C=self.B.T, D=self.D)
 
-    @classmethod
-    def _from_checked(cls, J: np.ndarray, B: np.ndarray, D: np.ndarray) -> "LosslessLinear":
-        """Wrap read-only arrays whose entries a validated system already
-        holds (say, views of one diagonal block of it), without checking
-        or copying them again."""
-        system = object.__new__(cls)
-        for name, value in (("J", J), ("B", B), ("D", D)):
-            object.__setattr__(system, name, value)
-        return system
-
 
 @dataclass(frozen=True)
 class SignatureMatrix:

@@ -102,12 +102,12 @@ class ThermalEnsemble:
         return self.boltzmann * self.temperature
 
 
-def sample_gibbs(ensemble: ThermalEnsemble, count: int, *, threads: int = 1) -> np.ndarray:
+def sample_gibbs(ensemble: ThermalEnsemble, count: int) -> np.ndarray:
     """Draw `count` i.i.d. states from the ensemble, as a (count, n) array.
 
     Sampling is chunked on fixed boundaries with one substream per chunk,
-    each run in the calling thread; `threads` is accepted and changes
-    nothing.  At zero temperature all samples equal the mean exactly.
+    each run in the calling thread.  At zero temperature all samples equal
+    the mean exactly.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -195,7 +195,6 @@ def empirical_fdt_check(
     seed: int,
     *,
     boltzmann: float = 1.0,
-    threads: int = 1,
 ) -> FdtReport:
     """Estimate the transient autocovariance over a Gibbs ensemble.
 
@@ -206,8 +205,7 @@ def empirical_fdt_check(
     the unbiased estimator.  A chunk of trials forms its transients as
     one product with the stacked maps and its first and second moments
     as the Gram matrices of the transients and of their squares.  Every
-    chunk runs in the calling thread; `threads` is accepted and changes
-    nothing.
+    chunk runs in the calling thread.
     """
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or np.any(times < 0):

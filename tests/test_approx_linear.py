@@ -349,6 +349,21 @@ class TestExponentialPipeline:
     def test_empirical_count_is_tiny(self, exp_pipeline):
         assert exp_pipeline.n_empirical == 6
 
+    def test_build_stores_one_realization(self, exp_kernel, monkeypatch):
+        # a build scores the window once and makes only the DC block and
+        # the assembled bank; blocks and n_empirical wait for their first read
+        scored, built = [], []
+        window_l2, post_init = approx_linear._window_l2, LosslessLinear.__post_init__
+        monkeypatch.setattr(approx_linear, "_window_l2",
+                            lambda *a: scored.append(1) or window_l2(*a))
+        monkeypatch.setattr(LosslessLinear, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        f = dissipative_lossless_approx(exp_kernel, 0.1, 5.0, tail=lambda t: np.exp(-t))
+        assert "blocks" not in vars(f) and "n_empirical" not in vars(f)
+        assert len(scored) == 1 and len(built) == 2
+        assert f.n_empirical == 6 and len(scored) > 1
+        assert f.n_empirical is vars(f)["n_empirical"]
+
     def test_shifted_residues_psd(self, exp_pipeline):
         assert (exp_pipeline.cos_coefficients[:, 0, 0] + exp_pipeline.shift).min() > 0.0
 
@@ -692,6 +707,21 @@ class TestPipelineEdges:
         assert z.system.n == 0
         assert z.n_harmonics == 0
         assert z.l2_error_measured == 0.0
+        assert z.n_empirical == 0
+        assert z.blocks == ()
+
+    def test_no_empirical_count_past_the_target(self):
+        # a record whose full bank misses the target has no partial bank that meets it
+        one = np.ones((2, 1, 1))
+        f = FourierLosslessApprox(
+            horizon=1.0, n_harmonics=2, shift=0.0, target_error=0.1,
+            cos_coefficients=one, sin_coefficients=0 * one[:1], peak_gain=1.0,
+            derivative_mass=1.0, kernel_mass=1.0, error_constant=1.0, tail_mass=0.0,
+            system=realize_harmonic(one[0], 0.0), effective_cos=one / 2, effective_sin=0 * one,
+            window=Trajectory(dt=0.5, values=np.zeros((3, 1, 1))), l2_error_measured=0.2,
+        )
+        assert f.n_empirical is None
+        assert [blk.n for blk in f.blocks] == [1, 2]
 
     def test_non_dissipative_rejected(self, exp_kernel):
         flipped = Trajectory(dt=exp_kernel.dt, values=-exp_kernel.values)

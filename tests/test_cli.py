@@ -23,6 +23,8 @@ from lossless.cli import (
     ConfigError,
     _CSV_BLOCK_ROWS,
     _check,
+    _format_cell,
+    _format_column,
     _write_csv,
     build_config,
     config_schema,
@@ -300,6 +302,13 @@ class TestCsvWriter:
         for columns in ({"a": table[:, 0], "b": table[:, 1]}, dict(zip("ab", table.T.tolist()))):
             _write_csv(path, columns)
             assert path.read_bytes() == _reference_csv(("a", "b"), table.tolist())
+
+    def test_float64_column_formats_as_its_cells(self):
+        column = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324])
+        assert _format_column(column) == [_format_cell(cell) for cell in column]
+        assert _format_column(column) == ["nan", "inf", "-inf", "-0", "4.9406564584124654e-324"]
+        for other in (column.astype(np.float32), np.array([-3, 0, 7]), np.array([True, False])):
+            assert _format_column(other) == [_format_cell(cell) for cell in other]
 
     def test_mixed_rows_match_per_cell_formatting(self, tmp_path):
         rows = [

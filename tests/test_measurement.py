@@ -388,20 +388,6 @@ class TestThermalMemorylessProbe:
         assert out.m_star == pytest.approx(ref.m_star[0], rel=1e-12)
         assert np.linalg.eigvalsh(out.P).min() >= -1e-12 * np.abs(out.P).max()
 
-    def test_thread_count_never_changes_results(self):
-        # 3000 and 2100 trials span three chunks each; every chunk runs in
-        # the calling thread, and threads=4 must not change a bit
-        for dev, trials in ((Device(variant="M1hat", admittance=1.0, temperature=1.0), 3000),
-                            (Device(variant="M2hat", admittance=1.0, temperature=1.0,
-                                    supply_energy=10.0), 2100)):
-            one = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 256, trials=trials, seed=21)
-            four = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 256, trials=trials, seed=21, threads=4)
-            assert np.array_equal(one.P, four.P)
-            assert np.array_equal(one.b_mean, four.b_mean)
-            assert one.y_hat == four.y_hat
-            assert one.estimate_variance == four.estimate_variance
-            assert np.array_equal(one.y_m.values, four.y_m.values)
-
     def test_validation(self):
         dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
         with pytest.raises(ValueError, match="trials"):
