@@ -6,14 +6,16 @@ Runs `perfbench/run.py --workload <w> --seed 1 --seconds 15 --trace 0` for
 each of the three workloads in its own process, then the Tier-1 test
 command, and writes one JSON object: each workload's result line (the last
 line `run.py` prints), the Tier-1 wall time and summary line, the count of
-non-blank lines in the Python files under `src/` (so that the size of the
-library can be compared between records), and the machine facts (nproc,
+non-blank lines in the Python files under `src/` and the count of public
+parameters with defaults (so that the size of the library and the options
+it offers can be compared between records), and the machine facts (nproc,
 CPU, Python, numpy and scipy versions).  It changes
 nothing under `perfbench/`; the output path is its only argument.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import platform
@@ -56,6 +58,24 @@ def _src_lines() -> int:
                for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
 
 
+def _public_defaults() -> int:
+    """Parameters with a default across `lossless.__all__`: those of each
+    function, and of each class's constructor and public methods."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import lossless
+
+    count = 0
+    for name in lossless.__all__:
+        obj = getattr(lossless, name)
+        members = [obj]
+        if inspect.isclass(obj):
+            members += [getattr(obj, m) for m in vars(obj) if not m.startswith("_")]
+        for member in filter(callable, members):
+            params = inspect.signature(member).parameters.values()
+            count += sum(p.default is not p.empty for p in params)
+    return count
+
+
 def _tier1() -> dict:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -72,7 +92,8 @@ def main(argv: list[str]) -> int:
         print("usage: python3 bench/record.py OUTPUT.json", file=sys.stderr)
         return 2
     record = {"machine": _machine(), "workloads": {w: _workload(w) for w in WORKLOADS},
-              "tier1": _tier1(), "src_nonblank_lines": _src_lines()}
+              "tier1": _tier1(), "src_nonblank_lines": _src_lines(),
+              "public_defaults": _public_defaults()}
     Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     failed = [w for w, run in record["workloads"].items() if run["exit_code"]]
     return 1 if failed or record["tier1"]["exit_code"] else 0

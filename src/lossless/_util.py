@@ -59,12 +59,12 @@ def derive_rng(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def chunk_sizes(total: int, chunk: int = CHUNK_TRIALS) -> list[int]:
-    """Split `total` trials into fixed-size chunks (last one ragged)."""
+def chunk_sizes(total: int) -> list[int]:
+    """Split `total` trials into chunks of `CHUNK_TRIALS` (last one ragged)."""
     if total < 0:
         raise ValueError(f"trial count must be nonnegative, got {total}")
-    full, rem = divmod(total, chunk)
-    return [chunk] * full + ([rem] if rem else [])
+    full, rem = divmod(total, CHUNK_TRIALS)
+    return [CHUNK_TRIALS] * full + ([rem] if rem else [])
 
 
 def run_chunked(

@@ -54,7 +54,6 @@ from ._util import (
     trapezoid,
 )
 from .statespace import (
-    PSD_TOL,
     LosslessLinear,
     Trajectory,
     _as_kernel_samples,
@@ -83,6 +82,9 @@ __all__ = [
 #: Dense/sparse crossover for assembled bank generators.
 _DENSE_LIMIT = 2000
 
+#: `factor_psd` keeps the eigenvalues above this fraction of the largest.
+_RANK_TOL = 1e-12
+
 
 def _pair_generator(cos_states, sin_states, omega, size: int):
     """Bank generator with J[cos, sin] = omega and J[sin, cos] = -omega for
@@ -107,24 +109,19 @@ def split_symmetric(gain) -> tuple[np.ndarray, np.ndarray]:
     return (k + k.T) / 2.0, (k - k.T) / 2.0
 
 
-def factor_psd(sym, rank: int | None = None, rank_tol: float = 1e-12,
-               psd_tol: float = PSD_TOL) -> np.ndarray:
+def factor_psd(sym) -> np.ndarray:
     """Low-rank factor F (r x p) of a symmetric PSD matrix, F^T F = sym.
 
-    The rank is the number of eigenvalues above rank_tol times the largest
-    one, unless forced.  Input that is not symmetric, or is indefinite
-    beyond psd_tol max|entry|, is rejected (`_psd_eigh`);
-    eigenvalues negative within that bound are clipped to zero.
+    The rank r is the number of eigenvalues above `_RANK_TOL` = 1e-12 times
+    the largest one.  Input that is not symmetric, or is indefinite beyond
+    `PSD_TOL` = 1e-8 max|entry|, is rejected (`_psd_eigh`); eigenvalues
+    negative within that bound are clipped to zero.
     """
     s = _square_gain(sym, "matrix")
-    lam, vec = (a[0] for a in _psd_eigh(s[None], "matrix", psd_tol))
+    lam, vec = (a[0] for a in _psd_eigh(s[None], "matrix"))
     order = np.argsort(lam)[::-1]
     lam, vec = lam[order], vec[:, order]
-    if rank is None:
-        cut = rank_tol * (lam[0] if lam.size else 0.0)
-        rank = int(np.count_nonzero(lam > cut))
-    elif not 0 <= rank <= s.shape[0]:
-        raise ValueError(f"rank must lie in [0, {s.shape[0]}], got {rank}")
+    rank = int(np.count_nonzero(lam > _RANK_TOL * (lam[0] if lam.size else 0.0)))
     return (vec[:, :rank] * np.sqrt(lam[:rank])).T
 
 
@@ -157,11 +154,13 @@ class MemorylessSystem:
         return self.factor.shape[0]
 
     @classmethod
-    def from_gain(cls, gain, rank_tol: float = 1e-12) -> "MemorylessSystem":
+    def from_gain(cls, gain) -> "MemorylessSystem":
+        """Split a square gain and factor its symmetric part with `factor_psd`
+        (rank cut `_RANK_TOL` = 1e-12 times the largest eigenvalue)."""
         k = _square_gain(gain)
         sym, antisym = split_symmetric(k)
         try:
-            fac = factor_psd(sym, rank_tol=rank_tol)
+            fac = factor_psd(sym)
         except ValueError as exc:
             raise ValueError(
                 "gain has an active (indefinite) symmetric part; "
@@ -315,13 +314,13 @@ def _half_hat_sine(a: np.ndarray) -> np.ndarray:
     return np.where(small, a * series, (x - np.sin(x)) / (x * x))
 
 
-def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> LosslessLinear:
+def realize_harmonic(residue, frequency: float) -> LosslessLinear:
     """Skew oscillator block whose impulse response is one kernel harmonic.
 
     For a Hermitian PSD residue R = (P + jQ)^H (P + jQ) and frequency w > 0
     the block below satisfies B^T e^{Jt} B = Re(R) cos wt - Im(R) sin wt;
     at w = 0 the block is static with B^T B = R/2 (the half-weight DC term
-    of a cosine series).  Eigenvalues of R negative within psd_tol
+    of a cosine series).  Eigenvalues of R negative within `PSD_TOL` = 1e-8
     max|R| are clipped to zero; anything lower is rejected.  A block at
     w > 0 is the `system` of the one-harmonic bank of `_realize_bank`, so
     it equals that harmonic's states of any bank holding the residue.
@@ -332,8 +331,8 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
         raise ValueError(f"frequency must be nonnegative, got {frequency}")
     p = r.shape[0]
     if frequency > 0:
-        return _realize_bank(np.zeros((p, p)), r[None], float(frequency), psd_tol)[0]
-    lam, vec = _psd_eigh(r[None], "residue", psd_tol)
+        return _realize_bank(np.zeros((p, p)), r[None], float(frequency))[0]
+    lam, vec = _psd_eigh(r[None], "residue")
     keep = lam[0] > 1e-14 * lam[0, -1:]  # the bank's rank cut, as in `_realize_bank`
     lam, vec = lam[0][keep], vec[0][:, keep]
     rank = int(lam.size)
@@ -343,19 +342,20 @@ def realize_harmonic(residue, frequency: float, psd_tol: float = PSD_TOL) -> Los
     return LosslessLinear(J=np.zeros((rank, rank)), B=half.real.reshape(rank, p))
 
 
-def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, psd_tol: float):
+def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float):
     """Assembled system and effective (cos, sin) kernel of a bank.
 
     `dc_residue` (p, p) is the real DC residue and `residues` (N - 1, p, p)
     the Hermitian residues of harmonics k = 1..N-1 at k * base.  These are
-    factored by one stacked eigh, and the generator, input map and
-    effective coefficients come from the stacked factors.  The system
-    holds the DC block's states, then each harmonic's kept cosine states
-    and its kept sine states; no per-harmonic block is built here
-    (`FourierLosslessApprox.blocks` makes them on first read).
+    factored by one stacked eigh (eigenvalues clipped within `PSD_TOL`),
+    and the generator, input map and effective coefficients come from the
+    stacked factors.  The system holds the DC block's states, then each
+    harmonic's kept cosine states and its kept sine states; no
+    per-harmonic block is built here (`FourierLosslessApprox.blocks` makes
+    them on first read).
     """
-    dc = realize_harmonic(dc_residue, 0.0, psd_tol=psd_tol)
-    lam, vec = _psd_eigh(residues, "residue", psd_tol)
+    dc = realize_harmonic(dc_residue, 0.0)
+    lam, vec = _psd_eigh(residues, "residue")
     lam[lam <= lam[:, -1:] * 1e-14] = 0.0  # rank cut: lam > 0 marks the kept eigenpairs
     w = np.swapaxes((vec * np.sqrt(lam)[:, None, :]).conj(), 1, 2)  # row i: eigenpair i
     keep = lam > 0
@@ -439,8 +439,7 @@ class HarmonicApprox(_HarmonicResponseMixin):
         )
 
 
-def memoryless_lossless_approx(gain, horizon: float, n_harmonics: int,
-                               rank_tol: float = 1e-12) -> HarmonicApprox:
+def memoryless_lossless_approx(gain, horizon: float, n_harmonics: int) -> HarmonicApprox:
     """Lossless oscillator bank approximating the memoryless map y = gain u.
 
     State layout: one static block of size r (the DC harmonic), then the
@@ -450,7 +449,7 @@ def memoryless_lossless_approx(gain, horizon: float, n_harmonics: int,
     positive(horizon, "horizon")
     if n_harmonics < 2:
         raise ValueError(f"need at least 2 harmonics, got {n_harmonics}")
-    ms = MemorylessSystem.from_gain(gain, rank_tol=rank_tol)
+    ms = MemorylessSystem.from_gain(gain)
     r, p = ms.rank, ms.ports
     w0 = np.pi / horizon
     pairs = (n_harmonics - 1) * r
@@ -638,7 +637,8 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
     def blocks(self) -> tuple[LosslessLinear, ...]:
         """The per-harmonic oscillator blocks in frequency order, whose
         direct sum is `system`: `realize_harmonic` of each shifted residue
-        at k pi / horizon, built on first read."""
+        at k pi / horizon (eigenvalues clipped within `PSD_TOL` = 1e-8
+        max|residue|, as in the bank), built on first read."""
         base = np.pi / self.horizon
         shifted = self.cos_coefficients + self.shift * np.eye(self.ports)
         residues = (*shifted[:1], *(shifted[1:] - 1j * self.sin_coefficients))
@@ -772,8 +772,7 @@ def dissipative_lossless_approx(
 
     base = np.pi / horizon
     shifted = cos_coef + shift * np.eye(ports)
-    system, eff_cos, eff_sin = _realize_bank(
-        shifted[0], shifted[1:] - 1j * sin_coef, base, PSD_TOL)
+    system, eff_cos, eff_sin = _realize_bank(shifted[0], shifted[1:] - 1j * sin_coef, base)
 
     tail_mass = float((running[-1] - np.interp(horizon, times, running)) + beyond_mass)
     series = _HarmonicSeries(base=base, cos_part=eff_cos, sin_part=eff_sin)

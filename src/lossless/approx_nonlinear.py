@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_float_array, cumulative_trapezoid, frozen, positive, simpson
-from .statespace import Trajectory, _input_samples, _port_samples, _rk4, _square_gain
+from ._util import as_float_array, cumulative_trapezoid, frozen, positive
+from .statespace import Trajectory, _input_samples, _port_samples, _rk4, _square_gain, energy_ledger
 
 __all__ = [
     "ConvergenceFit",
@@ -42,6 +42,10 @@ __all__ = [
     "supply_error_running_bound",
     "wrap_lossless",
 ]
+
+#: `convergence_order` fits only the errors above this; smaller ones
+#: measure the integrator, not the construction.
+_ERROR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -232,28 +236,25 @@ def simulate_wrapped(
     path = _rk4(rates, np.append(ws.initial_state, root), u_vals, u_mids, h)
     states, supply = path[:, :-1], path[:, -1]
 
-    outputs = np.empty((steps + 1, ports))
+    y_vals = np.empty((steps + 1, ports))
     for k in range(steps + 1):
         gx = np.asarray(output(states[k], u_vals[k]), dtype=float).reshape(ports)
-        outputs[k] = (supply[k] / root) * gx
+        y_vals[k] = (supply[k] / root) * gx
+    outputs = Trajectory(dt=h, values=y_vals)
 
     # Losslessness is an algebraic identity of the wrapped field, so the
-    # only way the books fail to balance is integration error; audit it.
-    energy = 0.5 * (np.sum(states**2, axis=1) + supply**2)
-    work = np.sum(outputs * u_vals, axis=1)
-    residual = abs(energy[-1] - energy[0] - float(simpson(work, h)))
-    guard = 1e3 * h**4 * steps * max(1.0, float(np.abs(work).max())) + 1e-12 * float(
-        np.abs(energy).max()
+    # only way the books fail to balance is integration error; audit the
+    # ledger of the augmented state [x_hat, x_E].
+    ledger = energy_ledger(Trajectory(dt=h, values=path), Trajectory(dt=h, values=u_vals), outputs)
+    residual = ledger.balance_residual()
+    guard = 1e3 * h**4 * steps * max(1.0, float(np.abs(ledger.work_rate).max())) + 1e-12 * float(
+        np.abs(ledger.total_energy).max()
     )
     if residual > guard:
         raise FloatingPointError(
             f"energy audit failed: |dE - work| = {residual:.3g} exceeds {guard:.3g}; reduce dt"
         )
-    return (
-        Trajectory(dt=h, values=states),
-        Trajectory(dt=h, values=supply),
-        Trajectory(dt=h, values=outputs),
-    )
+    return Trajectory(dt=h, values=states), Trajectory(dt=h, values=supply), outputs
 
 
 @dataclass(frozen=True)
@@ -271,13 +272,13 @@ class ConvergenceFit:
         object.__setattr__(self, "excluded", tuple(int(i) for i in self.excluded))
 
 
-def convergence_order(factory, energies, reference, *, error_floor=1e-12) -> ConvergenceFit:
+def convergence_order(factory, energies, reference) -> ConvergenceFit:
     """Sup-norm error of factory(E0) against a reference, log-log fitted.
 
     `factory` maps an initial energy to a Trajectory (or plain array)
     shaped like `reference`.  The grid must span at least three decades,
     otherwise the fitted exponent is noise.  Points whose error has
-    fallen to `error_floor` measure the integrator, not the
+    fallen to `_ERROR_FLOOR` = 1e-12 measure the integrator, not the
     construction; they are dropped from the fit and reported through
     the `excluded` field of the result.
 
@@ -299,7 +300,7 @@ def convergence_order(factory, energies, reference, *, error_floor=1e-12) -> Con
         if vals.shape != ref.shape:
             raise ValueError(f"factory output has shape {vals.shape}, reference {ref.shape}")
         errors[i] = float(np.abs(vals - ref).max())
-    keep = errors > error_floor
+    keep = errors > _ERROR_FLOOR
     if int(keep.sum()) < 2:
         raise ValueError("fewer than two points above the error floor; nothing to fit")
     slope = float(np.polyfit(np.log10(grid[keep]), np.log10(errors[keep]), 1)[0])

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import derive_rng
+from ._util import cumulative_trapezoid, derive_rng
 from .approx_linear import (
     dissipative_lossless_approx,
     memoryless_error_bound,
@@ -770,14 +770,11 @@ def _run_approx_dissipative(config: ExperimentConfig) -> RunReport:
         tail = None
     f = dissipative_lossless_approx(kernel, p["epsilon"], p["tau"], tail=tail)
 
-    ports = f.cos_coefficients.shape[1]
-    eye = np.eye(ports)
-    cos = f.cos_coefficients
-    shifted = (cos + cos.transpose(0, 2, 1)) / 2.0 + f.shift * eye
-    eigs = np.linalg.eigvalsh(shifted)
-    complex_residues = cos.astype(complex).copy()
-    complex_residues[1:] -= 1j * f.sin_coefficients
-    norms = np.linalg.svd(complex_residues, compute_uv=False)[:, 0]
+    residues = f.cos_coefficients.astype(complex)
+    residues[1:] -= 1j * f.sin_coefficients
+    norms = np.linalg.svd(residues, compute_uv=False)[:, 0]
+    # the shifted residues are the Hermitian matrices the bank factors
+    eigs = np.linalg.eigvalsh(residues + f.shift * np.eye(f.ports))
     envelope = f.error_constant / (2.0 + np.arange(f.n_harmonics))
     skew = check_lossless(f.system, trials=0).skew_residual
     # An empty bank (the zero kernel) has no residues: the minimum over the
@@ -842,8 +839,7 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
         max_errors[trial] = err.max()
         running_margins[trial] = (supply_error_running_bound(k, u, e0).values - err).min()
         flat = supply_error_bound(k, peak, horizon, e0)
-        l2 = np.sqrt(np.concatenate([[0.0], np.cumsum((sq[1:] + sq[:-1]) / 2.0 * dt)]))
-        flat_margins[trial] = (flat * l2 - err).min()
+        flat_margins[trial] = (flat * np.sqrt(cumulative_trapezoid(sq, dt)) - err).min()
 
     e0s = p["e0_values"]
     t_m = np.arange(1001) * 1e-3

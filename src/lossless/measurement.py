@@ -830,15 +830,12 @@ def tradeoff_product(
     t_m: float,
     trials: int,
     seed: int = 0,
-    *,
-    dt: float | None = None,
 ) -> TradeoffReport:
-    """Measure |dy| |dyhat| against its floor 2 k_B T_m / C."""
+    """Measure |dy| |dyhat| against its floor 2 k_B T_m / C, from `trials`
+    probe histories at dt = t_m / `_PROBE_STEPS` = t_m / 256."""
     if not device.is_noisy:
         raise ValueError("the trade-off is defined for the realized variants")
-    if dt is None:
-        dt = t_m / _PROBE_STEPS
-    outcome = simulate_device(system, device, t_m, dt, trials, seed)
+    outcome = simulate_device(system, device, t_m, t_m / _PROBE_STEPS, trials, seed)
     rhs = 2.0 * device.boltzmann * device.temperature / system.c_cap
     emp = math.sqrt(max(outcome.estimate_variance, 0.0))
     lhs = outcome.delta_y * outcome.delta_y_hat

@@ -101,6 +101,12 @@ SKEW_TOL = 1e-10
 #: max|entry|, `check_dissipative`'s verdict by max(1, max|ghat(jw)|).
 PSD_TOL = 1e-8
 
+#: `check_reciprocal`'s bound on max|g Sigma - Sigma g^T| over the samples.
+_RECIPROCITY_TOL = 1e-8
+
+#: `check_time_reversible`'s bound on max|y2(t) - Sigma y1(T - t)|.
+_REVERSIBILITY_TOL = 1e-6
+
 
 def _is_sparse(m) -> bool:
     """Whether m is a scipy.sparse matrix or array.  Nothing can be one
@@ -140,9 +146,9 @@ def _skew_generator(m, name: str, *, dense: bool = False):
     return m
 
 
-def _psd_eigh(stack, name: str, psd_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eigh(stack, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (lam (k, p), vec (k, p, p)) of a stack of k matrices, each
-    Hermitian within 1e-10 and PSD within psd_tol, both times its scale
+    Hermitian within 1e-10 and PSD within `PSD_TOL`, both times its scale
     max|entry|; the first that is not PSD is rejected, naming its
     smallest eigenvalue.  lam is clipped at zero; callers cut the rank."""
     r = np.asarray(stack)
@@ -151,7 +157,7 @@ def _psd_eigh(stack, name: str, psd_tol: float) -> tuple[np.ndarray, np.ndarray]
     if np.any(asym > 1e-10 * scale):
         raise ValueError(f"{name} is not symmetric (Hermitian) within 1e-10 max|entry|")
     lam, vec = np.linalg.eigh(r)
-    bad = np.nonzero((lam[:, :1] < -psd_tol * scale[:, None]).any(axis=1))[0]
+    bad = np.nonzero((lam[:, :1] < -PSD_TOL * scale[:, None]).any(axis=1))[0]
     if bad.size:
         raise ValueError(f"{name} is not positive semidefinite: smallest eigenvalue {lam[bad[0], 0]:.6e}")
     return np.clip(lam, 0.0, None), vec
@@ -717,16 +723,18 @@ def energy_ledger(x: Trajectory, u: Trajectory, y: Trajectory) -> EnergyLedger:
     return EnergyLedger(times=x.times, total_energy=energy, work_rate=rate)
 
 
-def _smooth_test_input(rng: np.random.Generator, p: int, horizon: float, n_modes: int = 5):
-    """Random band-limited input, zero at t = 0, as a callable of t.
+def _smooth_test_input(rng: np.random.Generator, p: int, horizon: float):
+    """Random band-limited input, zero at t = 0, as a callable of t: the
+    modes sin(k pi t / horizon), k = 1..5, each weighted by a standard
+    normal amplitude over k.
 
     The callable takes a time or an array of times and returns t.shape + (p,).
     """
-    amps = rng.standard_normal((n_modes, p))
+    amps = rng.standard_normal((5, p))
 
     def u(t):
-        phases = np.sin(np.arange(1, n_modes + 1) * np.pi * np.asarray(t)[..., None] / horizon)
-        return phases @ (amps / np.arange(1, n_modes + 1)[:, None])
+        phases = np.sin(np.arange(1, 6) * np.pi * np.asarray(t)[..., None] / horizon)
+        return phases @ (amps / np.arange(1, 6)[:, None])
 
     return u
 
@@ -775,9 +783,10 @@ def check_lossless(
     )
 
 
-def _default_frequencies(omega_scale: float, count: int = 200) -> np.ndarray:
+def _default_frequencies(omega_scale: float) -> np.ndarray:
+    """0 and 200 log-spaced frequencies from 1e-3 to 1e3 times the scale."""
     scale = max(omega_scale, 1e-12)
-    grid = scale * np.logspace(-3.0, 3.0, count)
+    grid = scale * np.logspace(-3.0, 3.0, 200)
     return np.concatenate(([0.0], grid))
 
 
@@ -813,7 +822,7 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     """
     vals = _as_kernel_samples(g.values)
     m = vals.shape[0]
-    # keep the transform cost bounded; psd_tol-grade accuracy survives decimation
+    # keep the transform cost bounded; PSD_TOL-grade accuracy survives decimation
     stride = max(1, (m - 1) // 32768)
     t = g.times[::stride]
     count = len(t)  # the uniform samples k stride dt; the end one is appended
@@ -853,20 +862,17 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     return ghat, tail_fraction, warning
 
 
-def check_dissipative(
-    obj,
-    frequencies: np.ndarray | None = None,
-    psd_tol: float = PSD_TOL,
-) -> DissipativeVerdict:
+def check_dissipative(obj, frequencies: np.ndarray | None = None) -> DissipativeVerdict:
     """Positive-realness scan of a transfer function.
 
     Accepts a state-space system (resolvent evaluation), a sampled kernel
     Trajectory (windowed transform with exponential tail closure), or a bare
     p x p matrix treated as a constant direct term.  The verdict is the
     minimum eigenvalue of the Hermitian part ghat(jw) + ghat(jw)^H over the
-    frequency grid; the system is declared dissipative when at every
-    frequency it is >= -psd_tol max(1, max|ghat(jw)|): rounding in the
-    Hermitian part grows with ghat, as next to a pole, but a kernel
+    frequency grid (0 and 200 log-spaced points unless `frequencies` is
+    given); the system is declared dissipative when at every frequency it
+    is >= -`PSD_TOL` max(1, max|ghat(jw)|), `PSD_TOL` = 1e-8: rounding in
+    the Hermitian part grows with ghat, as next to a pole, but a kernel
     transform's is set by its samples, not by a small ghat at high w.
     A state-space frequency whose resolvent jw I - A is singular, or has a
     reciprocal condition number below machine epsilon, is a pole on the
@@ -919,46 +925,39 @@ def check_dissipative(
     return DissipativeVerdict(
         min_eigenvalue=float(eigs.min()),
         frequencies=omegas,
-        dissipative=bool(np.all(eigs[:, 0] >= -psd_tol * scale)),
+        dissipative=bool(np.all(eigs[:, 0] >= -PSD_TOL * scale)),
         tail_fraction=tail_fraction,
         warning=warning,
     )
 
 
-def check_reciprocal(g: Trajectory, sigma: SignatureMatrix, tol: float = 1e-8) -> ReciprocityVerdict:
-    """Check g(t) Sigma = Sigma g(t)^T for every sample (max abs residual)."""
+def check_reciprocal(g: Trajectory, sigma: SignatureMatrix) -> ReciprocityVerdict:
+    """Check g(t) Sigma = Sigma g(t)^T for every sample: reciprocal when the
+    max abs residual is within `_RECIPROCITY_TOL` = 1e-8."""
     vals = _as_kernel_samples(g.values)
     s = sigma.matrix
     if s.shape[0] != vals.shape[1]:
         raise ValueError("signature dimension does not match the kernel")
     residual = float(np.abs(vals @ s - s @ np.transpose(vals, (0, 2, 1))).max())
-    return ReciprocityVerdict(max_residual=residual, reciprocal=bool(residual <= tol))
+    return ReciprocityVerdict(max_residual=residual, reciprocal=bool(residual <= _RECIPROCITY_TOL))
 
 
-def check_time_reversible(
-    sys,
-    sigma: SignatureMatrix,
-    u1: Trajectory,
-    tol: float = 1e-6,
-    x0=None,
-) -> ReversibilityVerdict:
+def check_time_reversible(sys, sigma: SignatureMatrix, u1: Trajectory) -> ReversibilityVerdict:
     """Two-experiment time-reversal test.
 
     Experiment 1 drives the system from rest with u1 over [0, T].  Experiment
     2 applies u2(t) = -Sigma u1(T - t) and must end at rest at t = T (the
     state runs backwards to where experiment 1 began); the check passes when
-    y2(t) = Sigma y1(T - t) within `tol` at every sample.
+    y2(t) = Sigma y1(T - t) within `_REVERSIBILITY_TOL` = 1e-6 at every
+    sample.
 
     The reversed run is computed by integrating v' = -A v + B Sigma u1(s)
     forward from v(0) = 0 and reading it backwards, which anchors the rest
     state at the reversal instant instead of compounding it into a terminal
     condition.  Systems exposing `zero_state_response` (large harmonic
-    realizations) are simulated matrix-free.
-
-    Only rest initial conditions are admissible; a nonzero x0 is rejected.
+    realizations) are simulated matrix-free.  Both experiments start
+    from rest, the only state the test is defined from.
     """
-    if x0 is not None and np.any(np.asarray(x0) != 0):
-        raise ValueError("time-reversal experiments are defined from rest; x0 must be zero")
     s = sigma.matrix
     u_fwd = _port_samples(u1, sigma.p, owner="the signature")
     u_mirror = u_fwd @ s  # Sigma u1(s), symmetric diagonal signature
@@ -977,7 +976,7 @@ def check_time_reversible(
     y2 = v_out[::-1] - u_mirror[::-1] @ d_term.T
     target = y1[::-1] @ s
     deviation = float(np.abs(y2 - target).max())
-    return ReversibilityVerdict(max_deviation=deviation, reversible=bool(deviation <= tol))
+    return ReversibilityVerdict(max_deviation=deviation, reversible=bool(deviation <= _REVERSIBILITY_TOL))
 
 
 def lc_ladder(l1: float = 1.0, c1: float = 1.0, c2: float = 1.0) -> LosslessLinear:

@@ -33,7 +33,6 @@ import numpy as np
 from ._util import as_float_array, cumulative_trapezoid, derive_rng, expm, frozen, positive, run_chunked
 from .approx_linear import factor_psd
 from .statespace import (
-    PSD_TOL,
     LosslessLinear,
     Trajectory,
     _StatePorts,
@@ -295,7 +294,7 @@ class LangevinModel(_StatePorts):
             raise ValueError(
                 f"shapes disagree: J {j.shape}, K {k.shape}, B {b.shape}"
             )
-        _psd_eigh(k[None], "K", PSD_TOL)
+        _psd_eigh(k[None], "K")
         ell = factor_psd(k).T if self.L is None else as_float_array(self.L, "L", ndim=2)
         if ell.shape[0] != j.shape[0]:
             raise ValueError(f"L has {ell.shape[0]} rows, state dimension is {j.shape[0]}")
@@ -351,7 +350,7 @@ def johnson_nyquist_intensity(gain_symmetric, temperature: float, *, boltzmann: 
     2 k_B T R.
     """
     ks = _square_gain(gain_symmetric, "symmetric gain")
-    _psd_eigh(ks[None], "gain", PSD_TOL)
+    _psd_eigh(ks[None], "gain")
     t = positive(temperature, "temperature", or_zero=True)
     return 2.0 * positive(boltzmann, "boltzmann constant") * t * ks
 
@@ -376,7 +375,7 @@ def sample_johnson_noise(
     positive(dt, "dt")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    factor = factor_psd(intensity, psd_tol=PSD_TOL)
+    factor = factor_psd(intensity)
     kicks = derive_rng(seed).standard_normal((steps, factor.shape[0]))
     return Trajectory(dt=dt, values=(kicks @ factor) / math.sqrt(dt))
 

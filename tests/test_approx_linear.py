@@ -34,7 +34,6 @@ from lossless.approx_linear import (
 from lossless import approx_linear
 from lossless.approx_linear import _DENSE_LIMIT, _HarmonicSeries, _realize_bank
 from lossless.statespace import (
-    PSD_TOL,
     LosslessLinear,
     SignatureMatrix,
     Trajectory,
@@ -480,7 +479,7 @@ class TestTwoPortPipeline:
         with pytest.raises(ValueError) as single:
             realize_harmonic(residues[1], 2.0)
         with pytest.raises(ValueError, match=re.escape(str(single.value))):
-            _realize_bank(np.eye(2), residues, 1.0, PSD_TOL)
+            _realize_bank(np.eye(2), residues, 1.0)
 
 
 def _direct_sum(series, t):

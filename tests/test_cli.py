@@ -474,6 +474,32 @@ class TestRunsAndArtifacts:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "div").exists()
 
+    def test_multiport_eigenvalues_are_those_of_the_factored_residues(self, tmp_path):
+        # A two-port kernel with an antisymmetric part: its residues
+        # cos_k + shift I - i sin_k are complex Hermitian, and the real
+        # part alone has other eigenvalues (by up to 0.034 here).
+        dt = 0.02
+        t = np.arange(601) * dt
+        off = np.exp(-2 * t) - np.exp(-3 * t)
+        vals = np.empty((len(t), 2, 2))
+        vals[:, 0, 0], vals[:, 0, 1] = 2 * np.exp(-t), off
+        vals[:, 1, 0], vals[:, 1, 1] = -off, 2 * np.exp(-3 * t)
+        cfg = _write_config(tmp_path, kernel={"dt": dt, "values": vals.tolist()},
+                            epsilon=0.5, tau=3.0)
+        out = tmp_path / "twoport"
+        assert main(["approx-dissipative", "--config", str(cfg), "--out", str(out)]) == 0
+
+        f = lossless.dissipative_lossless_approx(lossless.Trajectory(dt=dt, values=vals), 0.5, 3.0)
+        residues = f.cos_coefficients + f.shift * np.eye(2) + 0j
+        residues[1:] -= 1j * f.sin_coefficients
+        expected = np.linalg.eigvalsh(residues)[:, 0]
+        assert np.abs(f.sin_coefficients).max() > 0.01
+        with open(out / "coefficients.csv", encoding="utf-8", newline="") as fh:
+            column = [float(row["shifted_min_eig"]) for row in csv.DictReader(fh)]
+        assert np.array_equal(column, expected)
+        with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+            assert float(next(csv.DictReader(fh))["min_shifted_eig"]) == expected.min()
+
     def test_zero_kernel_gives_the_empty_bank(self, tmp_path):
         cfg = _write_config(tmp_path, kernel={"dt": 0.1, "values": [0.0, 0.0, 0.0, 0.0]})
         out = tmp_path / "zero"

@@ -619,6 +619,13 @@ class TestTradeoff:
         assert 2.85 <= rep.ratio <= 3.15
         assert rep.lhs >= 0.9 * rep.rhs
 
+    def test_probes_at_a_256th_of_the_horizon(self):
+        dev = Device(variant="M2hat", admittance=2.0, temperature=1.0, supply_energy=10.0)
+        rep = tradeoff_product(SYSTEM, dev, 2e-3, 300, seed=5)
+        out = simulate_device(SYSTEM, dev, 2e-3, 2e-3 / 256, 300, 5)
+        assert rep.delta_y == out.delta_y
+        assert rep.delta_y_hat_empirical == math.sqrt(max(out.estimate_variance, 0.0))
+
     def test_rejects_ideal_probes(self):
         with pytest.raises(ValueError, match="realized"):
             tradeoff_product(SYSTEM, Device(variant="M1", admittance=1.0), 1e-3, 10)

@@ -673,9 +673,3 @@ class TestReversibility:
             v = check_time_reversible(sys, SignatureMatrix(signs=signs), u)
             assert not v.reversible
             assert v.max_deviation > 0.5
-
-    def test_nonzero_initial_state_rejected(self, fixture, smooth_input):
-        with pytest.raises(ValueError, match="rest"):
-            check_time_reversible(
-                fixture, SignatureMatrix.identity(1), smooth_input, x0=[1, 0, 0]
-            )
