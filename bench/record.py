@@ -5,11 +5,12 @@
 Runs `perfbench/run.py --workload <w> --seed 1 --seconds 15 --trace 0` for
 each of the three workloads in its own process, then the Tier-1 test
 command, and writes one JSON object: each workload's result line (the last
-line `run.py` prints), the Tier-1 wall time and summary line, the count of
-non-blank lines in the Python files under `src/` and the count of public
-parameters with defaults (so that the size of the library and the options
-it offers can be compared between records), and the machine facts (nproc,
-CPU, Python, numpy and scipy versions).  It changes
+line `run.py` prints), the Tier-1 wall time and summary line, the Tier-1
+passed, failed, xfailed and error counts, the count of non-blank lines in
+the Python files under `src/` and the count of public parameters with
+defaults (so that the size of the library, the options it offers and the
+tests it passes can be compared between records), and the machine facts
+(nproc, CPU, Python, numpy and scipy versions).  It changes
 nothing under `perfbench/`; the output path is its only argument.
 """
 
@@ -19,6 +20,7 @@ import inspect
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -76,6 +78,14 @@ def _public_defaults() -> int:
     return count
 
 
+def _tier1_counts(summary: str) -> dict:
+    """Passed, failed, xfailed and error counts from pytest's summary line,
+    "1053 passed, 4 xfailed in 57.7s"; an outcome it does not name is 0."""
+    found = dict((word, int(n)) for n, word in
+                 re.findall(r"(\d+) (passed|failed|xfailed|error)s?\b", summary))
+    return {word: found.get(word, 0) for word in ("passed", "failed", "xfailed", "error")}
+
+
 def _tier1() -> dict:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -92,8 +102,9 @@ def main(argv: list[str]) -> int:
         print("usage: python3 bench/record.py OUTPUT.json", file=sys.stderr)
         return 2
     record = {"machine": _machine(), "workloads": {w: _workload(w) for w in WORKLOADS},
-              "tier1": _tier1(), "src_nonblank_lines": _src_lines(),
-              "public_defaults": _public_defaults()}
+              "tier1": _tier1()}
+    record |= {"tier1_counts": _tier1_counts(record["tier1"]["summary"]),
+               "src_nonblank_lines": _src_lines(), "public_defaults": _public_defaults()}
     Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     failed = [w for w, run in record["workloads"].items() if run["exit_code"]]
     return 1 if failed or record["tier1"]["exit_code"] else 0

@@ -16,11 +16,12 @@ import numpy as np
 #: (seed, *tags, i), so changing the size would change every result.
 CHUNK_TRIALS = 1024
 
-#: Elements per temporary in the rotation sums of `angle_phasors` (the
-#: off-grid harmonic sums, the kernel transform of `check_dissipative` and
-#: rotation-block impulse responses, each within a few eps w t per term of
-#: the sum phase by phase) and in the lifted-block operators of
-#: `statespace._lti_run` (all other impulse responses): 4 MB of float64.
+#: Elements per temporary in the rotation sums of `angle_phasors` (those of
+#: `phasor_sums`, which evaluate the off-grid harmonic series and the kernel
+#: transform of `check_dissipative`, and rotation-block impulse responses,
+#: each within a few eps w t per term of the sum phase by phase) and in the
+#: lifted-block operators of `statespace._lti_run` (all other impulse
+#: responses): 4 MB of float64.
 CHUNK_ELEMENTS = 500_000
 
 
@@ -47,6 +48,32 @@ def angle_phasors(x, step: float, count: int, extra: int = 0):
         np.cos(phase, out=table.real)
         np.sin(phase, out=table.imag)
         yield slice(lo, lo + len(table)), table[:, :inner], table[:, inner:]
+
+
+def phasor_sums(x, step: float, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] e^{i x k step} for each x, shape (len(x),) + coef.shape[1:].
+
+    Blocked angle addition (`angle_phasors`): len(x) (L + count / L) cosines
+    and sines instead of len(x) count, one product of the inner table
+    (m, L) with the blocked coefficients (L, blocks x entries), and an
+    anchor-weighted sum over the blocks.  Against the term-by-term sum the
+    result moves by about 2 eps |x| step sum_k k |coef_k|, from rounding the
+    phase in two parts, plus count eps sum_k |coef_k| from the sums.  An
+    empty stack, or one of empty coefficients, gives zeros.
+    """
+    count, shape = len(coef), coef.shape[1:]
+    out = np.zeros((x.size,) + shape, complex)
+    if not coef.size:
+        return out
+    inner, blocks = angle_blocks(count)
+    blocked = np.zeros((blocks * inner, math.prod(shape)), complex)
+    blocked[:count] = coef.reshape(count, -1)
+    # row l, column (a, e): entry e of coefficient a L + l
+    blocked = blocked.reshape(blocks, inner, -1).transpose(1, 0, 2).reshape(inner, -1)
+    for rows, phasors, anchors in angle_phasors(x, step, count, extra=blocked.shape[1]):
+        sums = (phasors @ blocked).reshape(len(phasors), blocks, -1)
+        out[rows] = np.einsum("ib,ibx->ix", anchors, sums).reshape((-1,) + shape)
+    return out
 
 
 def derive_rng(seed: int, *indices: int) -> np.random.Generator:

@@ -24,10 +24,10 @@ Two entry points build such banks:
 Responses of the realizations are computed matrix-free from the series.
 The bank's frequencies are k pi / tau, so on a sample grid whose step
 divides the window tau the series is a DCT-I/DST-I pair, evaluated by
-FFT; other times take the direct sum, or blocked angle addition when the
-phase table is large.  Zero-state responses are the exact
-convolution of the piecewise-linear interpolant of the input: closed-form
-hat-function weights from the same series, applied by FFT convolution.
+FFT; other times take blocked angle addition.  Zero-state responses are
+the exact convolution of the piecewise-linear interpolant of the input:
+closed-form hat-function weights from the same series, applied by FFT
+convolution.
 A 10^4-state bank on a 10^4-sample grid thus costs a few FFTs.
 """
 
@@ -41,14 +41,12 @@ from typing import Callable
 import numpy as np
 
 from ._util import (
-    CHUNK_ELEMENTS,
-    angle_blocks,
-    angle_phasors,
     cumulative_trapezoid,
     dct1,
     dst1,
     fast_len,
     frozen,
+    phasor_sums,
     positive,
     require_square,
     trapezoid,
@@ -222,39 +220,18 @@ class _HarmonicSeries:
         here one length-2W FFT of C_k + i S_k.  Harmonics past 2W fold onto
         k mod 2W and times past 2 tau wrap, both exactly.
 
-        Other times take the series term by term while its m x N phase
-        table fits in one chunk of `CHUNK_ELEMENTS` (at most a few tens of
-        milliseconds), rounding every phase k w0 t once as a term-by-term
-        reference does.  Larger tables sum Re sum_k (C_k - i S_k) e^{i k w0 t}
-        by blocked angle addition (`angle_phasors`): m (L + N / L) cosines
-        and sines instead of m N, one product of the inner table (m, L) with
-        the blocked coefficients (L, blocks x q p), and an anchor-weighted
-        sum over the blocks.  Against the term-by-term sum the result moves
-        by about 2 eps w0 |t| sum_k k (|C_k| + |S_k|), from rounding the
-        phase in two parts, plus N eps sum_k (|C_k| + |S_k|) from the sums.
+        Other times sum Re sum_k (C_k - i S_k) e^{i k w0 t} by blocked angle
+        addition (`phasor_sums`), within about 2 eps w0 |t| sum_k k (|C_k| +
+        |S_k|) plus N eps sum_k (|C_k| + |S_k|) of the term-by-term sum.
         """
         t = np.asarray(times, float).ravel()
         n = len(self.cos_part)
-        shape = self.cos_part.shape[1:]
         w = self._grid_divisions(t)
         if w:
-            coef = np.zeros((2 * w,) + shape, complex)
+            coef = np.zeros((2 * w,) + self.cos_part.shape[1:], complex)
             np.add.at(coef, np.arange(n) % (2 * w), self.cos_part + 1j * self.sin_part)
             return np.fft.fft(coef, axis=0).real[np.arange(t.size) % (2 * w)]
-        if t.size * n <= CHUNK_ELEMENTS:
-            phase = np.outer(t, self.omegas)
-            return (np.einsum("ik,kqp->iqp", np.cos(phase), self.cos_part)
-                    + np.einsum("ik,kqp->iqp", np.sin(phase), self.sin_part))
-        inner, blocks = angle_blocks(n)
-        coef = np.zeros((blocks * inner, math.prod(shape)), complex)
-        coef[:n] = (self.cos_part - 1j * self.sin_part).reshape(n, -1)
-        # row j, column (b, qp): coefficient of harmonic b L + j
-        coef = coef.reshape(blocks, inner, -1).transpose(1, 0, 2).reshape(inner, -1)
-        out = np.empty((t.size,) + shape)
-        for rows, phasors, anchors in angle_phasors(t, self.base, n, extra=coef.shape[1]):
-            sums = (phasors @ coef).reshape(len(phasors), blocks, -1)
-            out[rows] = np.einsum("ib,ibx->ix", anchors, sums).real.reshape((-1,) + shape)
-        return out
+        return phasor_sums(t, self.base, self.cos_part - 1j * self.sin_part).real
 
     def convolve(self, u_vals: np.ndarray, dt: float, reverse: bool = False) -> np.ndarray:
         """Zero-state response: the kernel convolved with u on a uniform grid.
@@ -321,47 +298,47 @@ def realize_harmonic(residue, frequency: float) -> LosslessLinear:
     the block below satisfies B^T e^{Jt} B = Re(R) cos wt - Im(R) sin wt;
     at w = 0 the block is static with B^T B = R/2 (the half-weight DC term
     of a cosine series).  Eigenvalues of R negative within `PSD_TOL` = 1e-8
-    max|R| are clipped to zero; anything lower is rejected.  A block at
-    w > 0 is the `system` of the one-harmonic bank of `_realize_bank`, so
-    it equals that harmonic's states of any bank holding the residue.
+    max|R| are clipped to zero; anything lower is rejected.  The block is
+    the `system` of the one-residue bank of `_realize_bank` (R its DC
+    residue at w = 0, its one harmonic at w > 0), so it equals that
+    residue's states of any bank holding it.
     """
     r = np.asarray(residue)
     require_square(r, "residue")
     if frequency < 0:
         raise ValueError(f"frequency must be nonnegative, got {frequency}")
-    p = r.shape[0]
-    if frequency > 0:
-        return _realize_bank(np.zeros((p, p)), r[None], float(frequency))[0]
-    lam, vec = _psd_eigh(r[None], "residue")
-    keep = lam[0] > 1e-14 * lam[0, -1:]  # the bank's rank cut, as in `_realize_bank`
-    lam, vec = lam[0][keep], vec[0][:, keep]
-    rank = int(lam.size)
-    half = (vec * np.sqrt(lam / 2.0)).conj().T
-    if np.abs(half.imag).max(initial=0.0) > 1e-12:
-        raise ValueError("a zero-frequency residue must be real symmetric")
-    return LosslessLinear(J=np.zeros((rank, rank)), B=half.real.reshape(rank, p))
+    if frequency == 0:
+        return _realize_bank(r, np.zeros((0,) + r.shape), 0.0)[0]
+    return _realize_bank(np.zeros(r.shape), r[None], float(frequency))[0]
 
 
 def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float):
     """Assembled system and effective (cos, sin) kernel of a bank.
 
     `dc_residue` (p, p) is the real DC residue and `residues` (N - 1, p, p)
-    the Hermitian residues of harmonics k = 1..N-1 at k * base.  These are
-    factored by one stacked eigh (eigenvalues clipped within `PSD_TOL`),
-    and the generator, input map and effective coefficients come from the
-    stacked factors.  The system holds the DC block's states, then each
-    harmonic's kept cosine states and its kept sine states; no
-    per-harmonic block is built here (`FourierLosslessApprox.blocks` makes
-    them on first read).
+    the Hermitian residues of harmonics k = 1..N-1 at k * base.  The DC
+    residue gives a static block with B^T B = R/2, the harmonics are
+    factored by one stacked eigh, and every residue keeps the eigenvalues
+    above 1e-14 times its largest (after clipping within `PSD_TOL`).  The
+    generator, input map and effective coefficients come from the factors.
+    The system holds the DC block's states, then each harmonic's kept
+    cosine states and its kept sine states; no per-harmonic block is built
+    here (`FourierLosslessApprox.blocks` makes them on first read).
     """
-    dc = realize_harmonic(dc_residue, 0.0)
+    lam, vec = _psd_eigh(dc_residue[None], "residue")
+    keep = lam[0] > 1e-14 * lam[0, -1:]
+    lam, vec = lam[0][keep], vec[0][:, keep]
+    half = (vec * np.sqrt(lam / 2.0)).conj().T
+    if np.abs(half.imag).max(initial=0.0) > 1e-12:
+        raise ValueError("a zero-frequency residue must be real symmetric")
+    b_dc = half.real.reshape(lam.size, dc_residue.shape[0])
+
     lam, vec = _psd_eigh(residues, "residue")
     lam[lam <= lam[:, -1:] * 1e-14] = 0.0  # rank cut: lam > 0 marks the kept eigenpairs
     w = np.swapaxes((vec * np.sqrt(lam)[:, None, :]).conj(), 1, 2)  # row i: eigenpair i
     keep = lam > 0
     freqs = base * np.arange(1, len(residues) + 1)
 
-    b_dc = np.asarray(dc.B)
     p_part, q_part = w.real, w.imag
     p_t, q_t = np.swapaxes(p_part, 1, 2), np.swapaxes(q_part, 1, 2)
     eff_cos = np.concatenate([(b_dc.T @ b_dc)[None], p_t @ p_part + q_t @ q_part])
@@ -372,7 +349,7 @@ def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float):
     in_block = np.broadcast_to(keep[:, None, :], halves.shape[:3])
     b_all = np.vstack([b_dc, halves[in_block]])
     state = np.zeros(in_block.shape, dtype=int)
-    state[in_block] = dc.n + np.arange(np.count_nonzero(in_block))
+    state[in_block] = len(b_dc) + np.arange(np.count_nonzero(in_block))
     rows, cols = state[:, 0][keep], state[:, 1][keep]
     omega = np.broadcast_to(freqs[:, None], keep.shape)[keep]
     system = LosslessLinear(J=_pair_generator(rows, cols, omega, b_all.shape[0]), B=b_all)
@@ -481,6 +458,7 @@ def memoryless_error_bound(symmetric_gain, horizon: float, n_harmonics: int,
     u(0) = 0; s_max is the largest singular value of the symmetric gain.
     Derivatives are taken by second-order finite differences on the grid.
     """
+    positive(horizon, "horizon")
     if n_harmonics < 2:
         raise ValueError(f"need at least 2 harmonics, got {n_harmonics}")
     sym = _square_gain(symmetric_gain, "symmetric gain")
@@ -671,7 +649,8 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
 
 
 def l2_error(a: Trajectory, b: Trajectory, horizon: float | None = None) -> float:
-    """Frobenius L2 distance between two sampled kernels on a window."""
+    """Frobenius L2 distance between two sampled kernels on [0, horizon]
+    (their common window when `horizon` is None; a negative one is rejected)."""
     if abs(a.dt - b.dt) > 1e-15:
         raise ValueError("kernels must share the sample step")
     va, vb = _as_kernel_samples(a.values), _as_kernel_samples(b.values)
@@ -679,7 +658,7 @@ def l2_error(a: Trajectory, b: Trajectory, horizon: float | None = None) -> floa
         raise ValueError(f"kernel shapes differ: {va.shape[1:]} vs {vb.shape[1:]}")
     m = min(va.shape[0], vb.shape[0])
     if horizon is not None:
-        m = min(m, int(round(horizon / a.dt)) + 1)
+        m = min(m, int(round(positive(horizon, "horizon", or_zero=True) / a.dt)) + 1)
     diff = va[:m] - vb[:m]
     sq = np.sum(diff * diff, axis=(1, 2))
     return float(np.sqrt(trapezoid(sq, a.dt)))

@@ -64,6 +64,7 @@ from ._util import (
     expm,
     frozen,
     midpoint_samples,
+    phasor_sums,
     positive,
     require_square,
     simpson,
@@ -760,8 +761,10 @@ def check_lossless(
     cost is that of the 2000-step loop, not of the trials: on the 3-state
     LC ladder at the defaults, 1 trial and 8 trials both take about 10 ms;
     1 trial on a 4623-harmonic bank (n = 9245) takes about 1 s.  Pass
-    trials=0 to run the structural check alone.
+    trials=0 to run the structural check alone; a negative count is rejected.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     A, B, C, D = _port_matrices(sys)
     residuals, skew = zip(_skew_test(A), _skew_test(D), _skew_test(B, -C))
     worst = float("nan")
@@ -817,8 +820,9 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     beyond the window is closed with an exponential fit to ||g||_F; kernels
     that do not decay over the window are flagged instead of trusted.
     The window sum runs over the uniform t_k = k stride dt by blocked angle
-    addition (within about eps w t_k per term of the sum phase by phase);
-    the end sample that decimation appends is added directly.
+    addition (`phasor_sums`, within about eps w t_k per term of the sum
+    phase by phase); the end sample that decimation appends is added
+    directly.
     """
     vals = _as_kernel_samples(g.values)
     m = vals.shape[0]
@@ -842,17 +846,9 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     weights[1:-1] = 0.5 * (t[2:] - t[:-2])
     weights[0] = 0.5 * (t[1] - t[0]) if len(t) > 1 else g.dt
     weights[-1] = 0.5 * (t[-1] - t[-2]) if len(t) > 1 else 0.0
-    flat = vals.reshape(m, -1)
-    ghat = np.zeros((len(omegas), flat.shape[1]), dtype=complex)
-    for rows, phasors, anchors in angle_phasors(-omegas, stride * g.dt, count, extra=2 * flat.shape[1]):
-        inner = phasors.shape[1]
-        for a in range(anchors.shape[1]):  # block a: samples a L .. a L + L - 1
-            lo, hi = a * inner, min((a + 1) * inner, count)
-            block = weights[lo:hi, None] * flat[lo * stride : hi * stride : stride]
-            ghat[rows] += anchors[:, a, None] * (phasors[:, : hi - lo] @ block)
+    ghat = phasor_sums(-omegas, stride * g.dt, weights[:count, None, None] * vals[::stride])
     if len(t) > count:
-        ghat += weights[-1] * flat[-1] * np.exp(-1j * omegas * t[-1])[:, None]
-    ghat = ghat.reshape((len(omegas),) + vals.shape[1:])
+        ghat += weights[-1] * vals[-1] * np.exp(-1j * omegas * t[-1])[:, None, None]
     if decay_rate is not None and tail_fraction > 0:
         t_end = g.times[-1]
         tail = vals[-1][None, :, :] * (

@@ -468,6 +468,10 @@ class TestLosslessVerdict:
         assert v.passed
         assert np.isnan(v.energy_residual)
 
+    def test_negative_trial_count_rejected(self, fixture):
+        with pytest.raises(ValueError, match="trials must be nonnegative"):
+            check_lossless(fixture, trials=-1)
+
     def test_damped_system_fails(self):
         sys = LinearStateSpace(
             A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)), D=np.zeros((1, 1))
