@@ -10,8 +10,14 @@ passed, failed, xfailed and error counts, the count of non-blank lines in
 the Python files under `src/` and the count of public parameters with
 defaults (so that the size of the library, the options it offers and the
 tests it passes can be compared between records), and the machine facts
-(nproc, CPU, Python, numpy and scipy versions).  It changes
-nothing under `perfbench/`; the output path is its only argument.
+(nproc, CPU, Python, numpy and scipy versions).
+
+`cli_cold` holds each of the eight CLI experiments at its defaults with
+`--seed 1`, run `COLD_RUNS` times in a fresh process with one BLAS thread
+and a temporary `--out`: the median wall time from `import lossless.cli`
+to exit, the largest peak RSS (the child's own `ru_maxrss`), the exit
+codes, and the public `scipy` and `numpy.f2py` modules loaded at exit.  It
+changes nothing under `perfbench/`; the output path is its only argument.
 """
 
 from __future__ import annotations
@@ -21,14 +27,34 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("synthesis", "montecarlo", "trajectories")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+EXPERIMENTS = ("approx-memoryless", "approx-dissipative", "approx-nonlinear", "fdt",
+               "langevin", "measure", "tradeoff", "table1")
+COLD_RUNS = 3
+SINGLE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+#: One CLI run in a fresh interpreter; its last stdout line reports the run.
+COLD_CHILD = """
+import json, resource, sys, time
+start = time.perf_counter()
+import lossless.cli
+code = lossless.cli.main(sys.argv[1:])
+wall = time.perf_counter() - start
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py"))
+print(json.dumps({"exit_code": code, "wall_s": wall,
+                  "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "modules": [m for m in loaded if not any(p.startswith("_") for p in m.split("."))]}))
+sys.exit(code)
+"""
 
 
 def _machine() -> dict:
@@ -52,6 +78,31 @@ def _workload(name: str) -> dict:
     return {"command": " ".join(["python3", *args]), "exit_code": done.returncode,
             "result": json.loads(lines[-1]) if done.returncode == 0 and lines else None,
             "report": lines[:-1] if done.returncode == 0 else done.stderr.strip().splitlines()[-5:]}
+
+
+def _src_env(extra: dict | None = None) -> dict:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **(extra or {}))
+
+
+def _cli_cold(experiment: str) -> dict:
+    runs = []
+    for _ in range(COLD_RUNS):
+        with tempfile.TemporaryDirectory() as out:
+            args = ["-c", COLD_CHILD, experiment, "--seed", "1", "--out", out]
+            done = subprocess.run([sys.executable, *args], cwd=ROOT, env=_src_env(SINGLE_THREAD),
+                                  capture_output=True, text=True)
+        lines = done.stdout.strip().splitlines()
+        try:
+            runs.append(json.loads(lines[-1]))
+        except (IndexError, ValueError):
+            runs.append({"exit_code": done.returncode, "error": done.stderr.strip().splitlines()[-1:]})
+    timed = [run for run in runs if "wall_s" in run]
+    return {"command": f"python3 -m lossless {experiment} --seed 1 --out <tmp>",
+            "exit_codes": [run["exit_code"] for run in runs],
+            "wall_s": statistics.median(run["wall_s"] for run in timed) if timed else None,
+            "peak_rss_mib": max((run["peak_rss_mib"] for run in timed), default=None),
+            "modules": timed[-1]["modules"] if timed else None}
 
 
 def _src_lines() -> int:
@@ -87,10 +138,8 @@ def _tier1_counts(summary: str) -> dict:
 
 
 def _tier1() -> dict:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=_src_env(), capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = done.stdout.strip().splitlines()
     return {"command": "PYTHONPATH=src python " + " ".join(TIER1), "wall_s": wall,
@@ -102,7 +151,7 @@ def main(argv: list[str]) -> int:
         print("usage: python3 bench/record.py OUTPUT.json", file=sys.stderr)
         return 2
     record = {"machine": _machine(), "workloads": {w: _workload(w) for w in WORKLOADS},
-              "tier1": _tier1()}
+              "cli_cold": {e: _cli_cold(e) for e in EXPERIMENTS}, "tier1": _tier1()}
     record |= {"tier1_counts": _tier1_counts(record["tier1"]["summary"]),
                "src_nonblank_lines": _src_lines(), "public_defaults": _public_defaults()}
     Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -42,6 +42,7 @@ from .statespace import (
     _port_samples,
     _psd_eigh,
     _require_finite,
+    _rotations,
     _skew_generator,
     _square_gain,
     _state_vector,
@@ -135,9 +136,20 @@ def internal_energy(x, mean=None):
 
 
 def _transient_maps(sys: LosslessLinear, times: np.ndarray) -> np.ndarray:
-    """Stack of B^T e^{J t_j}, shape (m, p, n)."""
+    """Stack of B^T e^{J t_j}, shape (m, p, n).
+
+    Where J is rotation blocks (`_rotations`; every bank, dense or CSR) the
+    maps are closed forms, O(m n p): column s is row s of e^{-J t} B,
+    b_s cos(w_s t) - b_r sin(w_s t).  Any other J must be dense and takes
+    the batched `expm`.
+    """
+    rotations = _rotations(sys.J)
+    if rotations is not None:
+        partner, omega = rotations
+        phase = times[:, None, None] * omega
+        return sys.B.T * np.cos(phase) - sys.B[partner].T * np.sin(phase)
     if _is_sparse(sys.J):
-        raise TypeError("fluctuation kernels need a dense J")
+        raise TypeError("fluctuation kernels need a dense J or rotation blocks")
     return sys.B.T @ expm(np.asarray(sys.J) * times[:, None, None])
 
 
@@ -147,9 +159,11 @@ def analytic_fluctuation_covariance(
     """Autocovariance k_B T B^T e^{J (t-s)} B of the thermal transient.
 
     For t >= s this is k_B T g(t - s), the impulse response at the lag;
-    for t < s the transpose at the mirrored lag.  Built from the matrix
-    exponential of `impulse_response`, so the two agree to roundoff, or
-    within a few eps of w t |B|^2 where J is rotation blocks (its closed form).
+    for t < s the transpose at the mirrored lag.  Built from the maps of
+    `_transient_maps`: the matrix exponential `impulse_response` also
+    takes, so the two agree to roundoff, or where J is rotation blocks
+    (every bank, dense or CSR) a closed form, within a few eps of
+    w t |B|^2 of `impulse_response`'s own.
     """
     t, s = float(t), float(s)
     if t < 0 or s < 0:

@@ -1,5 +1,6 @@
-"""Tests for the sums of rotations: rotation-block impulse responses and the
-windowed kernel transform of `check_dissipative`.
+"""Tests for the sums of rotations: rotation-block impulse responses, the
+rotation-block resolvent and the windowed kernel transform of
+`check_dissipative`.
 
 Both evaluate e^{i x k step} through the two factors of blocked angle
 addition.  The references are the paths they replace: the lifted
@@ -10,6 +11,7 @@ form about eps w t from rounding the phase, and an m-term sum about
 sqrt(m) eps.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,11 +26,15 @@ from lossless.statespace import (
     Trajectory,
     _as_kernel_samples,
     _default_frequencies,
+    _dense_resolvent,
     _exponential_tail,
     _kernel_transform,
     _lti_run,
     _port_matrices,
+    _rotation_resolvent,
     _rotation_response,
+    _rotations,
+    check_dissipative,
     impulse_response,
     lc_ladder,
     matrix_exponential,
@@ -179,6 +185,50 @@ class TestRotationImpulse:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestRotationResolvent:
+    """`check_dissipative`'s closed form on rotation blocks against the one
+    dense solve per frequency it replaces there.  Both skip the frequencies
+    where jw I - A has a 1-norm reciprocal condition number below eps, so the
+    grids they keep are equal; the values agree to rounding, a few eps times
+    the condition number relative to |ghat| at each frequency."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: memoryless_lossless_approx(1.0, 10.0, 100).system,
+        lambda rng: memoryless_lossless_approx(np.array([[2.0, 0.5], [0.5, 1.0]]), 1.0, 40).system,
+        lambda rng: _rotation_system(rng.uniform(0.5, 5.0, 5), 2, rng, ports=2, general=True),
+        lambda rng: _rotation_system([1.0, 1.0, np.sqrt(2.0), -np.pi, -1.0], 1, rng, ports=2),
+    ], ids=["bank", "two-port-bank", "general-c", "repeated-negative"])
+    def test_matches_the_dense_solves(self, make):
+        a, b, c, d = _port_matrices(make(np.random.default_rng(7)))
+        partner, omega = _rotations(a)
+        # the default grid, the rotation frequencies themselves (poles) and
+        # points 1e-10 from them (kept, with a large ghat)
+        omegas = np.concatenate([_default_frequencies(np.abs(omega).max()), omega,
+                                 -omega * (1.0 + 1e-10)])
+        ghat, kept = _rotation_resolvent(partner, omega, b, c, d, omegas)
+        expected, expected_kept = _dense_resolvent(np.asarray(a), b, c, d, omegas)
+        assert np.array_equal(kept, expected_kept)
+        assert 0.0 not in kept and len(kept) < len(omegas)
+        # each solve carries rounding of eps times its condition number
+        w = np.abs(kept)[:, None]
+        cond = (w + np.abs(omega)).max(axis=1) / np.abs(w - np.abs(omega)).min(axis=1)
+        bound = 64 * EPS * cond * np.abs(expected).max(axis=(1, 2))
+        assert (np.abs(ghat - expected).max(axis=(1, 2)) <= bound).all()
+
+    def test_sparse_bank_scan_within_a_time_budget(self):
+        # 2199 states as CSR: the dense path took 178 s (a dense SVD, then
+        # one 2199 x 2199 complex solve per frequency)
+        bank = memoryless_lossless_approx(1.0, 10.0, 1100).system
+        assert scipy.sparse.issparse(bank.J) and bank.n == 2199
+        start = time.perf_counter()
+        verdict = check_dissipative(bank)
+        elapsed = time.perf_counter() - start
+        assert verdict.dissipative and abs(verdict.min_eigenvalue) < 1e-10
+        assert verdict.frequencies.size == 200 and 0.0 not in verdict.frequencies
+        assert verdict.frequencies.max() == pytest.approx(1e3 * abs(bank.J).max(), rel=1e-15)
+        assert elapsed < 1.0
 
 
 def _reference_transform(g, omegas):
