@@ -8,9 +8,10 @@ config file given (the experiment's defaults otherwise).  Reads every
 run's checks from its `manifest.json`, then prints one line per check,
 `check <name>: <failures>/<K> failed`, and last one JSON object with the
 same counts, the config path and the exit code of every run that wrote no
-manifest (2 for a config error, 4 for a numerical failure).  The library
-is imported from this checkout's `src/`; nothing is written outside the
-temporary directory.
+manifest (2 for a config error, 4 for a numerical failure).  Exits 1 if any
+run wrote no manifest, 0 otherwise: failed checks are counted, not errors.
+The library is imported from this checkout's `src/`; nothing is written
+outside the temporary directory.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def main(argv: list[str]) -> int:
     for seed, code in result["broken_runs"].items():
         print(f"seed {seed}: exit {code}, no manifest")
     print(json.dumps(result, sort_keys=True))
-    return 0
+    return 1 if result["broken_runs"] else 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ Conventions
   2 x 2 rotations and zero states (every bank, dense or CSR).  Impulse
   responses, `check_lossless`'s step, `check_dissipative`'s resolvent and
   `thermal._transient_maps` then take closed forms and never densify;
-  any other generator takes the dense path.
+  any other generator takes the dense path.  Both are numpy alone: only a
+  sparse generator (a bank above 2000 states, or a caller's) loads scipy.
 * Sampled signals live in `Trajectory` (uniform grid, first axis is time).
 * Ports: a port record (`Trajectory` or array) is (m,) for one port or
   (m, p) for m samples of p ports, so (m,) and (m, 1) are the same
@@ -53,7 +54,6 @@ import dataclasses
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -406,9 +406,8 @@ def integrate_ode(
     The state may have any array shape (batched integration works).  Raises
     FloatingPointError with the blow-up time if the state leaves float range.
     """
-    positive(dt, "dt")
     times = np.arange(_step_count(horizon, dt) + 1) * dt
-    out = _rk4(lambda x, t: f(t, x), x0, times, times[:-1] + 0.5 * dt, dt)
+    out = _rk4(lambda x, t: f(t, x), as_float_array(x0, "x0"), times, times[:-1] + 0.5 * dt, dt)
     return Trajectory(dt=dt, values=out)
 
 
@@ -497,8 +496,10 @@ def _lti_run(phi, x0, gamma=None, u=None, c=None, steps=None):
 
 
 def _step_count(horizon: float, dt: float) -> int:
+    """Steps of dt in horizon, both finite and positive, horizon a multiple of dt."""
+    dt, horizon = positive(dt, "dt"), positive(horizon, "horizon")
     steps = int(round(horizon / dt))
-    if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
+    if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not a positive multiple of dt {dt}")
     return steps
 
@@ -677,6 +678,7 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     by `_lti_run`.
     """
     A, B, C, _ = _port_matrices(sys)
+    positive(dt, "dt")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     out = _rotation_response(A, B, C, dt, n_samples)
@@ -912,23 +914,18 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
 
 
 def _dense_resolvent(A, B, C, D, omegas):
-    """(ghat, kept): C (jw I - A)^{-1} B + D at the frequencies that are not
-    poles, one dense solve each.  scipy's solve warns when the 1-norm
-    reciprocal condition number is below eps; either way the point is a
-    pole on the imaginary axis (lossless resonance) and is skipped."""
-    import scipy.linalg
-
-    eye = np.eye(A.shape[0])
-    rows, kept = [], []
-    for w in omegas:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                rows.append(C @ scipy.linalg.solve(1j * w * eye - A, B) + D)
-                kept.append(w)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-                continue
-    return np.reshape(rows, (len(rows),) + D.shape), np.array(kept)
+    """(ghat, kept): C (jw I - A)^{-1} B + D, one batched solve per stack of
+    `CHUNK_ELEMENTS` // n^2 frequencies, skipping the poles on the imaginary
+    axis (lossless resonances): jw I - A with a 1-norm condition number
+    above 1 / eps, or singular (inf to `np.linalg.cond`)."""
+    size = max(1, CHUNK_ELEMENTS // A.size)  # n >= 1: a stateless A is rotation blocks
+    ghat, kept = [], []
+    for w in np.split(omegas, np.arange(size, len(omegas), size)):
+        m = 1j * w[:, None, None] * np.eye(len(A)) - A
+        ok = np.linalg.cond(m, 1) * np.finfo(float).eps <= 1
+        ghat.append(C @ np.linalg.solve(m[ok], B[None]) + D)  # B[None]: a matrix on numpy 1.x too
+        kept.append(w[ok])
+    return np.concatenate(ghat), np.concatenate(kept)
 
 
 def _rotation_resolvent(partner, omega, B, C, D, omegas):
@@ -964,13 +961,14 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
     1-norm reciprocal condition number below machine epsilon, is a pole on
     the imaginary axis and is left out of the grid.  Where A is rotation
     blocks both are closed forms (`_rotation_resolvent`), O(n p^2) per
-    frequency; a 2199-state CSR bank scans in tens of ms.  Any other A is
-    densified and takes one solve per frequency (`_dense_resolvent`),
-    whose pole test is scipy's `LinAlgWarning`, so such a scan imports
-    scipy.linalg when it runs; nothing else in the package loads it.
+    frequency.  Any other A is densified and scanned in batched numpy
+    solves (`_dense_resolvent`); its exact condition number inverts each
+    matrix, 2.3-2.8x slower at 158-199 states than LAPACK's xGECON
+    estimate (Higham 1988).  Non-finite frequencies are rejected.
     """
     warning = None
     tail_fraction = 0.0
+    given = None if frequencies is None else as_float_array(frequencies, "frequencies", ndim=1)
     if isinstance(obj, (LinearStateSpace, LosslessLinear)):
         A, B, C, D = _port_matrices(obj)
         rotations = _rotations(A)
@@ -981,17 +979,17 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
             A = A.toarray() if _is_sparse(A) else A
             omega_scale = float(np.linalg.norm(A, 2)) if A.size else 1.0
             resolvent = functools.partial(_dense_resolvent, A)
-        omegas = _default_frequencies(omega_scale) if frequencies is None else np.asarray(frequencies, float)
+        omegas = _default_frequencies(omega_scale) if given is None else given
         ghat, omegas = resolvent(B, C, D, omegas)
         if not len(omegas):
             raise ValueError("transfer function is singular on the whole frequency grid")
     elif isinstance(obj, Trajectory):
         omega_scale = 20.0 * np.pi / max(obj.duration, 1e-12)
-        omegas = _default_frequencies(omega_scale) if frequencies is None else np.asarray(frequencies, float)
+        omegas = _default_frequencies(omega_scale) if given is None else given
         ghat, tail_fraction, warning = _kernel_transform(obj, omegas)
     else:
         k = _square_gain(obj, "direct term")
-        omegas = np.array([0.0]) if frequencies is None else np.asarray(frequencies, float)
+        omegas = np.array([0.0]) if given is None else given
         ghat = np.broadcast_to(k.astype(complex), (len(omegas),) + k.shape)
     if not ghat.shape[-1]:
         raise ValueError("the system has no ports, so there is no transfer function to scan")

@@ -647,6 +647,29 @@ def test_sparse_test_never_imports_scipy_sparse():
     assert "scipy.sparse" in modules
 
 
+def test_a_dense_scan_loads_no_scipy():
+    """`check_dissipative` on a generator that is not rotation blocks (the
+    LC ladder) scans densely in numpy alone: no scipy.linalg, no scipy."""
+    modules = _fresh_modules(
+        "import sys\n"
+        "from lossless.statespace import check_dissipative, lc_ladder\n"
+        "assert check_dissipative(lc_ladder()).dissipative\n"
+    )
+    assert "lossless.statespace" in modules
+    assert sorted(m for m in modules if m.startswith("scipy")) == []
+
+
+def test_a_seed_sweep_with_a_broken_run_exits_1(tmp_path):
+    """bench/seeds.py fails when a run writes no manifest: here the one
+    seed's config fails validation, so that run exits 2."""
+    config = _write_config(tmp_path, variant="M3")
+    script = Path(__file__).resolve().parents[1] / "bench" / "seeds.py"
+    proc = subprocess.run([sys.executable, str(script), "measure", "--seeds", "1", "--config", str(config)],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["broken_runs"] == {"0": 2}
+
+
 def test_setup_code_loads_no_thread_pool(setup_modules):
     """Importing the CLI and building every config loads no thread pool
     (scipy imports `concurrent.futures` itself, but not its `thread` module)."""

@@ -708,6 +708,29 @@ class TestBenchmarkEstimator:
         assert abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / trials)
 
 
+# A step of the wrong sign, or NaN, against a t_m of the right sign.
+BAD_STEPS = [(-1e-3, -1e-3 / 256), (1e-3, math.nan)]
+
+
+class TestStepValidation:
+    """A negative or NaN step is rejected, naming dt, before any work
+    (a negative pair would otherwise run the M1 probe backwards)."""
+
+    @pytest.mark.parametrize("t_m, dt", BAD_STEPS)
+    @pytest.mark.parametrize("variant", ["M1", "M1hat"])
+    def test_simulate_device(self, variant, t_m, dt):
+        noise = {"temperature": 1.0} if variant == "M1hat" else {}
+        dev = Device(variant=variant, admittance=1.0, **noise)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            simulate_device(SYSTEM, dev, t_m, dt, trials=4, seed=0)
+
+    @pytest.mark.parametrize("t_m, dt", BAD_STEPS)
+    def test_benchmark_estimator(self, t_m, dt):
+        dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            benchmark_estimator(SYSTEM, dev, lambda times, record: record[-1], t_m, dt, 4, seed=0)
+
+
 class TestProbeFaults:
     def test_a_diverging_supply_backed_probe_raises(self):
         # at t_m = 2 the M2hat probe leaves float range; the statistics

@@ -11,11 +11,13 @@ the stored energy is identically 1/2, and the impulse response is
 g(t) = (1 + cos(w t))/2.
 """
 
+import math
 import time
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from lossless import memoryless_lossless_approx
@@ -35,6 +37,8 @@ from lossless.statespace import (
     _rk4_states,
     _smooth_test_input,
     _ENERGY_TOL,
+    _default_frequencies,
+    _dense_resolvent,
     _port_matrices,
     check_time_reversible,
     energy_ledger,
@@ -262,6 +266,37 @@ class TestSimulation:
         errs = [abs(run(dt) - truth) for dt in (4e-3, 2e-3)]
         ratio = errs[0] / errs[1]
         assert 12 < ratio < 20
+
+
+# A step of the wrong sign, or NaN, against one of the right sign.
+BAD_STEPS = [(-0.1, -1.0), (math.nan, 1.0)]
+
+
+class TestStepValidation:
+    """A step and a span must be finite and positive: rejected, naming
+    which, before any work."""
+
+    @pytest.mark.parametrize("dt, horizon", BAD_STEPS)
+    def test_simulate_linear_with_a_callable_input(self, fixture, dt, horizon):
+        calls = []
+        with pytest.raises(ValueError, match="dt must be positive"):
+            simulate_linear(fixture, lambda t: calls.append(t) or 1.0, dt=dt, horizon=horizon)
+        assert calls == []
+
+    @pytest.mark.parametrize("dt", [-0.1, math.nan])
+    def test_impulse_response(self, fixture, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            impulse_response(fixture, dt, 5)
+
+    def test_integrate_ode_rejects_a_nan_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be positive, got nan"):
+            integrate_ode(lambda t, x: -x, np.array([1.0]), dt=0.1, horizon=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_integrate_ode_rejects_a_non_finite_start(self, bad):
+        # a bad start, not a divergence one step in
+        with pytest.raises(ValueError, match="x0 contains non-finite entries"):
+            integrate_ode(lambda t, x: -x, np.array([1.0, bad]), dt=0.1, horizon=1.0)
 
 
 class TestIntegrateOde:
@@ -681,6 +716,55 @@ class TestDissipativeNearPoles:
         v = check_dissipative(sys)
         assert not v.dissipative
         assert v.min_eigenvalue < -0.1
+
+
+EPS = np.finfo(float).eps
+
+
+def _scipy_resolvent(A, B, C, D, omegas):
+    """The retired dense scan, the reference: one scipy solve per frequency,
+    skipped as a pole when it raises LinAlgError or warns LinAlgWarning
+    (LAPACK's estimated 1-norm reciprocal condition number below eps)."""
+    eye = np.eye(A.shape[0])
+    rows, kept = [], []
+    for w in omegas:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                rows.append(C @ scipy.linalg.solve(1j * w * eye - A, B) + D)
+            except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+                continue
+        kept.append(w)
+    return np.reshape(rows, (len(rows),) + D.shape), np.array(kept)
+
+
+class TestDenseResolvent:
+    """The batched numpy scan keeps the frequencies the scipy scan kept,
+    down to the eps boundary: the default grid and w (1 +- k eps) around
+    every eigenfrequency, k = 1/4 .. 64."""
+
+    @pytest.mark.parametrize("active", [False, True], ids=["lc-ladder", "active-load"])
+    def test_keeps_the_frequencies_the_scipy_scan_kept(self, active):
+        lc = lc_ladder()
+        a = np.asarray(lc.J) + (lc.B @ lc.B.T if active else 0.0)  # J + b b^T is non-normal
+        b, c, d = lc.B, lc.B.T, np.zeros((1, 1))
+        poles = np.unique(np.abs(np.linalg.eigvals(a).imag))
+        k = 2.0 ** np.arange(-2, 7)
+        near = (poles[:, None] * (1.0 + np.concatenate([k, -k]) * EPS)).ravel()
+        omegas = np.concatenate([_default_frequencies(np.linalg.norm(a, 2)), poles, near])
+        ghat, kept = _dense_resolvent(a, b, c, d, omegas)
+        expected, expected_kept = _scipy_resolvent(a, b, c, d, omegas)
+        assert np.array_equal(kept, expected_kept)
+        if not active:  # the ladder's poles are on the axis: the boundary cuts the k sweep
+            assert 0 < np.isin(near, kept).sum() < near.size
+        # each solve carries rounding of eps times its condition number
+        cond = np.linalg.cond(1j * kept[:, None, None] * np.eye(3) - a, 1)
+        bound = 16 * EPS * cond * np.abs(expected).max(axis=(1, 2))
+        assert (np.abs(ghat - expected).max(axis=(1, 2)) <= bound).all()
+
+    def test_rejects_non_finite_frequencies(self, fixture):
+        with pytest.raises(ValueError, match="frequencies contains non-finite entries"):
+            check_dissipative(fixture, frequencies=np.array([1.0, np.nan]))
 
 
 class TestReciprocity:

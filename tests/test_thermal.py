@@ -309,6 +309,13 @@ class TestLangevin:
             simulate_langevin(model, u, None, 0.02, 1.0, seed=0)
         assert simulate_langevin(model, u, None, 0.01, 1.0, seed=0).n_samples == 101
 
+    @pytest.mark.parametrize("dt, horizon", [(-0.1, -1.0), (math.nan, 1.0)])
+    def test_a_negative_or_nan_step_is_rejected(self, dt, horizon):
+        # named, not a math domain error or a NaN-to-int conversion
+        model = LangevinModel(J=[[0.0]], K=[[1.0]], B=[[1.0]], temperature=1.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            simulate_langevin(model, None, None, dt, horizon, seed=0)
+
     def test_factor_is_checked(self):
         with pytest.raises(ValueError, match="1e-10"):
             LangevinModel(
