@@ -185,6 +185,51 @@ def wrap_lossless(field, output, initial_state, initial_energy) -> WrappedSystem
     )
 
 
+def _wrapped_paths(field, output, x0, roots, u_vals, u_mids, h: float):
+    """RK4 paths of the wrapped field for a batch of supply charges at once.
+
+    `roots` holds the charges sqrt(2 E0) in any batch shape B, () for one
+    system; they share the (n,) start `x0`.  `field` and `output` receive
+    B + (n,) states and a (p,) input and return B + (n,) and B + (p,).
+    Returns states, supply and outputs shaped (steps + 1,) + B + (n,),
+    (steps + 1,) + B and (steps + 1,) + B + (p,).  Each charge is audited
+    on its own; one failed audit or diverging charge fails the batch.
+    """
+    roots = np.asarray(roots, dtype=float)
+    batch = roots.shape
+
+    def rates(z, uv):
+        # z packs the state x with the supply state x_e as its last entry
+        x = z[..., :-1]
+        fx = np.asarray(field(x, uv), dtype=float).reshape(x.shape)
+        gx = np.asarray(output(x, uv), dtype=float).reshape(batch + uv.shape)
+        dz = np.empty(z.shape)
+        np.multiply((z[..., -1] / roots)[..., None], fx, out=dz[..., :-1])
+        dz[..., -1] = (np.vecdot(gx, uv) - np.vecdot(x, fx)) / roots
+        return dz
+
+    z0 = np.concatenate([np.broadcast_to(x0, batch + x0.shape), roots[..., None]], axis=-1)
+    path = _rk4(rates, z0, u_vals, u_mids, h)
+    states, supply = path[..., :-1], path[..., -1]
+    outputs = (supply / roots)[..., None] * np.stack(
+        [np.asarray(output(x, uv), dtype=float).reshape(batch + uv.shape) for x, uv in zip(states, u_vals)])
+
+    # Losslessness is an algebraic identity of the wrapped field, so the
+    # only way the books fail to balance is integration error; audit the
+    # ledger of each augmented state [x_hat, x_E].
+    for i in np.ndindex(batch):
+        at = (slice(None),) + i
+        ledger = energy_ledger(*(Trajectory(dt=h, values=v) for v in (path[at], u_vals, outputs[at])))
+        residual = ledger.balance_residual()
+        guard = (1e3 * h**4 * (len(u_vals) - 1) * max(1.0, float(np.abs(ledger.work_rate).max()))
+                 + 1e-12 * float(np.abs(ledger.total_energy).max()))
+        if residual > guard:
+            raise FloatingPointError(
+                f"energy audit failed: |dE - work| = {residual:.3g} exceeds {guard:.3g}; reduce dt"
+            )
+    return states, supply, outputs
+
+
 def simulate_wrapped(
     ws: WrappedSystem,
     u,
@@ -196,6 +241,8 @@ def simulate_wrapped(
     Parameters
     ----------
     ws : WrappedSystem
+        Its `field` and `output` receive the state as an (n,) array and
+        the input as a (p,) array.
     u : Trajectory or callable
         Sampled input (the simulation grid is its grid, cubic
         interpolation at half-steps) or a function of time, which
@@ -219,42 +266,8 @@ def simulate_wrapped(
         raise TypeError("u must be a Trajectory or a callable (the port count comes from it)")
     ports = np.size(u(0.0)) if callable(u) else _port_samples(u).shape[1]
     u_vals, u_mids, h = _input_samples(u, ports, dt, horizon)
-    steps = u_vals.shape[0] - 1
-    root = ws.initial_supply
-    field, output = ws.field, ws.output
-
-    def rates(z, uv):
-        # z packs the state x with the supply state x_e as its last entry
-        x = z[:-1]
-        fx = np.asarray(field(x, uv), dtype=float).reshape(x.shape)
-        gx = np.asarray(output(x, uv), dtype=float).reshape(uv.shape)
-        dz = np.empty(z.shape)
-        np.multiply(z[-1] / root, fx, out=dz[:-1])
-        dz[-1] = (float(gx @ uv) - float(x @ fx)) / root
-        return dz
-
-    path = _rk4(rates, np.append(ws.initial_state, root), u_vals, u_mids, h)
-    states, supply = path[:, :-1], path[:, -1]
-
-    y_vals = np.empty((steps + 1, ports))
-    for k in range(steps + 1):
-        gx = np.asarray(output(states[k], u_vals[k]), dtype=float).reshape(ports)
-        y_vals[k] = (supply[k] / root) * gx
-    outputs = Trajectory(dt=h, values=y_vals)
-
-    # Losslessness is an algebraic identity of the wrapped field, so the
-    # only way the books fail to balance is integration error; audit the
-    # ledger of the augmented state [x_hat, x_E].
-    ledger = energy_ledger(Trajectory(dt=h, values=path), Trajectory(dt=h, values=u_vals), outputs)
-    residual = ledger.balance_residual()
-    guard = 1e3 * h**4 * steps * max(1.0, float(np.abs(ledger.work_rate).max())) + 1e-12 * float(
-        np.abs(ledger.total_energy).max()
-    )
-    if residual > guard:
-        raise FloatingPointError(
-            f"energy audit failed: |dE - work| = {residual:.3g} exceeds {guard:.3g}; reduce dt"
-        )
-    return Trajectory(dt=h, values=states), Trajectory(dt=h, values=supply), outputs
+    paths = _wrapped_paths(ws.field, ws.output, ws.initial_state, ws.initial_supply, u_vals, u_mids, h)
+    return tuple(Trajectory(dt=h, values=values) for values in paths)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ bit.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -50,12 +49,11 @@ from .approx_linear import (
     memoryless_lossless_approx,
 )
 from .approx_nonlinear import (
+    _wrapped_paths,
     convergence_order,
     simulate_energy_supply,
-    simulate_wrapped,
     supply_error_bound,
     supply_error_running_bound,
-    wrap_lossless,
 )
 from .measurement import (
     DEVICE_VARIANTS,
@@ -77,6 +75,7 @@ from .measurement import (
 from .statespace import (
     LosslessLinear,
     Trajectory,
+    _input_samples,
     _square_gain,
     _step_count,
     check_lossless,
@@ -646,27 +645,39 @@ def _format_cell(value) -> str:
 
 
 def _format_column(cells) -> list:
-    """One column of a block as CSV text: a float64 array in one '%.17g'
-    map, any other column cell by cell through `_format_cell`."""
+    """One column of a block as CSV text, cell by cell through `_format_cell`."""
     if isinstance(cells, np.ndarray):
-        if cells.dtype == np.float64:
-            return list(map("%.17g".__mod__, cells.tolist()))
         cells = cells.tolist()
     return [_format_cell(cell) for cell in cells]
 
 
+def _quote_cells(cells: list, lone: bool) -> list:
+    """Text cells as csv.writer with an LF line terminator writes them: a
+    cell holding a comma, a quote or a newline is quoted with its quotes
+    doubled, and so is an empty cell that is its row's only (`lone`) cell."""
+    return ['"%s"' % cell.replace('"', '""') if "," in cell or '"' in cell or "\n" in cell
+            or (lone and not cell) else cell for cell in cells]
+
+
 def _write_csv(path: Path, columns: dict) -> None:
     """Write a table given as {header: column}, each column a list or 1-D
-    array of one common length, formatting a block of rows a column at a time."""
+    array of one common length, a block of rows through one row template.
+    A float64 array fills a '%.17g' slot unquoted: digits, sign, point,
+    exponent, 'nan' and 'inf' are nothing csv quotes.  Every other column
+    fills a '%s' slot through `_format_column` and `_quote_cells`."""
     lengths = {len(column) for column in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"columns of {path.name} differ in length: {sorted(lengths)}")
+    lone = len(columns) == 1
+    floats = [isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns.values()]
+    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns.keys())
+        fh.write(",".join(_quote_cells(list(columns), lone)) + "\n")
         for lo in range(0, max(lengths, default=0), _CSV_BLOCK_ROWS):
             block = (column[lo : lo + _CSV_BLOCK_ROWS] for column in columns.values())
-            writer.writerows(zip(*map(_format_column, block)))
+            cols = [cells.tolist() if f else _quote_cells(_format_column(cells), lone)
+                    for f, cells in zip(floats, block)]
+            fh.write("".join(map(template.__mod__, zip(*cols))))
 
 
 def _single_row(**cells) -> dict:
@@ -850,12 +861,11 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
     )
     drive = lambda s: 0.1 * np.sin(s)
     ref_g = integrate_ode(lambda s, x: -x + drive(s), [1.0], 2e-3, 2.0)
-
-    def generic(e0):
-        ws = wrap_lossless(lambda x, v: -x + v, lambda x, v: x, [1.0], e0)
-        return simulate_wrapped(ws, drive, dt=2e-3, horizon=2.0)[0]
-
-    fit_g = convergence_order(generic, e0s, ref_g)
+    u_vals, u_mids, h = _input_samples(drive, 1, 2e-3, 2.0)
+    states = _wrapped_paths(lambda x, v: -x + v, lambda x, v: x, np.ones(1),
+                            np.sqrt(2.0 * np.asarray(e0s, dtype=float)), u_vals, u_mids, h)[0]
+    paths = dict(zip(map(float, e0s), states.swapaxes(0, 1)))
+    fit_g = convergence_order(paths.__getitem__, e0s, ref_g)
 
     tables = (
         ("inequality.csv", {

@@ -15,6 +15,7 @@ import pytest
 
 from lossless.approx_nonlinear import (
     EnergySupplyApprox,
+    _wrapped_paths,
     convergence_order,
     simulate_energy_supply,
     simulate_wrapped,
@@ -24,6 +25,7 @@ from lossless.approx_nonlinear import (
 )
 from lossless.statespace import (
     Trajectory,
+    _input_samples,
     energy_ledger,
     integrate_ode,
     lc_ladder,
@@ -82,15 +84,23 @@ class TestEnergySupply:
         np.testing.assert_allclose(rate, work[1:-1], atol=1e-6)
 
     def test_closed_form_matches_rk4_of_the_wrapped_map(self):
-        # the same construction as a zero-state wrapped ODE, integrated
-        u = _sine(dt=1e-4)
-        y_cf, s_cf = simulate_energy_supply(-1.0, 10.0, u)
-        ws = wrap_lossless(
-            lambda x, v: np.zeros(0), lambda x, v: -v, np.zeros(0), 10.0
-        )
-        _, s_rk, y_rk = simulate_wrapped(ws, np.sin, dt=1e-4, horizon=1.0)
-        assert np.abs(y_cf.values - y_rk.values[:, 0]).max() <= 1e-8
-        assert np.abs(s_cf.values - s_rk.values).max() <= 1e-8
+        # `simulate_energy_supply` is the wrapper over an empty state.  There
+        # the supply obeys dx_E/dt = k u^2 / sqrt(2 E0) exactly, and RK4
+        # integrates that quadrature as Simpson's rule (error T h^4
+        # max|w''''| / 2880, w = k u^2 = (cos 2t - 1) / 2, so |w''''| <= 8).
+        # The closed form's trapezoid errs by at most T h^2 max|w''| / 12
+        # with |w''| <= 2, and the output carries that error times
+        # |k u| / sqrt(2 E0) <= 1 / sqrt(2 E0).
+        e0, horizon = 10.0, 1.0
+        root = np.sqrt(2 * e0)
+        ws = wrap_lossless(lambda x, v: np.zeros(0), lambda x, v: -v, np.zeros(0), e0)
+        for h in (1e-3, 1e-4):
+            y_cf, s_cf = simulate_energy_supply(-1.0, e0, _sine(dt=h, horizon=horizon))
+            states, s_rk, y_rk = simulate_wrapped(ws, np.sin, dt=h, horizon=horizon)
+            assert states.values.shape == (y_cf.n_samples, 0)
+            supply_tol = horizon * (h**2 * 2 / 12 + h**4 * 8 / 2880) / root
+            assert np.abs(s_cf.values - s_rk.values).max() <= supply_tol
+            assert np.abs(y_cf.values - y_rk.values[:, 0]).max() <= supply_tol / root
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -261,6 +271,54 @@ class TestWrappedSystem:
             wrap_lossless(None, lambda x, v: x, [1.0], 1.0)
         with pytest.raises(ValueError, match="positive"):
             wrap_lossless(lambda x, v: -x, lambda x, v: x, [1.0], -1.0)
+
+
+class TestBatchedSweep:
+    """One `_wrapped_paths` run over many charges against one call per charge."""
+
+    ENERGIES = np.array([10.0, 1e2, 1e3, 1e4])
+
+    @staticmethod
+    def _cli_system():
+        drive = lambda t: 0.1 * np.sin(t)
+        return (lambda x, v: -x + v, lambda x, v: x, np.array([1.0]),
+                drive, dict(dt=2e-3, horizon=2.0), _input_samples(drive, 1, 2e-3, 2.0))
+
+    @staticmethod
+    def _linear_system():
+        rng = derive_rng(3, 0)
+        A = rng.standard_normal((3, 3)) - 2 * np.eye(3)
+        B, C = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+        t = np.arange(1001) * 1e-3
+        u = Trajectory(dt=1e-3, values=np.stack([np.sin(3 * t), np.cos(t)], axis=1))
+        # einsum sums each row in the same order for any batch; a BLAS
+        # product may not, and would make the field itself batch-dependent
+        field = lambda x, v: np.einsum("ij,...j->...i", A, x) + B @ v
+        output = lambda x, v: np.einsum("ij,...j->...i", C, x)
+        return field, output, np.array([1.0, -0.5, 0.2]), u, {}, _input_samples(u, 2, None, None)
+
+    @pytest.mark.parametrize("system", ["_cli_system", "_linear_system"])
+    def test_batch_is_bitwise_the_separate_runs(self, system):
+        field, output, x0, u, grid, samples = getattr(self, system)()
+        states, supply, outputs = _wrapped_paths(field, output, x0, np.sqrt(2 * self.ENERGIES), *samples)
+        assert states.shape[1:] == (4, x0.shape[0]) and supply.shape[1:] == (4,)
+        for i, e0 in enumerate(self.ENERGIES):
+            single = simulate_wrapped(wrap_lossless(field, output, x0, e0), u, **grid)
+            for batched, alone in zip((states, supply, outputs), single):
+                assert np.array_equal(batched[:, i], alone.values)
+
+    @pytest.mark.parametrize("power, dt, energies, match", [
+        (2, 1e-3, [1.0, 10.0, 1e2, 1e4], "reduce dt"),  # only 1e4 fails its audit
+        (3, 0.1, [1.0, 1e10], "diverged at t"),  # only 1e10 leaves float range
+    ])
+    def test_one_failing_charge_fails_the_batch(self, power, dt, energies, match):
+        samples = _input_samples(lambda t: 0.0, 1, dt, 2.0)
+        field = lambda x, v: x**power
+        run = lambda e0: _wrapped_paths(field, lambda x, v: x, np.ones(1), np.sqrt(2 * np.asarray(e0)), *samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(energies[:-1])  # the passing charges pass together
+            with pytest.raises(FloatingPointError, match=match):
+                run(energies)
 
 
 class TestConvergenceOrder:

@@ -337,6 +337,27 @@ class TestCsvWriter:
         with pytest.raises(ValueError, match="differ in length"):
             _write_csv(tmp_path / "ragged.csv", {"k": [1, 2], "v": [0.5]})
 
+    @pytest.mark.parametrize("header, rows", [
+        (("s",), [("",), ("x",), ("",)]),  # a lone empty cell is written as ""
+        (("s", "t"), [("", ""), ("", "x")]),  # beside others it stays empty
+        (("s", "f"), [("line\nbreak", 1.5), ("\n", 2.5)]),
+        (("s", "f"), [("carriage\rreturn", 1.5), ("\r", -0.0)]),  # left unquoted
+        (("a,b", 'say "x"', ""), [(1, 2.0, "q"), (3, 4.0, "r")]),
+        (("lone, header",), [(0.5,), (0.25,)]),
+    ])
+    def test_text_cells_quote_as_csv_writer_does(self, tmp_path, header, rows):
+        path = tmp_path / "quoted.csv"
+        _write_csv(path, dict(zip(header, map(list, zip(*rows)))))
+        assert path.read_bytes() == _reference_csv(header, rows)
+
+    def test_integer_array_beside_float_arrays(self, tmp_path):
+        values = np.array(FLOAT_CELLS)
+        counts = np.arange(len(values), dtype=np.int64) * -(2**40)
+        path = tmp_path / "ints.csv"
+        _write_csv(path, {"x": values, "n": counts, "y": values[::-1]})
+        rows = list(zip(values.tolist(), counts.tolist(), values[::-1].tolist()))
+        assert path.read_bytes() == _reference_csv(("x", "n", "y"), rows)
+
 
 class TestRunsAndArtifacts:
     def test_memoryless_csv_contract(self, tmp_path, capsys):
