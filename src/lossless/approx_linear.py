@@ -58,6 +58,7 @@ from .statespace import (
     _exponential_tail,
     _port_samples,
     _psd_eigh,
+    _rotations,
     _square_gain,
     check_dissipative,
 )
@@ -613,14 +614,18 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
 
     @functools.cached_property
     def blocks(self) -> tuple[LosslessLinear, ...]:
-        """The per-harmonic oscillator blocks in frequency order, whose
-        direct sum is `system`: `realize_harmonic` of each shifted residue
-        at k pi / horizon (eigenvalues clipped within `PSD_TOL` = 1e-8
-        max|residue|, as in the bank), built on first read."""
-        base = np.pi / self.horizon
-        shifted = self.cos_coefficients + self.shift * np.eye(self.ports)
-        residues = (*shifted[:1], *(shifted[1:] - 1j * self.sin_coefficients))
-        return tuple(realize_harmonic(r, k * base) for k, r in enumerate(residues))
+        """Per-harmonic blocks in frequency order, cut out of `system` on first read: block k
+        is the range of states `_rotations` finds turning at k pi / horizon (block 0: at
+        rest), so it is `realize_harmonic` of its shifted residue, bit for bit."""
+        partner, omega = _rotations(self.system.J)
+        edges = np.searchsorted(np.rint(np.abs(omega) * (self.horizon / np.pi)),
+                                np.arange(self.n_harmonics + 1))
+        blocks = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            cos = lo + np.flatnonzero(omega[lo:hi] > 0)
+            j = _pair_generator(cos - lo, partner[cos] - lo, omega[cos], hi - lo)
+            blocks.append(LosslessLinear(J=j, B=self.system.B[lo:hi]))
+        return tuple(blocks)
 
     @functools.cached_property
     def n_empirical(self) -> int | None:

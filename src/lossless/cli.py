@@ -76,10 +76,10 @@ from .statespace import (
     LosslessLinear,
     Trajectory,
     _input_samples,
+    _rk4,
     _square_gain,
     _step_count,
     check_lossless,
-    integrate_ode,
     lc_ladder,
 )
 from .thermal import (
@@ -859,9 +859,8 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
     fit_m = convergence_order(
         lambda e0: simulate_energy_supply(-1.0, e0, u_m)[0], e0s, ref_m
     )
-    drive = lambda s: 0.1 * np.sin(s)
-    ref_g = integrate_ode(lambda s, x: -x + drive(s), [1.0], 2e-3, 2.0)
-    u_vals, u_mids, h = _input_samples(drive, 1, 2e-3, 2.0)
+    u_vals, u_mids, h = _input_samples(lambda s: 0.1 * np.sin(s), 1, 2e-3, 2.0)
+    ref_g = _rk4(lambda x, v: -x + v, np.ones(1), u_vals, u_mids, h)
     states = _wrapped_paths(lambda x, v: -x + v, lambda x, v: x, np.ones(1),
                             np.sqrt(2.0 * np.asarray(e0s, dtype=float)), u_vals, u_mids, h)[0]
     paths = dict(zip(map(float, e0s), states.swapaxes(0, 1)))

@@ -50,16 +50,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import as_float_array, expm, frozen, positive, run_chunked
+from ._util import CHUNK_ELEMENTS, as_float_array, expm, frozen, positive, run_chunked
 from .statespace import (
     Trajectory,
     _lti_run,
     _port_samples,
     _require_finite,
+    _rk4,
     _skew_generator,
     _state_vector,
     _step_count,
-    integrate_ode,
     lc_ladder,
     matrix_exponential,
 )
@@ -269,7 +269,7 @@ def _aux_path(j_bytes, b_bytes, x0_bytes, km, supply_energy, dt, steps):
     j = np.frombuffer(j_bytes).reshape(n, n)
     root = math.sqrt(2.0 * supply_energy)
 
-    def rates(_, z):
+    def rates(z, _):  # autonomous: the input samples are placeholders
         x2, xr = z[:n], z[n]
         y2 = b @ x2
         out = np.empty(n + 1)
@@ -277,8 +277,8 @@ def _aux_path(j_bytes, b_bytes, x0_bytes, km, supply_energy, dt, steps):
         out[n] = (km / root) * y2**2
         return out
 
-    path = integrate_ode(rates, np.concatenate([x0, [root]]), dt, steps * dt)
-    states, supply = path.values[:, :n], path.values[:, n]
+    path = _rk4(rates, np.concatenate([x0, [root]]), np.zeros(steps + 1), np.zeros(steps), dt)
+    states, supply = path[:, :n], path[:, n]
     return frozen(states[-1]), frozen(km * (supply / root - 1.0) * (states @ b))
 
 
@@ -612,7 +612,6 @@ def riccati_solve(
     grid,
     *,
     boltzmann: float = 1.0,
-    max_substep: float = 5e-3,
 ) -> RiccatiSolution:
     """Integrate the optimal filter's error covariance on a time grid.
 
@@ -627,14 +626,15 @@ def riccati_solve(
     regime (eigenvalues spread like t, t^3, t^5, ...) is handled at
     the square root of its condition number.  Works on any increasing
     positive grid, uniform or not.  Each grid interval contributes one
-    n x n block, the factor of its span's Gramian times e^{J t_lo}
-    (the factor is cached per span, so equal spans share it; the e^{J t}
-    of all grid points are one batched `expm`), and
-    `_prefix_factors` folds the blocks, giving the factor at every grid
-    point; the triangular solves for all points are one batched
-    `np.linalg.solve`.  If a factor's smallest diagonal is
-    1e-14 of its largest, ArithmeticError names the first such grid
-    time: no finer quadrature restores what rounding lost.
+    n x n block, the factor of its span's Gramian times e^{J t_lo}.  The
+    intervals are grouped by distinct span, and `_span_factor` builds each
+    span's factor once (a constant panel width of at most `_PANEL_WIDTH`,
+    each node row off its own exponential); the e^{J t} of all grid points
+    are one batched `expm`, and `_prefix_factors` folds the blocks, giving
+    the factor at every grid point; the triangular solves for all points
+    are one batched `np.linalg.solve`.  If a factor's smallest diagonal is
+    1e-14 of its largest, ArithmeticError names the first such grid time:
+    no finer quadrature restores what rounding lost.
     """
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or times[0] <= 0 or np.any(np.diff(times) <= 0):
@@ -642,7 +642,6 @@ def riccati_solve(
     km = positive(admittance, "admittance")
     t_dev = positive(temperature, "temperature", or_zero=True)
     kb = positive(boltzmann, "boltzmann constant")
-    max_substep = positive(max_substep, "max_substep")
     n = system.n
     if t_dev == 0.0:
         zeros = np.zeros((times.shape[0], n, n))
@@ -652,12 +651,9 @@ def riccati_solve(
     j, b = system.J, system.B
     props = expm(j * times[:, None, None])  # e^{J t}
     starts = np.concatenate([np.eye(n)[None], props[:-1]])  # e^{J t_lo} per interval
-    blocks = np.zeros((times.shape[0], n, n))
-    panels: dict[float, np.ndarray] = {}
-    for idx, (t_lo, t) in enumerate(zip(np.append(0.0, times[:-1]), times)):
-        block = _fold_gramian_rows(j, b, c, t_lo, t, max_substep, starts[idx], panels)
-        blocks[idx, :block.shape[0]] = block
-    facs = _prefix_factors(blocks, n)
+    spans, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    factors = np.stack([_span_factor(j, b, c, span) for span in spans])
+    facs = _prefix_factors(factors[which] @ starts, n)
     diag = np.abs(np.diagonal(facs, axis1=1, axis2=2))
     singular = diag.min(axis=1) <= 1e-14 * np.maximum(diag.max(axis=1), 1e-300)
     if singular.any():
@@ -678,24 +674,23 @@ def riccati_solve(
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
+#: Widest Gauss-Legendre panel of the Riccati floor's Gramian rows.
+_PANEL_WIDTH = 5e-3
 
-def _fold_gramian_rows(j, b, c, t_lo, t_hi, max_substep, start, panels):
-    """The interval [t_lo, t_hi]'s block of the square-root information
-    fold: R_span e^{J t_lo}, where `start` is e^{J t_lo} and R_span is the
-    triangular factor of the weighted Gauss-Legendre rows (4 nodes per
-    panel, at least 2 panels) of the Gramian over [0, span], since the
-    interval's Gramian is e^{J^T t_lo} G(span) e^{J t_lo}.  R_span depends
-    on the span alone for one (J, B, c), so `panels` caches it per span."""
-    span = t_hi - t_lo
-    if span not in panels:
-        nsub = max(2, int(math.ceil(span / max_substep)))
-        h = span / nsub
-        # rows B^T e^{Js} at the panel's nodes, read out of e^{J i h}
-        *node_maps, step = expm(j * np.append(0.5 * h * (_GL_NODES + 1.0), h)[:, None, None])
-        node_rows = b @ np.stack(node_maps) * np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
-        rows, _ = _lti_run(step, np.eye(b.shape[0]), c=node_rows, steps=nsub - 1)
-        panels[span] = np.linalg.qr(rows.reshape(-1, b.shape[0]), mode="r")
-    return panels[span] @ start
+
+def _span_factor(j, b, c, span):
+    """Upper-triangular n x n factor R (zero-padded below) of the weighted Gauss-Legendre
+    rows of c int_0^span e^{J^T s} B B^T e^{Js} ds: 4 nodes per panel, nsub >= 2 panel
+    widths h <= `_PANEL_WIDTH`.  Every e^{J node} and e^{J i h} is its own exponential, so no
+    rounding compounds; they come from `expm` in batches of about `CHUNK_ELEMENTS` entries."""
+    nsub, n = max(2, math.ceil(span / _PANEL_WIDTH)), b.shape[0]
+    h = span / nsub
+    offsets = np.concatenate([0.5 * h * (_GL_NODES + 1.0), np.arange(nsub) * h])
+    parts = np.array_split(offsets, math.ceil(offsets.size * n * n / CHUNK_ELEMENTS))
+    maps = np.concatenate([expm(j * part[:, None, None]) for part in parts])
+    node_rows = b @ maps[:4] * np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
+    r = np.linalg.qr((node_rows @ maps[4:]).reshape(-1, n), mode="r")
+    return np.pad(r, ((0, n - r.shape[0]), (0, 0)))
 
 
 def kalman_estimate(

@@ -19,10 +19,11 @@ Conventions
   (`integrate_ode`, the energy-supply wrapper) step through `_rk4`.
 * Every time-invariant linear recursion x[k+1] = Phi x[k] + Gamma u[k] in
   the package (impulse responses, the M1/M1hat/M2 probes and filter chains,
-  Gramian rows, Euler-Maruyama Langevin paths) runs through `_lti_run` in
-  lifted blocks.  RK4 is kept out of it on purpose (see `_rk4_states`);
-  the nonlinear M2hat probe and its per-trial filter chains are also
-  stepped one sample at a time, all trials of a chunk at once.
+  Euler-Maruyama Langevin paths) runs through `_lti_run` in lifted blocks.
+  Kept out of it: RK4 (see `_rk4_states`), the Riccati floor's Gramian
+  rows (each read off its own exponential, so no rounding compounds over a
+  long span), and the nonlinear M2hat probe and its per-trial filter
+  chains, stepped one sample at a time, all trials of a chunk at once.
   `check_lossless` steps by the implicit midpoint rule, which conserves
   the stored energy exactly.
 * Rotation blocks: `_rotations` reads a generator that is a direct sum of

@@ -716,6 +716,22 @@ class TestPipelineEdges:
         assert z.n_empirical == 0
         assert z.blocks == ()
 
+    def test_a_harmonic_with_a_zero_residue_is_an_empty_block(self):
+        cos = np.array([[[1.0]], [[0.0]], [[2.0]]])
+        f = FourierLosslessApprox(
+            horizon=2.0, n_harmonics=3, shift=0.0, target_error=0.1,
+            cos_coefficients=cos, sin_coefficients=0 * cos[1:], peak_gain=1.0,
+            derivative_mass=1.0, kernel_mass=1.0, error_constant=1.0, tail_mass=0.0,
+            system=_realize_bank(cos[0], cos[1:], np.pi / 2.0)[0], effective_cos=cos / 2,
+            effective_sin=0 * cos,
+            window=Trajectory(dt=0.5, values=np.zeros((5, 1, 1))), l2_error_measured=0.0,
+        )
+        assert [blk.n for blk in f.blocks] == [1, 0, 2]
+        for k, blk in enumerate(f.blocks):
+            single = realize_harmonic(cos[k], k * np.pi / 2.0)
+            assert np.asarray(blk.J).tobytes() == single.J.tobytes()
+            assert blk.B.shape == single.B.shape and blk.B.tobytes() == single.B.tobytes()
+
     def test_no_empirical_count_past_the_target(self):
         # a record whose full bank misses the target has no partial bank that meets it
         one = np.ones((2, 1, 1))
@@ -723,7 +739,8 @@ class TestPipelineEdges:
             horizon=1.0, n_harmonics=2, shift=0.0, target_error=0.1,
             cos_coefficients=one, sin_coefficients=0 * one[:1], peak_gain=1.0,
             derivative_mass=1.0, kernel_mass=1.0, error_constant=1.0, tail_mass=0.0,
-            system=realize_harmonic(one[0], 0.0), effective_cos=one / 2, effective_sin=0 * one,
+            system=_realize_bank(one[0], one[1:], np.pi)[0], effective_cos=one / 2,
+            effective_sin=0 * one,
             window=Trajectory(dt=0.5, values=np.zeros((3, 1, 1))), l2_error_measured=0.2,
         )
         assert f.n_empirical is None

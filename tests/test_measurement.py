@@ -267,24 +267,30 @@ class TestRiccatiSolve:
             riccati_solve(deaf, 1.0, 1.0, [0.5])
 
     @pytest.mark.parametrize("grid", [
-        np.linspace(0.01, 10.0, 1000),  # 13 distinct panel widths among 1000 intervals
+        np.linspace(0.01, 10.0, 1000),  # 13 distinct spans among 1000 intervals
         np.cumsum(np.random.default_rng(7).uniform(1e-3, 0.05, 200)),
     ])
     def test_panels_shared_by_equal_widths_change_nothing(self, grid, monkeypatch):
         calls = []
         expm = measurement.expm
         monkeypatch.setattr(measurement, "expm", lambda a: calls.append(len(a)) or expm(a))
-        shared = riccati_solve(SYSTEM, 1.0, 1.0, grid)
-        spans = np.diff(grid, prepend=0.0)
-        widths = {s / max(2, math.ceil(s / 5e-3)) for s in spans}
-        # one batched call for the grid's propagators, then one per width
-        # for its four node maps and its step
-        assert calls == [grid.size] + [5] * len(widths)
-        fold = measurement._fold_gramian_rows
-        monkeypatch.setattr(measurement, "_fold_gramian_rows", lambda *args: fold(*args[:-1], {}))
-        fresh = riccati_solve(SYSTEM, 1.0, 1.0, grid)
-        np.testing.assert_array_equal(shared.m_star, fresh.m_star)
-        np.testing.assert_array_equal(shared.state_covariance, fresh.state_covariance)
+        blocks = _folded_blocks(SYSTEM, 1.0, 1.0, grid, monkeypatch)
+        # one batched call for the grid's propagators, then one per distinct
+        # span for its four node maps and its panel starts
+        spans = np.unique(np.diff(grid, prepend=0.0))
+        assert calls == [grid.size] + [4 + max(2, math.ceil(s / 5e-3)) for s in spans]
+        np.testing.assert_array_equal(blocks, _blocks_interval_by_interval(SYSTEM, 0.5, grid))
+
+    def test_a_span_split_over_expm_batches_is_exact(self, monkeypatch):
+        # 4 nodes and 20 panel starts of a 3-state system: 216 entries,
+        # in batches of about 90
+        whole = measurement._span_factor(J, B, 0.5, 0.1)
+        calls = []
+        expm = measurement.expm
+        monkeypatch.setattr(measurement, "expm", lambda a: calls.append(len(a)) or expm(a))
+        monkeypatch.setattr(measurement, "CHUNK_ELEMENTS", 90)
+        np.testing.assert_array_equal(measurement._span_factor(J, B, 0.5, 0.1), whole)
+        assert calls == [8, 8, 8]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_panel_reuse_is_exact_on_random_systems(self, n, monkeypatch):
@@ -292,12 +298,8 @@ class TestRiccatiSolve:
         a = rng.standard_normal((n, n))
         system = MeasuredSystem(J=a - a.T, B=rng.standard_normal(n), x0=np.zeros(n))
         grid = np.concatenate([np.linspace(0.02, 1.0, 50), np.geomspace(1.1, 30.0, 20)])
-        shared = riccati_solve(system, 0.8, 1.2, grid)
-        fold = measurement._fold_gramian_rows
-        monkeypatch.setattr(measurement, "_fold_gramian_rows", lambda *args: fold(*args[:-1], {}))
-        fresh = riccati_solve(system, 0.8, 1.2, grid)
-        np.testing.assert_array_equal(shared.m_star, fresh.m_star)
-        np.testing.assert_array_equal(shared.state_covariance, fresh.state_covariance)
+        blocks = _folded_blocks(system, 0.8, 1.2, grid, monkeypatch)
+        np.testing.assert_array_equal(blocks, _blocks_interval_by_interval(system, 0.8 / 2.4, grid))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -314,14 +316,36 @@ class TestRiccatiSolve:
         ("boltzmann", -1.0, "boltzmann constant must be positive, got -1.0"),
         ("boltzmann", 0.0, "boltzmann constant must be positive, got 0.0"),
         ("boltzmann", math.nan, "boltzmann constant must be positive, got nan"),
-        ("max_substep", -1.0, "max_substep must be positive, got -1.0"),
-        ("max_substep", 0.0, "max_substep must be positive, got 0.0"),
-        ("max_substep", math.nan, "max_substep must be positive, got nan"),
     ])
     def test_constants_are_checked(self, option, value, message, temperature):
         # checked before the zero-temperature early return, as `Device` checks them
         with pytest.raises(ValueError, match=message):
             riccati_solve(SYSTEM, 1.0, temperature, [0.5], **{option: value})
+
+    def test_the_panel_width_is_not_an_option(self):
+        # panels are at most 5e-3 wide; the width is fixed, not a keyword
+        with pytest.raises(TypeError, match="max_substep"):
+            riccati_solve(SYSTEM, 1.0, 1.0, [0.5], max_substep=1e-3)
+
+
+def _folded_blocks(system, km, kbt, grid, monkeypatch):
+    """The interval blocks `riccati_solve` hands to `_prefix_factors`."""
+    seen = []
+    fold = measurement._prefix_factors
+    monkeypatch.setattr(measurement, "_prefix_factors", lambda blocks, m: seen.append(blocks) or fold(blocks, m))
+    riccati_solve(system, km, kbt, grid)
+    return seen[0]
+
+
+def _blocks_interval_by_interval(system, c, grid):
+    """Each interval's block R_span e^{J t_lo}, its factor built afresh."""
+    n, t_lo = system.n, 0.0
+    blocks = np.zeros((len(grid), n, n))
+    for idx, t in enumerate(grid):
+        factor = measurement._span_factor(system.J, system.B, c, t - t_lo)
+        blocks[idx] = factor @ matrix_exponential(system.J * t_lo)
+        t_lo = t
+    return blocks
 
 
 @pytest.fixture(scope="module")

@@ -33,6 +33,7 @@ from lossless.measurement import (
     riccati_solve,
     simulate_device,
 )
+from lossless.statespace import integrate_ode
 
 EPS = np.finfo(float).eps
 M1HAT = Device(variant="M1hat", admittance=1.0, temperature=1.0)
@@ -223,6 +224,34 @@ class TestBlockedRiccati:
         _assert_within(np.abs(fine.m_star[[99, 999]] - coarse.m_star),
                        256 * EPS * kappa * coarse.m_star)
 
+    def test_rounding_does_not_compound_over_the_panels(self, monkeypatch):
+        # every map 4 ulp off orthogonal: node rows read off powers of one
+        # step map would drift by about 4 eps per panel over the 1800 panels
+        # of [1, 10] (measured: 23 times the bound); read off their own
+        # exponentials they move by 4 eps once (measured: 0.02 of it)
+        expm = measurement.expm
+        monkeypatch.setattr(measurement, "expm", lambda a: expm(a) * (1.0 + 4.0 * EPS))
+        system = _random_system(2, 72)
+        fine = riccati_solve(system, 0.8, 1.2, np.linspace(0.01, 10.0, 1000))
+        coarse = riccati_solve(system, 0.8, 1.2, [1.0, 10.0])
+        _, _, kappa = _sequential_riccati(system, 0.8, 1.2, np.array([1.0, 10.0]))
+        _assert_within(np.abs(fine.m_star[[99, 999]] - coarse.m_star),
+                       256 * EPS * kappa * coarse.m_star)
+
+    def test_a_span_with_fewer_rows_than_states_is_padded(self):
+        # two panels give 8 node rows, so a 10-state factor has two zero rows
+        system, span, c = _random_system(10, 3), 2e-3, 0.4
+        r = measurement._span_factor(system.J, system.B, c, span)
+        assert r.shape == (10, 10) and not r[8:].any()
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        gramian = sum(
+            w * np.outer(row, row)
+            for start in (0.0, span / 2)
+            for xi, w in zip(nodes, weights)
+            for row in [system.B @ matrix_exponential(system.J * (start + span / 4 * (xi + 1.0)))]
+        ) * (c * span / 4)
+        np.testing.assert_allclose(r.T @ r, gramian, atol=1e-15 * np.abs(gramian).max())
+
     def test_a_long_interval_is_reduced_before_padding(self):
         # 4 points, one interval of 7984 node rows; the others are padded
         grid = np.array([0.01, 0.02, 10.0, 10.01])
@@ -276,6 +305,19 @@ class TestSupplyPathMemo:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    def test_the_path_is_rk4_of_the_closed_loop_bit_for_bit(self):
+        system, km, energy, dt, steps = measured_lc(), 0.7, 3.0, 1e-4, 300
+        j, b, root = system.J, system.B, math.sqrt(2.0 * energy)
+
+        def closed_loop(_, z):
+            y = b @ z[:3]
+            return np.append(j @ z[:3] + km * (z[3] / root - 1.0) * y * b, km / root * y * y)
+
+        path = integrate_ode(closed_loop, np.append(system.x0, root), dt, steps * dt).values
+        final, drift = _supply_aux_path(system, km, energy, dt, steps)
+        np.testing.assert_array_equal(final, path[-1, :3])
+        np.testing.assert_array_equal(drift, km * (path[:, 3] / root - 1.0) * (path[:, :3] @ b))
 
     @pytest.mark.parametrize("change", ["J", "B", "x0", "km", "supply_energy", "dt"])
     def test_another_input_is_not_served_a_stale_path(self, change):

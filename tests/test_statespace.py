@@ -33,7 +33,9 @@ from lossless.statespace import (
     check_dissipative,
     check_lossless,
     check_reciprocal,
+    _input_samples,
     _lti_run,
+    _rk4,
     _rk4_states,
     _smooth_test_input,
     _ENERGY_TOL,
@@ -316,6 +318,15 @@ class TestIntegrateOde:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             integrate_ode(lambda t, x: x, np.array([1.0]), dt=0.3, horizon=1.0)
+
+    def test_a_sampled_drive_steps_as_its_closure_bit_for_bit(self):
+        # a forced field stepped on the drive's samples is the same RK4 as
+        # the field that evaluates the drive at each stage time
+        drive = lambda s: 0.1 * np.sin(s)
+        tr = integrate_ode(lambda s, x: -x + drive(s), [1.0], 2e-3, 2.0)
+        u_vals, u_mids, h = _input_samples(drive, 1, 2e-3, 2.0)
+        np.testing.assert_array_equal(_rk4(lambda x, v: -x + v, np.ones(1), u_vals, u_mids, h),
+                                      tr.values)
 
 
 class TestLtiRun:
