@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import CHUNK_ELEMENTS, as_float_array, expm, frozen, positive, run_chunked
+from ._util import as_float_array, expm, frozen, positive, run_chunked
 from .statespace import (
     Trajectory,
     _lti_run,
@@ -626,15 +626,13 @@ def riccati_solve(
     regime (eigenvalues spread like t, t^3, t^5, ...) is handled at
     the square root of its condition number.  Works on any increasing
     positive grid, uniform or not.  Each grid interval contributes one
-    n x n block, the factor of its span's Gramian times e^{J t_lo}.  The
-    intervals are grouped by distinct span, and `_span_factor` builds each
-    span's factor once (a constant panel width of at most `_PANEL_WIDTH`,
-    each node row off its own exponential); the e^{J t} of all grid points
-    are one batched `expm`, and `_prefix_factors` folds the blocks, giving
-    the factor at every grid point; the triangular solves for all points
-    are one batched `np.linalg.solve`.  If a factor's smallest diagonal is
-    1e-14 of its largest, ArithmeticError names the first such grid time:
-    no finer quadrature restores what rounding lost.
+    n x n block, the factor of its span's Gramian times e^{J t_lo};
+    `_span_factor` builds each distinct span's factor once, one batched
+    `expm` gives e^{J t} at every grid point, `_prefix_factors` folds the
+    blocks into each point's factor, and one batched `np.linalg.solve`
+    does all triangular solves.  If a factor's smallest diagonal is 1e-14
+    of its largest, ArithmeticError names the first such grid time: no
+    finer quadrature restores what rounding lost.
     """
     times = as_float_array(grid, "grid", ndim=1)
     if times.shape[0] < 1 or times[0] <= 0 or np.any(np.diff(times) <= 0):
@@ -679,17 +677,17 @@ _PANEL_WIDTH = 5e-3
 
 
 def _span_factor(j, b, c, span):
-    """Upper-triangular n x n factor R (zero-padded below) of the weighted Gauss-Legendre
-    rows of c int_0^span e^{J^T s} B B^T e^{Js} ds: 4 nodes per panel, nsub >= 2 panel
-    widths h <= `_PANEL_WIDTH`.  Every e^{J node} and e^{J i h} is its own exponential, so no
-    rounding compounds; they come from `expm` in batches of about `CHUNK_ELEMENTS` entries."""
-    nsub, n = max(2, math.ceil(span / _PANEL_WIDTH)), b.shape[0]
-    h = span / nsub
-    offsets = np.concatenate([0.5 * h * (_GL_NODES + 1.0), np.arange(nsub) * h])
-    parts = np.array_split(offsets, math.ceil(offsets.size * n * n / CHUNK_ELEMENTS))
-    maps = np.concatenate([expm(j * part[:, None, None]) for part in parts])
-    node_rows = b @ maps[:4] * np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
-    r = np.linalg.qr((node_rows @ maps[4:]).reshape(-1, n), mode="r")
+    """Upper-triangular n x n factor R (zero-padded below) of the weighted Gauss-Legendre rows
+    of c int_0^span e^{J^T s} B B^T e^{Js} ds, 4 nodes on each of 2^L panels (the least L >= 1
+    with width h <= `_PANEL_WIDTH`).  Level i stacks the first 2^i panels' factor over itself
+    times e^{J 2^i h} and re-factors, so rounding compounds over L levels, not 2^L panels."""
+    levels, n = max(1, (math.ceil(span / _PANEL_WIDTH) - 1).bit_length()), b.shape[0]
+    h = span / 2**levels
+    offsets = np.concatenate([0.5 * h * (_GL_NODES + 1.0), h * 2.0 ** np.arange(levels)])
+    maps = expm(j * offsets[:, None, None])
+    r = b @ maps[:4] * np.sqrt(c * 0.5 * h * _GL_WEIGHTS)[:, None]
+    for shift in maps[4:]:
+        r = np.linalg.qr(np.vstack([r, r @ shift]), mode="r")
     return np.pad(r, ((0, n - r.shape[0]), (0, 0)))
 
 
@@ -828,6 +826,7 @@ def tradeoff_product(
 ) -> TradeoffReport:
     """Measure |dy| |dyhat| against its floor 2 k_B T_m / C, from `trials`
     probe histories at dt = t_m / `_PROBE_STEPS` = t_m / 256."""
+    t_m = positive(t_m, "t_m")
     if not device.is_noisy:
         raise ValueError("the trade-off is defined for the realized variants")
     outcome = simulate_device(system, device, t_m, t_m / _PROBE_STEPS, trials, seed)
@@ -835,7 +834,7 @@ def tradeoff_product(
     emp = math.sqrt(max(outcome.estimate_variance, 0.0))
     lhs = outcome.delta_y * outcome.delta_y_hat
     return TradeoffReport(
-        t_m=float(t_m),
+        t_m=t_m,
         admittance=device.admittance,
         delta_y=outcome.delta_y,
         delta_y_hat=outcome.delta_y_hat,

@@ -21,8 +21,8 @@ Conventions
   the package (impulse responses, the M1/M1hat/M2 probes and filter chains,
   Euler-Maruyama Langevin paths) runs through `_lti_run` in lifted blocks.
   Kept out of it: RK4 (see `_rk4_states`), the Riccati floor's Gramian
-  rows (each read off its own exponential, so no rounding compounds over a
-  long span), and the nonlinear M2hat probe and its per-trial filter
+  rows (one panel's factor doubled log2(panels) times, so rounding does not
+  compound over the panels), and the nonlinear M2hat probe and its per-trial filter
   chains, stepped one sample at a time, all trials of a chunk at once.
   `check_lossless` steps by the implicit midpoint rule, which conserves
   the stored energy exactly.
@@ -233,6 +233,8 @@ class Trajectory:
     @classmethod
     def sample(cls, fn: Callable[[float], object], dt: float, n_samples: int) -> "Trajectory":
         """Sample fn(t) on the grid t = 0, dt, ..., (n_samples-1) dt."""
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         rows = [np.asarray(fn(k * dt), dtype=float) for k in range(n_samples)]
         return cls(dt=dt, values=np.stack(rows, axis=0))
 

@@ -165,9 +165,7 @@ def analytic_fluctuation_covariance(
     (every bank, dense or CSR) a closed form, within a few eps of
     w t |B|^2 of `impulse_response`'s own.
     """
-    t, s = float(t), float(s)
-    if t < 0 or s < 0:
-        raise ValueError(f"times must be nonnegative, got t={t}, s={s}")
+    t, s = positive(t, "t", or_zero=True), positive(s, "s", or_zero=True)
     kbt = positive(boltzmann, "boltzmann constant") * positive(temperature, "temperature", or_zero=True)
     kernel = _transient_maps(sys, np.array([abs(t - s)]))[0] @ sys.B
     if t < s:

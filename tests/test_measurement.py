@@ -276,21 +276,22 @@ class TestRiccatiSolve:
         monkeypatch.setattr(measurement, "expm", lambda a: calls.append(len(a)) or expm(a))
         blocks = _folded_blocks(SYSTEM, 1.0, 1.0, grid, monkeypatch)
         # one batched call for the grid's propagators, then one per distinct
-        # span for its four node maps and its panel starts
+        # span for its four node maps and its L panel-doubling maps
         spans = np.unique(np.diff(grid, prepend=0.0))
-        assert calls == [grid.size] + [4 + max(2, math.ceil(s / 5e-3)) for s in spans]
+        assert calls == [grid.size] + [4 + max(1, math.ceil(math.log2(s / 5e-3))) for s in spans]
         np.testing.assert_array_equal(blocks, _blocks_interval_by_interval(SYSTEM, 0.5, grid))
 
-    def test_a_span_split_over_expm_batches_is_exact(self, monkeypatch):
-        # 4 nodes and 20 panel starts of a 3-state system: 216 entries,
-        # in batches of about 90
-        whole = measurement._span_factor(J, B, 0.5, 0.1)
+    def test_a_long_span_doubles_its_panels(self, monkeypatch):
+        # [0, 1000] is 2^18 panels of width 3.8e-3: 4 node maps and 18
+        # doubling maps, where 1000 intervals of [1, 1000] take 2^8 panels
+        # each (measured: 3.0e-15 apart)
         calls = []
         expm = measurement.expm
         monkeypatch.setattr(measurement, "expm", lambda a: calls.append(len(a)) or expm(a))
-        monkeypatch.setattr(measurement, "CHUNK_ELEMENTS", 90)
-        np.testing.assert_array_equal(measurement._span_factor(J, B, 0.5, 0.1), whole)
-        assert calls == [8, 8, 8]
+        one = riccati_solve(SYSTEM, 1.0, 1.0, [1000.0])
+        assert calls == [1, 22]
+        fine = riccati_solve(SYSTEM, 1.0, 1.0, np.linspace(1.0, 1000.0, 1000))
+        assert one.m_star[0] == pytest.approx(fine.m_star[-1], rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_panel_reuse_is_exact_on_random_systems(self, n, monkeypatch):
@@ -653,6 +654,12 @@ class TestTradeoff:
     def test_rejects_ideal_probes(self):
         with pytest.raises(ValueError, match="realized"):
             tradeoff_product(SYSTEM, Device(variant="M1", admittance=1.0), 1e-3, 10)
+
+    @pytest.mark.parametrize("t_m", [0.0, -1e-3, math.nan])
+    def test_rejects_a_bad_horizon_by_name(self, t_m):
+        dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
+        with pytest.raises(ValueError, match=f"t_m must be positive, got {t_m}"):
+            tradeoff_product(SYSTEM, dev, t_m, 10)
 
 
 class TestBenchmarkEstimator:

@@ -227,8 +227,9 @@ class TestBlockedRiccati:
     def test_rounding_does_not_compound_over_the_panels(self, monkeypatch):
         # every map 4 ulp off orthogonal: node rows read off powers of one
         # step map would drift by about 4 eps per panel over the 1800 panels
-        # of [1, 10] (measured: 23 times the bound); read off their own
-        # exponentials they move by 4 eps once (measured: 0.02 of it)
+        # of [1, 10] (measured: 23 times the bound); panel doubling applies
+        # a map once per level, 4 eps at each of the 11 levels of [1, 10]
+        # (measured: 0.14 of it)
         expm = measurement.expm
         monkeypatch.setattr(measurement, "expm", lambda a: expm(a) * (1.0 + 4.0 * EPS))
         system = _random_system(2, 72)
@@ -253,7 +254,8 @@ class TestBlockedRiccati:
         np.testing.assert_allclose(r.T @ r, gramian, atol=1e-15 * np.abs(gramian).max())
 
     def test_a_long_interval_is_reduced_before_padding(self):
-        # 4 points, one interval of 7984 node rows; the others are padded
+        # 4 points, one interval of 2^11 panels (8192 node rows) reduced to
+        # its factor; the others are padded
         grid = np.array([0.01, 0.02, 10.0, 10.01])
         sol = riccati_solve(measured_lc(), 1.0, 1.0, grid)
         _, mstars, _ = _sequential_riccati(measured_lc(), 1.0, 1.0, grid)

@@ -93,6 +93,13 @@ class TestTrajectory:
         tr = Trajectory.sample(lambda t: [t, t**2], dt=0.25, n_samples=4)
         np.testing.assert_allclose(tr.values[:, 1], (0.25 * np.arange(4)) ** 2)
 
+    def test_sample_needs_a_sample(self):
+        def fn(t):
+            raise AssertionError("fn called")
+
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            Trajectory.sample(fn, dt=0.25, n_samples=0)
+
     def test_values_are_read_only(self):
         tr = Trajectory(dt=1.0, values=np.ones(3))
         with pytest.raises(ValueError):

@@ -115,9 +115,15 @@ class TestAnalyticKernel:
         np.testing.assert_allclose(forward, 1.3 * g.values[1], atol=1e-12)
         np.testing.assert_allclose(backward, 1.3 * g.values[1].T, atol=1e-12)
 
-    def test_negative_times_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            analytic_fluctuation_covariance(lc_ladder(), 1.0, -0.1, 0.0)
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("bank", [False, True])
+    def test_negative_times_rejected(self, t, bank):
+        # a rotation-block bank and a dense J, checked before any map is taken
+        sys = memoryless_lossless_approx(1.0, 1.0, 4).system if bank else lc_ladder()
+        with pytest.raises(ValueError, match=f"t must be nonnegative, got {t}"):
+            analytic_fluctuation_covariance(sys, 1.0, t, 0.0)
+        with pytest.raises(ValueError, match=f"s must be nonnegative, got {t}"):
+            analytic_fluctuation_covariance(sys, 1.0, 0.0, t)
 
     def test_stacked_maps_equal_one_expm_per_time(self):
         rng = np.random.default_rng(4)
