@@ -312,7 +312,7 @@ def simulate_device(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    steps = _step_count(t_m, dt)
+    steps = _step_count(t_m, dt, "t_m")
     _require_x0_determined(system, device.variant, steps)
     b, km = system.B, device.admittance
     x_nat = _natural_final(system, t_m)
@@ -876,7 +876,7 @@ def benchmark_estimator(
     """
     if not device.is_noisy:
         raise ValueError("benchmarking needs a noisy readout")
-    steps = _step_count(t_m, dt)
+    steps = _step_count(t_m, dt, "t_m")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     times = np.arange(steps + 1) * dt

@@ -741,11 +741,13 @@ class TestBenchmarkEstimator:
 
 # A step of the wrong sign, or NaN, against a t_m of the right sign.
 BAD_STEPS = [(-1e-3, -1e-3 / 256), (1e-3, math.nan)]
+BAD_HORIZONS = [0.0, -1e-3, math.nan]
 
 
 class TestStepValidation:
     """A negative or NaN step is rejected, naming dt, before any work
-    (a negative pair would otherwise run the M1 probe backwards)."""
+    (a negative pair would otherwise run the M1 probe backwards); with a
+    good step, a bad horizon is rejected naming t_m."""
 
     @pytest.mark.parametrize("t_m, dt", BAD_STEPS)
     @pytest.mark.parametrize("variant", ["M1", "M1hat"])
@@ -760,6 +762,20 @@ class TestStepValidation:
         dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
         with pytest.raises(ValueError, match="dt must be positive"):
             benchmark_estimator(SYSTEM, dev, lambda times, record: record[-1], t_m, dt, 4, seed=0)
+
+    @pytest.mark.parametrize("t_m", BAD_HORIZONS)
+    @pytest.mark.parametrize("variant", ["M1", "M1hat"])
+    def test_simulate_device_names_a_bad_horizon(self, variant, t_m):
+        noise = {"temperature": 1.0} if variant == "M1hat" else {}
+        dev = Device(variant=variant, admittance=1.0, **noise)
+        with pytest.raises(ValueError, match=f"t_m must be positive, got {t_m}"):
+            simulate_device(SYSTEM, dev, t_m, 1e-3 / 256, trials=4, seed=0)
+
+    @pytest.mark.parametrize("t_m", BAD_HORIZONS)
+    def test_benchmark_estimator_names_a_bad_horizon(self, t_m):
+        dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
+        with pytest.raises(ValueError, match=f"t_m must be positive, got {t_m}"):
+            benchmark_estimator(SYSTEM, dev, lambda times, record: record[-1], t_m, 1e-3 / 256, 4, seed=0)
 
 
 class TestProbeFaults:

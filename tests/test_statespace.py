@@ -843,3 +843,44 @@ class TestReversibility:
             v = check_time_reversible(sys, SignatureMatrix(signs=signs), u)
             assert not v.reversible
             assert v.max_deviation > 0.5
+
+    @pytest.mark.parametrize("tau, harmonics", [(0.1, 800), (10.0, 1100)])
+    def test_a_bank_reverses_to_rounding(self, tau, harmonics, smooth_input):
+        # tau = 0.1: 1599 dense states up to w_max h = 25, past the |w h| =
+        # 2 sqrt 2 where RK4 turns unstable on the imaginary axis; the
+        # midpoint rule is stable at any w h.  tau = 10: 2199 states, a CSR
+        # generator.
+        bank = memoryless_lossless_approx(1.0, tau, harmonics).system
+        v = check_time_reversible(bank, SignatureMatrix.identity(1), smooth_input)
+        assert v.reversible
+        assert v.max_deviation <= 1e-12
+
+    @pytest.mark.parametrize("system", ["chain", "damped"])
+    def test_a_sparse_generator_that_is_not_rotation_blocks_steps_sparse(self, system, smooth_input):
+        # a skew chain is reversible under R = diag((-1)^i) with Sigma = 1; the
+        # damped pair is neither reversible nor lossless.  The sparse LU step
+        # agrees with the dense step to rounding, on both verdicts.
+        if system == "chain":
+            k = np.linspace(1.0, 3.0, 99)
+            a = np.diag(k, -1) - np.diag(k, 1)
+            make = lambda m: LosslessLinear(J=m, B=np.eye(100, 1))
+        else:
+            a = np.array([[-1.0, 1.0], [0.0, -1.0]])
+            make = lambda m: LinearStateSpace(A=m, B=np.ones((2, 1)), C=np.ones((1, 2)),
+                                              D=np.zeros((1, 1)))
+        sparse, dense = make(scipy.sparse.csr_matrix(a)), make(a)
+        assert scipy.sparse.issparse(_port_matrices(sparse)[0])
+        one = SignatureMatrix.identity(1)
+        rev = [check_time_reversible(sys, one, smooth_input).max_deviation for sys in (sparse, dense)]
+        assert rev[0] == pytest.approx(rev[1], rel=1e-9, abs=1e-12)
+        assert (rev[0] <= 1e-12) == (system == "chain")
+        energy = [check_lossless(sys, trials=2) for sys in (sparse, dense)]
+        assert energy[0].passed == energy[1].passed == (system == "chain")
+        assert energy[0].energy_residual == pytest.approx(energy[1].energy_residual, rel=1e-9, abs=1e-12)
+
+    def test_a_reversed_run_that_leaves_float_range_raises(self, smooth_input):
+        # the reversed experiment steps dv/dt = +500 v and overflows near t = 1.42
+        sys = LinearStateSpace(A=-500.0 * np.eye(2), B=np.eye(2), C=np.eye(2), D=np.zeros((2, 2)))
+        u = Trajectory(dt=smooth_input.dt, values=np.stack([smooth_input.values] * 2, axis=1))
+        with pytest.raises(FloatingPointError, match="state diverged at t = "):
+            check_time_reversible(sys, SignatureMatrix.identity(2), u)
