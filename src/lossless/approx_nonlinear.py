@@ -85,11 +85,36 @@ class EnergySupplyApprox:
         input grid; no ODE solve is involved.
         """
         vals = _port_samples(u, self.ports, owner="the gain")
-        drive = vals @ self.gain.T
-        absorbed = cumulative_trapezoid(np.sum(vals * drive, axis=1), u.dt)
-        supply = self.initial_supply + absorbed / self.initial_supply
-        outputs = (drive * (supply / self.initial_supply)[:, None]).reshape(u.values.shape)
-        return Trajectory(dt=u.dt, values=outputs), Trajectory(dt=u.dt, values=supply)
+        outputs, supply = _supply_forms(self.gain, vals, u.dt, self.initial_energy, u.duration)[:2]
+        return Trajectory(dt=u.dt, values=outputs.reshape(u.values.shape)), Trajectory(dt=u.dt, values=supply)
+
+
+def _supply_forms(gain, vals, dt: float, energies, horizon: float):
+    """The closed forms of the supply construction for inputs sampled at step dt.
+
+    `vals` is (m, ..., p), time first, and `energies` holds the initial
+    energies E0 of the batch axes between.  Returns, each time first, the
+    outputs y_E (m, ..., p) and supply x_E (m, ...) of
+    `EnergySupplyApprox.respond`, the error ||y_E - k u|| (m, ...) and two
+    bounds on it: `supply_error_running_bound`'s, and `supply_error_bound`'s
+    over `horizon` at the input's peak times ||u||_{L2[0, t]}.
+    """
+    top = float(np.linalg.norm(gain, 2))
+    root = np.sqrt(2.0 * energies)
+    drive = vals @ gain.T
+    supply = root + cumulative_trapezoid(np.sum(vals * drive, axis=-1), dt) / root
+    outputs = drive * (supply / root)[..., None]
+    errors = np.linalg.norm(outputs - drive, axis=-1)
+    norms = np.linalg.norm(vals, axis=-1)
+    mass = cumulative_trapezoid(norms**2, dt)  # int_0^t ||u||^2 ds
+    running = top**2 * norms * mass / (2.0 * energies)
+    flat = _flat_bound(top, norms.max(axis=0), horizon, energies) * np.sqrt(mass)
+    return outputs, supply, errors, running, flat
+
+
+def _flat_bound(top: float, peak, horizon: float, energy):
+    """smax(k)^2 input_peak^2 sqrt(horizon) / (2 E0), given smax(k) = `top`."""
+    return top**2 * peak**2 * np.sqrt(horizon) / (2.0 * energy)
 
 
 def simulate_energy_supply(gain, initial_energy, u: Trajectory) -> tuple[Trajectory, Trajectory]:
@@ -118,8 +143,7 @@ def supply_error_bound(gain, input_peak, horizon, initial_energy) -> float:
     peak = positive(input_peak, "input_peak")
     window = positive(horizon, "horizon")
     energy = positive(initial_energy, "initial_energy")
-    top = float(np.linalg.norm(gain, 2))
-    return top**2 * peak**2 * math.sqrt(window) / (2.0 * energy)
+    return float(_flat_bound(float(np.linalg.norm(gain, 2)), peak, window, energy))
 
 
 def supply_error_running_bound(gain, u: Trajectory, initial_energy) -> Trajectory:
@@ -132,10 +156,7 @@ def supply_error_running_bound(gain, u: Trajectory, initial_energy) -> Trajector
     gain = _square_gain(gain)
     energy = positive(initial_energy, "initial_energy")
     vals = _port_samples(u, gain.shape[0], owner="the gain")
-    norms = np.linalg.norm(vals, axis=1)
-    mass = cumulative_trapezoid(norms**2, u.dt)
-    top = float(np.linalg.norm(gain, 2))
-    return Trajectory(dt=u.dt, values=top**2 * norms * mass / (2.0 * energy))
+    return Trajectory(dt=u.dt, values=_supply_forms(gain, vals, u.dt, energy, u.duration)[3])
 
 
 @dataclass(frozen=True)

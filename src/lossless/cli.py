@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import platform
@@ -42,18 +43,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import cumulative_trapezoid, derive_rng
+from ._util import derive_rng
 from .approx_linear import (
     dissipative_lossless_approx,
     memoryless_error_bound,
     memoryless_lossless_approx,
 )
 from .approx_nonlinear import (
+    _supply_forms,
     _wrapped_paths,
     convergence_order,
     simulate_energy_supply,
-    supply_error_bound,
-    supply_error_running_bound,
 )
 from .measurement import (
     DEVICE_VARIANTS,
@@ -76,7 +76,7 @@ from .statespace import (
     LosslessLinear,
     Trajectory,
     _input_samples,
-    _rk4,
+    _rk4_states,
     _square_gain,
     _step_count,
     check_lossless,
@@ -661,7 +661,8 @@ def _quote_cells(cells: list, lone: bool) -> list:
 
 def _write_csv(path: Path, columns: dict) -> None:
     """Write a table given as {header: column}, each column a list or 1-D
-    array of one common length, a block of rows through one row template.
+    array of one common length: each block of rows is one '%' of the row
+    template repeated, over the block's cells in row order.
     A float64 array fills a '%.17g' slot unquoted: digits, sign, point,
     exponent, 'nan' and 'inf' are nothing csv quotes.  Every other column
     fills a '%s' slot through `_format_column` and `_quote_cells`."""
@@ -677,7 +678,7 @@ def _write_csv(path: Path, columns: dict) -> None:
             block = (column[lo : lo + _CSV_BLOCK_ROWS] for column in columns.values())
             cols = [cells.tolist() if f else _quote_cells(_format_column(cells), lone)
                     for f, cells in zip(floats, block)]
-            fh.write("".join(map(template.__mod__, zip(*cols))))
+            fh.write(template * len(cols[0]) % tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
 def _single_row(**cells) -> dict:
@@ -836,21 +837,17 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
     t = np.arange(_step_count(horizon, dt) + 1) * dt
     modes = np.stack([np.sin((m + 1) * np.pi * t / horizon) / (m + 1) for m in range(3)])
 
-    energies, peaks, max_errors, running_margins, flat_margins = np.empty((5, trials))
-    for trial in range(trials):
+    energies, amps = np.empty(trials), np.empty((trials, 3, ports))
+    for trial in range(trials):  # each input's draws, in trial order
         rng = derive_rng(config.seed, trial)
-        amps = rng.standard_normal((3, ports))
-        vals = np.einsum("mt,mp->tp", modes, amps)
-        e0 = energies[trial] = float(10.0 ** rng.uniform(0.5, 3.0))
-        u = Trajectory(dt=dt, values=vals)
-        y, _ = simulate_energy_supply(k, e0, u)
-        err = np.linalg.norm(y.values - vals @ k.T, axis=1)
-        sq = np.sum(vals**2, axis=1)
-        peak = peaks[trial] = float(np.linalg.norm(vals, axis=1).max())
-        max_errors[trial] = err.max()
-        running_margins[trial] = (supply_error_running_bound(k, u, e0).values - err).min()
-        flat = supply_error_bound(k, peak, horizon, e0)
-        flat_margins[trial] = (flat * np.sqrt(cumulative_trapezoid(sq, dt)) - err).min()
+        amps[trial] = rng.standard_normal((3, ports))
+        energies[trial] = 10.0 ** rng.uniform(0.5, 3.0)
+    vals = np.einsum("mt,smp->tsp", modes, amps)  # (time, trial, port)
+    _, _, errors, running, flat = _supply_forms(k, vals, dt, energies, horizon)
+    peaks = np.linalg.norm(vals, axis=-1).max(axis=0)
+    max_errors = errors.max(axis=0)
+    running_margins = (running - errors).min(axis=0)
+    flat_margins = (flat - errors).min(axis=0)
 
     e0s = p["e0_values"]
     t_m = np.arange(1001) * 1e-3
@@ -860,7 +857,7 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
         lambda e0: simulate_energy_supply(-1.0, e0, u_m)[0], e0s, ref_m
     )
     u_vals, u_mids, h = _input_samples(lambda s: 0.1 * np.sin(s), 1, 2e-3, 2.0)
-    ref_g = _rk4(lambda x, v: -x + v, np.ones(1), u_vals, u_mids, h)
+    ref_g = _rk4_states(-np.eye(1), np.eye(1), u_vals, u_mids, h, [1.0])
     states = _wrapped_paths(lambda x, v: -x + v, lambda x, v: x, np.ones(1),
                             np.sqrt(2.0 * np.asarray(e0s, dtype=float)), u_vals, u_mids, h)[0]
     paths = dict(zip(map(float, e0s), states.swapaxes(0, 1)))

@@ -13,16 +13,15 @@ dissipativity, reciprocity, time reversibility) used throughout the package.
 Conventions
 -----------
 * Fixed-step classic RK4 for simulation; the step is the input grid spacing.
-  On an LTI system RK4 is one precomputed increment map (`_rk4_states`):
-  the input drive of every step is formed at once, and the loop over steps
-  does one matrix-vector product each.  Only callable or nonlinear fields
-  (`integrate_ode`, the energy-supply wrapper) step through `_rk4`.
+  On an LTI system RK4 is one precomputed increment map (`_rk4_states`),
+  run by `_lti_run` in its increment form.  Only callable or nonlinear
+  fields (`integrate_ode`, the energy-supply wrapper) step through `_rk4`.
 * Every time-invariant linear recursion x[k+1] = Phi x[k] + Gamma u[k] in
-  the package (impulse responses, the M1/M1hat/M2 probes and filter chains,
-  Euler-Maruyama Langevin paths) runs through `_lti_run` in lifted blocks.
-  Kept out of it: RK4 (see `_rk4_states`), the Riccati floor's Gramian
-  rows (one panel's factor doubled log2(panels) times, so rounding does not
-  compound over the panels), and the nonlinear M2hat probe and its per-trial filter
+  the package (RK4, impulse responses, the M1/M1hat/M2 probes and filter
+  chains, Euler-Maruyama Langevin paths) runs through `_lti_run` in lifted
+  blocks.  Kept out of it: the Riccati floor's Gramian rows (one panel's
+  factor doubled log2(panels) times, so rounding does not compound over
+  the panels), and the nonlinear M2hat probe and its per-trial filter
   chains, stepped one sample at a time, all trials of a chunk at once.
 * The behavioural verdicts step by the implicit midpoint rule
   (`_midpoint_outputs`), exactly energy-conserving and stable at any w h.
@@ -123,6 +122,19 @@ _RECIPROCITY_TOL = 1e-8
 #: `check_time_reversible`'s bound on max|y2(t) - Sigma y1(T - t)|, which is rounding
 #: if reversible: at most 5.3e-14 over 20 rotated LC ladders, 0.0 on 3982-state banks.
 _REVERSIBILITY_TOL = 1e-6
+
+#: `_lti_run`'s increment form (RK4) lifts blocks of at least
+#: 2^`_INCREMENT_LEVELS` steps whose operators hold at most
+#: `_INCREMENT_ELEMENTS` entries (1 MiB), else it takes the step loop: a
+#: lifted step does the loop's E x work, so lifting saves only per-call
+#: overhead, and an operator that outgrows the cache loses that.  Step
+#: loop against the fastest L, `_rk4_states` on p = 1 banks, one BLAS
+#: thread, median of 9: n = 3, 79 ms against 11 at L = 64 (2e4 steps);
+#: n = 31, 23 against 18 at L = 32 and n = 63, 32 against 27 at L = 16
+#: (1e4 steps); n >= 127, the loop or within 10% of it.  L = 4 mostly
+#: lost to the loop, L = 2 always.  These bounds pick each of those L.
+_INCREMENT_ELEMENTS = 1 << 17
+_INCREMENT_LEVELS = 3
 
 
 def _is_sparse(m) -> bool:
@@ -440,7 +452,7 @@ def _rk4(rate, x0, u_vals, u_mids, h: float) -> np.ndarray:
     return out
 
 
-def _lti_run(phi, x0, gamma=None, u=None, c=None, steps=None):
+def _lti_run(phi, x0, gamma=None, u=None, c=None, steps=None, *, increment=False):
     """Readouts c x[k], k = 0..steps, of x[k+1] = phi x[k] + gamma u[k].
 
     `x0` is (n,) or (n, batch); `gamma` (n, m) and `u` (steps, m) or
@@ -455,47 +467,92 @@ def _lti_run(phi, x0, gamma=None, u=None, c=None, steps=None):
     j doublings build them all.  L ~ sqrt(steps) balances the squarings
     against the block count; it shrinks until these operators and one
     block of readouts hold at most `CHUNK_ELEMENTS` entries.
+
+    With `increment`, `phi` is the increment E of the step map I + E,
+    which is never formed: rounding E into I + E would recur every step
+    (`_rk4_states`).  The powers are then increments too, E_{2P} = 2 E_P
+    + E_P E_P (the squaring recurrence of e^A - I; Higham, Functions of
+    Matrices, 2008, 10.2), F holds c E_i, and each readout or state is
+    the increment (c E_i x[k] + T u) with c x[k] added last.  The
+    operators then hold at most `_INCREMENT_ELEMENTS` entries, and a span
+    below 2^`_INCREMENT_LEVELS` steps is L = 1: the step loop, which
+    keeps a sparse E sparse and forms the drives in the state record.
     """
     n, m = phi.shape[0], 0 if u is None else gamma.shape[1]
     steps = steps if u is None else len(u)
     batch = np.shape(x0)[1:] or np.shape(u)[2:]
     x = np.reshape(x0, (n, -1))
-    cc = np.eye(n) if c is None else np.reshape(c, (-1, n))
-    p, width = cc.shape[0], math.prod(batch)
+    p, width = n if c is None else math.prod(np.shape(c)[:-1]), math.prod(batch)
     levels = int(math.log2(max(steps, 1)) / 2 + 0.5)
-    while levels and (1 << levels) * (p * (n + (m << levels) + width) + n * m) > CHUNK_ELEMENTS:
+    bound = _INCREMENT_ELEMENTS if increment else CHUNK_ELEMENTS
+    while levels and (1 << levels) * (p * (n + (m << levels) + width) + n * m) > bound:
         levels -= 1
-    span = 1 << levels
-    free, drive, power, powers = cc, gamma, phi, []
-    for _ in range(levels):
-        free = np.vstack([free, free @ power])
-        if m:
-            drive = np.hstack([power @ drive, drive])
-        powers.append(power)
-        power = power @ power
+    if increment and levels < _INCREMENT_LEVELS:
+        levels = 0
     if m:
         u = np.reshape(u, (steps * m, math.prod(np.shape(u)[2:])))  # row k m + i: u[k][i]
-        markov = np.concatenate([(free @ gamma).reshape(span, p, m), np.zeros((1, p, m))])
-        lag = np.arange(span)[:, None] - np.arange(span) - 1
-        toeplitz = markov[np.where(lag < 0, span, lag)].swapaxes(1, 2).reshape(span * p, -1)
-    out = np.empty((steps + 1, p, width))
-    k = 0
-    while True:
-        count = min(span, steps + 1 - k)  # readouts k .. k + count - 1
-        block = free[: count * p] @ x
-        if m and count > 1:
-            block = block + toeplitz[: count * p, : (count - 1) * m] @ u[k * m : (k + count - 1) * m]
-        out[k : k + count] = block.reshape(count, p, -1)
-        if k + count > steps:
-            break
-        x = power @ x + (drive @ u[k * m : (k + span) * m] if m else 0.0)
-        k += span
-    rest = steps - k  # x[steps] from x[k]: phi^rest by the binary powers
-    for level, factor in enumerate(powers):
-        if rest >> level & 1:
-            x = factor @ x
-    if m and rest:
-        x = x + drive[:, (span - rest) * m :] @ u[k * m :]
+    if increment and not levels:  # the step loop
+        out = np.zeros((steps + 1, n, width))
+        out[0] = x
+        if m:  # the drives gamma u[k], formed in place
+            drives = np.broadcast_to(u.reshape(steps, m, u.shape[1]), (steps, m, width))
+            np.matmul(gamma, drives, out=out[1:])
+        x = out[0]
+        for nxt in out[1:]:  # x[k+1] = x[k] + (E x[k] + gamma u[k])
+            nxt += phi @ x
+            nxt += x
+            x = nxt
+        if c is not None:
+            out = np.reshape(c, (-1, n)) @ out
+    else:
+        phi = phi.toarray() if _is_sparse(phi) else phi
+        cc = np.eye(n) if c is None else np.reshape(c, (-1, n))
+        span = 1 << levels
+        free, drive, power, powers = cc, gamma, phi, []
+        if increment:  # free holds c E_i from c E_0 = 0, head c E_P
+            free, head = np.zeros((p, n)), phi if c is None else cc @ phi
+        for _ in range(levels):
+            powers.append(power)
+            if increment:  # c E_{i+P} = c E_P + c E_i + c E_i E_P
+                shifted = (head + free.reshape(-1, p, n)).reshape(free.shape) + free @ power
+                free = np.vstack([free, shifted])
+                if m:
+                    drive = np.hstack([drive + power @ drive, drive])
+                head = 2.0 * head + head @ power
+                power = 2.0 * power + power @ power
+            else:
+                free = np.vstack([free, free @ power])
+                if m:
+                    drive = np.hstack([power @ drive, drive])
+                power = power @ power
+        if m:
+            markov = (free @ gamma).reshape(span, p, m)
+            if increment:
+                markov = markov + cc @ gamma
+            markov = np.concatenate([markov, np.zeros((1, p, m))])
+            lag = np.arange(span)[:, None] - np.arange(span) - 1
+            toeplitz = markov[np.where(lag < 0, span, lag)].swapaxes(1, 2).reshape(span * p, -1)
+        out = np.empty((steps + 1, p, width))
+        k = 0
+        while True:
+            count = min(span, steps + 1 - k)  # readouts k .. k + count - 1
+            block = free[: count * p] @ x
+            if m and count > 1:
+                block = block + toeplitz[: count * p, : (count - 1) * m] @ u[k * m : (k + count - 1) * m]
+            out[k : k + count] = block.reshape(count, p, -1)
+            if increment:
+                out[k : k + count] += x if c is None else cc @ x
+            if k + count > steps:
+                break
+            step = power @ x + (drive @ u[k * m : (k + span) * m] if m else 0.0)
+            x = x + step if increment else step
+            k += span
+        rest = steps - k  # x[steps] from x[k]: phi^rest by the binary powers
+        for level, factor in enumerate(powers):
+            if rest >> level & 1:
+                x = x + factor @ x if increment else factor @ x
+        if m and rest:
+            x = x + drive[:, (span - rest) * m :] @ u[k * m :]
     lead = (n,) if c is None else np.shape(c)[:-1]
     final = np.broadcast_to(x, (n, width)).reshape((n,) + batch)
     return out.reshape((steps + 1,) + lead + batch), final
@@ -590,16 +647,16 @@ def _rk4_states(A, B, u_vals, u_mids, dt: float, x0) -> np.ndarray:
     Taylor terms and applied as an increment.  Storing the step matrix
     I + E instead would round E to the float spacing near 1, and that same
     error would recur every step: over the 1e5 steps of a dt = 1e-5 run it
-    outgrows the O(dt^4) error that a convergence study measures.  A sparse
-    A stays sparse.  Only `simulate_linear` calls it.
+    outgrows the O(dt^4) error that a convergence study measures.  So the
+    map runs through `_lti_run`'s increment form, with Gamma = [Q0 Qm Q1]
+    acting on the stacked samples (u[k], u[k+1/2], u[k+1]): a small
+    system in lifted blocks, a large one by the step loop, where a sparse
+    A stays sparse.
 
     `x0` is (n,) or (n, batch) and the inputs (m, p) or (m, p, batch); the
     states come back as (m, n) + the batch shape.  Raises FloatingPointError
     with the time of the first non-finite state.
     """
-    n, p = B.shape
-    steps = len(u_vals) - 1
-    batch = np.shape(x0)[1:] or np.shape(u_vals)[2:]
     z = A * dt
     z2 = z @ z
     e = z + z2 / 2.0 + (z2 @ z) / 6.0 + (z2 @ z2) / 24.0
@@ -608,20 +665,11 @@ def _rk4_states(A, B, u_vals, u_mids, dt: float, x0) -> np.ndarray:
     q0 = (dt / 6.0) * (B + zb + z2b / 2.0 + (z @ z2b) / 4.0)
     qm = (dt / 6.0) * (4.0 * B + 2.0 * zb + z2b / 2.0)
     q1 = (dt / 6.0) * B
-    u = np.reshape(u_vals, (steps + 1, p, -1))
-    out = np.empty((steps + 1, n, math.prod(batch)))
-    out[0] = np.reshape(x0, (n, -1))
+    samples = np.concatenate([u_vals[:-1], u_mids, u_vals[1:]], axis=1)  # d[k] = [Q0 Qm Q1] samples[k]
     with np.errstate(over="ignore", invalid="ignore"):
-        out[1:] = q0 @ u[:-1]
-        out[1:] += qm @ np.reshape(u_mids, (steps, p, -1))
-        out[1:] += q1 @ u[1:]
-        x = out[0]
-        for d in out[1:]:  # d = x + (E x + d), summed in that order
-            d += e @ x
-            d += x
-            x = d
+        out, _ = _lti_run(e, x0, np.hstack([q0, qm, q1]), samples, increment=True)
     _require_finite(out, dt)
-    return out.reshape((steps + 1, n) + batch)
+    return out
 
 
 def simulate_linear(
@@ -657,9 +705,10 @@ def simulate_linear(
     integrator keeps its order on smooth signals; callables are evaluated at
     the true half-step times.  Each step is the classic four-stage RK4 step
     written as one increment map, x[k+1] = x[k] + (E x[k] + d[k]), with E
-    and the input drive d built once per call; 20 000 steps of the LC
-    ladder take about 0.1 s.  A state that leaves float range raises
-    FloatingPointError naming the first sample time at which it did.
+    and the input drive d built once per call and the steps run in lifted
+    blocks (`_rk4_states`); 20 000 steps of the LC ladder take about 10 ms.
+    A state that leaves float range raises FloatingPointError naming the
+    first sample time at which it did.
     """
     A, B, C, D = _port_matrices(sys)
     u_vals, u_mids, step = _input_samples(u, B.shape[1], dt, horizon)

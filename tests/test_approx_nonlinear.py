@@ -15,6 +15,7 @@ import pytest
 
 from lossless.approx_nonlinear import (
     EnergySupplyApprox,
+    _supply_forms,
     _wrapped_paths,
     convergence_order,
     simulate_energy_supply,
@@ -31,7 +32,7 @@ from lossless.statespace import (
     lc_ladder,
     simulate_linear,
 )
-from lossless._util import derive_rng
+from lossless._util import cumulative_trapezoid, derive_rng
 
 
 def _sine(dt=1e-3, horizon=1.0):
@@ -180,6 +181,33 @@ class TestSupplyErrorBound:
                 )
             )
             assert np.all(err <= flat * l2 + 1e-12)
+
+
+class TestBatchedSupplyForms:
+    """`_supply_forms` over a batch of inputs against the public functions
+    called once per input, bit for bit."""
+
+    @pytest.mark.parametrize("gain", [-0.7, [[-1.0, 0.3], [-0.2, -0.5]]])
+    def test_batch_is_bitwise_the_per_input_calls(self, gain):
+        k = np.atleast_2d(gain)
+        dt, horizon = 2e-3, 1.0
+        t = np.arange(501) * dt
+        rng = np.random.default_rng(8)
+        vals = np.cos(np.multiply.outer(t, rng.uniform(0.5, 4.0, (6, len(k)))))  # (time, input, port)
+        energies = 10.0 ** rng.uniform(0.5, 3.0, 6)
+        outputs, supply, errors, running, flat = _supply_forms(k, vals, dt, energies, horizon)
+        for i, e0 in enumerate(energies):
+            u = Trajectory(dt=dt, values=vals[:, i])
+            y, x_e = simulate_energy_supply(k, e0, u)
+            err = np.linalg.norm(y.values - vals[:, i] @ k.T, axis=1)
+            norms = np.linalg.norm(vals[:, i], axis=1)
+            bound = supply_error_bound(k, norms.max(), horizon, e0)
+            for batched, alone in ((outputs[:, i], y.values), (supply[:, i], x_e.values),
+                                   (errors[:, i], err),
+                                   (running[:, i], supply_error_running_bound(k, u, e0).values),
+                                   (flat[:, i], bound * np.sqrt(cumulative_trapezoid(norms**2, dt)))):
+                assert np.array_equal(batched, alone)
+        assert (running >= errors - 1e-15).all() and (flat >= errors - 1e-15).all()
 
 
 class TestWrappedSystem:

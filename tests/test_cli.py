@@ -17,6 +17,12 @@ import numpy as np
 import pytest
 
 import lossless
+from lossless._util import cumulative_trapezoid, derive_rng
+from lossless.approx_nonlinear import (
+    simulate_energy_supply,
+    supply_error_bound,
+    supply_error_running_bound,
+)
 from lossless.cli import (
     _RUNNERS,
     EXPERIMENTS,
@@ -31,6 +37,7 @@ from lossless.cli import (
     main,
     validate,
 )
+from lossless.statespace import Trajectory
 from lossless.thermal import BOLTZMANN_SI
 
 
@@ -478,6 +485,37 @@ class TestRunsAndArtifacts:
         lines = (out / "inequality.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "trial,e0,peak_input,max_error,running_margin,flat_margin"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("gain", [None, -0.7])
+    def test_nonlinear_sweep_is_bitwise_the_per_trial_loop(self, tmp_path, gain):
+        # the batched sweep against one closed-form evaluation per input,
+        # each from the public functions
+        entries = dict(seed=4, trials=7, e0_values=[1e2, 1e4, 1e6])
+        if gain is not None:
+            entries["gain"] = gain
+        cfg = _write_config(tmp_path, **entries)
+        assert main(["approx-nonlinear", "--config", str(cfg), "--out", str(tmp_path / "nl")]) == 0
+        with open(tmp_path / "nl" / "inequality.csv", encoding="utf-8") as fh:
+            got = {name: np.array([float(v) for v in column])
+                   for name, *column in zip(*csv.reader(fh))}
+        k = np.array([[-1.0, 0.3], [-0.2, -0.5]]) if gain is None else np.array([[gain]])
+        horizon, dt = 1.0, 2e-3
+        t = np.arange(501) * dt
+        modes = np.stack([np.sin((m + 1) * np.pi * t / horizon) / (m + 1) for m in range(3)])
+        for trial in range(7):
+            rng = derive_rng(4, trial)
+            vals = np.einsum("mt,mp->tp", modes, rng.standard_normal((3, len(k))))
+            e0 = float(10.0 ** rng.uniform(0.5, 3.0))
+            u = Trajectory(dt=dt, values=vals)
+            err = np.linalg.norm(simulate_energy_supply(k, e0, u)[0].values - vals @ k.T, axis=1)
+            peak = float(np.linalg.norm(vals, axis=1).max())
+            flat = supply_error_bound(k, peak, horizon, e0)
+            flat = flat * np.sqrt(cumulative_trapezoid(np.linalg.norm(vals, axis=1) ** 2, dt))
+            expected = {"e0": e0, "peak_input": peak, "max_error": err.max(),
+                        "running_margin": (supply_error_running_bound(k, u, e0).values - err).min(),
+                        "flat_margin": (flat - err).min()}
+            for name, value in expected.items():
+                assert got[name][trial] == value, (trial, name)
 
     def test_failed_check_exits_3_and_still_writes(self, tmp_path):
         # far too short a window for the stationary variance to settle

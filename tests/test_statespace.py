@@ -13,6 +13,7 @@ g(t) = (1 + cos(w t))/2.
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -369,6 +370,34 @@ class TestLtiRun:
         if c is None:
             np.testing.assert_allclose(final, out[-1], rtol=0, atol=1e-12 * np.abs(x).max())
 
+    @pytest.mark.parametrize("readout", ["states", "matrix", "vector"])
+    @pytest.mark.parametrize("driven", [False, True])
+    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 37, 1000, 5000])
+    def test_increment_form_matches_per_step_loop(self, steps, batch, driven, readout):
+        # the step map I + E as its increment E; under 8 steps a run is the
+        # step loop, from 37 steps lifted blocks
+        rng = np.random.default_rng(steps)
+        n, m = 5, 2
+        e = np.triu(rng.standard_normal((n, n)), 1) * 0.05 - np.diag([0.1, 0.05, 0.01, 0.5, 0.0])
+        tail = () if batch is None else (batch,)
+        x0 = rng.standard_normal((n,) + tail)
+        gamma = rng.standard_normal((n, m)) if driven else None
+        u = rng.standard_normal((steps, m) + tail) if driven else None
+        c = {"states": None, "matrix": rng.standard_normal((3, n)),
+             "vector": rng.standard_normal(n)}[readout]
+        x, expected = x0.copy(), []
+        for k in range(steps + 1):
+            expected.append(x.copy() if c is None else c @ x)
+            if k < steps:
+                x = x + (e @ x + (gamma @ u[k] if driven else 0.0))
+        expected = np.array(expected)
+        out, final = _lti_run(e, x0, gamma, u, c, steps, increment=True)
+        assert out.shape == expected.shape
+        assert final.shape == x.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(final, x, rtol=0, atol=1e-12 * np.abs(x).max())
+
 
 def rk4_four_stage(A, B, u_vals, u_mids, dt, x0):
     """The four-stage RK4 loop the closed-form stepper replaced."""
@@ -448,6 +477,59 @@ class TestRk4Stepper:
                 simulate_linear(sys, u, x0=np.ones(2), dt=dt, horizon=steps * dt)
         assert str(new.value) == str(old.value)
         assert "diverged at t = 1.6" in str(new.value)
+
+    @staticmethod
+    def increment_loop(A, B, u_vals, u_mids, dt, x0):
+        """The step loop `_rk4_states` ran before lifting: x[k+1] = x[k] + (E x[k] + d[k])."""
+        z = A * dt
+        z2 = z @ z
+        e = z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
+        q0 = dt / 6.0 * (B + z @ B + z2 @ B / 2.0 + z2 @ (z @ B) / 4.0)
+        qm = dt / 6.0 * (4.0 * B + 2.0 * (z @ B) + z2 @ B / 2.0)
+        d = u_vals[:-1] @ q0.T + u_mids @ qm.T + u_vals[1:] @ (dt / 6.0 * B).T
+        out = np.empty((len(u_vals), len(x0)))
+        out[0] = x = x0
+        for k in range(len(d)):
+            x = out[k + 1] = x + (e @ x + d[k])
+        return out
+
+    def test_long_fine_run_matches_the_step_loop(self):
+        # 1e5 steps of dt = 1e-5 on the ladder, lifted in blocks of 64.
+        # Each run rounds x[k] + (increment) once a step, within eps/2
+        # max|x|, and the lossless ladder does not grow those errors, so
+        # the runs differ by at most steps eps max|x| = 2.2e-11 max|x|;
+        # measured 1.9e-14.
+        sys = lc_ladder()
+        dt, steps = 1e-5, 100_000
+        t = np.arange(steps + 1) * dt
+        u_vals = np.sin(3 * t)[:, None]
+        u_mids = midpoint_samples(u_vals)
+        x0 = np.array([1.0, 0.0, -0.5])
+        expected = self.increment_loop(sys.J, sys.B, u_vals, u_mids, dt, x0)
+        states = _rk4_states(sys.J, sys.B, u_vals, u_mids, dt, x0)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(states, expected, rtol=0, atol=steps * np.finfo(float).eps * scale)
+
+    def test_a_large_sparse_bank_steps_sparse_in_place(self):
+        # 2199 states in CSR: too many to lift, so the step loop runs with
+        # E sparse and the drives formed in the state record itself.  The
+        # two-pass drive of the old loop peaked at 2.0x the record (67.4 MiB).
+        sys = memoryless_lossless_approx(1.0, 10.0, 1100).system
+        assert scipy.sparse.issparse(sys.J)
+        dt, steps = 1e-3, 2000
+        t = np.arange(steps + 1) * dt
+        u_vals = np.sin(2 * t)[:, None]
+        u_mids = midpoint_samples(u_vals)
+        x0 = np.random.default_rng(3).standard_normal(sys.n)
+        tracemalloc.start()
+        try:
+            states = _rk4_states(sys.J, sys.B, u_vals, u_mids, dt, x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * states.nbytes  # measured 1.13x
+        expected = rk4_four_stage(sys.J, sys.B, u_vals, u_mids, dt, x0)
+        np.testing.assert_allclose(states, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 class TestBatchedLosslessCheck:
