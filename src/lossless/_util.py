@@ -19,9 +19,9 @@ CHUNK_TRIALS = 1024
 #: Elements per temporary in the rotation sums of `angle_phasors` (those of
 #: `phasor_sums`, which evaluate the off-grid harmonic series and the kernel
 #: transform of `check_dissipative`, and rotation-block impulse responses,
-#: each within a few eps w t per term of the sum phase by phase) and in the
-#: lifted-block operators of `statespace._lti_run` (all other impulse
-#: responses): 4 MB of float64.
+#: each within a few eps w t per term of the sum phase by phase), in their
+#: anchor-block products and in `check_dissipative`'s dense resolvent: 4 MB
+#: of float64.
 CHUNK_ELEMENTS = 500_000
 
 

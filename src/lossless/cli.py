@@ -843,11 +843,23 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
         amps[trial] = rng.standard_normal((3, ports))
         energies[trial] = 10.0 ** rng.uniform(0.5, 3.0)
     vals = np.einsum("mt,smp->tsp", modes, amps)  # (time, trial, port)
-    _, _, errors, running, flat = _supply_forms(k, vals, dt, energies, horizon)
+    outputs, _, errors, running, flat = _supply_forms(k, vals, dt, energies, horizon)
     peaks = np.linalg.norm(vals, axis=-1).max(axis=0)
     max_errors = errors.max(axis=0)
-    running_margins = (running - errors).min(axis=0)
-    flat_margins = (flat - errors).min(axis=0)
+    # Each input's largest error / (bound + 2 eps ||y_E||): forming y_E =
+    # k u x_E / sqrt(2 E0) rounds x_E / sqrt(2 E0) next to 1, so the error
+    # carries up to 1.5 eps ||y_E|| that no bound does, which outweighs the
+    # bound while smax(k) int ||u||^2 is below about eps E0.  Past that, a
+    # tight bound (a scalar gain) is the error up to the m-term running
+    # sums of both closed forms and a few roundings a sample, so the ratio
+    # may pass 1 by `allowance` = (m + 2p + 10) eps.
+    eps = np.finfo(float).eps
+    floor = 2.0 * eps * np.linalg.norm(outputs, axis=-1)
+    running_ratios, flat_ratios = (
+        np.divide(errors, bound + floor, out=np.zeros_like(errors), where=bound + floor > 0).max(axis=0)
+        for bound in (running, flat)
+    )
+    allowance = (len(t) + 2 * ports + 10) * eps
 
     e0s = p["e0_values"]
     t_m = np.arange(1001) * 1e-3
@@ -869,8 +881,8 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
             "e0": energies,
             "peak_input": peaks,
             "max_error": max_errors,
-            "running_margin": running_margins,
-            "flat_margin": flat_margins,
+            "running_ratio": running_ratios,
+            "flat_ratio": flat_ratios,
         }),
         ("convergence.csv", {
             "e0": e0s,
@@ -879,10 +891,10 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
         }),
     )
     checks = (
-        _check("running_bound_holds", running_margins.min(), at_least=-1e-12,
-               what=f"smallest bound-minus-error margin over {trials} inputs"),
-        _check("flat_bound_holds", flat_margins.min(), at_least=-1e-12,
-               what=f"smallest bound-minus-error margin over {trials} inputs"),
+        _check("running_bound_holds", running_ratios.max(), at_most=1.0 + allowance,
+               what=f"largest error-to-bound ratio over {trials} inputs"),
+        _check("flat_bound_holds", flat_ratios.max(), at_most=1.0 + allowance,
+               what=f"largest error-to-bound ratio over {trials} inputs"),
         _check("memoryless_slope", abs(fit_m.slope + 1.0), at_most=0.1,
                what="|log-log slope + 1|"),
         _check("generic_slope", fit_g.slope, at_most=-0.4, what="log-log slope"),

@@ -320,8 +320,8 @@ def simulate_device(
     if not device.is_noisy:
         # M2's active branch cancels the loading, so its port current stays zero
         loading = km * np.outer(b, b) if device.variant == "M1" else 0.0
-        phi = matrix_exponential((system.J - loading) * dt)
-        record, final = _lti_run(phi, system.x0, c=b, steps=steps)
+        increment = matrix_exponential((system.J - loading) * dt) - np.eye(system.n)
+        record, final = _lti_run(increment, system.x0, c=b, steps=steps)
         b_d = final - x_nat if device.variant == "M1" else np.zeros(system.n)
         y_hat = record[-1:]
         sums = _chunk_sums(record[:, None], y_hat, y_hat, b_d[None], y_nat, b)
@@ -499,42 +499,42 @@ def _m1hat_probe(system, device, dt, eta):
     M1hat trials whose white noise is eta (steps + 1, count)."""
     b = system.B
     kick, meas = _noise_scales(device, dt)
-    readouts, states = _lti_run(_loaded_step(system, device, dt), system.x0, kick * b[:, None],
+    readouts, states = _lti_run(_loaded_increment(system, device, dt), system.x0, kick * b[:, None],
                                 eta[:-1, None], c=b)
     return readouts + meas * eta, states.T
 
 
-def _loaded_step(system, device, dt) -> np.ndarray:
-    """The M1hat probe's Euler step I + dt (J - k_m B B^T)."""
+def _loaded_increment(system, device, dt) -> np.ndarray:
+    """The increment dt (J - k_m B B^T) of the M1hat probe's Euler step."""
     b = system.B
-    return np.eye(system.n) + dt * (system.J - device.admittance * np.outer(b, b))
+    return dt * (system.J - device.admittance * np.outer(b, b))
 
 
 def _noise_map(system, device, dt, steps):
     """(const, G): an M1hat trial's final state and batch estimate as const
     + G eta, affine in its white noise eta (steps + 1,); G is (n + 1, steps + 1).
 
-    With a_d the loaded step, the record is y_m = clean + meas eta + kick
-    M eta, clean[k] = b^T a_d^k x0 and M[k, j] = b^T a_d^{k-1-j} b for
-    j < k, and the final state is
-    a_d^steps x0 + kick sum_j a_d^{steps-1-j} b eta[j].  The batch filter
-    (`_record_chain`'s rows, least squares, then the push) is linear in
-    y_m: with pushed = P y_m, P[k, j] = -k_m dt b^T chain^{k-1-j} b, and w =
-    Q R^-T rows[steps] from the QR of the rows, the estimate w^T (y_m -
-    pushed) + pushed[steps] is v^T y_m, v = w - P^T (w - e_steps).  Both
-    transposed products are one reverse run each, so G takes O(steps n)
-    memory.
+    With A_d = I + a_d the loaded step (`_loaded_increment` gives a_d),
+    the record is y_m = clean + meas eta + kick M eta, clean[k] =
+    b^T A_d^k x0 and M[k, j] = b^T A_d^{k-1-j} b for j < k, and the final
+    state is A_d^steps x0 + kick sum_j A_d^{steps-1-j} b eta[j].  The batch
+    filter (`_record_chain`'s rows, least squares, then the push) is linear
+    in y_m: with pushed = P y_m, P[k, j] = -k_m dt b^T A^{k-1-j} b for the
+    chain's step A, and w = Q R^-T rows[steps] from the QR of the rows,
+    the estimate w^T (y_m - pushed) + pushed[steps] is v^T y_m, v = w -
+    P^T (w - e_steps).  Both transposed products are one reverse run each,
+    so G takes O(steps n) memory.
     """
     b, n, km = system.B, system.n, device.admittance
     kick, meas = _noise_scales(device, dt)
-    a_d = _loaded_step(system, device, dt)
+    a_d = _loaded_increment(system, device, dt)
     chain, rows, _ = _record_chain(system, device, dt, np.zeros(steps + 1))
     q, r = np.linalg.qr(rows)
     w = q @ np.linalg.solve(r.T, rows[-1])
     resid = w.copy()
     resid[-1] -= 1.0
     v = w + (km * dt) * _adjoint_run(chain, b, resid)
-    powers, _ = _lti_run(a_d, b, steps=steps - 1)  # a_d^i b, i < steps
+    powers, _ = _lti_run(a_d, b, steps=steps - 1)  # A_d^i b, i < steps
     gain = np.zeros((n + 1, steps + 1))
     gain[:n, :-1] = kick * powers[::-1].T
     gain[n] = meas * v + kick * _adjoint_run(a_d, b, v)
@@ -549,10 +549,10 @@ def _noise_factor(gain) -> np.ndarray:
     return np.pad(r.T, ((0, 0), (0, gain.shape[0] - r.shape[0])))
 
 
-def _adjoint_run(phi, b, weights) -> np.ndarray:
-    """sum_{k > j} weights[k] b^T phi^{k-1-j} b for j = 0..steps, one reverse
-    run of phi^T driven by weights[steps], ..., weights[1]."""
-    out, _ = _lti_run(phi.T, np.zeros(b.shape[0]), b[:, None], weights[:0:-1, None], c=b)
+def _adjoint_run(e, b, weights) -> np.ndarray:
+    """sum_{k > j} weights[k] b^T (I + e)^{k-1-j} b for j = 0..steps, one
+    reverse run of the step I + e^T driven by weights[steps], ..., weights[1]."""
+    out, _ = _lti_run(e.T, np.zeros(b.shape[0]), b[:, None], weights[:0:-1, None], c=b)
     return out[::-1]
 
 
@@ -564,13 +564,14 @@ def _record_chain(system, device, dt, records, drift=None, offset=None):
     and, for M2hat, scale = dt k_m (1 + offset/sqrt(2 E_m)) and the
     supply's noise-free drift w_d (M1hat: scale 0, no drift).  Writing
     x[k] = A^k x0 + f[k], y_m[k] - B^T f[k] is b^T A^k x0 plus noise.
-    Returns A, the rows b^T A^k and pushed[k] = B^T f[k] (shaped like
-    `records`) through `_lti_run`; an M2hat chunk steps it in `_probe_trials`.
+    Returns the increment A - I = dt J + scale B B^T, the rows b^T A^k and
+    pushed[k] = B^T f[k] (shaped like `records`) through `_lti_run`; an
+    M2hat chunk steps it in `_probe_trials`.
     """
     b, n, km = system.B, system.n, device.admittance
     port = (0.0 if drift is None else dt * drift[:-1]) - (km * dt) * records[:-1]
     scale = 0.0 if offset is None else dt * km * (1.0 + offset / math.sqrt(2.0 * device.supply_energy))
-    chain = np.eye(n) + dt * system.J + scale * np.outer(b, b)
+    chain = dt * system.J + scale * np.outer(b, b)
     rows, _ = _lti_run(chain.T, b, steps=port.shape[0])
     pushed, _ = _lti_run(chain, np.zeros(n), b[:, None], port[:, None], c=b)
     return chain, rows, pushed
@@ -754,9 +755,9 @@ def kalman_estimate(
     elif drift is not None:
         drift = np.array([float(drift(k * dt)) for k in range(steps + 1)])
     chain, rows, pushed = _record_chain(system, device, dt, record, drift, offset)
-    props, _ = _lti_run(chain, np.eye(n), steps=steps)  # chain^k, for the gains
+    props, _ = _lti_run(chain, np.eye(n), steps=steps)  # (I + chain)^k, for the gains
     c = km / (2.0 * kbt)
-    # weighted rows [w b^T chain^k, w (y_m[k] - B^T f[k])], so that R^T R
+    # weighted rows [w b^T (I + chain)^k, w (y_m[k] - B^T f[k])], so that R^T R
     # is the information matrix and the last column carries the record
     weighted = math.sqrt(c * dt) * np.column_stack([rows, record - pushed])
     facs = _prefix_factors(weighted[:, None], n + 1)

@@ -14,15 +14,16 @@ Conventions
 -----------
 * Fixed-step classic RK4 for simulation; the step is the input grid spacing.
   On an LTI system RK4 is one precomputed increment map (`_rk4_states`),
-  run by `_lti_run` in its increment form.  Only callable or nonlinear
-  fields (`integrate_ode`, the energy-supply wrapper) step through `_rk4`.
-* Every time-invariant linear recursion x[k+1] = Phi x[k] + Gamma u[k] in
-  the package (RK4, impulse responses, the M1/M1hat/M2 probes and filter
-  chains, Euler-Maruyama Langevin paths) runs through `_lti_run` in lifted
-  blocks.  Kept out of it: the Riccati floor's Gramian rows (one panel's
-  factor doubled log2(panels) times, so rounding does not compound over
-  the panels), and the nonlinear M2hat probe and its per-trial filter
-  chains, stepped one sample at a time, all trials of a chunk at once.
+  run by `_lti_run`.  Only callable or nonlinear fields (`integrate_ode`,
+  the energy-supply wrapper) step through `_rk4`.
+* Every time-invariant linear recursion x[k+1] = x[k] + (E x[k] + Gamma u[k])
+  in the package (RK4, impulse responses, the M1/M1hat/M2 probes and
+  filter chains, Euler-Maruyama Langevin paths) runs through `_lti_run`,
+  given its increment E, in lifted blocks.  Kept out of it: the Riccati
+  floor's Gramian rows (one panel's factor doubled log2(panels) times, so
+  rounding does not compound over the panels), and the nonlinear M2hat
+  probe and its per-trial filter chains, stepped one sample at a time,
+  all trials of a chunk at once.
 * The behavioural verdicts step by the implicit midpoint rule
   (`_midpoint_outputs`), exactly energy-conserving and stable at any w h.
 * Rotation blocks: `_rotations` reads a generator that is a direct sum of
@@ -123,16 +124,16 @@ _RECIPROCITY_TOL = 1e-8
 #: if reversible: at most 5.3e-14 over 20 rotated LC ladders, 0.0 on 3982-state banks.
 _REVERSIBILITY_TOL = 1e-6
 
-#: `_lti_run`'s increment form (RK4) lifts blocks of at least
-#: 2^`_INCREMENT_LEVELS` steps whose operators hold at most
-#: `_INCREMENT_ELEMENTS` entries (1 MiB), else it takes the step loop: a
-#: lifted step does the loop's E x work, so lifting saves only per-call
-#: overhead, and an operator that outgrows the cache loses that.  Step
-#: loop against the fastest L, `_rk4_states` on p = 1 banks, one BLAS
-#: thread, median of 9: n = 3, 79 ms against 11 at L = 64 (2e4 steps);
-#: n = 31, 23 against 18 at L = 32 and n = 63, 32 against 27 at L = 16
-#: (1e4 steps); n >= 127, the loop or within 10% of it.  L = 4 mostly
-#: lost to the loop, L = 2 always.  These bounds pick each of those L.
+#: `_lti_run` lifts blocks of at least 2^`_INCREMENT_LEVELS` steps whose
+#: operators hold at most `_INCREMENT_ELEMENTS` entries (1 MiB), else it
+#: takes the step loop: a lifted step does the loop's E x work, so lifting
+#: saves only per-call overhead, and an operator that outgrows the cache
+#: loses that.  Step loop against the fastest L, `_rk4_states` on p = 1
+#: banks, one BLAS thread, median of 9: n = 3, 79 ms against 11 at L = 64
+#: (2e4 steps); n = 31, 23 against 18 at L = 32 and n = 63, 32 against 27
+#: at L = 16 (1e4 steps); n >= 127, the loop or within 10% of it.  L = 4
+#: mostly lost to the loop, L = 2 always.  These bounds pick each of
+#: those L for every caller.
 _INCREMENT_ELEMENTS = 1 << 17
 _INCREMENT_LEVELS = 3
 
@@ -452,46 +453,40 @@ def _rk4(rate, x0, u_vals, u_mids, h: float) -> np.ndarray:
     return out
 
 
-def _lti_run(phi, x0, gamma=None, u=None, c=None, steps=None, *, increment=False):
-    """Readouts c x[k], k = 0..steps, of x[k+1] = phi x[k] + gamma u[k].
+def _lti_run(e, x0, gamma=None, u=None, c=None, steps=None):
+    """Readouts c x[k], k = 0..steps, of x[k+1] = x[k] + (e x[k] + gamma u[k]).
 
-    `x0` is (n,) or (n, batch); `gamma` (n, m) and `u` (steps, m) or
+    `e` is the increment E of the step map I + E, which is never formed:
+    rounding E into I + E would recur every step (`_rk4_states`).  `x0`
+    is (n,) or (n, batch); `gamma` (n, m) and `u` (steps, m) or
     (steps, m, batch) are None for a free response.  `c` is (p, n), (n,)
     or None for the states.  Returns the readouts, shaped (steps + 1,) +
     c's leading shape + the batch shape, and the final state x[steps].
 
     Lifted blocks of L = 2^j steps: from x[k], a block's readouts are
-    F x[k] + T u[k..], with F = [c; c phi; ...; c phi^{L-1}] and T the
-    block-Toeplitz matrix of the Markov parameters c phi^i gamma, and
-    phi^L and [phi^{L-1} gamma, ..., gamma] advance the state to x[k+L].
-    j doublings build them all.  L ~ sqrt(steps) balances the squarings
-    against the block count; it shrinks until these operators and one
-    block of readouts hold at most `CHUNK_ELEMENTS` entries.
-
-    With `increment`, `phi` is the increment E of the step map I + E,
-    which is never formed: rounding E into I + E would recur every step
-    (`_rk4_states`).  The powers are then increments too, E_{2P} = 2 E_P
-    + E_P E_P (the squaring recurrence of e^A - I; Higham, Functions of
-    Matrices, 2008, 10.2), F holds c E_i, and each readout or state is
-    the increment (c E_i x[k] + T u) with c x[k] added last.  The
-    operators then hold at most `_INCREMENT_ELEMENTS` entries, and a span
-    below 2^`_INCREMENT_LEVELS` steps is L = 1: the step loop, which
-    keeps a sparse E sparse and forms the drives in the state record.
+    c x[k] + (F x[k] + T u[k..]), with F = [c E_0; c E_1; ...; c E_{L-1}]
+    for the increments E_i = (I + E)^i - I and T the block-Toeplitz
+    matrix of the Markov parameters c (I + E)^i gamma, and E_L and
+    [(I + E)^{L-1} gamma, ..., gamma] advance the state to x[k+L] in the
+    same way, c x[k] added last.  j doublings build them all by the
+    squaring recurrence of e^A - I, E_{2P} = 2 E_P + E_P E_P (Higham,
+    Functions of Matrices, 2008, 10.2).  L ~ sqrt(steps) balances the
+    squarings against the block count; it shrinks until these operators
+    and one block of readouts hold at most `_INCREMENT_ELEMENTS` entries,
+    and a span below 2^`_INCREMENT_LEVELS` steps is L = 1: the step loop,
+    which keeps a sparse E sparse and forms the drives in the state record.
     """
-    n, m = phi.shape[0], 0 if u is None else gamma.shape[1]
+    n, m = e.shape[0], 0 if u is None else gamma.shape[1]
     steps = steps if u is None else len(u)
     batch = np.shape(x0)[1:] or np.shape(u)[2:]
     x = np.reshape(x0, (n, -1))
     p, width = n if c is None else math.prod(np.shape(c)[:-1]), math.prod(batch)
     levels = int(math.log2(max(steps, 1)) / 2 + 0.5)
-    bound = _INCREMENT_ELEMENTS if increment else CHUNK_ELEMENTS
-    while levels and (1 << levels) * (p * (n + (m << levels) + width) + n * m) > bound:
+    while levels and (1 << levels) * (p * (n + (m << levels) + width) + n * m) > _INCREMENT_ELEMENTS:
         levels -= 1
-    if increment and levels < _INCREMENT_LEVELS:
-        levels = 0
     if m:
         u = np.reshape(u, (steps * m, math.prod(np.shape(u)[2:])))  # row k m + i: u[k][i]
-    if increment and not levels:  # the step loop
+    if levels < _INCREMENT_LEVELS:  # the step loop
         out = np.zeros((steps + 1, n, width))
         out[0] = x
         if m:  # the drives gamma u[k], formed in place
@@ -499,36 +494,28 @@ def _lti_run(phi, x0, gamma=None, u=None, c=None, steps=None, *, increment=False
             np.matmul(gamma, drives, out=out[1:])
         x = out[0]
         for nxt in out[1:]:  # x[k+1] = x[k] + (E x[k] + gamma u[k])
-            nxt += phi @ x
+            nxt += e @ x
             nxt += x
             x = nxt
         if c is not None:
             out = np.reshape(c, (-1, n)) @ out
     else:
-        phi = phi.toarray() if _is_sparse(phi) else phi
+        e = e.toarray() if _is_sparse(e) else e
         cc = np.eye(n) if c is None else np.reshape(c, (-1, n))
         span = 1 << levels
-        free, drive, power, powers = cc, gamma, phi, []
-        if increment:  # free holds c E_i from c E_0 = 0, head c E_P
-            free, head = np.zeros((p, n)), phi if c is None else cc @ phi
+        # free holds c E_i from c E_0 = 0, head c E_P, power E_P
+        free, head, drive, power, powers = np.zeros((p, n)), e if c is None else cc @ e, gamma, e, []
         for _ in range(levels):
             powers.append(power)
-            if increment:  # c E_{i+P} = c E_P + c E_i + c E_i E_P
-                shifted = (head + free.reshape(-1, p, n)).reshape(free.shape) + free @ power
-                free = np.vstack([free, shifted])
-                if m:
-                    drive = np.hstack([drive + power @ drive, drive])
-                head = 2.0 * head + head @ power
-                power = 2.0 * power + power @ power
-            else:
-                free = np.vstack([free, free @ power])
-                if m:
-                    drive = np.hstack([power @ drive, drive])
-                power = power @ power
+            # c E_{i+P} = c E_P + c E_i + c E_i E_P
+            shifted = (head + free.reshape(-1, p, n)).reshape(free.shape) + free @ power
+            free = np.vstack([free, shifted])
+            if m:
+                drive = np.hstack([drive + power @ drive, drive])
+            head = 2.0 * head + head @ power
+            power = 2.0 * power + power @ power
         if m:
-            markov = (free @ gamma).reshape(span, p, m)
-            if increment:
-                markov = markov + cc @ gamma
+            markov = (free @ gamma).reshape(span, p, m) + cc @ gamma
             markov = np.concatenate([markov, np.zeros((1, p, m))])
             lag = np.arange(span)[:, None] - np.arange(span) - 1
             toeplitz = markov[np.where(lag < 0, span, lag)].swapaxes(1, 2).reshape(span * p, -1)
@@ -539,18 +526,15 @@ def _lti_run(phi, x0, gamma=None, u=None, c=None, steps=None, *, increment=False
             block = free[: count * p] @ x
             if m and count > 1:
                 block = block + toeplitz[: count * p, : (count - 1) * m] @ u[k * m : (k + count - 1) * m]
-            out[k : k + count] = block.reshape(count, p, -1)
-            if increment:
-                out[k : k + count] += x if c is None else cc @ x
+            np.add(block.reshape(count, p, -1), x if c is None else cc @ x, out=out[k : k + count])
             if k + count > steps:
                 break
-            step = power @ x + (drive @ u[k * m : (k + span) * m] if m else 0.0)
-            x = x + step if increment else step
+            x = x + (power @ x + (drive @ u[k * m : (k + span) * m] if m else 0.0))
             k += span
-        rest = steps - k  # x[steps] from x[k]: phi^rest by the binary powers
+        rest = steps - k  # x[steps] from x[k]: (I + E)^rest by the binary powers
         for level, factor in enumerate(powers):
             if rest >> level & 1:
-                x = x + factor @ x if increment else factor @ x
+                x = x + factor @ x
         if m and rest:
             x = x + drive[:, (span - rest) * m :] @ u[k * m :]
     lead = (n,) if c is None else np.shape(c)[:-1]
@@ -648,7 +632,7 @@ def _rk4_states(A, B, u_vals, u_mids, dt: float, x0) -> np.ndarray:
     I + E instead would round E to the float spacing near 1, and that same
     error would recur every step: over the 1e5 steps of a dt = 1e-5 run it
     outgrows the O(dt^4) error that a convergence study measures.  So the
-    map runs through `_lti_run`'s increment form, with Gamma = [Q0 Qm Q1]
+    map runs through `_lti_run` as the increment E, with Gamma = [Q0 Qm Q1]
     acting on the stacked samples (u[k], u[k+1/2], u[k+1]): a small
     system in lifted blocks, a large one by the step loop, where a sparse
     A stays sparse.
@@ -667,7 +651,7 @@ def _rk4_states(A, B, u_vals, u_mids, dt: float, x0) -> np.ndarray:
     q1 = (dt / 6.0) * B
     samples = np.concatenate([u_vals[:-1], u_mids, u_vals[1:]], axis=1)  # d[k] = [Q0 Qm Q1] samples[k]
     with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = _lti_run(e, x0, np.hstack([q0, qm, q1]), samples, increment=True)
+        out, _ = _lti_run(e, x0, np.hstack([q0, qm, q1]), samples)
     _require_finite(out, dt)
     return out
 
@@ -729,8 +713,8 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     sum_s (1 + |w_s| t)|c_s||b_s| each; 5001 samples of an 813-state bank
     take about 10 ms.  A may then be dense or sparse (the CSR generator of
     a large bank).  Any other A must be dense, and takes the readouts of
-    x[k+1] = Phi x[k] from x[0] = B (Phi = exp(A dt)), run in lifted blocks
-    by `_lti_run`.
+    x[k+1] = x[k] + E x[k] from x[0] = B (E = exp(A dt) - I), run in lifted
+    blocks by `_lti_run`.
     """
     A, B, C, _ = _port_matrices(sys)
     positive(dt, "dt")
@@ -740,7 +724,7 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     if out is None:
         if _is_sparse(A):
             raise TypeError("impulse_response needs a dense state matrix or rotation blocks")
-        out, _ = _lti_run(matrix_exponential(A * dt), B, c=C, steps=n_samples - 1)
+        out, _ = _lti_run(matrix_exponential(A * dt) - np.eye(len(A)), B, c=C, steps=n_samples - 1)
     return Trajectory(dt=dt, values=out)
 
 
@@ -833,8 +817,9 @@ def _midpoint_outputs(A, B, C, u, h: float):
     stays sparse: a step solves for the midpoint state
     xbar = (I - h A / 2)^-1 (x[k] + h B u[k] / 2) with one sparse LU, and
     x[k+1] = 2 xbar - x[k].  Any other dense A: one solve with I - h A / 2
-    gives Phi and Gamma, run by `_lti_run`.  Readouts out of float range
-    raise FloatingPointError.
+    gives the step's increment E = (I - h A / 2)^-1 h A and its drive
+    Gamma = (I - h A / 2)^-1 h B, run by `_lti_run`.  Readouts out of
+    float range raise FloatingPointError.
     """
     n, steps = B.shape[0], len(u)
     rotations = _rotations(A)
@@ -849,8 +834,7 @@ def _midpoint_outputs(A, B, C, u, h: float):
                 x = 2.0 * solve(x + 0.5 * h * (B @ u[k])) - x
                 out[k + 1] = C @ x
         elif rotations is None:
-            half = 0.5 * h * A
-            maps = np.linalg.solve(np.eye(n) - half, np.hstack([np.eye(n) + half, h * B]))
+            maps = np.linalg.solve(np.eye(n) - 0.5 * h * A, np.hstack([h * A, h * B]))
             out, x = _lti_run(maps[:, :n], np.zeros(n), maps[:, n:], u, c=C)
         else:
             partner, omega = rotations
@@ -936,6 +920,13 @@ def _exponential_tail(norms: np.ndarray, times: np.ndarray) -> float | None:
     return rate if rate > 0 else None
 
 
+def _kernel_stride(g: Trajectory) -> int:
+    """The decimation of `_kernel_transform`'s window sum: every stride-th
+    sample, at most 32 769 of them, to keep the transform cost bounded
+    (PSD_TOL-grade accuracy survives decimation)."""
+    return max(1, (g.n_samples - 1) // 32768)
+
+
 def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, float, str | None]:
     """Windowed transfer function of a sampled kernel, with decay-tail closure.
 
@@ -948,9 +939,7 @@ def _kernel_transform(g: Trajectory, omegas: np.ndarray) -> tuple[np.ndarray, fl
     directly.
     """
     vals = _as_kernel_samples(g.values)
-    m = vals.shape[0]
-    # keep the transform cost bounded; PSD_TOL-grade accuracy survives decimation
-    stride = max(1, (m - 1) // 32768)
+    stride = _kernel_stride(g)
     t = g.times[::stride]
     count = len(t)  # the uniform samples k stride dt; the end one is appended
     if t[-1] != g.times[-1]:
@@ -1021,8 +1010,10 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
     p x p matrix treated as a constant direct term.  The verdict is the
     minimum eigenvalue of the Hermitian part ghat(jw) + ghat(jw)^H over the
     frequency grid (0 and 200 log-spaced points unless `frequencies` is
-    given); the system is declared dissipative when at every frequency it
-    is >= -`PSD_TOL` max(1, max|ghat(jw)|), `PSD_TOL` = 1e-8: rounding in
+    given; for a kernel, those up to the Nyquist frequency pi / (stride dt)
+    of the samples its transform keeps); the system is declared
+    dissipative when at every frequency it is >= -`PSD_TOL` max(1,
+    max|ghat(jw)|), `PSD_TOL` = 1e-8: rounding in
     the Hermitian part grows with ghat, as next to a pole, but a kernel
     transform's is set by its samples, not by a small ghat at high w.
     A state-space frequency whose resolvent jw I - A is singular, or has a
@@ -1052,8 +1043,10 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
         if not len(omegas):
             raise ValueError("transfer function is singular on the whole frequency grid")
     elif isinstance(obj, Trajectory):
-        omega_scale = 20.0 * np.pi / max(obj.duration, 1e-12)
-        omegas = _default_frequencies(omega_scale) if given is None else given
+        omegas = given
+        if given is None:  # up to the decimated record's Nyquist frequency
+            omegas = _default_frequencies(20.0 * np.pi / max(obj.duration, 1e-12))
+            omegas = omegas[omegas <= np.pi / (_kernel_stride(obj) * obj.dt)]
         ghat, tail_fraction, warning = _kernel_transform(obj, omegas)
     else:
         k = _square_gain(obj, "direct term")

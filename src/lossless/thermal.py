@@ -340,16 +340,15 @@ def simulate_langevin(
     increments of variance dt; the path is a deterministic function of
     the seed.  Returns the state record (outputs are B^T x).  The
     Euler-Maruyama map is linear in x, u and the kicks, so it is one
-    `_lti_run`.
+    `_lti_run` of the increment dt (J - K).
     """
     u_vals, _, step = _input_samples(u, model.p, dt, horizon)
     steps = u_vals.shape[0] - 1
     x = _state_vector(x0, model.n)
     kicks = derive_rng(seed).standard_normal((steps, model.noise_dim))
     gain = math.sqrt(2.0 * model.boltzmann * model.temperature * step)
-    phi = np.eye(model.n) + step * (model.J - model.K)
     drive = np.hstack([step * model.B, gain * model.L])
-    out, _ = _lti_run(phi, x, drive, np.hstack([u_vals[:-1], kicks]))
+    out, _ = _lti_run(step * (model.J - model.K), x, drive, np.hstack([u_vals[:-1], kicks]))
     _require_finite(out, step)
     return Trajectory(dt=step, values=out)
 

@@ -102,7 +102,7 @@ HEADERS = {
         "coefficients.csv": "k,coefficient_norm,decay_envelope,shifted_min_eig",
     },
     "approx-nonlinear": {
-        "inequality.csv": "trial,e0,peak_input,max_error,running_margin,flat_margin",
+        "inequality.csv": "trial,e0,peak_input,max_error,running_ratio,flat_ratio",
         "convergence.csv": "e0,memoryless_error,generic_error",
     },
     "fdt": {
@@ -483,7 +483,7 @@ class TestRunsAndArtifacts:
         out = tmp_path / "nl"
         assert main(["approx-nonlinear", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "inequality.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "trial,e0,peak_input,max_error,running_margin,flat_margin"
+        assert lines[0] == "trial,e0,peak_input,max_error,running_ratio,flat_ratio"
         assert len(lines) == 4
 
     @pytest.mark.parametrize("gain", [None, -0.7])
@@ -507,15 +507,42 @@ class TestRunsAndArtifacts:
             vals = np.einsum("mt,mp->tp", modes, rng.standard_normal((3, len(k))))
             e0 = float(10.0 ** rng.uniform(0.5, 3.0))
             u = Trajectory(dt=dt, values=vals)
-            err = np.linalg.norm(simulate_energy_supply(k, e0, u)[0].values - vals @ k.T, axis=1)
+            y_e = simulate_energy_supply(k, e0, u)[0].values
+            err = np.linalg.norm(y_e - vals @ k.T, axis=1)
             peak = float(np.linalg.norm(vals, axis=1).max())
             flat = supply_error_bound(k, peak, horizon, e0)
             flat = flat * np.sqrt(cumulative_trapezoid(np.linalg.norm(vals, axis=1) ** 2, dt))
+            floor = 2.0 * np.finfo(float).eps * np.linalg.norm(y_e, axis=1)  # y_E's rounding
+            running = supply_error_running_bound(k, u, e0).values + floor
             expected = {"e0": e0, "peak_input": peak, "max_error": err.max(),
-                        "running_margin": (supply_error_running_bound(k, u, e0).values - err).min(),
-                        "flat_margin": (flat - err).min()}
+                        "running_ratio": np.divide(err, running, out=np.zeros(501), where=running > 0).max(),
+                        "flat_ratio": np.divide(err, flat + floor, out=np.zeros(501),
+                                                where=flat + floor > 0).max()}
             for name, value in expected.items():
                 assert got[name][trial] == value, (trial, name)
+
+    @pytest.mark.parametrize("bound, check", [(3, "running_bound_holds"), (4, "flat_bound_holds")])
+    def test_a_bound_broken_by_one_percent_fails_its_check(self, tmp_path, monkeypatch, bound, check):
+        # every error scaled so that the largest error-to-bound ratio is
+        # 1.01; at the defaults it is 0.96 (running) and 0.62 (flat), so a
+        # 1 % scaling alone would stay under the bound
+        real = lossless.cli._supply_forms
+
+        def inflated(*args):
+            forms = list(real(*args))
+            floor = 2.0 * np.finfo(float).eps * np.linalg.norm(forms[0], axis=-1)
+            denom = forms[bound] + floor
+            largest = np.divide(forms[2], denom, out=np.zeros_like(denom), where=denom > 0).max()
+            forms[2] = forms[2] * (1.01 / largest)
+            return tuple(forms)
+
+        monkeypatch.setattr(lossless.cli, "_supply_forms", inflated)
+        out = tmp_path / "nl"
+        assert main(["approx-nonlinear", "--seed", "1", "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        checks = {c["name"]: c for c in manifest["checks"]}
+        assert not checks[check]["passed"]
+        assert "ratio over 100 inputs = 1.01," in checks[check]["detail"]
 
     def test_failed_check_exits_3_and_still_writes(self, tmp_path):
         # far too short a window for the stationary variance to settle

@@ -177,7 +177,7 @@ def _sequential_riccati(system, km, kbt, times, max_substep=5e-3):
         nodes, weights = np.polynomial.legendre.leggauss(4)
         node_rows = np.stack([b @ matrix_exponential(j * (0.5 * h * (xi + 1.0))) for xi in nodes])
         node_rows *= np.sqrt(c * 0.5 * h * weights)[:, None]
-        rows, _ = _lti_run(matrix_exponential(j * h), start, c=node_rows, steps=nsub - 1)
+        rows, _ = _lti_run(matrix_exponential(j * h) - np.eye(n), start, c=node_rows, steps=nsub - 1)
         r_fac = np.linalg.qr(np.vstack([r_fac, rows.reshape(-1, n)]))[1]
         diag = np.abs(np.diag(r_fac))
         if diag.min() <= 1e-14 * max(diag.max(), 1e-300):

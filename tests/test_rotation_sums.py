@@ -46,7 +46,7 @@ EPS = np.finfo(float).eps
 def _lifted(sys, dt, n_samples):
     """The lifted-recursion impulse response that non-rotation systems take."""
     a, b, c, _ = _port_matrices(sys)
-    return _lti_run(matrix_exponential(a * dt), b, c=c, steps=n_samples - 1)[0]
+    return _lti_run(matrix_exponential(a * dt) - np.eye(len(a)), b, c=c, steps=n_samples - 1)[0]
 
 
 def _rotation_system(omegas, zeros, rng, ports=1, general=False):

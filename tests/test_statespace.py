@@ -42,6 +42,7 @@ from lossless.statespace import (
     _ENERGY_TOL,
     _default_frequencies,
     _dense_resolvent,
+    _kernel_stride,
     _port_matrices,
     check_time_reversible,
     energy_ledger,
@@ -346,7 +347,8 @@ class TestLtiRun:
     @pytest.mark.parametrize("steps", [0, 1, 2, 37, 1000, 5000])
     def test_matches_per_step_loop(self, steps, batch, driven, readout):
         # non-normal phi (strong upper coupling) with one eigenvalue on the
-        # unit circle, so the readouts neither vanish nor blow up
+        # unit circle, so the readouts neither vanish nor blow up; the
+        # runner takes its increment phi - I, which is not small here
         rng = np.random.default_rng(steps)
         n, m = 5, 2
         phi = np.triu(rng.standard_normal((n, n)), 1) * 0.5 + np.diag([0.9, 0.95, 0.99, 0.5, 1.0])
@@ -362,7 +364,7 @@ class TestLtiRun:
             if k < steps:
                 x = phi @ x + (gamma @ u[k] if driven else 0.0)
         expected = np.array(expected)
-        out, final = _lti_run(phi, x0, gamma, u, c, steps)
+        out, final = _lti_run(phi - np.eye(n), x0, gamma, u, c, steps)
         assert out.shape == expected.shape
         assert final.shape == x.shape
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
@@ -392,7 +394,7 @@ class TestLtiRun:
             if k < steps:
                 x = x + (e @ x + (gamma @ u[k] if driven else 0.0))
         expected = np.array(expected)
-        out, final = _lti_run(e, x0, gamma, u, c, steps, increment=True)
+        out, final = _lti_run(e, x0, gamma, u, c, steps)
         assert out.shape == expected.shape
         assert final.shape == x.shape
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
@@ -730,6 +732,20 @@ class TestDissipativeVerdict:
         assert v.dissipative
         assert v.warning is None
         assert v.tail_fraction < 1e-10
+
+    @pytest.mark.parametrize("n_samples, dt, stride", [(4001, 0.01, 1), (70001, 1e-3, 2)])
+    def test_default_kernel_grid_stops_at_the_decimated_nyquist(self, n_samples, dt, stride):
+        # the transform sums every stride-th sample, so a frequency above
+        # pi / (stride dt) aliases; the default grid keeps what is below
+        g = Trajectory(dt=dt, values=np.exp(-np.arange(n_samples) * dt))
+        assert _kernel_stride(g) == stride
+        nyquist = np.pi / (stride * dt)
+        full = _default_frequencies(20.0 * np.pi / g.duration)
+        v = check_dissipative(g)
+        assert v.frequencies.max() <= nyquist
+        np.testing.assert_array_equal(v.frequencies, full[full <= nyquist])
+        given = check_dissipative(g, full)  # a caller's grid stays as given
+        np.testing.assert_array_equal(given.frequencies, full)
 
     def test_sampled_kernel_against_transform(self):
         # Re g_hat(jw) = 1/(1 + w^2) for g = exp(-t); spot-check one frequency.
