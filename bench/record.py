@@ -10,7 +10,11 @@ passed, failed, xfailed and error counts, the count of non-blank lines in
 the Python files under `src/` and the count of public parameters with
 defaults (so that the size of the library, the options it offers and the
 tests it passes can be compared between records), and the machine facts
-(nproc, CPU, Python, numpy and scipy versions).
+(nproc, CPU, Python, numpy and scipy versions, the bytecode mode --
+`sys.dont_write_bytecode` and `PYTHONDONTWRITEBYTECODE` -- and the BLAS
+thread variables of the recording process).  Without a bytecode cache a
+fresh process compiles `src/` first, which adds tens of ms to each
+cold time.
 
 `cli_cold` holds each of the eight CLI experiments at its defaults with
 `--seed 1`, run `COLD_RUNS` times in a fresh process with one BLAS thread
@@ -68,7 +72,10 @@ def _machine() -> dict:
     except OSError:
         pass
     return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__}
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "dont_write_bytecode": sys.dont_write_bytecode,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "blas_threads": {name: os.environ.get(name) for name in SINGLE_THREAD}}
 
 
 def _workload(name: str) -> dict:

@@ -41,10 +41,10 @@ from typing import Callable
 import numpy as np
 
 from ._util import (
+    causal_convolve,
     cumulative_trapezoid,
     dct1,
     dst1,
-    fast_len,
     frozen,
     phasor_sums,
     positive,
@@ -265,10 +265,7 @@ class _HarmonicSeries:
             sin_part=np.concatenate([hat * s, half * c], axis=1),
         ).evaluate(np.arange(m) * dt)
         full, odd = weights[:, :q], weights[:, q:]
-        size = fast_len(2 * m - 1)
-        spectrum = np.einsum("fqp,fp->fq", np.fft.rfft(full, size, axis=0),
-                             np.fft.rfft(u, size, axis=0))
-        y = np.fft.irfft(spectrum, size, axis=0)[:m]
+        y = causal_convolve(full, u)
         # The hat at j = i is its left half only, the same weight for every i.
         left = (hat * c / 2.0 + half * s).sum(axis=0)
         y += u @ (left - full[0]).T

@@ -97,14 +97,18 @@ def _supply_forms(gain, vals, dt: float, energies, horizon: float):
     outputs y_E (m, ..., p) and supply x_E (m, ...) of
     `EnergySupplyApprox.respond`, the error ||y_E - k u|| (m, ...) and two
     bounds on it: `supply_error_running_bound`'s, and `supply_error_bound`'s
-    over `horizon` at the input's peak times ||u||_{L2[0, t]}.
+    over `horizon` at the input's peak times ||u||_{L2[0, t]}.  With the
+    charge c = int_0^t u . k u, y_E = k u + k u c / (2 E0), so the error is
+    ||k u|| |c| / (2 E0), formed without the cancellation of y_E - k u.
     """
     top = float(np.linalg.norm(gain, 2))
     root = np.sqrt(2.0 * energies)
     drive = vals @ gain.T
-    supply = root + cumulative_trapezoid(np.sum(vals * drive, axis=-1), dt) / root
-    outputs = drive * (supply / root)[..., None]
-    errors = np.linalg.norm(outputs - drive, axis=-1)
+    charge = cumulative_trapezoid(np.sum(vals * drive, axis=-1), dt)
+    supply = root + charge / root
+    excess = charge / (2.0 * energies)
+    outputs = drive + drive * excess[..., None]
+    errors = np.linalg.norm(drive, axis=-1) * np.abs(excess)
     norms = np.linalg.norm(vals, axis=-1)
     mass = cumulative_trapezoid(norms**2, dt)  # int_0^t ||u||^2 ds
     running = top**2 * norms * mass / (2.0 * energies)

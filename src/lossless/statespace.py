@@ -19,18 +19,20 @@ Conventions
 * Every time-invariant linear recursion x[k+1] = x[k] + (E x[k] + Gamma u[k])
   in the package (RK4, impulse responses, the M1/M1hat/M2 probes and
   filter chains, Euler-Maruyama Langevin paths) runs through `_lti_run`,
-  given its increment E, in lifted blocks.  Kept out of it: the Riccati
-  floor's Gramian rows (one panel's factor doubled log2(panels) times, so
-  rounding does not compound over the panels), and the nonlinear M2hat
-  probe and its per-trial filter chains, stepped one sample at a time,
-  all trials of a chunk at once.
-* The behavioural verdicts step by the implicit midpoint rule
+  given its increment E, in lifted blocks.  Kept out of it: rotation
+  blocks (below), the Riccati floor's Gramian rows (one panel's factor
+  doubled log2(panels) times, so rounding does not compound over the
+  panels), and the nonlinear M2hat probe and its per-trial filter
+  chains, stepped one sample at a time, all trials of a chunk at once.
+* The behavioural verdicts run the implicit midpoint rule
   (`_midpoint_outputs`), exactly energy-conserving and stable at any w h.
 * Rotation blocks: `_rotations` reads a generator that is a direct sum of
   2 x 2 rotations and zero states (every bank, dense or CSR).  Impulse
-  responses, the verdicts' midpoint step, `check_dissipative`'s resolvent and
-  `thermal._transient_maps` then take closed forms and never densify;
-  any other generator takes the dense path (the midpoint step keeps a
+  responses and the verdicts' midpoint runs (a convolution at the
+  Tustin-warped frequencies 2 atan(w h / 2)) share one closed-form kernel,
+  `_rotation_response`; `check_dissipative`'s resolvent and
+  `thermal._transient_maps` take closed forms too, and none densifies.
+  Any other generator takes the dense path (the midpoint step keeps a
   sparse one sparse, by `scipy.sparse.linalg`'s LU).  Both are numpy
   alone: only a sparse generator (a bank above 2000 states, or a
   caller's) loads scipy.
@@ -67,6 +69,7 @@ from ._util import (
     angle_blocks,
     angle_phasors,
     as_float_array,
+    causal_convolve,
     derive_rng,
     expm,
     frozen,
@@ -709,7 +712,8 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
 
     When A is a direct sum of 2 x 2 rotations A[i, j] = w = -A[j, i] and
     zero states (every bank is), the samples are the closed-form sum of
-    cosines and sines of `_rotation_response`, within a few eps of
+    cosines and sines of `_rotation_response`, the kernel the verdicts'
+    midpoint runs convolve with, within a few eps of
     sum_s (1 + |w_s| t)|c_s||b_s| each; 5001 samples of an 813-state bank
     take about 10 ms.  A may then be dense or sparse (the CSR generator of
     a large bank).  Any other A must be dense, and takes the readouts of
@@ -720,10 +724,12 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     positive(dt, "dt")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    out = _rotation_response(A, B, C, dt, n_samples)
-    if out is None:
-        if _is_sparse(A):
-            raise TypeError("impulse_response needs a dense state matrix or rotation blocks")
+    rotations = _rotations(A)
+    if rotations is not None:
+        out = _rotation_response(*rotations, B, C, dt, n_samples)
+    elif _is_sparse(A):
+        raise TypeError("impulse_response needs a dense state matrix or rotation blocks")
+    else:
         out, _ = _lti_run(matrix_exponential(A * dt) - np.eye(len(A)), B, c=C, steps=n_samples - 1)
     return Trajectory(dt=dt, values=out)
 
@@ -754,15 +760,11 @@ def _rotations(A) -> tuple[np.ndarray, np.ndarray] | None:
     return partner, omega
 
 
-def _rotation_response(A, B, C, dt: float, n_samples: int) -> np.ndarray | None:
-    """The closed form of `impulse_response`, or None unless A is rotation
-    blocks (`_rotations`): g(t) = Re sum_s c_s (b_s - i b_r)^T e^{i w_s t},
-    from the factors of `angle_phasors`.
+def _rotation_response(partner, omega, B, C, dt: float, n_samples: int) -> np.ndarray:
+    """C e^{A t_k} B at t_k = k dt, k < n_samples, where A is the rotation
+    blocks (partner, omega) of `_rotations`: g(t) = Re sum_s c_s (b_s -
+    i b_r)^T e^{i w_s t}, from the factors of `angle_phasors`.
     """
-    rotations = _rotations(A)
-    if rotations is None:
-        return None
-    partner, omega = rotations
     q, p = C.shape[0], B.shape[1]
     coef = (C.T[:, :, None] * (B - 1j * B[partner])[:, None]).reshape(len(B), q * p)
     inner, blocks = angle_blocks(n_samples)
@@ -810,11 +812,16 @@ def _midpoint_outputs(A, B, C, u, h: float):
     implicit midpoint rule x[k+1] - x[k] = h (A (x[k] + x[k+1]) / 2 + B u[k])
     from rest, for inputs u of shape (steps, p, batch).
 
-    Rotation blocks (`_rotations`, dense or sparse A) step in closed form,
-    O(n) per step: with a = w_s h / 2, state s maps to cos x_s + sin x_r +
-    h (g_s + a g_r) / (1 + a^2), g = B u[k], r = partner[s], cos =
-    (1 - a^2) / (1 + a^2) and sin = 2a / (1 + a^2).  Any other sparse A
-    stays sparse: a step solves for the midpoint state
+    Rotation blocks (`_rotations`, dense or sparse A): with a = w_s h / 2
+    and r = partner[s], a step maps state s to cos x_s + sin x_r + d_s u[k],
+    d = h (B + a B[partner]) / (1 + a^2), a rotation by theta_s = 2 atan(a),
+    the bilinear transform's warping of w_s h (Oppenheim & Schafer,
+    Discrete-Time Signal Processing, 7.1).  So the readouts are the causal
+    convolution (`causal_convolve`) of u with K[m] = C R(m theta) d, which
+    is `_rotation_response` at unit step, and x_s[steps] = Re (d_s - i d_r)
+    sum_m e^{i m theta_s} u[steps - 1 - m], one `phasor_sums` call: within
+    a few steps eps of the states' peak of a step loop.  Any other sparse
+    A stays sparse: a step solves for the midpoint state
     xbar = (I - h A / 2)^-1 (x[k] + h B u[k] / 2) with one sparse LU, and
     x[k+1] = 2 xbar - x[k].  Any other dense A: one solve with I - h A / 2
     gives the step's increment E = (I - h A / 2)^-1 h A and its drive
@@ -839,17 +846,12 @@ def _midpoint_outputs(A, B, C, u, h: float):
         else:
             partner, omega = rotations
             a = 0.5 * h * omega[:, None]
-            cos, sin = (1.0 - a * a) / (1.0 + a * a), 2.0 * a / (1.0 + a * a)
-            drive = h / (1.0 + a * a) * (B + a * B[partner])  # g_s + a g_r of g = B u[k]
-            x, turned = np.zeros((2, n, u.shape[2]))
+            drive = h / (1.0 + a * a) * (B + a * B[partner])
+            theta = 2.0 * np.arctan(a[:, 0])
             out = np.zeros((steps + 1, C.shape[0], u.shape[2]))
-            for k in range(steps):
-                np.take(x, partner, axis=0, out=turned)
-                turned *= sin
-                x *= cos
-                x += turned
-                x += drive @ u[k]
-                out[k + 1] = C @ x
+            out[1:] = causal_convolve(_rotation_response(partner, theta, drive, C, 1.0, steps), u)
+            sums = phasor_sums(theta, 1.0, u[::-1])
+            x = np.einsum("sp,spb->sb", drive - 1j * drive[partner], sums).real
     _require_finite(out, h)
     return out, x
 
@@ -868,9 +870,10 @@ def check_lossless(sys, trials: int = 8, seed: int = 0) -> LosslessVerdict:
     is rounding for a lossless system at any h and w_max h, and h sum_k
     xbar_k^T A xbar_k plus the port mismatch otherwise.  Relative to the
     input work h sum_k |ybar_k . u_k| it must be within `_ENERGY_TOL`.
-    All trials run as one batch: 2 on a 4623-harmonic bank (n = 9245)
-    take under 1 s, 8 on the LC ladder a few ms.  A run that leaves float
-    range raises FloatingPointError.  Pass trials=0 to run the structural
+    All trials run as one batch: with one BLAS thread, 2 on a memoryless
+    bank take about 2 ms at 79 states, 30 ms at 2199 (CSR) and 0.1 s at
+    9245, 8 on the LC ladder a few ms.  A run that leaves float range
+    raises FloatingPointError.  Pass trials=0 to run the structural
     check alone; a negative count is rejected.
     """
     if trials < 0:
@@ -1002,6 +1005,24 @@ def _rotation_resolvent(partner, omega, B, C, D, omegas):
     return ghat.reshape((len(kept),) + D.shape) + D, kept
 
 
+def _hamiltonian_crossings(A, B, C, D) -> np.ndarray:
+    """The w where an eigenvalue of ghat(jw) + ghat(jw)^H + `PSD_TOL` I can
+    cross zero, and the midpoints between neighbours: |Im lambda| of the
+    eigenvalues with |Re lambda| <= 1e-8 max(1, |lambda|) of
+    H = [[F, -B R^-1 B^T], [C^T R^-1 C, -F^T]], R = D + D^T + `PSD_TOL` I,
+    F = A - B R^-1 C (Boyd, Balakrishnan & Kabamba, MCSS 2, 1989).  The
+    sign holds between neighbouring crossings, so a grid with each
+    crossing and midpoint sees every negative band, however narrow.  A's
+    imaginary modes appear too; they are poles, which the scan skips.
+    """
+    r = D + D.T + PSD_TOL * np.eye(len(D))
+    rb, rc = np.linalg.solve(r, B.T), np.linalg.solve(r, C)
+    f = A - B @ rc
+    lam = np.linalg.eigvals(np.block([[f, -B @ rb], [C.T @ rc, -f.T]]))
+    w = np.unique(np.abs(lam[np.abs(lam.real) <= 1e-8 * np.maximum(1.0, np.abs(lam))].imag))
+    return np.concatenate([w, 0.5 * (w[1:] + w[:-1])])
+
+
 def check_dissipative(obj, frequencies: np.ndarray | None = None) -> DissipativeVerdict:
     """Positive-realness scan of a transfer function.
 
@@ -1020,10 +1041,15 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
     1-norm reciprocal condition number below machine epsilon, is a pole on
     the imaginary axis and is left out of the grid.  Where A is rotation
     blocks both are closed forms (`_rotation_resolvent`), O(n p^2) per
-    frequency.  Any other A is densified and scanned in batched numpy
-    solves (`_dense_resolvent`); its exact condition number inverts each
-    matrix, 2.3-2.8x slower at 158-199 states than LAPACK's xGECON
-    estimate (Higham 1988).  Non-finite frequencies are rejected.
+    frequency, on the plain default grid.  Any other A is densified and
+    scanned in batched numpy solves (`_dense_resolvent`); its exact
+    condition number inverts each matrix, 2.3-2.8x slower at 158-199
+    states than LAPACK's xGECON estimate (Higham 1988).  Its default grid
+    also holds the Hamiltonian crossings and their midpoints
+    (`_hamiltonian_crossings`, one eigenvalue solve of size 2n), so a
+    negative band narrower than the 7% grid spacing is still seen.  A
+    grid the caller passes is used as given.  Non-finite frequencies are
+    rejected.
     """
     warning = None
     tail_fraction = 0.0
@@ -1039,6 +1065,8 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
             omega_scale = float(np.linalg.norm(A, 2)) if A.size else 1.0
             resolvent = functools.partial(_dense_resolvent, A)
         omegas = _default_frequencies(omega_scale) if given is None else given
+        if given is None and rotations is None:
+            omegas = np.union1d(omegas, _hamiltonian_crossings(A, B, C, D))
         ghat, omegas = resolvent(B, C, D, omegas)
         if not len(omegas):
             raise ValueError("transfer function is singular on the whole frequency grid")
@@ -1090,9 +1118,10 @@ def check_time_reversible(sys, sigma: SignatureMatrix, u1: Trajectory) -> Revers
     v(s) is experiment 2's state at T - s.  A record with
     `zero_state_response` (a harmonic bank) is convolved matrix-free; any
     other system runs both by `_midpoint_outputs`, driven at the step
-    midpoints.  If an involution R has R A R^-1 = -A, R B = B Sigma and
-    C R = Sigma C, the midpoint map, a rational function of h A, gives
-    v_k = R x_k step by step: the deviation is rounding at any w h.
+    midpoints (rotation blocks as one kernel convolution each).  If an
+    involution R has R A R^-1 = -A, R B = B Sigma and C R = Sigma C, the
+    midpoint map, a rational function of h A, gives v_k = R x_k step by
+    step: the deviation is rounding at any w h.
     """
     s = sigma.matrix
     u_fwd = _port_samples(u1, sigma.p, owner="the signature")

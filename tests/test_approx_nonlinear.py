@@ -185,7 +185,8 @@ class TestSupplyErrorBound:
 
 class TestBatchedSupplyForms:
     """`_supply_forms` over a batch of inputs against the public functions
-    called once per input, bit for bit."""
+    called once per input, and the error against its closed form, bit for
+    bit."""
 
     @pytest.mark.parametrize("gain", [-0.7, [[-1.0, 0.3], [-0.2, -0.5]]])
     def test_batch_is_bitwise_the_per_input_calls(self, gain):
@@ -199,7 +200,13 @@ class TestBatchedSupplyForms:
         for i, e0 in enumerate(energies):
             u = Trajectory(dt=dt, values=vals[:, i])
             y, x_e = simulate_energy_supply(k, e0, u)
-            err = np.linalg.norm(y.values - vals[:, i] @ k.T, axis=1)
+            # the error ||k u|| |c| / (2 E0), c = int u . k u; differencing y
+            # adds y's own rounding
+            drive = vals[:, i] @ k.T
+            charge = cumulative_trapezoid(np.sum(vals[:, i] * drive, axis=1), dt)
+            err = np.linalg.norm(drive, axis=1) * np.abs(charge / (2.0 * e0))
+            differenced = np.linalg.norm(y.values - drive, axis=1)
+            assert np.all(np.abs(differenced - err) <= np.finfo(float).eps * np.linalg.norm(y.values, axis=1))
             norms = np.linalg.norm(vals[:, i], axis=1)
             bound = supply_error_bound(k, norms.max(), horizon, e0)
             for batched, alone in ((outputs[:, i], y.values), (supply[:, i], x_e.values),

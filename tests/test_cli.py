@@ -151,6 +151,12 @@ class TestCheck:
         assert (check.name, check.detail) == ("l2", "L2 error = 0.25, want at most 0.5")
         assert _check("psd", -3e-17, at_least=-1e-10, what="e").detail == "e = -3e-17, want at least -1e-10"
 
+    def test_an_allowance_past_one_shows_in_full(self):
+        # approx-nonlinear's default bound 1 + (m + 2p + 10) eps, m = 501, p = 2,
+        # which six significant digits would print as 1
+        check = _check("r", 0.96, at_most=1.0 + 515 * np.finfo(float).eps, what="ratio")
+        assert check.detail == "ratio = 0.96, want at most 1.0000000000001144"
+
 
 class TestConfigSchema:
     @pytest.mark.parametrize("experiment, field, value", MALFORMED)
@@ -508,16 +514,20 @@ class TestRunsAndArtifacts:
             e0 = float(10.0 ** rng.uniform(0.5, 3.0))
             u = Trajectory(dt=dt, values=vals)
             y_e = simulate_energy_supply(k, e0, u)[0].values
-            err = np.linalg.norm(y_e - vals @ k.T, axis=1)
+            # y_E = k u (1 + c / (2 E0)), c = int u . k u, so its error is
+            # ||k u|| |c| / (2 E0); differencing y_E adds y_E's own rounding
+            drive = vals @ k.T
+            charge = cumulative_trapezoid(np.sum(vals * drive, axis=1), dt)
+            err = np.linalg.norm(drive, axis=1) * np.abs(charge / (2.0 * e0))
+            rounding = np.finfo(float).eps * np.linalg.norm(y_e, axis=1)
+            assert np.all(np.abs(np.linalg.norm(y_e - drive, axis=1) - err) <= rounding)
             peak = float(np.linalg.norm(vals, axis=1).max())
             flat = supply_error_bound(k, peak, horizon, e0)
             flat = flat * np.sqrt(cumulative_trapezoid(np.linalg.norm(vals, axis=1) ** 2, dt))
-            floor = 2.0 * np.finfo(float).eps * np.linalg.norm(y_e, axis=1)  # y_E's rounding
-            running = supply_error_running_bound(k, u, e0).values + floor
+            running = supply_error_running_bound(k, u, e0).values
             expected = {"e0": e0, "peak_input": peak, "max_error": err.max(),
                         "running_ratio": np.divide(err, running, out=np.zeros(501), where=running > 0).max(),
-                        "flat_ratio": np.divide(err, flat + floor, out=np.zeros(501),
-                                                where=flat + floor > 0).max()}
+                        "flat_ratio": np.divide(err, flat, out=np.zeros(501), where=flat > 0).max()}
             for name, value in expected.items():
                 assert got[name][trial] == value, (trial, name)
 

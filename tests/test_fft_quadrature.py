@@ -49,7 +49,7 @@ def test_convolution_matches_the_scipy_fft_path(size, monkeypatch):
     with monkeypatch.context() as m:
         for name in ("fft", "rfft", "irfft"):
             m.setattr(np.fft, name, getattr(scipy.fft, name))
-        m.setattr(lossless.approx_linear, "fast_len", lambda k: scipy.fft.next_fast_len(k, real=True))
+        m.setattr(lossless._util, "fast_len", lambda k: scipy.fft.next_fast_len(k, real=True))
         reference = series.convolve(u, 0.01)
     kernel = np.abs(series.evaluate(np.arange(size) * 0.01)).sum(axis=(0, 2))
     bound = 64 * EPS * (2 * size).bit_length() * 0.01 * kernel * np.abs(u).max()

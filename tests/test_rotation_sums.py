@@ -1,11 +1,12 @@
-"""Tests for the sums of rotations: rotation-block impulse responses, the
-rotation-block resolvent and the windowed kernel transform of
-`check_dissipative`.
+"""Tests for the sums of rotations: rotation-block impulse responses and
+midpoint runs, the rotation-block resolvent and the windowed kernel
+transform of `check_dissipative`.
 
-Both evaluate e^{i x k step} through the two factors of blocked angle
+They evaluate e^{i x k step} through the two factors of blocked angle
 addition.  The references are the paths they replace: the lifted
-`_lti_run` recursion of exp(A dt) for impulse responses, and the per-entry
-phase table sum_k w_k g_k e^{-i w t_k} for the transform.  The bounds scale
+`_lti_run` recursion of exp(A dt) for impulse responses, the per-step
+loop for midpoint runs, and the per-entry phase table
+sum_k w_k g_k e^{-i w t_k} for the transform.  The bounds scale
 with eps: the lifted path accumulates about n eps over n steps, the closed
 form about eps w t from rounding the phase, and an m-term sum about
 sqrt(m) eps.
@@ -30,9 +31,9 @@ from lossless.statespace import (
     _exponential_tail,
     _kernel_transform,
     _lti_run,
+    _midpoint_outputs,
     _port_matrices,
     _rotation_resolvent,
-    _rotation_response,
     _rotations,
     check_dissipative,
     impulse_response,
@@ -69,7 +70,7 @@ def _rotation_system(omegas, zeros, rng, ports=1, general=False):
 
 def _assert_matches_lifted(sys, dt, n_samples):
     a, b, c, _ = _port_matrices(sys)
-    assert _rotation_response(a, b, c, dt, n_samples) is not None
+    assert _rotations(a) is not None
     g = impulse_response(sys, dt, n_samples)
     expected = _lifted(sys, dt, n_samples)
     assert g.values.shape == expected.shape
@@ -150,7 +151,7 @@ class TestRotationImpulse:
             for a in (diagonal, unequal, two_in_a_row)
         ]
         for sys in systems:
-            assert _rotation_response(*_port_matrices(sys)[:3], 0.01, n_samples) is None
+            assert _rotations(_port_matrices(sys)[0]) is None
             assert np.array_equal(impulse_response(sys, 0.01, n_samples).values,
                                   _lifted(sys, 0.01, n_samples))
 
@@ -185,6 +186,64 @@ class TestRotationImpulse:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _midpoint_loop(a, b, c, u, h):
+    """The per-step loop the Tustin-warped convolution replaces: state s maps
+    to cos x_s + sin x_r + h (g_s + a g_r) / (1 + a^2), a = w_s h / 2.
+    Returns the readouts, the final state and max_k |x_s[k]| per state."""
+    partner, omega = _rotations(a)
+    half = 0.5 * h * omega[:, None]
+    cos, sin = (1.0 - half**2) / (1.0 + half**2), 2.0 * half / (1.0 + half**2)
+    drive = h / (1.0 + half**2) * (b + half * b[partner])
+    x = np.zeros((len(b), u.shape[2]))
+    out, peak = np.zeros((len(u) + 1, c.shape[0], u.shape[2])), np.zeros((len(b), 1))
+    for k in range(len(u)):
+        x = cos * x + sin * x[partner] + drive @ u[k]
+        out[k + 1] = c @ x
+        peak = np.maximum(peak, np.abs(x).max(axis=1, keepdims=True))
+    return out, x, peak
+
+
+class TestRotationMidpointRun:
+    """`_midpoint_outputs` on rotation blocks, one causal convolution with
+    the kernel C R(m theta) d and one phasor sum for the final state, against
+    the per-step loop.  The loop's orthogonal steps carry their rounding
+    undamped, about eps |x| a step; the closed form rounds each phase m theta
+    < m pi once.  Both stay within a few steps eps of the states' peak."""
+
+    @pytest.mark.parametrize("make, h, batch", [
+        (lambda rng: memoryless_lossless_approx(1.0, 10.0, 100).system, 1e-3, 2),
+        (lambda rng: memoryless_lossless_approx(1.0, 10.0, 1100).system, 1e-3, 1),
+        (lambda rng: LosslessLinear(J=np.zeros((3, 3)), B=rng.standard_normal((3, 2))), 0.1, 3),
+        (lambda rng: _rotation_system([1.0, 1.0, np.sqrt(2.0), -np.pi, -1.0], 2, rng, ports=2,
+                                      general=True), 0.01, 3),
+        # w h from 1e-3 to 25, both signs
+        (lambda rng: _rotation_system(np.logspace(-1.0, np.log10(2500.0), 9) * (-1.0) ** np.arange(9),
+                                      1, rng), 0.01, 3),
+    ], ids=["dense-bank", "csr-bank", "zero-states", "two-port-general-c", "wide-w-h"])
+    def test_matches_the_per_step_loop(self, make, h, batch):
+        rng = np.random.default_rng(8)
+        a, b, c, _ = _port_matrices(make(rng))
+        assert _rotations(a) is not None
+        if scipy.sparse.issparse(a):
+            assert len(b) == 2199
+        steps = 700
+        u = rng.standard_normal((steps, b.shape[1], batch))
+        out, x = _midpoint_outputs(a, b, c, u, h)
+        ref_out, ref_x, peak = _midpoint_loop(a, b, c, u, h)
+        assert out.shape == ref_out.shape and x.shape == ref_x.shape
+        assert not out[0].any()
+        bound = 8 * steps * EPS
+        readout = float(np.sum(np.linalg.norm(c, axis=0) * peak[:, 0]))
+        assert np.abs(out - ref_out).max() <= bound * readout
+        assert np.abs(x - ref_x).max() <= bound * peak.max()
+
+    def test_no_steps_is_rest(self):
+        a, b, c, _ = _port_matrices(memoryless_lossless_approx(1.0, 10.0, 10).system)
+        out, x = _midpoint_outputs(a, b, c, np.zeros((0, 1, 2)), 1e-3)
+        assert out.shape == (1, 1, 2) and x.shape == (len(b), 2)
+        assert not out.any() and not x.any()
 
 
 class TestRotationResolvent:

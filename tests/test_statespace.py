@@ -660,14 +660,16 @@ class TestLosslessVerdict:
 class TestLosslessBanks:
     """Exactly lossless banks pass `check_lossless` at any w_max h.
 
-    The memoryless banks of 800, 1100 and 2000 harmonics have 1599 (dense),
-    2199 and 3999 (CSR) states and w_max h = 0.25, 0.35 and 0.63.  Under
-    RK4 at h = 1e-3 their residuals were 5.9e-9, 1.5e-8 and 7.5e-8 (the
-    last two rejected), and the dense one took 9 s; the midpoint ledger
-    reads about 1e-14 for each, in 0.2-0.3 s with one BLAS thread.
+    The memoryless banks of 800, 1100, 2000 and 4623 harmonics have 1599
+    (dense), 2199, 3999 and 9245 (CSR) states and w_max h = 0.25, 0.35,
+    0.63 and 1.45.  Under RK4 at h = 1e-3 the first three read 5.9e-9,
+    1.5e-8 and 7.5e-8 (the last two rejected), and the dense one took 9 s.
+    The midpoint run, one Tustin-warped kernel convolution on rotation
+    blocks, reads about 1e-15-1e-14 for each, in 0.03-0.11 s with one BLAS
+    thread.
     """
 
-    @pytest.mark.parametrize("harmonics", [800, 1100, 2000])
+    @pytest.mark.parametrize("harmonics", [800, 1100, 2000, 4623])
     def test_bank_passes_within_a_time_budget(self, harmonics):
         system = memoryless_lossless_approx([[1.0]], 10.0, harmonics).system
         assert system.n == 2 * harmonics - 1
@@ -677,6 +679,18 @@ class TestLosslessBanks:
         assert verdict.passed and verdict.skew_residual == 0.0
         assert verdict.energy_residual <= _ENERGY_TOL
         assert elapsed < 1.0
+
+    def test_memory_stays_chunked(self):
+        # the closed form's `CHUNK_ELEMENTS` tables set the peak, not n:
+        # about 8 MiB at 9245 states
+        system = memoryless_lossless_approx([[1.0]], 10.0, 4623).system
+        tracemalloc.start()
+        try:
+            check_lossless(system, trials=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_damped_bank_is_rejected(self):
         bank = memoryless_lossless_approx([[1.0]], 10.0, 100).system
@@ -832,6 +846,60 @@ class TestDissipativeNearPoles:
         v = check_dissipative(sys)
         assert not v.dissipative
         assert v.min_eigenvalue < -0.1
+
+
+def _resonance(w0, zeta, direct):
+    """g(s) = D - 3 zeta w0 s / (s^2 + 2 zeta w0 s + w0^2), plus 1 / (s + 1)
+    when D = 0: Re g(j w0) = D - 1.5 (+ 1 / (1 + w0^2)), negative in a
+    band around w0 of relative width about zeta (D = 1) or 10 zeta (D = 0)."""
+    a = np.array([[0.0, 1.0], [-w0**2, -2.0 * zeta * w0]])
+    b, c = np.array([[0.0], [1.0]]), np.array([[0.0, -3.0 * zeta * w0]])
+    if direct == 0:
+        a = scipy.linalg.block_diag(a, -1.0)
+        b, c = np.vstack([b, [[1.0]]]), np.hstack([c, [[1.0]]])
+    return LinearStateSpace(A=a, B=b, C=c, D=np.array([[float(direct)]]))
+
+
+class TestHamiltonianCrossings:
+    """The default grid of a dense state-space scan also holds the
+    crossings of the Hamiltonian's imaginary eigenvalues and their
+    midpoints, so a negative band between two log-spaced points is seen.
+    On the 7%-spaced grid alone, 79-197 of 200 resonances with zeta = 0.03
+    down to 1e-3 and D = 1, and 3-182 with D = 0, read dissipative."""
+
+    @pytest.mark.parametrize("direct", [1, 0])
+    @pytest.mark.parametrize("zeta", [0.03, 0.01, 1e-3])
+    def test_narrow_resonances_are_rejected(self, zeta, direct):
+        for w0 in np.random.default_rng(14).uniform(0.5, 5.0, 25):
+            v = check_dissipative(_resonance(w0, zeta, direct))
+            # the Hermitian part at w0 is 2 Re g(j w0).  With D = 1 the band is
+            # narrow and the crossings' midpoint reads the depth within 1%; the
+            # wider D = 0 band's midpoint can sit off w0 and read 0.49 of the
+            # depth at worst (zeta = 0.03)
+            at_w0 = 2.0 * (direct - 1.5 + (1.0 / (1.0 + w0**2) if direct == 0 else 0.0))
+            assert not v.dissipative, w0
+            assert v.min_eigenvalue <= (0.99 if direct else 0.4) * at_w0, w0
+
+    def test_a_given_grid_is_used_as_given(self):
+        # the plain default grid misses this band; passed in, it is not extended
+        sys = _resonance(1.3, 1e-3, 1)
+        grid = _default_frequencies(np.linalg.norm(sys.A, 2))
+        v = check_dissipative(sys, grid)
+        assert np.array_equal(v.frequencies, grid)
+        assert v.dissipative
+        extended = check_dissipative(sys)
+        assert extended.frequencies.size > grid.size and not extended.dissipative
+
+    def test_passive_controls_are_accepted(self):
+        # J - R with R PSD, C = B^T and a D with PSD symmetric part is positive
+        # real; the ladder's own imaginary modes are crossings and poles both
+        assert check_dissipative(lc_ladder()).dissipative
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            m, l, d = rng.standard_normal((6, 6)), rng.standard_normal((6, 6)), rng.standard_normal((2, 2))
+            b = rng.standard_normal((6, 2))
+            sys = LinearStateSpace(A=m - m.T - 0.1 * l @ l.T, B=b, C=b.T, D=0.1 * d @ d.T + d - d.T)
+            assert check_dissipative(sys).dissipative
 
 
 EPS = np.finfo(float).eps
