@@ -446,9 +446,9 @@ _EXPERIMENT_PARAMS = {
     },
     "langevin": {
         "temperature": _float_param(1.0, minimum=0.0),
-        "dt": _float_param(0.02, minimum=0.0, strict=True),
-        "horizon": _float_param(2000.0, minimum=0.0, strict=True),
-        "burn_in": _int_param(5000, minimum=0),
+        "dt": _float_param(0.1, minimum=0.0, strict=True),
+        "horizon": _float_param(10_000.0, minimum=0.0, strict=True),
+        "burn_in": _int_param(100, minimum=0),
         "k_s": _float_param(1.0, minimum=0.0, strict=True),
         "noise_dt": _float_param(0.01, minimum=0.0, strict=True),
         "noise_steps": _int_param(100_000, minimum=2),

@@ -10,8 +10,10 @@ k_B T g(t - s), the impulse response priced in temperature units
 (`analytic_fluctuation_covariance` is that kernel, `empirical_fdt_check`
 estimates it from sampled ensembles).  Dissipative low-order models see
 the same statistics as a white-noise drive, which is the Langevin
-equation; memoryless elements degenerate to Johnson-Nyquist white noise
-of intensity 2 k_B T k_s.
+equation; `simulate_langevin` steps it by its exact Gaussian transition,
+so the sampled chain keeps the Gibbs covariance k_B T I at any step.
+Memoryless elements degenerate to Johnson-Nyquist white noise of
+intensity 2 k_B T k_s.
 
 The energy-supply construction from `approx_nonlinear` responds to a
 thermal initial perturbation differently: the noise it leaks is not
@@ -285,17 +287,16 @@ def _stationarity_spread(times, mean, stderr) -> float:
 class LangevinModel(_StatePorts):
     """Dissipative realization (J - K, B, B^T) with its thermal drive.
 
-    `L` factors the dissipation, L L^T = K; the stochastic term
-    sqrt(2 k_B T) L v(t) with unit white noise v then reproduces the
-    fluctuation statistics of the underlying lossless model at
-    temperature T.  L defaults to a minimal-rank factor of K.
+    The stochastic term sqrt(2 k_B T) L v(t), with unit white noise v and
+    any L with L L^T = K, reproduces the fluctuation statistics of the
+    underlying lossless model at temperature T.  Only its covariance
+    2 k_B T K enters a path (`simulate_langevin`), so no factor is kept.
     """
 
     J: np.ndarray
     K: np.ndarray
     B: np.ndarray
     temperature: float
-    L: np.ndarray | None = None
     boltzmann: float = 1.0
 
     def __post_init__(self):
@@ -307,23 +308,39 @@ class LangevinModel(_StatePorts):
                 f"shapes disagree: J {j.shape}, K {k.shape}, B {b.shape}"
             )
         _psd_eigh(k[None], "K")
-        ell = factor_psd(k).T if self.L is None else as_float_array(self.L, "L", ndim=2)
-        if ell.shape[0] != j.shape[0]:
-            raise ValueError(f"L has {ell.shape[0]} rows, state dimension is {j.shape[0]}")
-        if np.abs(ell @ ell.T - k).max(initial=0.0) > 1e-10 * max(1.0, np.abs(k).max(initial=0.0)):
-            raise ValueError("L L^T does not reproduce K within 1e-10 max(1, max|K_ij|)")
         t = positive(self.temperature, "temperature", or_zero=True)
         kb = positive(self.boltzmann, "boltzmann constant")
         object.__setattr__(self, "J", j)
         object.__setattr__(self, "K", frozen(k))
         object.__setattr__(self, "B", frozen(b))
-        object.__setattr__(self, "L", frozen(ell))
         object.__setattr__(self, "temperature", t)
         object.__setattr__(self, "boltzmann", kb)
 
-    @property
-    def noise_dim(self) -> int:
-        return self.L.shape[1]
+
+def _exact_step(model: LangevinModel, dt: float):
+    """(E, Gamma, Sigma) of the exact step x[k+1] = x[k] + E x[k] + Gamma u[k]
+    + w[k], w[k] ~ N(0, Sigma), of the Langevin equation with u held.
+
+    With A = J - K and S = int_0^h e^{As} ds: E = A S (e^{A h} - I without
+    cancelling against I), Gamma = S B and Sigma = k_B T int_0^h e^{As} 2K
+    e^{A^T s} ds, from one `expm` stack of two Van Loan blocks (IEEE TAC
+    23, 1978).  Sigma's block holds e^{-A h}, whose growth would cost
+    digits, so h = dt / 2^s with |A|_1 h <= 1, and s doublings follow.
+    A + A^T = -2K makes Sigma = k_B T (I - e^{A dt} e^{A^T dt}): k_B T I is
+    the chain's stationary covariance at any dt.  K = 0 gives Sigma = 0.
+    """
+    a, n = model.J - model.K, model.n
+    halvings = max(0, math.ceil(math.log2(max(np.linalg.norm(a, 1) * dt, 1.0))))
+    zero = np.zeros((n, n))
+    hold, drive = expm(math.ldexp(dt, -halvings) * np.array(
+        [np.block([[a, np.eye(n)], [zero, zero]]), np.block([[-a, 2.0 * model.K], [zero, a.T]])]))
+    e, gamma, gram = a @ hold[:n, n:], hold[:n, n:] @ model.B, drive[n:, n:].T @ drive[:n, n:]
+    for _ in range(halvings):  # a step of 2h is two of h
+        gamma = 2.0 * gamma + e @ gamma
+        pushed = gram + e @ gram  # (I + E) Sigma
+        gram = gram + pushed + pushed @ e.T
+        e = 2.0 * e + e @ e
+    return e, gamma, (model.boltzmann * model.temperature) * 0.5 * (gram + gram.T)
 
 
 def simulate_langevin(
@@ -334,21 +351,23 @@ def simulate_langevin(
     horizon: float,
     seed: int,
 ) -> Trajectory:
-    """One Euler-Maruyama path of the Langevin equation.
+    """One path of the Langevin equation, exact at the sample times.
 
-    dx = (J - K) x dt + B u dt + sqrt(2 k_B T) L dW, with unit Wiener
-    increments of variance dt; the path is a deterministic function of
-    the seed.  Returns the state record (outputs are B^T x).  The
-    Euler-Maruyama map is linear in x, u and the kicks, so it is one
-    `_lti_run` of the increment dt (J - K).
+    dx = (J - K) x dt + B u dt + sqrt(2 k_B T) L dW, L L^T = K, with u
+    held over each step; the path is a deterministic function of the
+    seed.  Returns the state record (outputs are B^T x).  Each step is the
+    exact Gaussian transition of `_exact_step`, its noise N(0, 1) kicks
+    through a `factor_psd` factor of Sigma, so the chain is stable and
+    stationary at the Gibbs covariance k_B T I at every dt.  The map is
+    linear in x, u and the kicks: one `_lti_run`.
     """
     u_vals, _, step = _input_samples(u, model.p, dt, horizon)
     steps = u_vals.shape[0] - 1
     x = _state_vector(x0, model.n)
-    kicks = derive_rng(seed).standard_normal((steps, model.noise_dim))
-    gain = math.sqrt(2.0 * model.boltzmann * model.temperature * step)
-    drive = np.hstack([step * model.B, gain * model.L])
-    out, _ = _lti_run(step * (model.J - model.K), x, drive, np.hstack([u_vals[:-1], kicks]))
+    increment, hold, sigma = _exact_step(model, step)
+    factor = factor_psd(sigma)
+    kicks = derive_rng(seed).standard_normal((steps, factor.shape[0]))
+    out, _ = _lti_run(increment, x, np.hstack([hold, factor.T]), np.hstack([u_vals[:-1], kicks]))
     _require_finite(out, step)
     return Trajectory(dt=step, values=out)
 

@@ -6,8 +6,10 @@ small; the statistical heavy lifting lives in the acceptance tests.
 """
 
 import csv
+import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -562,13 +564,20 @@ class TestRunsAndArtifacts:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert any(not check["passed"] for check in manifest["checks"])
 
-    def test_numerical_blowup_exits_4(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, seed=3, dt=2.5, horizon=5000.0, burn_in=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["langevin", "--config", str(cfg), "--out", str(tmp_path / "div")])
-        assert code == 4
-        assert "numerical failure" in capsys.readouterr().err
-        assert not (tmp_path / "div").exists()
+    def test_a_ten_percent_variance_excess_fails_the_stationary_check(self, tmp_path, monkeypatch):
+        # negative control at the default config: the path scaled by sqrt(1.1)
+        # reads about 0.10 against the 5% window, 3.5 standard errors of 1.42% past it
+        exact = lossless.cli.simulate_langevin
+
+        def inflated(*args, **kwargs):
+            path = exact(*args, **kwargs)
+            return Trajectory(dt=path.dt, values=np.sqrt(1.1) * path.values)
+
+        monkeypatch.setattr(lossless.cli, "simulate_langevin", inflated)
+        out = tmp_path / "inflated"
+        assert main(["langevin", "--seed", "1", "--out", str(out)]) == 3
+        checks = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == ["stationary_variance_5pct"]
 
     def test_multiport_eigenvalues_are_those_of_the_factored_residues(self, tmp_path):
         # A two-port kernel with an antisymmetric part: its residues
@@ -764,6 +773,53 @@ def test_a_seed_sweep_with_a_broken_run_exits_1(tmp_path):
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["broken_runs"] == {"0": 2}
+
+
+def test_a_seed_sweep_reports_each_checks_worst_share(tmp_path):
+    """bench/seeds.py reports, per check, the seed whose reading came
+    closest to its bound and the share of the bound it used: here the
+    larger of the two runs' shares, recomputed from their manifests."""
+    config = _write_config(tmp_path, **_TINY_RUNS["langevin"])
+    script = Path(__file__).resolve().parents[1] / "bench" / "seeds.py"
+    proc = subprocess.run([sys.executable, str(script), "langevin", "--seeds", "2", "--config", str(config)],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    worst = json.loads(proc.stdout.splitlines()[-1])["worst"]
+    shares = {}
+    for seed in (0, 1):
+        out = tmp_path / f"seed_{seed}"
+        main(["langevin", "--seed", str(seed), "--config", str(config), "--out", str(out)])
+        for check in json.loads((out / "manifest.json").read_text(encoding="utf-8"))["checks"]:
+            value, bound = check["detail"].split(" = ")[1].split(", want at most ")
+            shares.setdefault(check["name"], {})[seed] = float(value) / float(bound)
+    assert set(worst) == set(shares) == {"stationary_variance_5pct", "johnson_variance_5pct"}
+    for name, by_seed in shares.items():
+        seed = max(by_seed, key=by_seed.get)
+        assert worst[name]["seed"] == seed
+        assert worst[name]["share"] == pytest.approx(by_seed[seed], rel=1e-12)
+        assert f"worst share {by_seed[seed]:.3g} (seed {seed}: " in proc.stdout
+
+
+def _load_seeds_script():
+    spec = importlib.util.spec_from_file_location(
+        "seeds", Path(__file__).resolve().parents[1] / "bench" / "seeds.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("detail, badness, share", [
+    ("worst variance deviation = 0.04, want at most 0.05", 0.04, 0.8),
+    ("largest measured-minus-bound gap = -0.2, want at most 0.0", -0.2, None),
+    ("log-log slope = 4, want at least 3.0", -4.0, 0.75),
+    ("smallest eigenvalue = 3e-12, want at least -1e-10", -3e-12, None),
+    ("log-log slope = 2.05, want 1.9 to 2.1", 0.5, 0.5),
+    ("log-log slope = nan, want at most -0.4", math.inf, math.inf),
+])
+def test_a_check_reading_parses_each_bound_form(detail, badness, share):
+    got = _load_seeds_script()._reading(detail)
+    assert got[0] == pytest.approx(badness)
+    assert got[1] == (None if share is None else pytest.approx(share))
 
 
 def test_setup_code_loads_no_thread_pool(setup_modules):

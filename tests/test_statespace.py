@@ -880,6 +880,15 @@ class TestHamiltonianCrossings:
             assert not v.dissipative, w0
             assert v.min_eigenvalue <= (0.99 if direct else 0.4) * at_w0, w0
 
+    @pytest.mark.parametrize("zeta", [0.03, 0.01])
+    def test_a_wide_band_reads_its_depth(self, zeta):
+        # D = 0: golden-section steps in the band find its minimum, where the
+        # crossings' midpoint alone read 0.49-1.0 of a dense local scan's
+        for w0 in np.random.default_rng(14).uniform(0.5, 5.0, 25):
+            sys = _resonance(w0, zeta, 0)
+            scan = check_dissipative(sys, np.linspace(0.5 * w0, 1.5 * w0, 5001)).min_eigenvalue
+            assert check_dissipative(sys).min_eigenvalue <= 0.99 * scan < 0.0, w0
+
     def test_a_given_grid_is_used_as_given(self):
         # the plain default grid misses this band; passed in, it is not extended
         sys = _resonance(1.3, 1e-3, 1)

@@ -118,18 +118,16 @@ def test_measured_system_names_a_second_port():
         MeasuredSystem(J=np.asarray(lc_ladder().J), B=np.ones((3, 2)), x0=[1.0, 0.0, 0.0])
 
 
-def test_langevin_model_accepts_its_own_default_factor_in_large_units():
+def test_langevin_model_accepts_k_in_large_units():
     k = rotated(SCALE * np.diag([1.0, 2.0, 3.0]))
     model = LangevinModel(J=np.zeros((3, 3)), K=k, B=PORT, temperature=1.0)
-    assert model.noise_dim == 3
-    assert np.abs(model.L @ model.L.T - k).max() <= 1e-10 * SCALE * 3
+    assert np.array_equal(model.K, k)
 
 
-def test_langevin_model_checks_k_whatever_l_is():
+def test_langevin_model_checks_k():
     k = np.array([[1.0, 0.5], [0.0, 1.0]])
-    for ell in (None, np.eye(2)):
-        with pytest.raises(ValueError, match="K is not symmetric"):
-            LangevinModel(J=np.zeros((2, 2)), K=k, B=np.ones((2, 1)), temperature=1.0, L=ell)
+    with pytest.raises(ValueError, match="K is not symmetric"):
+        LangevinModel(J=np.zeros((2, 2)), K=k, B=np.ones((2, 1)), temperature=1.0)
 
 
 def test_psd_inputs_are_judged_on_their_scale():
