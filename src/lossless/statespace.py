@@ -131,12 +131,8 @@ _REVERSIBILITY_TOL = 1e-6
 #: operators hold at most `_INCREMENT_ELEMENTS` entries (1 MiB), else it
 #: takes the step loop: a lifted step does the loop's E x work, so lifting
 #: saves only per-call overhead, and an operator that outgrows the cache
-#: loses that.  Step loop against the fastest L, `_rk4_states` on p = 1
-#: banks, one BLAS thread, median of 9: n = 3, 79 ms against 11 at L = 64
-#: (2e4 steps); n = 31, 23 against 18 at L = 32 and n = 63, 32 against 27
-#: at L = 16 (1e4 steps); n >= 127, the loop or within 10% of it.  L = 4
-#: mostly lost to the loop, L = 2 always.  These bounds pick each of
-#: those L for every caller.
+#: loses that.  Both bounds were set by timing the step loop against
+#: each block length L (the timings are in CHANGES.md).
 _INCREMENT_ELEMENTS = 1 << 17
 _INCREMENT_LEVELS = 3
 
@@ -693,9 +689,8 @@ def simulate_linear(
     the true half-step times.  Each step is the classic four-stage RK4 step
     written as one increment map, x[k+1] = x[k] + (E x[k] + d[k]), with E
     and the input drive d built once per call and the steps run in lifted
-    blocks (`_rk4_states`); 20 000 steps of the LC ladder take about 10 ms.
-    A state that leaves float range raises FloatingPointError naming the
-    first sample time at which it did.
+    blocks (`_rk4_states`).  A state that leaves float range raises
+    FloatingPointError naming the first sample time at which it did.
     """
     A, B, C, D = _port_matrices(sys)
     u_vals, u_mids, step = _input_samples(u, B.shape[1], dt, horizon)
@@ -870,11 +865,9 @@ def check_lossless(sys, trials: int = 8, seed: int = 0) -> LosslessVerdict:
     is rounding for a lossless system at any h and w_max h, and h sum_k
     xbar_k^T A xbar_k plus the port mismatch otherwise.  Relative to the
     input work h sum_k |ybar_k . u_k| it must be within `_ENERGY_TOL`.
-    All trials run as one batch: with one BLAS thread, 2 on a memoryless
-    bank take about 2 ms at 79 states, 30 ms at 2199 (CSR) and 0.1 s at
-    9245, 8 on the LC ladder a few ms.  A run that leaves float range
-    raises FloatingPointError.  Pass trials=0 to run the structural
-    check alone; a negative count is rejected.
+    All trials run as one batch.  A run that leaves float range raises
+    FloatingPointError.  Pass trials=0 to run the structural check alone;
+    a negative count is rejected.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -1005,87 +998,92 @@ def _rotation_resolvent(partner, omega, B, C, D, omegas):
     return ghat.reshape((len(kept),) + D.shape) + D, kept
 
 
-def _hamiltonian_crossings(A, B, C, D) -> np.ndarray:
-    """The w where an eigenvalue of ghat(jw) + ghat(jw)^H + `PSD_TOL` I can
-    cross zero, sorted: |Im lambda| of the eigenvalues with |Re lambda| <=
+def _hamiltonian_crossings(A, B, C, D, level: float) -> np.ndarray:
+    """The w where an eigenvalue of ghat(jw) + ghat(jw)^H can cross
+    `level`, sorted: |Im lambda| of the eigenvalues with |Re lambda| <=
     1e-8 max(1, |lambda|) of H = [[F, -B R^-1 B^T], [C^T R^-1 C, -F^T]],
-    R = D + D^T + `PSD_TOL` I, F = A - B R^-1 C (Boyd, Balakrishnan &
-    Kabamba, MCSS 2, 1989).  The sign holds between neighbouring crossings,
-    so a grid with each crossing and each midpoint between neighbours sees
-    every negative band, however narrow.  A's imaginary modes appear too;
-    they are poles, which the scan skips.
+    R = D + D^T - `level` I, F = A - B R^-1 C (Boyd, Balakrishnan &
+    Kabamba, MCSS 2, 1989), so `level` must not be an eigenvalue of D + D^T.
+    The count of eigenvalues below `level` holds between neighbouring
+    crossings, so the midpoints between neighbours see every band below it,
+    however narrow.  A's imaginary modes appear too; they are poles, which
+    the scan skips.
     """
-    r = D + D.T + PSD_TOL * np.eye(len(D))
+    r = D + D.T - level * np.eye(len(D))
     rb, rc = np.linalg.solve(r, B.T), np.linalg.solve(r, C)
     f = A - B @ rc
     lam = np.linalg.eigvals(np.block([[f, -B @ rb], [C.T @ rc, -f.T]]))
     return np.unique(np.abs(lam[np.abs(lam.real) <= 1e-8 * np.maximum(1.0, np.abs(lam))].imag))
 
 
-#: Golden-section steps on the smallest eigenvalue in a negative band
-#: between neighbouring crossings: the bracket shrinks to 0.618^10 = 0.8%
-#: of the band, and D14's resonances read within 0.02% of their depth.
-_BAND_STEPS = 10
+#: `_level_set_frequencies` reads at most this many levels; the test
+#: systems and narrow non-passive resonances take 2-5, a passive dip below
+#: the limit at w -> inf up to 13.
+_LEVEL_STEPS = 50
 
 
-def _lowest_eigenvalues(resolvent, B, C, D, omegas) -> np.ndarray:
-    """The smallest eigenvalue of ghat(jw) + ghat(jw)^H at each w, inf at a pole."""
-    ghat, kept = resolvent(B, C, D, omegas)
-    out = np.full(len(omegas), np.inf)
-    out[np.isin(omegas, kept)] = np.linalg.eigvalsh(ghat + np.conj(np.transpose(ghat, (0, 2, 1))))[:, 0]
-    return out
-
-
-def _band_points(resolvent, B, C, D, crossings) -> np.ndarray:
-    """The midpoints between neighbouring crossings and, in each band whose
-    midpoint reads negative, the lowest point that `_BAND_STEPS`
-    golden-section steps on the smallest eigenvalue find, all bands at
-    once: a wide band's midpoint can sit off its minimum."""
-    lo, hi = crossings[:-1], crossings[1:]
-    mids = 0.5 * (lo + hi)
-    band = _lowest_eigenvalues(resolvent, B, C, D, mids) < 0.0
-    a, b = lo[band], hi[band]
-    g = 0.5 * (math.sqrt(5.0) - 1.0)
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = (_lowest_eigenvalues(resolvent, B, C, D, w) for w in (c, d))
-    for _ in range(_BAND_STEPS):  # keep the bracket [a, d] or [c, b] that holds the lower point
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - g * (b - a), a + g * (b - a))
-        f_new = _lowest_eigenvalues(resolvent, B, C, D, new)
-        c, fc, d, fd = (np.where(left, new, d), np.where(left, f_new, fd),
-                        np.where(left, c, new), np.where(left, fc, f_new))
-    return np.concatenate([mids, np.where(fc < fd, c, d)])
+def _level_set_frequencies(A, B, C, D) -> np.ndarray:
+    """The frequencies, poles left out, at which the level-set iteration
+    (Boyd & Balakrishnan, SCL 15, 1990; Bruinsma & Steinbuch, SCL 14, 1990)
+    reads the global minimum gamma over w of the smallest eigenvalue of
+    ghat(jw) + ghat(jw)^H.  Each pass reads w = 0, the crossings of its
+    level and the midpoints between them, one in every band below it.
+    The first level is -`PSD_TOL`, and the first pass also reads half the
+    smallest nonzero |Im lambda(A)| (2 if none), which is no pole.  A later
+    level sits 1e-10 relative above gamma, the least reading so far, but
+    below the limit lambda_min(D + D^T) at w -> inf, so R is invertible and
+    no band runs past the last crossing.  It stops when a pass reads
+    nothing below gamma by more than 1e-10 relative.
+    """
+    limit = np.linalg.eigvalsh(D + D.T)[0]
+    cap = limit - 1e-8 * max(1.0, abs(limit))
+    modes = np.abs(np.linalg.eigvals(A).imag)
+    spare = [0.5 * modes[modes > 0].min() if (modes > 0).any() else 2.0]
+    level, gamma, omegas = -PSD_TOL, np.inf, []
+    for _ in range(_LEVEL_STEPS):
+        w = np.union1d(_hamiltonian_crossings(A, B, C, D, level), 0.0)
+        ghat, kept = _dense_resolvent(A, B, C, D, np.union1d(w, np.append(0.5 * (w[1:] + w[:-1]), spare)))
+        low = np.linalg.eigvalsh(ghat + np.conj(np.transpose(ghat, (0, 2, 1))))[:, 0].min(initial=np.inf)
+        omegas.append(kept)
+        tol = 1e-10 * max(1.0, abs(low))
+        if not low < gamma - tol:
+            break
+        gamma, spare, level = low, [], min(low + tol, cap)
+    return np.unique(np.concatenate(omegas))
 
 
 def check_dissipative(obj, frequencies: np.ndarray | None = None) -> DissipativeVerdict:
-    """Positive-realness scan of a transfer function.
+    """Positive-realness verdict on a transfer function.
 
-    Accepts a state-space system (resolvent evaluation), a sampled kernel
-    Trajectory (windowed transform with exponential tail closure), or a bare
-    p x p matrix treated as a constant direct term.  The verdict is the
-    minimum eigenvalue of the Hermitian part ghat(jw) + ghat(jw)^H over the
-    frequency grid (0 and 200 log-spaced points unless `frequencies` is
-    given; for a kernel, those up to the Nyquist frequency pi / (stride dt)
-    of the samples its transform keeps); the system is declared
-    dissipative when at every frequency it is >= -`PSD_TOL` max(1,
-    max|ghat(jw)|), `PSD_TOL` = 1e-8: rounding in
+    Accepts a state-space system, a sampled kernel Trajectory (windowed
+    transform with exponential tail closure), or a bare p x p matrix treated
+    as a constant direct term.  At each frequency w it reads the smallest
+    eigenvalue of the Hermitian part ghat(jw) + ghat(jw)^H; `min_eigenvalue`
+    is the least of them, and the system is declared dissipative when each
+    is >= -`PSD_TOL` max(1, max|ghat(jw)|), `PSD_TOL` = 1e-8: rounding in
     the Hermitian part grows with ghat, as next to a pole, but a kernel
     transform's is set by its samples, not by a small ghat at high w.
-    A state-space frequency whose resolvent jw I - A is singular, or has a
-    1-norm reciprocal condition number below machine epsilon, is a pole on
-    the imaginary axis and is left out of the grid.  Where A is rotation
-    blocks both are closed forms (`_rotation_resolvent`), O(n p^2) per
-    frequency, on the plain default grid.  Any other A is densified and
-    scanned in batched numpy solves (`_dense_resolvent`); its exact
-    condition number inverts each matrix, 2.3-2.8x slower at 158-199
-    states than LAPACK's xGECON estimate (Higham 1988).  Its default grid
-    also holds the Hamiltonian crossings (`_hamiltonian_crossings`, one
-    eigenvalue solve of size 2n) and their midpoints, so a negative band
-    narrower than the 7% grid spacing is still seen, and each negative
-    band's minimum by golden section (`_band_points`), so
-    `min_eigenvalue` reads the band's depth.  A grid the caller passes
-    is used as given.  Non-finite frequencies are rejected.
+    `frequencies` holds the w read; a grid the caller passes is read as
+    given, and non-finite frequencies are rejected.  Without one:
+
+    * A dense state-space system (A not rotation blocks, densified) is read
+      at its global minimum over w by the level-set iteration
+      (`_level_set_frequencies`, a few eigenvalue solves of size 2n), and
+      at its limit w -> inf, judged as a frequency where ghat = D (not in
+      `frequencies`).  Where that limit lambda_min(D + D^T) is the
+      infimum, R = D + D^T - gamma I is singular, so the level stays just
+      below it, and the verdict rests on the crossings of -`PSD_TOL` and
+      the midpoints between them.
+    * Rotation blocks are read in closed form (`_rotation_resolvent`,
+      O(n p^2) per frequency) at 0 and 200 log-spaced points from 1e-3 to
+      1e3 times the largest rotation frequency.
+    * A kernel is read on that grid scaled to 20 pi / duration, up to the
+      Nyquist frequency pi / (stride dt) of the samples its transform keeps.
+    * A direct term is read at w = 0.
+
+    A state-space w whose resolvent jw I - A is singular, or has a 1-norm
+    reciprocal condition number below machine epsilon, is a pole on the
+    imaginary axis and is skipped on any grid.
     """
     warning = None
     tail_fraction = 0.0
@@ -1096,17 +1094,16 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
         if rotations is not None:
             omega_scale = float(np.abs(rotations[1]).max()) if len(B) else 1.0
             resolvent = functools.partial(_rotation_resolvent, *rotations)
+            omegas = _default_frequencies(omega_scale) if given is None else given
         else:
             A = A.toarray() if _is_sparse(A) else A
-            omega_scale = float(np.linalg.norm(A, 2)) if A.size else 1.0
             resolvent = functools.partial(_dense_resolvent, A)
-        omegas = _default_frequencies(omega_scale) if given is None else given
-        if given is None and rotations is None:
-            crossings = _hamiltonian_crossings(A, B, C, D)
-            omegas = np.union1d(omegas, np.append(crossings, _band_points(resolvent, B, C, D, crossings)))
+            omegas = _level_set_frequencies(A, B, C, D) if given is None else given
         ghat, omegas = resolvent(B, C, D, omegas)
         if not len(omegas):
             raise ValueError("transfer function is singular on the whole frequency grid")
+        if given is None and rotations is None:  # the limit at w -> inf, where ghat = D
+            ghat = np.concatenate([ghat, D[None]])
     elif isinstance(obj, Trajectory):
         omegas = given
         if given is None:  # up to the decimated record's Nyquist frequency

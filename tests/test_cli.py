@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -798,6 +799,41 @@ def test_a_seed_sweep_reports_each_checks_worst_share(tmp_path):
         assert worst[name]["seed"] == seed
         assert worst[name]["share"] == pytest.approx(by_seed[seed], rel=1e-12)
         assert f"worst share {by_seed[seed]:.3g} (seed {seed}: " in proc.stdout
+
+
+def test_a_verdict_record_replays(tmp_path):
+    """bench/verdicts.py, as a pytest plugin, records a run's two
+    `check_dissipative` calls, and its replay finds them unchanged; a
+    recorded verdict the library no longer gives fails the replay, and a
+    recorded minimum below today's reading is listed."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    (tmp_path / "test_two.py").write_text(
+        "import numpy as np\n"
+        "from lossless import check_dissipative\n"
+        "def test_two():\n"
+        "    assert check_dissipative(np.array([[1.0]])).dissipative\n"
+        "    assert not check_dissipative(np.array([[-1.0]])).dissipative\n", encoding="utf-8")
+    record = tmp_path / "calls.pkl"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(bench.parent / "src"), str(bench)])}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "verdicts",
+                           "--verdicts", str(record), "test_two.py"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    replay = [sys.executable, str(bench / "verdicts.py"), "--replay", str(record)]
+    proc = subprocess.run(replay, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 calls: 0 verdicts differ, 0 min_eigenvalue moved up, 0 by more than 1e-8 max(1, |reading|)\n"
+    calls = pickle.loads(record.read_bytes())
+    assert [(c["verdict"], c["min_eigenvalue"]) for c in calls] == [(True, 2.0), (False, -2.0)]
+    calls[0]["min_eigenvalue"], calls[1]["verdict"] = 1.0, True
+    record.write_bytes(pickle.dumps(calls))
+    proc = subprocess.run(replay, capture_output=True, text=True, check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "min_eigenvalue 1.0 -> 2.0 *: test_two.py::test_two (call)",
+        "verdict True -> False: test_two.py::test_two (call)",
+        "2 calls: 1 verdicts differ, 1 min_eigenvalue moved up, 1 by more than 1e-8 max(1, |reading|)",
+    ]
 
 
 def _load_seeds_script():

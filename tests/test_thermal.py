@@ -284,7 +284,8 @@ class TestLangevin:
     def test_deterministic_drive_shifts_the_mean(self):
         model = LangevinModel(J=[[0.0]], K=[[1.0]], B=[[1.0]], temperature=0.0)
         tr = simulate_langevin(model, lambda t: 1.0, None, 1e-3, 5.0, seed=0)
-        # zero temperature: pure ODE x' = -x + 1 under Euler stepping
+        # zero temperature: the ODE x' = -x + 1 from x = 0, stepped exactly, so
+        # the path ends at 1 - e^{-5}
         assert tr.values[-1, 0] == pytest.approx(1.0, abs=1e-2)
 
     def test_a_long_step_stays_stationary(self):
