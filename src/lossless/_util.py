@@ -1,5 +1,6 @@
 """Internal helpers: seeded RNG streams, chunked Monte-Carlo, grid utilities,
-FFT lengths and transforms, quadrature rules, the matrix exponential.
+FFT lengths and transforms, quadrature rules, the matrix exponential, and
+the "%.17g" text of float64 arrays.
 
 Nothing in here is part of the public API.
 """
@@ -314,3 +315,128 @@ def expm(a) -> np.ndarray:
             x[:live] = x[:live] @ x[:live]
         out[idx] = x
     return out.reshape(a.shape)
+
+
+#: 5**k for k = 0 ... 27: a float cell x scales by 10**k = 5**k 2**k exactly.
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+
+#: Byte slots of a float cell's frame: sign, the "0.000" of a fixed-point
+#: fraction, 17 digits with a point among them, "e-XX", and the separator.
+_FRAME_BYTES = 1 + 5 + 18 + 4 + 1
+
+#: Fills a frame's unused slots; the CSV writer deletes it.  UTF-8 never uses
+#: it, and it is all ones, so OR-ing a mask from `_ones` into a slot empties it.
+HOLE = 0xFF
+
+_SLOT = np.arange(18, dtype=np.int8)[:, None]
+
+
+def _ones(flags: np.ndarray) -> np.ndarray:
+    """All-ones uint8 bytes where `flags` holds, zero elsewhere."""
+    return flags.view(np.uint8) * np.uint8(0xFF)
+
+
+def _rounded_product(m, e, k):
+    """round-half-even(m 2**(e - 53) 10**k) for 53-bit integers m and k in
+    0 ... 27, exactly: the 128-bit product m 5**k on 32-bit limbs, shifted
+    right by s = 53 - e - k < 64 and rounded by the bits it drops, or left
+    when s <= 0 (then the product fits in 57 bits)."""
+    p = _POW5[k]
+    low, mid = (m & 0xFFFFFFFF) * (p & 0xFFFFFFFF), (m >> 32) * (p & 0xFFFFFFFF)
+    hi = (m >> 32) * (p >> 32)
+    mid += (m & 0xFFFFFFFF) * (p >> 32)  # below 2**63 + 2**53
+    mid += low >> 32
+    hi += mid >> 32
+    low &= 0xFFFFFFFF
+    low |= mid << 32  # the product's low 64 bits
+    s = 53 - e - k
+    right = np.clip(s, 1, 63).astype(np.uint64)
+    q = (hi << (64 - right)) | (low >> right)
+    # the dropped bits, moved to the top, plus q's parity pass 2**63 when the
+    # remainder is above one half, or exactly one half and q is odd
+    q += (low << (64 - right)) + (q & 1) > np.uint64(1 << 63)
+    left = s <= 0
+    if left.any():
+        q[left] = low[left] << (-s[left]).astype(np.uint64)
+    return q
+
+
+def _decimal_digits(x: np.ndarray):
+    """(ok, exponent, dig) of float64 cells.  Where 1e-11 <= |x| < 1e17
+    (ok), exponent is the decimal exponent E of "%.16e" % x (int8), and
+    rows 1 ... 17 of dig (19, cells) hold the ASCII digits of D =
+    round-half-even(|x| 10**(16 - E)), from `_rounded_product`; rows 0 and
+    18 are `HOLE`.  E starts from log10 and is corrected by one where that
+    was off."""
+    ax = np.abs(x)
+    ok = (ax >= 1e-11) & (ax < 1e17)
+    ax[~ok] = 1.0  # a stand-in for cells that are not ok
+    exponent = np.clip(np.floor(np.log10(ax)), -11, 16).astype(np.int64)
+    fraction, e = np.frexp(ax)
+    m = (fraction * 2.0**53).astype(np.uint64)
+    digits = _rounded_product(m, e, 16 - exponent)
+    # 17 digits past 10**17 read one place higher, and ones at most 10**16
+    # one place lower, where they may round up to 10**17
+    over, under = digits >= 10**17, digits <= 10**16
+    redo = over | under
+    if redo.any():
+        exponent += over
+        exponent -= under
+        ok &= (exponent >= -11) & (exponent <= 16)
+        np.clip(exponent, -11, 16, out=exponent)
+        digits[redo] = _rounded_product(m[redo], e[redo], 16 - exponent[redo])
+        up = digits >= 10**17
+        digits[up] = 10**16
+        exponent += up
+
+    dig = np.empty((19, len(x)), np.uint8)
+    dig[0] = dig[18] = HOLE
+    high = digits // 10**8
+    dig[1] = high // 10**8 + 48
+    eights = np.stack([high - high // 10**8 * 10**8, digits - high * 10**8]).astype(np.uint32)
+    pairs = dig[2:18].reshape(2, 8, len(x))
+    for i in range(7, 0, -1):
+        rest = eights // 10
+        pairs[:, i] = eights - rest * 10 + 48
+        eights = rest
+    pairs[:, 0] = eights + 48
+    return ok, exponent.astype(np.int8), dig
+
+
+def float_frames(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """(`_FRAME_BYTES`, cells) uint8 frames of float64 cells, slot by slot:
+    with its `HOLE` bytes deleted, column i reads "%.17g" % x[i] and then
+    the byte seps[i].
+
+    A cell with 1e-11 <= |x| < 1e17 is formed here from the 17 digits and
+    the exponent E of `_decimal_digits`, laid out by the %g rules (fixed
+    point for -4 <= E <= 16, trailing zeros and a bare point dropped).
+    Every other cell (zero, -0, nan, inf, subnormal or out of range) takes
+    Python's "%.17g" into the same frame."""
+    ok, exponent, dig = _decimal_digits(x)
+    scientific = exponent < -4
+    kept = np.maximum(((dig[1:18] != 48) * np.arange(1, 18, dtype=np.int8)[:, None]).max(axis=0),
+                      exponent + 1)
+    # the digit the point follows: 16 (so none) where "0.000" carries it
+    point = np.where(exponent < 0, np.int8(16), exponent)
+    point[scientific] = 0
+    frame = np.empty((_FRAME_BYTES, len(x)), np.uint8)
+    frame[0] = HOLE - (x < 0).view(np.uint8) * np.uint8(HOLE - ord("-"))
+    zeros = _ones(np.arange(5, dtype=np.int8)[:, None] < (1 - exponent) * ((exponent < 0) & ~scientific))
+    frame[1:6] = (np.frombuffer(b"0.000", np.uint8)[:, None] & zeros) | ~zeros
+    body = frame[6:24]
+    np.bitwise_xor(dig[:18], (dig[1:] ^ dig[:18]) & _ones(_SLOT <= point), out=body)
+    body ^= (body ^ ord(".")) & _ones(_SLOT == point + 1)
+    body |= _ones(_SLOT >= kept + (kept > point + 1))
+    frame[24:28] = HOLE
+    if scientific.any():
+        cells, minus = np.flatnonzero(scientific), -exponent[scientific]
+        frame[24, cells], frame[25, cells] = ord("e"), ord("-")
+        frame[26, cells], frame[27, cells] = minus // 10 + 48, minus % 10 + 48
+    frame[28] = seps
+    other = np.flatnonzero(~ok)
+    if len(other):
+        text = np.array(["%.17g" % v for v in x[other].tolist()], dtype=f"S{_FRAME_BYTES - 1}")
+        raw = text.view(np.uint8).reshape(len(other), _FRAME_BYTES - 1).T
+        frame[:-1, other] = raw | _ones(raw == 0)
+    return frame

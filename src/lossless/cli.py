@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import platform
@@ -43,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import derive_rng
+from ._util import HOLE, derive_rng, float_frames
 from .approx_linear import (
     dissipative_lossless_approx,
     memoryless_error_bound,
@@ -630,8 +629,9 @@ def validate(config: ExperimentConfig) -> list:
 # output helpers
 
 
-#: Rows formatted and written at a time, which bounds the text held in memory.
-_CSV_BLOCK_ROWS = 4096
+#: Rows formatted and written at a time, which bounds the memory that
+#: `float_frames` takes for a block.
+_CSV_BLOCK_ROWS = 2048
 
 
 def _format_cell(value) -> str:
@@ -659,26 +659,53 @@ def _quote_cells(cells: list, lone: bool) -> list:
             or (lone and not cell) else cell for cell in cells]
 
 
+def _text_frames(cells: list, sep: str) -> np.ndarray:
+    """(cells, width) uint8 frames of text cells: each its UTF-8 bytes and
+    `sep`, padded with `HOLE` to the widest."""
+    encoded = [(cell + sep).encode() for cell in cells]
+    width = max(map(len, encoded))
+    hole = bytes([HOLE])
+    return np.frombuffer(b"".join(cell.ljust(width, hole) for cell in encoded),
+                         np.uint8).reshape(len(cells), width)
+
+
+def _csv_block(block: list, floats: list, seps: list, lone: bool) -> bytes:
+    """The CSV text of one block of rows, given as its columns: the cells
+    of every float64 array column (`floats` marks them) formed at once by
+    `float_frames`, the others by `_text_frames`, each ended by its
+    separator in `seps`; one delete of the `HOLE` byte joins them."""
+    rows = len(block[0])
+    if any(floats):  # (rows, frame) views, one per float column, in order
+        cells = np.stack([column for f, column in zip(floats, block) if f], axis=1).ravel()
+        float_seps = np.array([ord(sep) for sep, f in zip(seps, floats) if f], np.uint8)
+        frames = float_frames(cells, np.tile(float_seps, rows))
+        framed = iter(frames.reshape(len(frames), rows, -1).T)
+    parts = [next(framed) if f else _text_frames(_quote_cells(_format_column(cells), lone), sep)
+             for f, cells, sep in zip(floats, block, seps)]
+    return np.concatenate(parts, axis=1).tobytes().translate(None, bytes([HOLE]))
+
+
 def _write_csv(path: Path, columns: dict) -> None:
     """Write a table given as {header: column}, each column a list or 1-D
-    array of one common length: each block of rows is one '%' of the row
-    template repeated, over the block's cells in row order.
-    A float64 array fills a '%.17g' slot unquoted: digits, sign, point,
-    exponent, 'nan' and 'inf' are nothing csv quotes.  Every other column
-    fills a '%s' slot through `_format_column` and `_quote_cells`."""
+    array of one common length, block by block of `_CSV_BLOCK_ROWS` rows
+    (`_csv_block`).
+
+    Every cell is byte-identical to the per-cell writer: "%.17g" % x for a
+    float, and `_format_column` then `_quote_cells` for the rest.  The
+    float64 array columns are formed in numpy by `float_frames`, exactly
+    for 1e-11 <= |x| < 1e17; zero, -0, nan, inf, subnormals and the rest
+    of the range go through Python's "%.17g" there."""
     lengths = {len(column) for column in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"columns of {path.name} differ in length: {sorted(lengths)}")
     lone = len(columns) == 1
     floats = [isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns.values()]
-    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_quote_cells(list(columns), lone)) + "\n")
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    with open(path, "wb") as fh:
+        fh.write((",".join(_quote_cells(list(columns), lone)) + "\n").encode())
         for lo in range(0, max(lengths, default=0), _CSV_BLOCK_ROWS):
-            block = (column[lo : lo + _CSV_BLOCK_ROWS] for column in columns.values())
-            cols = [cells.tolist() if f else _quote_cells(_format_column(cells), lone)
-                    for f, cells in zip(floats, block)]
-            fh.write(template * len(cols[0]) % tuple(itertools.chain.from_iterable(zip(*cols))))
+            block = [column[lo : lo + _CSV_BLOCK_ROWS] for column in columns.values()]
+            fh.write(_csv_block(block, floats, seps, lone))
 
 
 def _single_row(**cells) -> dict:

@@ -709,9 +709,8 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     zero states (every bank is), the samples are the closed-form sum of
     cosines and sines of `_rotation_response`, the kernel the verdicts'
     midpoint runs convolve with, within a few eps of
-    sum_s (1 + |w_s| t)|c_s||b_s| each; 5001 samples of an 813-state bank
-    take about 10 ms.  A may then be dense or sparse (the CSR generator of
-    a large bank).  Any other A must be dense, and takes the readouts of
+    sum_s (1 + |w_s| t)|c_s||b_s| each.  A may then be dense or sparse (the
+    CSR generator of a large bank).  Any other A must be dense, and takes the readouts of
     x[k+1] = x[k] + E x[k] from x[0] = B (E = exp(A dt) - I), run in lifted
     blocks by `_lti_run`.
     """
@@ -1030,16 +1029,17 @@ def _level_set_frequencies(A, B, C, D) -> np.ndarray:
     level and the midpoints between them, one in every band below it.
     The first level is -`PSD_TOL`, and the first pass also reads half the
     smallest nonzero |Im lambda(A)| (2 if none), which is no pole.  A later
-    level sits 1e-10 relative above gamma, the least reading so far, but
-    below the limit lambda_min(D + D^T) at w -> inf, so R is invertible and
-    no band runs past the last crossing.  It stops when a pass reads
-    nothing below gamma by more than 1e-10 relative.
+    level sits 1e-10 relative above gamma, the least reading so far.  Every
+    level is capped 1e-8 max(1, |limit|) below the limit lambda_min(D + D^T)
+    at w -> inf, so R is invertible and no band runs past the last
+    crossing.  It stops when a pass reads nothing below gamma by more than
+    1e-10 relative.
     """
     limit = np.linalg.eigvalsh(D + D.T)[0]
     cap = limit - 1e-8 * max(1.0, abs(limit))
     modes = np.abs(np.linalg.eigvals(A).imag)
     spare = [0.5 * modes[modes > 0].min() if (modes > 0).any() else 2.0]
-    level, gamma, omegas = -PSD_TOL, np.inf, []
+    level, gamma, omegas = min(-PSD_TOL, cap), np.inf, []
     for _ in range(_LEVEL_STEPS):
         w = np.union1d(_hamiltonian_crossings(A, B, C, D, level), 0.0)
         ghat, kept = _dense_resolvent(A, B, C, D, np.union1d(w, np.append(0.5 * (w[1:] + w[:-1]), spare)))
@@ -1050,6 +1050,9 @@ def _level_set_frequencies(A, B, C, D) -> np.ndarray:
             break
         gamma, spare, level = low, [], min(low + tol, cap)
     return np.unique(np.concatenate(omegas))
+
+
+_NO_PORTS = "the system has no ports, so there is no transfer function to scan"
 
 
 def check_dissipative(obj, frequencies: np.ndarray | None = None) -> DissipativeVerdict:
@@ -1090,6 +1093,8 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
     given = None if frequencies is None else as_float_array(frequencies, "frequencies", ndim=1)
     if isinstance(obj, (LinearStateSpace, LosslessLinear)):
         A, B, C, D = _port_matrices(obj)
+        if not len(D):
+            raise ValueError(_NO_PORTS)
         rotations = _rotations(A)
         if rotations is not None:
             omega_scale = float(np.abs(rotations[1]).max()) if len(B) else 1.0
@@ -1115,7 +1120,7 @@ def check_dissipative(obj, frequencies: np.ndarray | None = None) -> Dissipative
         omegas = np.array([0.0]) if given is None else given
         ghat = np.broadcast_to(k.astype(complex), (len(omegas),) + k.shape)
     if not ghat.shape[-1]:
-        raise ValueError("the system has no ports, so there is no transfer function to scan")
+        raise ValueError(_NO_PORTS)
     herm = ghat + np.conjugate(np.transpose(ghat, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(herm)
     scale = np.maximum(1.0, np.abs(ghat).max(axis=(1, 2), initial=0.0))

@@ -374,6 +374,74 @@ class TestCsvWriter:
         rows = list(zip(values.tolist(), counts.tolist(), values[::-1].tolist()))
         assert path.read_bytes() == _reference_csv(("x", "n", "y"), rows)
 
+    @staticmethod
+    def _assert_cells_exact(path, values):
+        """Two float64 columns of `values` against per-cell '%.17g'."""
+        table = np.asarray(values, dtype=np.float64).reshape(-1, 2)
+        _write_csv(path, {"a": table[:, 0], "b": table[:, 1]})
+        want = "a,b\n" + "%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
+        assert path.read_bytes() == want.encode()
+
+    def test_random_bit_patterns(self, tmp_path):
+        # every sign and binary exponent, subnormals, nan, inf and +-0; the
+        # second half keeps the exponents of 1e-11 <= |x| < 1e17, which are
+        # formed in numpy rather than by Python
+        rng = np.random.default_rng(43)
+        half = 5 * 10**5
+        bits = rng.integers(0, 2**64, size=2 * half, dtype=np.uint64)
+        exponents = rng.integers(1023 - 37, 1023 + 57, size=half, dtype=np.uint64)
+        bits[half:] = bits[half:] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+        bits[:8] = [0, 1 << 63, 1, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0x000FFFFFFFFFFFFF, 2]
+        self._assert_cells_exact(tmp_path / "bits.csv", bits.view(np.float64))
+
+    def test_round_half_even_ties(self, tmp_path):
+        # k / 2**f with k odd and k 5**f of 18 digits ends in a 5: an exact
+        # tie at 17 digits, which rounds to the even neighbour.  One bit
+        # (f = 1) gives 17 digits exactly.
+        rng = np.random.default_rng(44)
+        cells = []
+        for f in range(1, 12):
+            low, high = (2**52, 2**53) if f == 1 else (-(-(10**17) // 5**f), min(2**53, 10**18 // 5**f))
+            k = rng.integers(low, high, size=2000) | 1
+            cells.append(np.ldexp(k.astype(np.float64), -f))
+            digits = {len(str(int(v) * 5**f)) for v in k}
+            assert digits == ({17} if f == 1 else {18})
+        cells = np.concatenate(cells)
+        self._assert_cells_exact(tmp_path / "ties.csv", np.concatenate([cells, -cells]))
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        # 9.9999999999999995e-08 rounds up to 10**16 at the exponent log10
+        # gives, and must be read again one place lower
+        powers = 10.0 ** np.arange(-12, 18)
+        cells = [powers]
+        for _ in range(3):
+            cells = [np.nextafter(cells[0], 0)] + cells + [np.nextafter(cells[-1], np.inf)]
+        cells = np.concatenate(cells)
+        assert 9.9999999999999995e-08 in cells
+        self._assert_cells_exact(tmp_path / "tens.csv", np.concatenate([cells, -cells]))
+
+    def test_block_boundary_with_text_beside_floats(self, tmp_path):
+        n = _CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 19, n)
+        x[_CSV_BLOCK_ROWS - 2 : _CSV_BLOCK_ROWS + 2] = [np.nan, -0.0, 1e-9, 1e300]
+        labels = [f"r{i}" for i in range(n)]
+        path = tmp_path / "boundary.csv"
+        _write_csv(path, {"x": x, "label": labels, "y": -x[::-1].copy()})
+        rows = list(zip(x.tolist(), labels, (-x[::-1]).tolist()))
+        assert path.read_bytes() == _reference_csv(("x", "label", "y"), rows)
+
+    def test_text_cells_keep_every_byte(self, tmp_path):
+        # NUL, quotes, commas and non-ASCII text beside float columns: the
+        # frames' padding byte (0xFF) is one that UTF-8 never uses
+        text = ["\x00", 'a "b"', "c,d", "ÿÿé€𝄞", "", "\x00,\x00"]
+        x = np.linspace(-1.0, 1.0, len(text))
+        path = tmp_path / "text.csv"
+        _write_csv(path, {"x": x, "s": text, "y": x * 1e-7})
+        rows = list(zip(x.tolist(), text, (x * 1e-7).tolist()))
+        assert path.read_bytes() == _reference_csv(("x", "s", "y"), rows)
+        assert path.read_bytes().count(b"\x00") == 3
+
 
 class TestRunsAndArtifacts:
     def test_memoryless_csv_contract(self, tmp_path, capsys):
@@ -836,9 +904,43 @@ def test_a_verdict_record_replays(tmp_path):
     ]
 
 
-def _load_seeds_script():
+def test_ab_verdicts_on_canned_samples():
+    """bench/ab.py resolves a change only when the medians differ by more
+    than the base side's interquartile range, and counts the pairs in
+    which the change reads lower."""
+    verdict = _load_bench_script("ab").verdict
+    base = [0.21, 0.19, 0.25, 0.20, 0.23, 0.22, 0.19, 0.29, 0.21, 0.20]
+    faster = verdict(base, [0.17, 0.16, 0.18, 0.16, 0.17, 0.19, 0.16, 0.18, 0.22, 0.15])
+    assert (faster["verdict"], faster["lower"], faster["pairs"]) == ("resolved", 9, 10)
+    assert faster["base"]["median"] == 0.21 and faster["change"]["median"] == 0.17
+    # a median 0.02 lower, inside the base quartiles 0.1975-0.235
+    drift = verdict(base, [0.19, 0.18, 0.24, 0.18, 0.21, 0.20, 0.17, 0.27, 0.19, 0.18])
+    assert (drift["verdict"], drift["lower"]) == ("unresolved", 10)
+    assert drift["base"]["q1"] == pytest.approx(0.1975) and drift["base"]["q3"] == pytest.approx(0.235)
+    slower = verdict([1.0, 1.0, 1.0], [1.5, 1.4, 1.6])
+    assert (slower["verdict"], slower["lower"]) == ("resolved", 0)
+    assert verdict([2.0], [2.0]) == {"base": {"median": 2.0, "q1": 2.0, "q3": 2.0},
+                                     "change": {"median": 2.0, "q1": 2.0, "q3": 2.0},
+                                     "lower": 0, "pairs": 1, "verdict": "unresolved"}
+
+
+def test_ab_bytes_of_head_against_itself():
+    """bench/ab.py --bytes runs every experiment at its defaults in HEAD's
+    committed files and in this checkout, and finds them identical."""
+    root = Path(__file__).resolve().parents[1]
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    proc = subprocess.run([sys.executable, str(root / "bench" / "ab.py"), "HEAD", "--bytes"],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["bytes"] == []
+    assert "  identical" in proc.stdout.splitlines()
+    assert proc.stdout.count(": exit 0, ") == len(EXPERIMENTS)
+
+
+def _load_bench_script(name):
     spec = importlib.util.spec_from_file_location(
-        "seeds", Path(__file__).resolve().parents[1] / "bench" / "seeds.py")
+        name, Path(__file__).resolve().parents[1] / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -853,7 +955,7 @@ def _load_seeds_script():
     ("log-log slope = nan, want at most -0.4", math.inf, math.inf),
 ])
 def test_a_check_reading_parses_each_bound_form(detail, badness, share):
-    got = _load_seeds_script()._reading(detail)
+    got = _load_bench_script("seeds")._reading(detail)
     assert got[0] == pytest.approx(badness)
     assert got[1] == (None if share is None else pytest.approx(share))
 

@@ -727,9 +727,10 @@ class TestDissipativeVerdict:
     @pytest.mark.parametrize("obj", [
         LosslessLinear(J=np.zeros((2, 2)), B=np.zeros((2, 0))),
         LosslessLinear(J=np.array([[0.0, 1.0], [-1.0, 0.0]]), B=np.zeros((2, 0))),
+        LinearStateSpace(A=[[-1.0]], B=np.zeros((1, 0)), C=np.zeros((0, 1)), D=np.zeros((0, 0))),
         np.zeros((0, 0)),
         Trajectory(dt=0.1, values=np.zeros((5, 0, 0))),
-    ], ids=["zero-J", "rotation", "direct-term", "kernel"])
+    ], ids=["zero-J", "rotation", "dense", "direct-term", "kernel"])
     def test_no_ports_is_refused(self, obj):
         with pytest.raises(ValueError, match="no ports"):
             check_dissipative(obj)
@@ -910,6 +911,15 @@ class TestHamiltonianCrossings:
         v = check_dissipative(LinearStateSpace(A=[[-1.0]], B=[[1.0]], C=[[c]], D=[[d]]))
         assert v.dissipative is dissipative
         assert v.min_eigenvalue == pytest.approx(2.0 * d, rel=1e-12)
+
+    @pytest.mark.parametrize("d, dissipative", [(-5e-9, True), (-4e-9, True), (-6e-9, False)])
+    def test_a_limit_on_the_tolerance(self, d, dissipative):
+        # at d = -5e-9 the limit 2 d is -PSD_TOL itself, where a first level of
+        # -PSD_TOL made R = D + D^T - level I singular; it sits exactly on the
+        # tolerance, so the verdict holds
+        v = check_dissipative(LinearStateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[d]]))
+        assert v.dissipative is dissipative
+        assert v.min_eigenvalue == 2.0 * d
 
     def test_a_given_grid_is_used_as_given(self):
         # the 201-point log grid misses this band; passed in, it is not
