@@ -1,6 +1,6 @@
 """A/B comparison of this checkout against a git revision, in alternating pairs.
 
-    python3 bench/ab.py BASE [--workloads W ...] [--pairs N] [--setup N] [--cli] [--bytes]
+    python3 bench/ab.py BASE [--workloads W ...] [--pairs N] [--seed N] [--setup N] [--cli] [--bytes]
 
 BASE (a commit, branch or tag) is exported with `git archive` into a
 temporary directory, which is removed at the end; the other side is this
@@ -10,8 +10,10 @@ speed hits both sides alike.  Every child gets one BLAS thread and the
 bytecode mode of this process, and the output records both.
 
 - `--workloads` (the default mode, all three workloads): `--pairs` runs of
-  `perfbench/run.py --workload W --seed 1 --seconds 15 --trace 0` per side,
-  compared on `wall_s`, `setup_s` and `peak_rss_mib`.
+  `perfbench/run.py --workload W --seed N --seconds 15 --trace 0` per side,
+  compared on `wall_s`, `setup_s` and `peak_rss_mib`.  `--seed` sets N
+  (default 1), so that a claim can be checked on a seed not used while
+  the change was written.
 - `--setup N`: N pairs of fresh interpreters running perfbench's set-up
   code alone (imports and every experiment's config), timed from spawn to
   exit.
@@ -100,8 +102,8 @@ def _alternate(pairs: int, trees: dict, run) -> dict:
     return samples
 
 
-def _workload(tree: Path, name: str) -> dict:
-    args = ["perfbench/run.py", "--workload", name, "--seed", "1", "--seconds", "15", "--trace", "0"]
+def _workload(tree: Path, name: str, seed: int) -> dict:
+    args = ["perfbench/run.py", "--workload", name, "--seed", str(seed), "--seconds", "15", "--trace", "0"]
     done = subprocess.run([sys.executable, *args], cwd=tree, env=_env(tree), capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{name} in {tree}: {done.stderr.strip().splitlines()[-1:]}")
@@ -165,24 +167,25 @@ def main(argv=None) -> int:
     parser.add_argument("base", help="git revision to compare this checkout against")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload or experiment (10)")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench seed of the workload runs (1)")
     parser.add_argument("--setup", type=int, default=0, metavar="N", help="pairs of set-up runs")
     parser.add_argument("--cli", action="store_true", help="pairs of cold CLI runs")
     parser.add_argument("--bytes", action="store_true", help="compare the default outputs")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.setup < 0:
-        parser.error("--pairs must be positive and --setup nonnegative")
+    if args.pairs < 1 or args.setup < 0 or args.seed < 0:
+        parser.error("--pairs must be positive, --setup and --seed nonnegative")
     workloads = args.workloads or (() if args.setup or args.cli or args.bytes else WORKLOADS)
 
     env = {"blas_threads": SINGLE_THREAD, "dont_write_bytecode": sys.dont_write_bytecode,
            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
            "python": sys.version.split()[0]}
     print(f"ab: {args.base} against the working tree of {ROOT}; " + json.dumps(env), flush=True)
-    report, code = {"base": args.base, "environment": env}, 0
+    report, code = {"base": args.base, "seed": args.seed, "environment": env}, 0
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {"base": _export(args.base, Path(tmp) / "base"), "change": ROOT}
         for name in workloads:
-            print(f"{name} ({args.pairs} pairs):", flush=True)
-            samples = _alternate(args.pairs, trees, lambda tree: _workload(tree, name))
+            print(f"{name} ({args.pairs} pairs, --seed {args.seed}):", flush=True)
+            samples = _alternate(args.pairs, trees, lambda tree: _workload(tree, name, args.seed))
             report[name] = _compare(samples, ("wall_s", "setup_s", "peak_rss_mib"))
             failed = {side: sum(s["failed"] for s in samples[side]) for side in samples}
             if any(failed.values()):

@@ -210,34 +210,45 @@ def wrap_lossless(field, output, initial_state, initial_energy) -> WrappedSystem
     )
 
 
-def _wrapped_paths(field, output, x0, roots, u_vals, u_mids, h: float):
+def _wrapped_paths(field, output, x0, roots, u_vals, u_mids, h: float, stacked: bool = False):
     """RK4 paths of the wrapped field for a batch of supply charges at once.
 
     `roots` holds the charges sqrt(2 E0) in any batch shape B, () for one
     system; they share the (n,) start `x0`.  `field` and `output` receive
     B + (n,) states and a (p,) input and return B + (n,) and B + (p,).
-    Returns states, supply and outputs shaped (steps + 1,) + B + (n,),
-    (steps + 1,) + B and (steps + 1,) + B + (p,).  Each charge is audited
-    on its own; one failed audit or diverging charge fails the batch.
+    With `stacked` they receive the input as (1,) * len(B) + (p,) and
+    must also take a leading axis of steps, states (w,) + B + (n,) with
+    inputs (w,) + (1,) * len(B) + (p,), each row bit for bit as alone;
+    `_rk4` then runs many steps per call, and the outputs are formed in
+    one call.  Returns states, supply and outputs
+    shaped (steps + 1,) + B + (n,), (steps + 1,) + B and
+    (steps + 1,) + B + (p,).  Each charge is audited on its own; one
+    failed audit or diverging charge fails the batch.
     """
     roots = np.asarray(roots, dtype=float)
-    batch = roots.shape
+    batch, ports = roots.shape, u_vals.shape[1:]
+    if stacked:
+        u_vals, u_mids = (u.reshape(u.shape[:1] + (1,) * len(batch) + ports) for u in (u_vals, u_mids))
 
     def rates(z, uv):
         # z packs the state x with the supply state x_e as its last entry
         x = z[..., :-1]
         fx = np.asarray(field(x, uv), dtype=float).reshape(x.shape)
-        gx = np.asarray(output(x, uv), dtype=float).reshape(batch + uv.shape)
+        gx = np.asarray(output(x, uv), dtype=float).reshape(z.shape[:-1] + ports)
         dz = np.empty(z.shape)
         np.multiply((z[..., -1] / roots)[..., None], fx, out=dz[..., :-1])
         dz[..., -1] = (np.vecdot(gx, uv) - np.vecdot(x, fx)) / roots
         return dz
 
     z0 = np.concatenate([np.broadcast_to(x0, batch + x0.shape), roots[..., None]], axis=-1)
-    path = _rk4(rates, z0, u_vals, u_mids, h)
+    path = _rk4(rates, z0, u_vals, u_mids, h, rates if stacked else None)
     states, supply = path[..., :-1], path[..., -1]
-    outputs = (supply / roots)[..., None] * np.stack(
-        [np.asarray(output(x, uv), dtype=float).reshape(batch + uv.shape) for x, uv in zip(states, u_vals)])
+    if stacked:
+        gx = np.asarray(output(states, u_vals), dtype=float).reshape(supply.shape + ports)
+        u_vals = u_vals.reshape(u_vals.shape[:1] + ports)
+    else:
+        gx = np.stack([np.asarray(output(x, uv), dtype=float).reshape(batch + ports) for x, uv in zip(states, u_vals)])
+    outputs = (supply / roots)[..., None] * gx
 
     # Losslessness is an algebraic identity of the wrapped field, so the
     # only way the books fail to balance is integration error; audit the

@@ -895,7 +895,7 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
     u_vals, u_mids, h = _input_samples(lambda s: 0.1 * np.sin(s), 1, 2e-3, 2.0)
     ref_g = _rk4_states(-np.eye(1), np.eye(1), u_vals, u_mids, h, [1.0])
     states = _wrapped_paths(lambda x, v: -x + v, lambda x, v: x, np.ones(1),
-                            np.sqrt(2.0 * np.asarray(e0s, dtype=float)), u_vals, u_mids, h)[0]
+                            np.sqrt(2.0 * np.asarray(e0s, dtype=float)), u_vals, u_mids, h, stacked=True)[0]
     paths = dict(zip(map(float, e0s), states.swapaxes(0, 1)))
     fit_g = convergence_order(paths.__getitem__, e0s, ref_g)
 

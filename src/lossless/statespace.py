@@ -14,8 +14,15 @@ Conventions
 -----------
 * Fixed-step classic RK4 for simulation; the step is the input grid spacing.
   On an LTI system RK4 is one precomputed increment map (`_rk4_states`),
-  run by `_lti_run`.  Only callable or nonlinear fields (`integrate_ode`,
-  the energy-supply wrapper) step through `_rk4`.
+  run by `_lti_run`.  Callable or nonlinear fields (`integrate_ode`, the
+  energy-supply wrapper, the active probe's supply path) run through
+  `_rk4`: Picard passes over windows of steps, each rebuilt as running
+  sums of its RK4 increments, whose fixed point is the step loop's record
+  bit for bit, reached in at most `steps` passes.  A caller that also
+  gives the rate over a stack of rows (the CLI's convergence sweep, the
+  supply path) gets windows of many steps per numpy call, with numpy's
+  overflow warnings off in their unsettled rows; a public callable sees
+  one state, in one-row windows that are the step loop.
 * Every time-invariant linear recursion x[k+1] = x[k] + (E x[k] + Gamma u[k])
   in the package (RK4, impulse responses, the M1/M1hat/M2 probes and
   filter chains, exact-step Langevin paths) runs through `_lti_run`,
@@ -55,10 +62,12 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
 import sys
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,6 +144,14 @@ _REVERSIBILITY_TOL = 1e-6
 #: each block length L (the timings are in CHANGES.md).
 _INCREMENT_ELEMENTS = 1 << 17
 _INCREMENT_LEVELS = 3
+
+#: `_rk4`'s window passes (see `_Window`): at most `_RK4_WINDOW` rows,
+#: aiming at `_RK4_LOOKAHEAD` times the rows the last pass settled, in
+#: bursts that may lose `_RK4_LOOKAHEAD` one-row passes' time and that
+#: start after `_RK4_PROBE` timed one-row passes.
+_RK4_WINDOW = 256
+_RK4_LOOKAHEAD = 24
+_RK4_PROBE = 8
 
 
 def _is_sparse(m) -> bool:
@@ -429,27 +446,133 @@ def integrate_ode(
     return Trajectory(dt=dt, values=out)
 
 
-def _rk4(rate, x0, u_vals, u_mids, h: float) -> np.ndarray:
+def _rk4(rate, x0, u_vals, u_mids, h: float, stack=None) -> np.ndarray:
     """Classic fixed-step RK4 for dx/dt = rate(x, u) on a sampled input.
 
     `u_vals` holds the input at the steps, `u_mids` at the half-steps.
-    Returns the states at the steps; raises FloatingPointError with the
-    blow-up time if the state leaves float range.
+    Returns the states x[0..steps], bit for bit those of the step loop
+    x[k+1] = x[k] + Phi_k, Phi_k = (h/6)(k1 + 2 k2 + 2 k3 + k4); raises
+    FloatingPointError with the time of its first non-finite state.
+
+    The record is built by Picard passes over a window of steps that
+    starts at the last committed state x[a].  A pass evaluates each stage
+    once for all rows of the window's current guess, forms each Phi_k
+    with the step's own expressions (`_increment`), and rebuilds the
+    window as the running sums x[a] + Phi_a + Phi_{a+1} + ...
+    (`np.add.accumulate` adds in order, so these are the step's own
+    additions).  The first new row is exact, and so is each next one
+    while every guess before it equals its new value bit for bit; those
+    rows are committed and the window slides to the last of them.  At
+    least one row settles per pass, so a record takes at most `steps`
+    passes, and the fixed point is the step loop's unique solution
+    whatever the windows.
+
+    `rate` takes one state and one input sample.  A one-row window calls
+    it and settles in its pass, with no settle test and no running sum;
+    without `stack` every window is one row.  `stack`, if given, is
+    `rate` over a leading axis of rows, states (w,) + x0's shape with the
+    matching rows of `u_vals` or `u_mids`, and each row of its result
+    must be bit for bit what `rate` gives for that row; `_Window` then
+    runs wider windows where they pay.  Unsettled rows may overflow on
+    the way, so such a record runs with numpy's overflow and invalid
+    warnings off.
     """
-    x = np.array(x0, dtype=float)
-    out = np.empty((len(u_vals),) + x.shape)
-    out[0] = x
-    for k in range(len(u_vals) - 1):
-        um = u_mids[k]
-        k1 = rate(x, u_vals[k])
-        k2 = rate(x + 0.5 * h * k1, um)
-        k3 = rate(x + 0.5 * h * k2, um)
-        k4 = rate(x + h * k3, u_vals[k + 1])
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all():
-            raise FloatingPointError(f"state diverged at t = {(k + 1) * h:.6g}")
-        out[k + 1] = x
+    out = np.empty((len(u_vals),) + np.shape(x0))
+    out[0] = x0
+    steps, start = len(u_vals) - 1, 0
+    window = None if stack is None else _Window(stack, out, u_vals, u_mids, h)
+    wake = steps if window is None else _RK4_PROBE  # where the next window passes start
+    x = out[0]
+    with contextlib.nullcontext() if window is None else np.errstate(over="ignore", invalid="ignore"):
+        while start < steps:
+            if start == wake:
+                start, wake = window.burst(start)
+                x = out[start]
+                continue
+            x = x + _increment(rate, x, u_vals[start], u_mids[start], u_vals[start + 1], h)
+            if not np.isfinite(x).all():
+                raise _diverged(start + 1, h)
+            out[start + 1] = x
+            start += 1
     return out
+
+
+def _increment(f, x, u0, um, u1, h: float):
+    """RK4's Phi = (h/6)(k1 + 2 k2 + 2 k3 + k4) for dx/dt = f(x, u) at x."""
+    k1 = f(x, u0)
+    k2 = f(x + 0.5 * h * k1, um)
+    k3 = f(x + 0.5 * h * k2, um)
+    k4 = f(x + h * k3, u1)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _diverged(row: int, h: float) -> FloatingPointError:
+    return FloatingPointError(f"state diverged at t = {row * h:.6g}")
+
+
+class _Window:
+    """The window passes of a stacked `_rk4` record, in bursts.
+
+    A burst starts after `_RK4_PROBE` one-row passes and takes their mean
+    time as the cost of a row.  Each window's width is halfway between
+    the last one's and `_RK4_LOOKAHEAD` times the rows the last pass
+    settled (`_RK4_LOOKAHEAD` at first), within `_RK4_WINDOW` rows and
+    never short of the rows already guessed; fresh rows extend the last
+    increment.  The burst books the time it saves against one-row passes
+    (its settled rows at a row's cost, less its own time) and ends once
+    that falls `_RK4_LOOKAHEAD` rows' cost below its best.  A burst whose
+    best passed that mark starts again after `_RK4_PROBE` one-row passes;
+    otherwise one-row passes finish the record.  So the windows of a
+    record lose at most about `_RK4_LOOKAHEAD` one-row passes to the step
+    loop.  The clock picks the passes only: every choice gives the same
+    record.
+    """
+
+    def __init__(self, stack, out, u_vals, u_mids, h: float):
+        self.stack, self.out, self.u_vals, self.u_mids, self.h = stack, out, u_vals, u_mids, h
+        self.reach, self.since, self.clock = 0, 0, time.perf_counter()
+
+    def burst(self, start: int):
+        """Window passes from `start`; returns the row they reached and
+        the row at which the next burst starts."""
+        out, steps, h = self.out, len(self.out) - 1, self.h
+        now = time.perf_counter()
+        row = (now - self.clock) / (start - self.since)  # the one-row passes since the last burst
+        saved = best = 0.0
+        width, self.reach = _RK4_LOOKAHEAD, max(self.reach, start)
+        while start < steps and saved > best - _RK4_LOOKAHEAD * row:
+            reach = self.reach
+            stop = min(steps, start + _RK4_WINDOW, max(reach, start + width))
+            if stop > reach + 1:
+                slope = out[reach] - out[max(reach - 1, 0)]
+                out[reach + 1:stop] = out[reach] + np.multiply.outer(np.arange(1.0, stop - reach), slope)
+            self.reach = max(reach, stop)
+            x = out[start:stop]
+            phi = _increment(self.stack, x, self.u_vals[start:stop], self.u_mids[start:stop],
+                             self.u_vals[start + 1:stop + 1], h)
+            settled = _settle(out, x, phi, start, stop)
+            committed = out[start + 1:start + 1 + settled]
+            if not np.isfinite(committed).all():
+                bad = ~np.isfinite(committed.reshape(settled, -1)).all(axis=1)
+                raise _diverged(start + 1 + int(bad.argmax()), h)
+            start += settled
+            width = min(_RK4_WINDOW, (width + _RK4_LOOKAHEAD * settled) // 2)
+            then, now = now, time.perf_counter()
+            saved += settled * row - (now - then)
+            best = max(best, saved)
+        self.since, self.clock = start, now
+        return start, start + _RK4_PROBE if best > _RK4_LOOKAHEAD * row else steps
+
+
+def _settle(out, x, phi, start: int, stop: int) -> int:
+    """Write a window pass over rows start..stop - 1 into `out`: the rows
+    it settled, whose count it returns, and the new guesses.  `x` holds
+    the pass's guess and `phi` its increments (overwritten)."""
+    phi[0] += x[0]
+    new = np.add.accumulate(phi, axis=0, out=phi)
+    moved = np.flatnonzero(new[:-1].view(np.int64) != x[1:].view(np.int64))
+    out[start + 1:stop + 1] = new
+    return int(moved[0]) // x[0].size + 1 if moved.size else stop - start
 
 
 def _lti_run(e, x0, gamma=None, u=None, c=None, steps=None):

@@ -924,6 +924,31 @@ def test_ab_verdicts_on_canned_samples():
                                      "lower": 0, "pairs": 1, "verdict": "unresolved"}
 
 
+def test_ab_runs_the_workloads_at_its_seed(monkeypatch):
+    """bench/ab.py passes `--seed` to perfbench/run.py (1 by default) and
+    refuses a negative one."""
+    ab = _load_bench_script("ab")
+    runs = []
+
+    def run(args, **kwargs):
+        runs.append(args)
+        metrics = {m: {"value": 0.1} for m in ("wall_s", "setup_s", "peak_rss_mib")}
+        line = json.dumps({"metrics": metrics, "failed": 0})
+        return subprocess.CompletedProcess(args, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    assert ab._workload(Path("tree"), "trajectories", 7)["failed"] == 0
+    assert runs[0][runs[0].index("--seed") + 1] == "7"
+    with pytest.raises(SystemExit):
+        ab.main(["HEAD", "--seed", "-1"])
+    monkeypatch.setattr(ab, "_export", lambda rev, into: into)
+    monkeypatch.setattr(ab, "_alternate", lambda pairs, trees, one: {
+        side: [one(tree)] for side, tree in trees.items()})
+    runs.clear()
+    assert ab.main(["HEAD", "--workloads", "montecarlo", "--pairs", "1"]) == 0
+    assert {args[args.index("--seed") + 1] for args in runs} == {"1"}
+
+
 def test_ab_bytes_of_head_against_itself():
     """bench/ab.py --bytes runs every experiment at its defaults in HEAD's
     committed files and in this checkout, and finds them identical."""
