@@ -1,6 +1,7 @@
 """A/B comparison of this checkout against a git revision, in alternating pairs.
 
-    python3 bench/ab.py BASE [--workloads W ...] [--pairs N] [--seed N] [--setup N] [--cli] [--bytes]
+    python3 bench/ab.py BASE [--workloads W ...] [--pairs N] [--seed N] [--setup N] [--cli] [--layers]
+                             [--bytes]
 
 BASE (a commit, branch or tag) is exported with `git archive` into a
 temporary directory, which is removed at the end; the other side is this
@@ -20,9 +21,14 @@ bytecode mode of this process, and the output records both.
 - `--cli`: `--pairs` fresh-process runs per side of each CLI experiment at
   its defaults with `--seed 1` (as `bench/record.py`'s `cli_cold`),
   compared on `wall_s` and `peak_rss_mib`.
+- `--layers`: `--pairs` fresh processes per side of this checkout's
+  `bench/layers.py` on the side's library, compared per case on the
+  least of its timed calls; the report adds each side's minimum.  A case
+  that one side cannot run is reported absent.
 - `--bytes`: each CLI experiment once per side at its defaults with
   `--seed 1`: every CSV byte for byte, the exit codes, and the manifests
-  without their `versions`.
+  without their `versions`.  A CSV that differs is named with the count of
+  cells that differ, their columns and the largest relative deviation.
 
 For each metric it prints the median and quartiles of each side, how many
 pairs the change reads lower, and a verdict: "resolved" only when the
@@ -35,6 +41,7 @@ fails, else 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -48,6 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
+from layers import CASES  # noqa: E402
 from record import COLD_CHILD, EXPERIMENTS, SINGLE_THREAD, WORKLOADS  # noqa: E402
 
 def verdict(base: list[float], change: list[float]) -> dict:
@@ -124,6 +132,31 @@ def _cold(tree: Path, experiment: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def _layers(tree: Path) -> dict:
+    """{case: least timed call in seconds, None if absent} of one fresh
+    process of `bench/layers.py` on the library of `tree`."""
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py")], cwd=tree, env=_env(tree),
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"layers in {tree}: {done.stderr.strip().splitlines()[-1:]}")
+    return {case: timing.get("min_s") for case, timing in json.loads(done.stdout.strip().splitlines()[-1]).items()}
+
+
+def _compare_layers(samples: dict) -> dict:
+    """The verdict and both minima of each layer case, or "absent"."""
+    out = {}
+    for case in CASES:
+        base, change = ([run[case] for run in samples[side]] for side in ("base", "change"))
+        if None in base + change:
+            out[case] = "absent"
+            print(f"  {case}: absent", flush=True)
+            continue
+        out[case] = verdict(base, change) | {"min": {"base": min(base), "change": min(change)},
+                                             "samples": {"base": base, "change": change}}
+        print(f"{_line(case, out[case])}; min {min(base):.4g} -> {min(change):.4g}", flush=True)
+    return out
+
+
 def _start(tree: Path, experiment: str, work: Path) -> subprocess.Popen:
     """One default run of `experiment` in `tree`, writing under `work`."""
     work.mkdir(parents=True)
@@ -141,6 +174,28 @@ def _outputs(run: subprocess.Popen, work: Path) -> dict:
             "manifest": {k: v for k, v in manifest.items() if k != "versions"}}
 
 
+def _cells(base: bytes | None, change: bytes | None) -> str:
+    """Where two CSV files of one shape differ: the count of cells, their
+    columns and the largest relative deviation of the numeric ones."""
+    if base is None or change is None:
+        return ""
+    rows = [list(csv.reader(io.StringIO(data.decode()))) for data in (base, change)]
+    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
+        return " in shape"
+    header, cells = rows[0][0] if rows[0] else [], []
+    for old, new in zip(*rows):
+        cells += [(header[i], a, b) for i, (a, b) in enumerate(zip(old, new)) if a != b]
+    deviations = []
+    for _, a, b in cells:
+        try:
+            deviations.append(abs(float(b) - float(a)) / max(abs(float(a)), 1e-300))
+        except ValueError:
+            deviations.append(float("inf"))
+    columns = sorted({column for column, _, _ in cells})
+    return (f" in {len(cells)} cells ({', '.join(columns)}), largest relative deviation "
+            f"{max(deviations, default=0.0):.2g}")
+
+
 def _compare_bytes(trees: dict, work: Path) -> list[str]:
     """Every difference between the two trees' default runs, as text.  The
     two sides of an experiment run at the same time."""
@@ -152,8 +207,9 @@ def _compare_bytes(trees: dict, work: Path) -> list[str]:
         if base["exit_code"] != change["exit_code"]:
             differences.append(f"{experiment}: exit code {base['exit_code']} -> {change['exit_code']}")
         for name in sorted(base["csv"].keys() | change["csv"].keys()):
-            if base["csv"].get(name) != change["csv"].get(name):
-                differences.append(f"{experiment}: {name} differs")
+            old, new = base["csv"].get(name), change["csv"].get(name)
+            if old != new:
+                differences.append(f"{experiment}: {name} differs{_cells(old, new)}")
         if base["manifest"] != change["manifest"]:
             keys = {k for k in base["manifest"].keys() | change["manifest"].keys()
                     if base["manifest"].get(k) != change["manifest"].get(k)}
@@ -170,11 +226,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="perfbench seed of the workload runs (1)")
     parser.add_argument("--setup", type=int, default=0, metavar="N", help="pairs of set-up runs")
     parser.add_argument("--cli", action="store_true", help="pairs of cold CLI runs")
+    parser.add_argument("--layers", action="store_true", help="pairs of bench/layers.py runs")
     parser.add_argument("--bytes", action="store_true", help="compare the default outputs")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.setup < 0 or args.seed < 0:
         parser.error("--pairs must be positive, --setup and --seed nonnegative")
-    workloads = args.workloads or (() if args.setup or args.cli or args.bytes else WORKLOADS)
+    workloads = args.workloads or (() if args.setup or args.cli or args.layers or args.bytes else WORKLOADS)
 
     env = {"blas_threads": SINGLE_THREAD, "dont_write_bytecode": sys.dont_write_bytecode,
            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
@@ -206,6 +263,9 @@ def main(argv=None) -> int:
                 print(f"{experiment} ({args.pairs} pairs, exit codes {codes}):", flush=True)
                 report["cli"][experiment] = _compare(samples, ("wall_s", "peak_rss_mib")) | {"exit_codes": codes}
                 code = max(code, int(codes["base"] != codes["change"]))
+        if args.layers:
+            print(f"layers ({args.pairs} pairs, least of each process's timed calls):", flush=True)
+            report["layers"] = _compare_layers(_alternate(args.pairs, trees, _layers))
         if args.bytes:
             print("bytes of every experiment at its defaults, --seed 1:", flush=True)
             differences = _compare_bytes(trees, Path(tmp) / "bytes")

@@ -20,8 +20,10 @@ cold time.
 `--seed 1`, run `COLD_RUNS` times in a fresh process with one BLAS thread
 and a temporary `--out`: the median wall time from `import lossless.cli`
 to exit, the largest peak RSS (the child's own `ru_maxrss`), the exit
-codes, and the public `scipy` and `numpy.f2py` modules loaded at exit.  It
-changes nothing under `perfbench/`; the output path is its only argument.
+codes, and the public `scipy` and `numpy.f2py` modules loaded at exit.
+`layers` holds `bench/layers.py` on this checkout, one fresh process with
+one BLAS thread and `LAYER_REPEAT` timed calls a case.  It changes nothing
+under `perfbench/`; the output path is its only argument.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 EXPERIMENTS = ("approx-memoryless", "approx-dissipative", "approx-nonlinear", "fdt",
                "langevin", "measure", "tradeoff", "table1")
 COLD_RUNS = 3
+LAYER_REPEAT = 15
 SINGLE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 #: One CLI run in a fresh interpreter; its last stdout line reports the run.
@@ -112,6 +115,13 @@ def _cli_cold(experiment: str) -> dict:
             "modules": timed[-1]["modules"] if timed else None}
 
 
+def _layers() -> dict:
+    done = subprocess.run([sys.executable, "bench/layers.py", "--repeat", str(LAYER_REPEAT)], cwd=ROOT,
+                          env=_src_env(SINGLE_THREAD), capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    return json.loads(lines[-1]) if done.returncode == 0 and lines else {"error": done.stderr.strip()[-500:]}
+
+
 def _src_lines() -> int:
     """Non-blank lines of the Python files under src/."""
     return sum(1 for path in sorted((ROOT / "src").rglob("*.py"))
@@ -158,7 +168,7 @@ def main(argv: list[str]) -> int:
         print("usage: python3 bench/record.py OUTPUT.json", file=sys.stderr)
         return 2
     record = {"machine": _machine(), "workloads": {w: _workload(w) for w in WORKLOADS},
-              "cli_cold": {e: _cli_cold(e) for e in EXPERIMENTS}, "tier1": _tier1()}
+              "cli_cold": {e: _cli_cold(e) for e in EXPERIMENTS}, "layers": _layers(), "tier1": _tier1()}
     record |= {"tier1_counts": _tier1_counts(record["tier1"]["summary"]),
                "src_nonblank_lines": _src_lines(), "public_defaults": _public_defaults()}
     Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -25,10 +25,15 @@ deterministically from x0 and optimal filtering reduces to weighted
 least squares on x0 with a diffuse prior.  For M1hat the whole chain,
 probe and filter, is linear in the noise, so a trial's final state and
 estimate are Gaussian with a covariance built once per horizon, and a
-Monte-Carlo chunk draws them directly; the supply-backed probe is
-bilinear, so a chunk steps its trials and their filter chains together,
-one column each, and reads each estimate off the least-squares residual
-of its record.
+Monte-Carlo chunk draws them directly.  The supply-backed probe is
+bilinear, so a chunk steps its trials together, one column each; its
+filter is still affine in the record, v(o)^T y_m + c(o), with weights
+that depend only on the trial's supply offset o, and analytically.  So
+the exact weights are computed at a few Chebyshev nodes in o, as many as
+it takes for their interpolant to meet the exact weights at the ends of
+the run's offsets within the rounding those carry, and a chunk's
+estimates are one product of the nodes' weights with its records,
+combined by the barycentric formula.
 `riccati_solve` exploits the same collapse in continuous time; its
 minimum error variance agrees with the matrix Riccati equation of the
 optimal filter, integrated here in square-root information form so the
@@ -325,9 +330,15 @@ def simulate_device(
     noise eta, the others F xi with F F^T = G G^T (`_noise_factor`), so
     values differ from a per-trial run in sample, not in distribution;
     only chunk 0's first trial runs its record, for `y_m`.  An M2hat chunk
-    steps its probes and filter chains in one loop and reads the estimates
-    off the least-squares residuals of the records.  Both reduce their
-    chunk sums in `_outcome`.  Every chunk runs in the calling thread.  A
+    steps only its probes: an estimate is v(o)^T y_m + c(o), the filter's
+    exact weights (`_filter_weights`) interpolated in the trial's supply
+    offset o through Chebyshev nodes that span the call's offsets, read
+    before the chunks run from each chunk's first draw (`_offset_nodes`:
+    the node count doubles until the interpolant meets the exact weights
+    at both ends within their rounding, eps (steps + kappa)), one product
+    per chunk (`_read_out`); it meets a per-trial least-squares solve to
+    that solve's own rounding.  Both reduce their chunk sums in
+    `_outcome`.  Every chunk runs in the calling thread.  A
     thermal record needs n samples to determine x0; a diverging M2hat
     probe raises FloatingPointError at its first bad time.
     """
@@ -368,11 +379,18 @@ def simulate_device(
         parts[0] = parts[0]._replace(record=record[:, 0])
         return _outcome(system, device, t_m, dt, trials, b_d, parts)
 
-    b_d = _supply_aux_path(system, km, device.supply_energy, dt, steps)[0] - x_nat
+    final, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
+    b_d = final - x_nat
+    weights = functools.partial(_filter_weights, system, device, dt, steps, drift)
+    # each chunk's first draw is its offsets: their range, before any chunk
+    # runs; the nodes are built after the first probe, which raises first
+    lows, highs = zip(*run_chunked(trials, lambda rng, count: np.sort(_supply_offsets(device, rng, count))[[0, -1]],
+                                   seed))
+    nodes = functools.cache(lambda: _offset_nodes(weights, min(lows), max(highs), steps, trials))
 
     def worker(rng, count):
-        records, states, (_, aug, pushed) = _probe_trials(system, device, dt, steps, rng, count)
-        estimates = _supply_estimates(aug, pushed[-1])
+        records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
+        estimates = _read_out(nodes() or _exact_nodes(weights, offsets), offsets, records)
         return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
 
     parts = run_chunked(trials, worker, seed)
@@ -445,74 +463,111 @@ def _noise_scales(device, dt) -> tuple[float, float]:
 def _probe_trials(system, device, dt, steps, rng, count):
     """Euler-Maruyama histories of `count` thermal probe trials, readout and
     kick riding on the same white noise: records (steps + 1, count), final
-    states (count, n) and, for M2hat, the filter (None for M1hat, which is
-    linear, so a chunk is one lifted run): the supply offsets (drawn first),
-    the columns of the `_record_chain` rows with the record, aug[:n, k] =
-    (A^T)^k b and aug[n] = y_m - pushed (n + 1, steps + 1, count), and pushed
-    (steps + 1, count).  M2hat steps all trials on (n, count) columns with
-    each step's port term stacked under them, one product a step, and the
-    chains in the same loop, writing each step's rows trial-fastest."""
+    states (count, n) and the M2hat supply offsets (count,), drawn first
+    (None for M1hat, which is linear, so a chunk is one lifted run).  M2hat
+    steps all trials on (n, count) columns with each step's port term
+    stacked under them, one product a step; the filter is not stepped, since
+    `_read_out` takes each estimate from the record alone."""
     if device.variant == "M1hat":
         records, states = _m1hat_probe(system, device, dt, rng.standard_normal((steps + 1, count)))
         return records, states, None
-    b, n, km = system.B, system.n, device.admittance
-    port_drift = dt * _supply_aux_path(system, km, device.supply_energy, dt, steps)[1]
+    b, n = system.B, system.n
     kick, meas = _noise_scales(device, dt)
-    root = math.sqrt(2.0 * device.supply_energy)
-    rate = dt * km / root
-    offsets = math.sqrt(device.boltzmann * device.temperature) * rng.standard_normal(count)
+    rate = dt * device.admittance / math.sqrt(2.0 * device.supply_energy)
+    offsets = _supply_offsets(device, rng, count)
     eta = rng.standard_normal((steps + 1, count))
     records, kicks = meas * eta, np.multiply(kick, eta, out=eta)  # eta is spent
     charge = offsets.copy()  # the supply state less sqrt(2 E_m)
-    scale = dt * km * (1.0 + offsets / root)  # the chain's A = I + dt J + scale B B^T
     forward = np.column_stack([np.eye(n) + dt * system.J, b])
-    backward = np.column_stack([forward[:, :n].T, b])
-    # rows :n hold the state x[k], the forcing f[k] and the row b^T A^k as
-    # columns, row n their port terms: x[k+1] = (I + dt J) x[k] + g[k] B
-    cur, forcing, chain = np.empty((n + 1, count)), np.zeros((n + 1, count)), np.empty((n + 1, count))
-    cur[:n], chain[:n] = system.x0[:, None], b[:, None]
-    aug, pushed = np.empty((n + 1, steps + 1, count)), np.empty((steps + 1, count))
+    # rows :n hold the states x[k] as columns, row n their port terms:
+    # x[k+1] = (I + dt J) x[k] + g[k] B
+    cur = np.empty((n + 1, count))
+    cur[:n] = system.x0[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
+        for k in range(steps):
             y = b @ cur[:n]
             records[k] += y
-            pushed[k] = b @ forcing[:n]
-            aug[:n, k] = chain[:n]
-            if k == steps:
-                break
             cur[n] = rate * charge * y + kicks[k]  # the load k_m dt (x_r/sqrt(2 E_m) - 1) y, the kick
             cur[:n] = forward @ cur
             charge += rate * y * y
-            forcing[n] = scale * pushed[k] + (port_drift[k] - (km * dt) * records[k])
-            forcing[:n] = forward @ forcing
-            chain[n] = scale * (b @ chain[:n])
-            chain[:n] = backward @ chain
+        records[steps] += b @ cur[:n]
     _require_finite(records, dt)  # a non-finite state reaches y = b^T x
-    np.subtract(records, pushed, out=aug[n])
-    return records, cur[:n].T, (offsets, aug, pushed)
+    return records, cur[:n].T, offsets
 
 
-def _supply_estimates(aug, pushed_last):
-    """M2hat estimates: each record's least-squares fit at t_m, the last
-    sample y_m[steps] less the fit's residual there.  Modified Gram-Schmidt
-    over the augmented columns aug[j] (steps + 1, count), in place, leaves
-    the residual in aug[n], backward stable for the augmented matrix
-    (Bjorck & Paige, SIAM J. Matrix Anal. Appl. 1992).  A column that is
-    exactly dependent on the ones before it leaves no estimate and raises
-    LinAlgError, as a singular triangular factor does."""
-    n = aug.shape[0] - 1
-    estimates = aug[n, -1] + pushed_last
-    scratch = np.empty(aug.shape[1:])
-    for j in range(n):
-        col = aug[j]
-        norm = np.sqrt(np.einsum("kc,kc->c", col, col))
-        if not norm.all():
-            raise np.linalg.LinAlgError("Singular matrix")
-        col /= norm
-        proj = np.einsum("kc,ikc->ic", col, aug[j + 1:])
-        for other, p in zip(aug[j + 1:], proj):
-            other -= np.multiply(col, p, out=scratch)
-    return estimates - aug[n, -1]
+def _supply_offsets(device, rng, count):
+    """The M2hat trials' supply offsets x_r(0) - sqrt(2 E_m), N(0, k_B T_m):
+    the first draw of each chunk."""
+    return math.sqrt(device.boltzmann * device.temperature) * rng.standard_normal(count)
+
+
+#: Chebyshev nodes of the first M2hat read-out interpolant; `_offset_nodes` doubles them.
+_FIRST_NODES = 3
+
+
+def _offset_nodes(weights, lo, hi, steps, trials):
+    """Nodes in the supply offset for the M2hat read-out on [lo, hi].
+
+    An M2hat estimate is v(o)^T y_m + c(o) (`_filter_weights`, here
+    `weights(o)`), and (v, c) is analytic in the offset o, a rational
+    function of the chain's scale.  So it is interpolated in o through K
+    Chebyshev points of the first kind, in barycentric form (Berrut &
+    Trefethen, SIAM Review 46, 2004).  K starts at `_FIRST_NODES` and
+    doubles until the interpolant meets the exact weights at both ends of
+    the interval, where the error of these nodes peaks, to
+    eps (steps + kappa) of ||(v, c)||_1: the rounding that the exact weights
+    carry from their (steps + 1)-term sums and from the nodes' triangular
+    factors, kappa the largest condition number of those with unit columns
+    (Householder QR is columnwise backward stable, so the scaling of the
+    rows' columns does not enter).  Returns
+    (nodes, barycentric weights, V (K, steps + 1), c (K,)), or None when the
+    interval is one point or K reaches `trials`: then the nodes are the
+    offsets themselves (`_exact_nodes`)."""
+    if lo == hi:
+        return None
+    exact = [np.append(*weights(o)[:2]) for o in (lo, hi)]
+    count = _FIRST_NODES
+    while count < trials:
+        angles = (2 * np.arange(count) + 1) * (math.pi / (2 * count))
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angles)
+        beta = np.where(np.arange(count) % 2, -1.0, 1.0) * np.sin(angles)
+        v, c, factors = zip(*map(weights, nodes))
+        table = np.column_stack([np.array(v), c])
+        kappa = max(np.linalg.cond(r / np.linalg.norm(r, axis=0)) for r in factors)
+        tol = np.finfo(float).eps * (steps + kappa)
+        fit = _barycentric(nodes, beta, np.array([lo, hi])).T @ table
+        if all(np.abs(f - e).sum() <= tol * np.abs(e).sum() for f, e in zip(fit, exact)):
+            return nodes, beta, table[:, :-1], table[:, -1]
+        count *= 2
+    return None
+
+
+def _exact_nodes(weights, offsets):
+    """The read-out table whose nodes are the chunk's distinct offsets."""
+    nodes = np.unique(offsets)
+    v, c, _ = zip(*map(weights, nodes))
+    return nodes, np.ones(nodes.shape[0]), np.array(v), np.array(c)
+
+
+def _barycentric(nodes, beta, x):
+    """Lagrange basis (K, m) of the barycentric interpolant through `nodes`
+    with weights `beta`, at the points x (m,): beta_j / (x - nodes_j)
+    normalized to sum 1, and a unit column where x is a node."""
+    diff = x - nodes[:, None]
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis = beta[:, None] / diff
+        basis /= basis.sum(axis=0)
+    return np.where(hit.any(axis=0), hit, basis)
+
+
+def _read_out(table, offsets, records):
+    """M2hat estimates (count,) of the records (steps + 1, count) whose
+    supply offsets are `offsets`: sum_j l_j(o) (v_j^T y_m + c_j) over the
+    table's nodes, one (K, steps + 1) (steps + 1, count) product."""
+    nodes, beta, v, c = table
+    basis = _barycentric(nodes, beta, offsets)
+    return np.einsum("kc,kc->c", basis, v @ records + c[:, None])
 
 
 def _m1hat_probe(system, device, dt, eta):
@@ -539,28 +594,43 @@ def _noise_map(system, device, dt, steps):
     the record is y_m = clean + meas eta + kick M eta, clean[k] =
     b^T A_d^k x0 and M[k, j] = b^T A_d^{k-1-j} b for j < k, and the final
     state is A_d^steps x0 + kick sum_j A_d^{steps-1-j} b eta[j].  The batch
-    filter (`_record_chain`'s rows, least squares, then the push) is linear
-    in y_m: with pushed = P y_m, P[k, j] = -k_m dt b^T A^{k-1-j} b for the
-    chain's step A, and w = Q R^-T rows[steps] from the QR of the rows,
-    the estimate w^T (y_m - pushed) + pushed[steps] is v^T y_m, v = w -
-    P^T (w - e_steps).  Both transposed products are one reverse run each,
-    so G takes O(steps n) memory.
+    filter is v^T y_m (`_filter_weights`), and both transposed products are
+    one reverse run each, so G takes O(steps n) memory.
     """
-    b, n, km = system.B, system.n, device.admittance
+    b, n = system.B, system.n
     kick, meas = _noise_scales(device, dt)
     a_d = _loaded_increment(system, device, dt)
-    chain, rows, _ = _record_chain(system, device, dt, np.zeros(steps + 1))
-    q, r = np.linalg.qr(rows)
-    w = q @ np.linalg.solve(r.T, rows[-1])
-    resid = w.copy()
-    resid[-1] -= 1.0
-    v = w + (km * dt) * _adjoint_run(chain, b, resid)
+    v, _, _ = _filter_weights(system, device, dt, steps)
     powers, _ = _lti_run(a_d, b, steps=steps - 1)  # A_d^i b, i < steps
     gain = np.zeros((n + 1, steps + 1))
     gain[:n, :-1] = kick * powers[::-1].T
     gain[n] = meas * v + kick * _adjoint_run(a_d, b, v)
     clean, final = _lti_run(a_d, system.x0, c=b, steps=steps)
     return np.append(final, v @ clean), gain
+
+
+def _filter_weights(system, device, dt, steps, drift=None, offset=None):
+    """(v, c, R): the batch filter's estimate at t_m as v^T y_m + c, affine
+    in the record y_m (steps + 1,), and the triangular factor R of its rows.
+
+    The filter (`_record_chain`'s rows, least squares, then the push) is
+    linear in y_m up to the drift: pushed = P y_m + pi, P[k, j] = -k_m dt
+    b^T A^{k-1-j} b for the chain's step A, and pi[k] = dt sum_{j < k} b^T
+    A^{k-1-j} b w_d[j] the push of the drift alone.  With w = Q R^-T
+    rows[steps] from the QR of the rows, the estimate w^T (y_m - pushed) +
+    pushed[steps] is v^T y_m + c: one reverse run gives a = P^T (w -
+    e_steps) / (-k_m dt), so v = w + k_m dt a and c = -(w - e_steps)^T pi =
+    -dt w_d^T a.  Rows that are exactly dependent raise
+    LinAlgError("Singular matrix").
+    """
+    chain, rows = _filter_chain(system, device, dt, steps, offset)
+    q, r = np.linalg.qr(rows)
+    w = q @ np.linalg.solve(r.T, rows[-1])
+    resid = w.copy()
+    resid[-1] -= 1.0
+    adjoint = _adjoint_run(chain, system.B, resid)
+    c = 0.0 if drift is None else -dt * (drift @ adjoint)
+    return w + (device.admittance * dt) * adjoint, c, r
 
 
 def _noise_factor(gain) -> np.ndarray:
@@ -586,16 +656,22 @@ def _record_chain(system, device, dt, records, drift=None, offset=None):
     supply's noise-free drift w_d (M1hat: scale 0, no drift).  Writing
     x[k] = A^k x0 + f[k], y_m[k] - B^T f[k] is b^T A^k x0 plus noise.
     Returns the increment A - I = dt J + scale B B^T, the rows b^T A^k and
-    pushed[k] = B^T f[k] (shaped like `records`) through `_lti_run`; an
-    M2hat chunk steps it in `_probe_trials`.
+    pushed[k] = B^T f[k] (shaped like `records`) through `_lti_run`.
     """
-    b, n, km = system.B, system.n, device.admittance
+    b, km = system.B, device.admittance
     port = (0.0 if drift is None else dt * drift[:-1]) - (km * dt) * records[:-1]
+    chain, rows = _filter_chain(system, device, dt, port.shape[0], offset)
+    pushed, _ = _lti_run(chain, np.zeros(system.n), b[:, None], port[:, None], c=b)
+    return chain, rows, pushed
+
+
+def _filter_chain(system, device, dt, steps, offset=None):
+    """`_record_chain`'s increment A - I and its rows b^T A^k, k = 0..steps."""
+    b, km = system.B, device.admittance
     scale = 0.0 if offset is None else dt * km * (1.0 + offset / math.sqrt(2.0 * device.supply_energy))
     chain = dt * system.J + scale * np.outer(b, b)
-    rows, _ = _lti_run(chain.T, b, steps=port.shape[0])
-    pushed, _ = _lti_run(chain, np.zeros(n), b[:, None], port[:, None], c=b)
-    return chain, rows, pushed
+    rows, _ = _lti_run(chain.T, b, steps=steps)
+    return chain, rows
 
 
 def _m_star(system, device, t_m) -> float:

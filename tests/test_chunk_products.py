@@ -1,10 +1,10 @@
 """Tests for the Monte-Carlo chunks written as matrix products.
 
 Three chunk workers replace per-trial loops with a few products each: the
-M1hat noise map of `simulate_device`, the fused M2hat probe and record
-chain, and the Gram-matrix moments of `empirical_fdt_check`.  The last two
-are compared with the code they replace, kept here as the reference, on
-the same random draws.  An M1hat chunk draws its trials' statistic, not
+M1hat noise map of `simulate_device`, the M2hat probe with its filter
+read out as one product, and the Gram-matrix moments of
+`empirical_fdt_check`.  The last two are compared with the code they
+replace, kept here as the reference, on the same random draws.  An M1hat chunk draws its trials' statistic, not
 their white noise, so only each chunk's first trial, which draws its
 noise, meets the per-trial pipeline on the same draws; the others are
 checked in distribution, as z-scores of the chunk moments.  The bounds
@@ -13,6 +13,7 @@ largest term, and a least-squares solve moves by eps times the condition
 number of its triangular factor.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -25,13 +26,17 @@ from lossless._util import CHUNK_TRIALS, derive_rng, run_chunked
 from lossless.measurement import (
     Device,
     MeasuredSystem,
+    _FIRST_NODES,
+    _exact_nodes,
+    _filter_weights,
     _natural_final,
     _noise_factor,
     _noise_map,
+    _offset_nodes,
     _probe_trials,
+    _read_out,
     _record_chain,
     _supply_aux_path,
-    _supply_estimates,
     matrix_exponential,
     measured_lc,
     simulate_device,
@@ -229,6 +234,32 @@ def _old_chain(system, device, dt, records, drift, offset):
     return rows, pushed
 
 
+def _supply_read_out(system, device, dt, steps, records, offsets):
+    """The M2hat estimates of `simulate_device`'s read-out for these records
+    and offsets, and its node table (None where the nodes are the offsets)."""
+    _, drift = _supply_aux_path(system, device.admittance, device.supply_energy, dt, steps)
+    weights = functools.partial(_filter_weights, system, device, dt, steps, drift)
+    table = _offset_nodes(weights, offsets.min(), offsets.max(), steps, offsets.shape[0])
+    return _read_out(table or _exact_nodes(weights, offsets), offsets, records), table
+
+
+def _assert_within_the_solve_bound(system, device, dt, steps, records, offsets, estimates):
+    """The estimates against an SVD least-squares solve per trial over the
+    stepped chain's rows.  The two part by eps kappa(R) in the solve and by
+    eps per term in the 257-term sums, relative to the largest |y_m| or
+    |pushed| (the TestNoiseMap bound); the interpolation in the offset adds
+    at most eps (steps + kappa) of the weights by its node rule."""
+    _, drift = _supply_aux_path(system, device.admittance, device.supply_energy, dt, steps)
+    old_rows, old_pushed = _old_chain(system, device, dt, records, drift[:, None], offsets)
+    count = offsets.shape[0]
+    ref = np.array([old_rows[i, -1] @ np.linalg.lstsq(old_rows[i], records[:, i] - old_pushed[:, i],
+                                                      rcond=None)[0] for i in range(count)])
+    kappa = np.linalg.cond(np.linalg.qr(old_rows, mode="r")).max()
+    scale = max(np.abs(records).max(), np.abs(old_pushed).max())
+    np.testing.assert_allclose(estimates, ref + old_pushed[-1], rtol=0,
+                               atol=EPS * (steps + 16 * kappa) * scale)
+
+
 class TestFusedSupplyProbe:
     # Each fused step rounds its sums in another order, by an eps or so of
     # the step's magnitude; over the steps of a near-isometry those add up
@@ -238,8 +269,7 @@ class TestFusedSupplyProbe:
     def test_probe_and_chain_match_the_stepped_loops(self, n, t_m):
         system, steps = _random_system(n, 20 + n), 256
         dt = t_m / steps
-        records, states, (offsets, aug, pushed) = _probe_trials(
-            system, M2HAT, dt, steps, np.random.default_rng(n), 300)
+        records, states, offsets = _probe_trials(system, M2HAT, dt, steps, np.random.default_rng(n), 300)
         old_records, old_states, old_offsets = _old_probe(
             system, M2HAT, dt, steps, np.random.default_rng(n), 300)
         assert np.array_equal(offsets, old_offsets)
@@ -248,27 +278,59 @@ class TestFusedSupplyProbe:
                                    atol=bound * np.abs(old_records).max())
         np.testing.assert_allclose(states, old_states, rtol=0,
                                    atol=bound * np.abs(old_states).max())
+        # the chain is not stepped: the read-out's estimates meet a per-trial
+        # solve over the stepped chain's rows
+        estimates, _ = _supply_read_out(system, M2HAT, dt, steps, records, offsets)
+        _assert_within_the_solve_bound(system, M2HAT, dt, steps, records, offsets, estimates)
 
-        # the chain steps in the probe's loop, on the probe's own records
+    # t_m = 0.1, and E_m = 0.5 where the offsets reach past -sqrt(2 E_m), so
+    # that the chain's scale changes sign across the interval
+    @pytest.mark.parametrize("t_m, energy", [(1e-1, 10.0), (1e-3, 0.5), (1e-2, 0.5), (1e-1, 0.5)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_the_node_count_grows_where_the_weights_bend(self, n, t_m, energy):
+        system, steps = _random_system(n, 20 + n), 256
+        device = Device(variant="M2hat", admittance=1.0, temperature=1.0, supply_energy=energy)
+        dt = t_m / steps
+        records, _, offsets = _probe_trials(system, device, dt, steps, np.random.default_rng(n), 300)
+        estimates, table = _supply_read_out(system, device, dt, steps, records, offsets)
+        assert _FIRST_NODES < table[0].shape[0] < 300
+        _assert_within_the_solve_bound(system, device, dt, steps, records, offsets, estimates)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_the_diverging_cases_raise(self, n):
+        # t_m = 1 at E_m = 0.5 leaves float range, before any read-out
+        system = _random_system(n, 20 + n)
+        device = Device(variant="M2hat", admittance=1.0, temperature=1.0, supply_energy=0.5)
+        with pytest.raises(FloatingPointError, match="diverged at t = "):
+            simulate_device(system, device, 1.0, 1.0 / 256, 300, seed=n)
+
+    @pytest.mark.parametrize("trials", [1, _FIRST_NODES])
+    def test_few_trials_take_their_own_offsets_as_nodes(self, trials):
+        # one trial is an interval of one point; at `_FIRST_NODES` trials the
+        # rule asks for as many nodes as there are trials
+        system, steps, dt = _random_system(3, 23), 256, 1e-2 / 256
+        records, _, offsets = _probe_trials(system, M2HAT, dt, steps, np.random.default_rng(3), trials)
+        estimates, table = _supply_read_out(system, M2HAT, dt, steps, records, offsets)
+        assert table is None
+        _assert_within_the_solve_bound(system, M2HAT, dt, steps, records, offsets, estimates)
+        out = simulate_device(system, M2HAT, 1e-2, dt, trials, seed=5)
+        first, _, offset = _probe_trials(system, M2HAT, dt, steps, derive_rng(5, 0), trials)
+        np.testing.assert_array_equal(out.y_m.values, first[:, 0])
         _, drift = _supply_aux_path(system, 1.0, 10.0, dt, steps)
-        old_rows, old_pushed = _old_chain(system, M2HAT, dt, records, drift[:, None], offsets)
-        rows = aug[:n].transpose(2, 1, 0)
-        assert rows.shape == old_rows.shape
-        np.testing.assert_array_equal(aug[n], records - pushed)
-        np.testing.assert_allclose(rows, old_rows, rtol=0, atol=bound * np.abs(old_rows).max())
-        np.testing.assert_allclose(pushed, old_pushed, rtol=0,
-                                   atol=bound * np.abs(old_pushed).max())
+        v, c, _ = _filter_weights(system, M2HAT, dt, steps, drift, offset[0])
+        # trial 0's estimate is its exact weights' v^T y_m + c, up to the
+        # rounding of a 257-term sum
+        assert out.y_hat == pytest.approx(v @ first[:, 0] + c, rel=0,
+                                          abs=steps * EPS * np.abs(v).sum() * np.abs(first).max())
 
-        # The estimates, read off the augmented columns' least-squares residual, and
-        # an SVD least-squares solve per trial over the old rows part by eps
-        # kappa(R) in the solve and by eps per term in the 257-term sums,
-        # relative to the largest |y_m| or |pushed| (the TestNoiseMap bound).
-        ref = np.array([old_rows[i, -1] @ np.linalg.lstsq(old_rows[i], records[:, i] - old_pushed[:, i],
-                                                          rcond=None)[0] for i in range(300)])
-        kappa = np.linalg.cond(np.linalg.qr(old_rows, mode="r")).max()
-        scale = max(np.abs(records).max(), np.abs(old_pushed).max())
-        np.testing.assert_allclose(_supply_estimates(aug, pushed[-1]), ref + old_pushed[-1],
-                                   rtol=0, atol=EPS * (steps + 16 * kappa) * scale)
+    def test_trial_zero_of_a_run_meets_the_solve(self):
+        # the nodes span the offsets of every chunk, drawn before the chunks run
+        system, steps, dt = _random_system(3, 23), 256, 1e-2 / 256
+        out = simulate_device(system, M2HAT, 1e-2, dt, CHUNK_TRIALS + 200, seed=7)
+        records, _, offsets = _probe_trials(system, M2HAT, dt, steps, derive_rng(7, 0), CHUNK_TRIALS)
+        np.testing.assert_array_equal(out.y_m.values, records[:, 0])
+        _assert_within_the_solve_bound(system, M2HAT, dt, steps, records[:, :1], offsets[:1],
+                                       np.array([out.y_hat]))
 
     def test_a_record_that_misses_a_state_fails(self):
         # B excites only the first state of J = 0: column 1 of every trial's

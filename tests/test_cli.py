@@ -949,6 +949,36 @@ def test_ab_runs_the_workloads_at_its_seed(monkeypatch):
     assert {args[args.index("--seed") + 1] for args in runs} == {"1"}
 
 
+def test_ab_names_the_cells_that_differ():
+    """bench/ab.py --bytes reports a differing CSV's cells, their columns
+    and the largest relative deviation; a header or text cell reads inf."""
+    cells = _load_bench_script("ab")._cells
+    base = b"variant,t_m,value\nM1,0.001,2.0\nM2,0.002,4.0\n"
+    assert cells(base, b"variant,t_m,value\nM1,0.001,2.0000000000000004\nM2,0.002,4.0\n") == (
+        " in 1 cells (value), largest relative deviation 2.2e-16")
+    assert cells(base, b"variant,t_m,value\nM1hat,0.001,2.0\nM2,0.002,3.0\n") == (
+        " in 2 cells (value, variant), largest relative deviation inf")
+    assert cells(base, b"variant,t_m\nM1,0.001\nM2,0.002\n") == " in shape"
+    assert cells(base, None) == ""
+
+
+def test_ab_layers_of_head_against_itself():
+    """bench/ab.py --layers times every case of bench/layers.py in HEAD's
+    committed files and in this checkout, one fresh process a side."""
+    root = Path(__file__).resolve().parents[1]
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    proc = subprocess.run([sys.executable, str(root / "bench" / "ab.py"), "HEAD", "--layers", "--pairs", "1"],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])["layers"]
+    assert list(report) == list(_load_bench_script("layers").CASES)
+    for case in report.values():
+        assert case["pairs"] == 1
+        assert all(len(s) == 1 and s[0] > 0 for s in case["samples"].values())
+        assert case["min"] == {side: s[0] for side, s in case["samples"].items()}
+
+
 def test_ab_bytes_of_head_against_itself():
     """bench/ab.py --bytes runs every experiment at its defaults in HEAD's
     committed files and in this checkout, and finds them identical."""

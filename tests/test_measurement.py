@@ -738,6 +738,22 @@ class TestBenchmarkEstimator:
         ratio = rep.variance * km * dt / (2.0 * temperature)
         assert abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / trials)
 
+    def test_the_supply_backed_estimator_sees_the_simulated_record(self):
+        # both step the same probe on chunk 0's substream, so trial 0's
+        # record is the one `simulate_device` returns, bit for bit
+        dev = Device(variant="M2hat", admittance=1.0, temperature=1.0, supply_energy=10.0)
+        seen = []
+
+        def first_sample(times, record):
+            seen.append(record.copy())
+            return record[0]
+
+        t_m, dt, trials = 1e-2, 1e-2 / 256, 300
+        benchmark_estimator(SYSTEM, dev, first_sample, t_m, dt, trials, seed=6)
+        out = simulate_device(SYSTEM, dev, t_m, dt, trials, seed=6)
+        assert len(seen) == trials
+        np.testing.assert_array_equal(seen[0], out.y_m.values)
+
 
 # A step of the wrong sign, or NaN, against a t_m of the right sign.
 BAD_STEPS = [(-1e-3, -1e-3 / 256), (1e-3, math.nan)]

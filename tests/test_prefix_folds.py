@@ -310,17 +310,16 @@ class TestSupplyPathMemo:
                 array[0] = 1.0
 
     def test_the_path_is_rk4_of_the_closed_loop_bit_for_bit(self):
-        system, km, energy, dt, steps = measured_lc(), 0.7, 3.0, 1e-4, 300
-        j, b, root = system.J, system.B, math.sqrt(2.0 * energy)
+        _assert_rk4_of_the_closed_loop(measured_lc(), 0.7, 3.0, 1e-4, 300)
 
-        def closed_loop(_, z):
-            y = b @ z[:3]
-            return np.append(j @ z[:3] + km * (z[3] / root - 1.0) * y * b, km / root * y * y)
-
-        path = integrate_ode(closed_loop, np.append(system.x0, root), dt, steps * dt).values
-        final, drift = _supply_aux_path(system, km, energy, dt, steps)
-        np.testing.assert_array_equal(final, path[-1, :3])
-        np.testing.assert_array_equal(drift, km * (path[:, 3] / root - 1.0) * (path[:, :3] @ b))
+    def test_the_supply_output_is_squared_by_pow(self):
+        # here y * y and C's pow(y, 2) round apart in a supply rate whose
+        # change reaches the path (3 of 300 random cases of this kind)
+        ladder = measured_lc()
+        system = MeasuredSystem(J=np.asarray(ladder.J), B=ladder.B,
+                                x0=[-1.5378274988221816, 0.7988417918440939, 0.22080756153531705])
+        _assert_rk4_of_the_closed_loop(system, 2.317066202491349, 1.2193651460781776,
+                                       0.001714191827589961, 200)
 
     @pytest.mark.parametrize("change", ["J", "B", "x0", "km", "supply_energy", "dt"])
     def test_another_input_is_not_served_a_stale_path(self, change):
@@ -339,3 +338,19 @@ class TestSupplyPathMemo:
         for a, b, f in zip(served, first, fresh):
             np.testing.assert_array_equal(a, f)
             assert not np.array_equal(a, b)
+
+
+def _assert_rk4_of_the_closed_loop(system, km, energy, dt, steps):
+    """The memoized supply path is `integrate_ode`'s RK4 of the closed loop,
+    bit for bit, with the supply output squared as `_aux_path` squares it."""
+    j, b, root = system.J, system.B, math.sqrt(2.0 * energy)
+    n = system.n
+
+    def closed_loop(_, z):
+        y = b @ z[:n]
+        return np.append(j @ z[:n] + km * (z[n] / root - 1.0) * y * b, km / root * y**2)
+
+    path = integrate_ode(closed_loop, np.append(system.x0, root), dt, steps * dt).values
+    final, drift = _supply_aux_path(system, km, energy, dt, steps)
+    np.testing.assert_array_equal(final, path[-1, :n])
+    np.testing.assert_array_equal(drift, km * (path[:, n] / root - 1.0) * (path[:, :n] @ b))
