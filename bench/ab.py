@@ -24,7 +24,7 @@ bytecode mode of this process, and the output records both.
 - `--layers`: `--pairs` fresh processes per side of this checkout's
   `bench/layers.py` on the side's library, compared per case on the
   least of its timed calls; the report adds each side's minimum.  A case
-  that one side cannot run is reported absent.
+  that raises on either side stops the comparison with its error.
 - `--bytes`: each CLI experiment once per side at its defaults with
   `--seed 1`: every CSV byte for byte, the exit codes, and the manifests
   without their `versions`.  A CSV that differs is named with the count of
@@ -133,24 +133,20 @@ def _cold(tree: Path, experiment: str) -> dict:
 
 
 def _layers(tree: Path) -> dict:
-    """{case: least timed call in seconds, None if absent} of one fresh
-    process of `bench/layers.py` on the library of `tree`."""
+    """{case: least timed call in seconds} of one fresh process of
+    `bench/layers.py` on the library of `tree`."""
     done = subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py")], cwd=tree, env=_env(tree),
                           capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"layers in {tree}: {done.stderr.strip().splitlines()[-1:]}")
-    return {case: timing.get("min_s") for case, timing in json.loads(done.stdout.strip().splitlines()[-1]).items()}
+    return {case: timing["min_s"] for case, timing in json.loads(done.stdout.strip().splitlines()[-1]).items()}
 
 
 def _compare_layers(samples: dict) -> dict:
-    """The verdict and both minima of each layer case, or "absent"."""
+    """The verdict and both minima of each layer case."""
     out = {}
     for case in CASES:
         base, change = ([run[case] for run in samples[side]] for side in ("base", "change"))
-        if None in base + change:
-            out[case] = "absent"
-            print(f"  {case}: absent", flush=True)
-            continue
         out[case] = verdict(base, change) | {"min": {"base": min(base), "change": min(change)},
                                              "samples": {"base": base, "change": change}}
         print(f"{_line(case, out[case])}; min {min(base):.4g} -> {min(change):.4g}", flush=True)

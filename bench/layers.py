@@ -1,14 +1,13 @@
 """Layer timings on fixed inputs: one named case per numerical layer.
 
-    python3 bench/layers.py [--repeat N] [CASE ...]
+    python3 bench/layers.py
 
 Each case builds its inputs, calls its operation once to warm up, then
-times N more calls (default 5) with `time.perf_counter`.  The last line
-printed is one JSON object, {case: {"min_s": ..., "median_s": ...,
-"samples_s": [...]}}; a case whose operation raises reports {"absent":
-"<the error>"} instead, so that a tree which cannot run it still reports
-the others.  The cases call only the public API of the `lossless` found on
-`sys.path`, so `PYTHONPATH=<tree>/src` times any tree with this file, as
+times `REPEAT` more calls with `time.perf_counter`.  The last line printed
+is one JSON object, {case: {"min_s": ..., "median_s": ..., "samples_s":
+[...]}}; a case that raises stops the script with its traceback.  The
+cases call only the public API of the `lossless` found on `sys.path`, so
+`PYTHONPATH=<tree>/src` times any tree with this file, as
 `bench/ab.py BASE --layers` does.
 
 The cases are the Monte-Carlo workers of the realized probes at the
@@ -22,7 +21,6 @@ LC ladder at t_m = 1e-2 with k_m = T_m = 1 (and E_m = 10), seed 1:
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import time
@@ -37,6 +35,9 @@ def _device_run(variant: str, steps: int, trials: int):
     return lambda: lossless.simulate_device(system, device, 1e-2, 1e-2 / steps, trials, seed=1)
 
 
+#: Timed calls per case, after one warm-up call.
+REPEAT = 5
+
 CASES = {
     "m2hat_chunk": lambda: _device_run("M2hat", 256, 1024),
     "m2hat_long_record": lambda: _device_run("M2hat", 2048, 1),
@@ -44,31 +45,17 @@ CASES = {
 }
 
 
-def time_case(name: str, repeat: int) -> dict:
-    """The timings of one case, or why it is absent."""
-    try:
-        op = CASES[name]()
+def time_case(name: str) -> dict:
+    """The least, median and every one of `REPEAT` timed calls of a case."""
+    op = CASES[name]()
+    op()
+    samples = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
         op()
-        samples = []
-        for _ in range(repeat):
-            start = time.perf_counter()
-            op()
-            samples.append(time.perf_counter() - start)
-    except Exception as exc:  # a tree that lacks what the case calls
-        return {"absent": f"{type(exc).__name__}: {exc}"}
+        samples.append(time.perf_counter() - start)
     return {"min_s": min(samples), "median_s": statistics.median(samples), "samples_s": samples}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("cases", nargs="*", metavar="CASE", help=f"cases to time (default all: {', '.join(CASES)})")
-    parser.add_argument("--repeat", type=int, default=5, help="timed calls per case (5)")
-    args = parser.parse_args(argv)
-    if args.repeat < 1 or not set(args.cases) <= CASES.keys():
-        parser.error(f"--repeat must be positive and each CASE one of {', '.join(CASES)}")
-    print(json.dumps({name: time_case(name, args.repeat) for name in args.cases or CASES}))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    print(json.dumps({name: time_case(name) for name in CASES}))

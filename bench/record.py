@@ -22,7 +22,7 @@ and a temporary `--out`: the median wall time from `import lossless.cli`
 to exit, the largest peak RSS (the child's own `ru_maxrss`), the exit
 codes, and the public `scipy` and `numpy.f2py` modules loaded at exit.
 `layers` holds `bench/layers.py` on this checkout, one fresh process with
-one BLAS thread and `LAYER_REPEAT` timed calls a case.  It changes nothing
+one BLAS thread (its `REPEAT` timed calls a case).  It changes nothing
 under `perfbench/`; the output path is its only argument.
 """
 
@@ -46,7 +46,6 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 EXPERIMENTS = ("approx-memoryless", "approx-dissipative", "approx-nonlinear", "fdt",
                "langevin", "measure", "tradeoff", "table1")
 COLD_RUNS = 3
-LAYER_REPEAT = 15
 SINGLE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 #: One CLI run in a fresh interpreter; its last stdout line reports the run.
@@ -116,8 +115,8 @@ def _cli_cold(experiment: str) -> dict:
 
 
 def _layers() -> dict:
-    done = subprocess.run([sys.executable, "bench/layers.py", "--repeat", str(LAYER_REPEAT)], cwd=ROOT,
-                          env=_src_env(SINGLE_THREAD), capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "bench/layers.py"], cwd=ROOT, env=_src_env(SINGLE_THREAD),
+                          capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     return json.loads(lines[-1]) if done.returncode == 0 and lines else {"error": done.stderr.strip()[-500:]}
 

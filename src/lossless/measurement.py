@@ -29,11 +29,11 @@ Monte-Carlo chunk draws them directly.  The supply-backed probe is
 bilinear, so a chunk steps its trials together, one column each; its
 filter is still affine in the record, v(o)^T y_m + c(o), with weights
 that depend only on the trial's supply offset o, and analytically.  So
-the exact weights are computed at a few Chebyshev nodes in o, as many as
-it takes for their interpolant to meet the exact weights at the ends of
-the run's offsets within the rounding those carry, and a chunk's
-estimates are one product of the nodes' weights with its records,
-combined by the barycentric formula.
+the exact weights are computed at nested Chebyshev nodes spanning the
+run's offsets, doubled until the interpolant meets the exact weights at
+the next nodes, one in every gap, within the rounding those carry, and a
+chunk's estimates are one product of the nodes' weights with its
+records, combined by the barycentric formula.
 `riccati_solve` exploits the same collapse in continuous time; its
 minimum error variance agrees with the matrix Riccati equation of the
 optimal filter, integrated here in square-root information form so the
@@ -332,12 +332,13 @@ def simulate_device(
     only chunk 0's first trial runs its record, for `y_m`.  An M2hat chunk
     steps only its probes: an estimate is v(o)^T y_m + c(o), the filter's
     exact weights (`_filter_weights`) interpolated in the trial's supply
-    offset o through Chebyshev nodes that span the call's offsets, read
-    before the chunks run from each chunk's first draw (`_offset_nodes`:
-    the node count doubles until the interpolant meets the exact weights
-    at both ends within their rounding, eps (steps + kappa)), one product
-    per chunk (`_read_out`); it meets a per-trial least-squares solve to
-    that solve's own rounding.  Both reduce their chunk sums in
+    offset o through nested Chebyshev-Lobatto nodes that span the call's
+    offsets, read before the chunks run from each chunk's first draw
+    (`_offset_nodes`: the nodes double until the interpolant meets the
+    exact weights at the new ones, one in every gap, within their
+    rounding, eps (steps + kappa) times the check's Lebesgue factor), one
+    product per chunk (`_read_out`); it meets a per-trial least-squares
+    solve to that solve's own rounding.  Both reduce their chunk sums in
     `_outcome`.  Every chunk runs in the calling thread.  A
     thermal record needs n samples to determine x0; a diverging M2hat
     probe raises FloatingPointError at its first bad time.
@@ -501,8 +502,9 @@ def _supply_offsets(device, rng, count):
     return math.sqrt(device.boltzmann * device.temperature) * rng.standard_normal(count)
 
 
-#: Chebyshev nodes of the first M2hat read-out interpolant; `_offset_nodes` doubles them.
-_FIRST_NODES = 3
+#: Intervals between the Chebyshev-Lobatto nodes of the first M2hat read-out
+#: interpolant checked by `_offset_nodes`, which doubles them.
+_FIRST_INTERVALS = 2
 
 
 def _offset_nodes(weights, lo, hi, steps, trials):
@@ -510,36 +512,61 @@ def _offset_nodes(weights, lo, hi, steps, trials):
 
     An M2hat estimate is v(o)^T y_m + c(o) (`_filter_weights`, here
     `weights(o)`), and (v, c) is analytic in the offset o, a rational
-    function of the chain's scale.  So it is interpolated in o through K
-    Chebyshev points of the first kind, in barycentric form (Berrut &
-    Trefethen, SIAM Review 46, 2004).  K starts at `_FIRST_NODES` and
-    doubles until the interpolant meets the exact weights at both ends of
-    the interval, where the error of these nodes peaks, to
-    eps (steps + kappa) of ||(v, c)||_1: the rounding that the exact weights
-    carry from their (steps + 1)-term sums and from the nodes' triangular
-    factors, kappa the largest condition number of those with unit columns
+    function of the chain's scale.  So it is interpolated in o through the
+    Chebyshev-Lobatto points lo + (hi - lo)(1 + cos(pi j / m))/2,
+    j = 0..m, in barycentric form (Berrut & Trefethen, SIAM Review 46,
+    2004).  These points nest: doubling m keeps every node and adds one
+    inside each gap.  m starts at `_FIRST_INTERVALS`; each doubling checks
+    the m-interval interpolant at the new nodes, one in every gap between
+    its own, against the exact weights there.  Each side of the check
+    carries rounding of eps (steps + kappa) of ||(v, c)||_1, from the
+    weights' (steps + 1)-term sums and from the nodes' triangular factors,
+    kappa the largest condition number of those with unit columns
     (Householder QR is columnwise backward stable, so the scaling of the
-    rows' columns does not enter).  Returns
-    (nodes, barycentric weights, V (K, steps + 1), c (K,)), or None when the
-    interval is one point or K reaches `trials`: then the nodes are the
-    offsets themselves (`_exact_nodes`)."""
+    rows' columns does not enter); the interpolant amplifies its nodes' by
+    at most its Lebesgue constant, under 1 + (2/pi) ln(m + 1) for these
+    points.  So the check's tolerance is eps (steps + kappa) times
+    2 + (2/pi) ln(m + 1).  Once it holds, the table keeps all 2m + 1 nodes,
+    whose interpolant differs from the checked one by at most its own
+    Lebesgue constant times that tolerance.  Returns
+    (nodes, barycentric weights, V (K, steps + 1), c (K,)): one node where
+    lo == hi, and None when the next doubling would take at least `trials`
+    nodes.  Then the nodes are each chunk's distinct offsets
+    (`_exact_nodes`), so the weights are evaluated fewer than 2 `trials`
+    times in all, each one QR and two runs of `steps` steps."""
     if lo == hi:
+        v, c, _ = weights(lo)
+        return np.array([lo]), np.ones(1), v[None], np.array([c])
+    if 2 * _FIRST_INTERVALS + 1 >= trials:
         return None
-    exact = [np.append(*weights(o)[:2]) for o in (lo, hi)]
-    count = _FIRST_NODES
-    while count < trials:
-        angles = (2 * np.arange(count) + 1) * (math.pi / (2 * count))
-        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angles)
-        beta = np.where(np.arange(count) % 2, -1.0, 1.0) * np.sin(angles)
+
+    def at(angles):
+        nodes = lo + 0.5 * (hi - lo) * (1.0 + np.cos(angles))
         v, c, factors = zip(*map(weights, nodes))
-        table = np.column_stack([np.array(v), c])
         kappa = max(np.linalg.cond(r / np.linalg.norm(r, axis=0)) for r in factors)
-        tol = np.finfo(float).eps * (steps + kappa)
-        fit = _barycentric(nodes, beta, np.array([lo, hi])).T @ table
-        if all(np.abs(f - e).sum() <= tol * np.abs(e).sum() for f, e in zip(fit, exact)):
-            return nodes, beta, table[:, :-1], table[:, -1]
+        return nodes, np.column_stack([np.array(v), c]), kappa
+
+    count = _FIRST_INTERVALS
+    nodes, table, kappa = at(math.pi * np.arange(count + 1) / count)
+    while 2 * count + 1 < trials:
+        new, exact, new_kappa = at(math.pi * (2 * np.arange(count) + 1) / (2 * count))
+        kappa = max(kappa, new_kappa)
+        tol = np.finfo(float).eps * (steps + kappa) * (2.0 + (2.0 / math.pi) * math.log(count + 1))
+        fit = _barycentric(nodes, _lobatto_weights(count), new).T @ table
+        gaps = np.arange(1, count + 1)  # new[i] lies between nodes i and i + 1
+        nodes, table = np.insert(nodes, gaps, new), np.insert(table, gaps, exact, axis=0)
         count *= 2
+        if np.all(np.abs(fit - exact).sum(axis=1) <= tol * np.abs(exact).sum(axis=1)):
+            return nodes, _lobatto_weights(count), table[:, :-1], table[:, -1]
     return None
+
+
+def _lobatto_weights(count):
+    """Barycentric weights of the count + 1 Chebyshev-Lobatto points:
+    (-1)^j, halved at both ends."""
+    beta = np.where(np.arange(count + 1) % 2, -1.0, 1.0)
+    beta[[0, -1]] *= 0.5
+    return beta
 
 
 def _exact_nodes(weights, offsets):

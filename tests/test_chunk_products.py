@@ -26,12 +26,14 @@ from lossless._util import CHUNK_TRIALS, derive_rng, run_chunked
 from lossless.measurement import (
     Device,
     MeasuredSystem,
-    _FIRST_NODES,
+    _FIRST_INTERVALS,
+    _barycentric,
     _exact_nodes,
     _filter_weights,
     _natural_final,
     _noise_factor,
     _noise_map,
+    _lobatto_weights,
     _offset_nodes,
     _probe_trials,
     _read_out,
@@ -284,17 +286,60 @@ class TestFusedSupplyProbe:
         _assert_within_the_solve_bound(system, M2HAT, dt, steps, records, offsets, estimates)
 
     # t_m = 0.1, and E_m = 0.5 where the offsets reach past -sqrt(2 E_m), so
-    # that the chain's scale changes sign across the interval
-    @pytest.mark.parametrize("t_m, energy", [(1e-1, 10.0), (1e-3, 0.5), (1e-2, 0.5), (1e-1, 0.5)])
+    # that the chain's scale changes sign across the interval; at t_m = 1e-3
+    # the first check may hold (n = 3: five nodes)
+    @pytest.mark.parametrize("t_m, energy, grows", [(1e-1, 10.0, True), (1e-3, 0.5, False),
+                                                    (1e-2, 0.5, True), (1e-1, 0.5, True)])
     @pytest.mark.parametrize("n", [1, 3])
-    def test_the_node_count_grows_where_the_weights_bend(self, n, t_m, energy):
+    def test_the_node_count_grows_where_the_weights_bend(self, n, t_m, energy, grows):
         system, steps = _random_system(n, 20 + n), 256
         device = Device(variant="M2hat", admittance=1.0, temperature=1.0, supply_energy=energy)
         dt = t_m / steps
         records, _, offsets = _probe_trials(system, device, dt, steps, np.random.default_rng(n), 300)
         estimates, table = _supply_read_out(system, device, dt, steps, records, offsets)
-        assert _FIRST_NODES < table[0].shape[0] < 300
+        assert 2 * _FIRST_INTERVALS + 1 + grows <= table[0].shape[0] < 300
         _assert_within_the_solve_bound(system, device, dt, steps, records, offsets, estimates)
+
+    def test_the_rule_checks_inside_the_interval(self):
+        # weights with a bend at o = 0.3, poles at 0.3 +- 0.2i, met against
+        # the interpolant everywhere on [-1, 1], not only at its nodes
+        steps, u = 4, np.arange(1.0, 6.0)
+
+        def bend(o):
+            return 1.0 / (1.0 + ((o - 0.3) / 0.2) ** 2)
+
+        nodes, beta, v, c = _offset_nodes(lambda o: (bend(o) * u, 0.5 * bend(o), np.eye(2)),
+                                          -1.0, 1.0, steps, 10**6)
+        intervals = nodes.shape[0] - 1
+        assert nodes[0] == 1.0 and nodes[-1] == -1.0 and intervals > 100
+        np.testing.assert_array_equal(beta, _lobatto_weights(intervals))
+        x = np.linspace(-1.0, 1.0, 20001)
+        fit = _barycentric(nodes, beta, x).T @ np.column_stack([v, c])
+        exact = bend(x)[:, None] * np.append(u, 0.5)
+        # the checked interpolant, on half the intervals, met the exact weights
+        # at the new nodes to its tolerance; the kept one adds at most its
+        # Lebesgue constant times that
+        tol = EPS * (steps + 1) * (2.0 + (2.0 / math.pi) * math.log(intervals // 2 + 1))
+        lebesgue = 1.0 + (2.0 / math.pi) * math.log(intervals + 1)
+        assert np.all(np.abs(fit - exact).sum(axis=1) <= (1.0 + lebesgue) * tol * np.abs(exact).sum(axis=1))
+
+    def test_a_rule_that_does_not_settle_spends_fewer_evaluations_than_trials(self):
+        # poles at 0.3 +- 1e-3i need far more nodes than 40 trials: the rule
+        # stops at 33 nodes, before its next doubling reaches 40, and the
+        # chunks take their own offsets (`_exact_nodes`), under 80 evaluations
+        # in all
+        calls = []
+
+        def weights(o):
+            calls.append(o)
+            bend = 1.0 / (1.0 + ((o - 0.3) / 1e-3) ** 2)
+            return bend * np.ones(5), bend, np.eye(2)
+
+        assert _offset_nodes(weights, -1.0, 1.0, 4, 40) is None
+        assert len(calls) == 33
+        offsets = np.linspace(-1.0, 1.0, 40)
+        assert _exact_nodes(weights, offsets)[0].shape == (40,)
+        assert len(calls) < 2 * 40
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_the_diverging_cases_raise(self, n):
@@ -304,14 +349,17 @@ class TestFusedSupplyProbe:
         with pytest.raises(FloatingPointError, match="diverged at t = "):
             simulate_device(system, device, 1.0, 1.0 / 256, 300, seed=n)
 
-    @pytest.mark.parametrize("trials", [1, _FIRST_NODES])
+    @pytest.mark.parametrize("trials", [1, 3])
     def test_few_trials_take_their_own_offsets_as_nodes(self, trials):
-        # one trial is an interval of one point; at `_FIRST_NODES` trials the
-        # rule asks for as many nodes as there are trials
+        # one trial is an interval of one point, its own node; at 3 trials
+        # the first check would take more nodes than there are trials
         system, steps, dt = _random_system(3, 23), 256, 1e-2 / 256
         records, _, offsets = _probe_trials(system, M2HAT, dt, steps, np.random.default_rng(3), trials)
         estimates, table = _supply_read_out(system, M2HAT, dt, steps, records, offsets)
-        assert table is None
+        if trials == 1:
+            np.testing.assert_array_equal(table[0], offsets)
+        else:
+            assert table is None
         _assert_within_the_solve_bound(system, M2HAT, dt, steps, records, offsets, estimates)
         out = simulate_device(system, M2HAT, 1e-2, dt, trials, seed=5)
         first, _, offset = _probe_trials(system, M2HAT, dt, steps, derive_rng(5, 0), trials)
