@@ -6,17 +6,28 @@ Each case builds its inputs, calls its operation once to warm up, then
 times `REPEAT` more calls with `time.perf_counter`.  The last line printed
 is one JSON object, {case: {"min_s": ..., "median_s": ..., "samples_s":
 [...]}}; a case that raises stops the script with its traceback.  The
-cases call only the public API of the `lossless` found on `sys.path`, so
-`PYTHONPATH=<tree>/src` times any tree with this file, as
-`bench/ab.py BASE --layers` does.
+cases call the `lossless` found on `sys.path`, so `PYTHONPATH=<tree>/src`
+times any tree with this file, as `bench/ab.py BASE --layers` does: the
+Monte-Carlo cases through the public API, the fixed-step cases through
+the private functions that hold their layer, which every tree compared
+so far has.
 
-The cases are the Monte-Carlo workers of the realized probes at the
-`kalman` and `table1` sizes of the `montecarlo` workload, on the measured
-LC ladder at t_m = 1e-2 with k_m = T_m = 1 (and E_m = 10), seed 1:
+The Monte-Carlo workers of the realized probes, at the `kalman` and
+`table1` sizes of the `montecarlo` workload, on the measured LC ladder at
+t_m = 1e-2 with k_m = T_m = 1 (and E_m = 10), seed 1:
 
 - `m2hat_chunk`: the supply-backed probe, 1024 trials (one chunk) of 256 steps
 - `m2hat_long_record`: the same probe, 1 trial of 2048 steps
 - `m1hat_chunk`: the linear probe, 1024 trials of 256 steps
+
+The fixed-step recurrences (RK4 on prefix sums, `statespace._rk4`):
+
+- `rk4_cli_sweep`: `approx-nonlinear`'s convergence sweep at the CLI
+  defaults, `approx_nonlinear._wrapped_paths` stacked over 5 charges,
+  1000 steps
+- `rk4_supply_path`: the supply path of `m2hat_long_record` (2048 steps),
+  past `measurement._aux_path`'s one-entry memo, which would otherwise
+  serve every call after the warm-up
 """
 
 from __future__ import annotations
@@ -35,6 +46,26 @@ def _device_run(variant: str, steps: int, trials: int):
     return lambda: lossless.simulate_device(system, device, 1e-2, 1e-2 / steps, trials, seed=1)
 
 
+def _cli_sweep():
+    import numpy as np
+
+    from lossless.approx_nonlinear import _wrapped_paths
+    from lossless.statespace import _input_samples
+
+    samples = _input_samples(lambda s: 0.1 * np.sin(s), 1, 2e-3, 2.0)
+    roots = np.sqrt(2.0 * np.array([1e2, 1e3, 1e4, 1e5, 1e6]))
+    return lambda: _wrapped_paths(lambda x, v: -x + v, lambda x, v: x, np.ones(1), roots, *samples, stacked=True)
+
+
+def _supply_path():
+    import lossless
+    from lossless.measurement import _aux_path
+
+    lc = lossless.measured_lc()
+    args = (lc.J.tobytes(), lc.B.tobytes(), lc.x0.tobytes(), 1.0, 10.0, 1e-2 / 2048, 2048)
+    return lambda: _aux_path.__wrapped__(*args)
+
+
 #: Timed calls per case, after one warm-up call.
 REPEAT = 5
 
@@ -42,6 +73,8 @@ CASES = {
     "m2hat_chunk": lambda: _device_run("M2hat", 256, 1024),
     "m2hat_long_record": lambda: _device_run("M2hat", 2048, 1),
     "m1hat_chunk": lambda: _device_run("M1hat", 256, 1024),
+    "rk4_cli_sweep": _cli_sweep,
+    "rk4_supply_path": _supply_path,
 }
 
 

@@ -274,9 +274,14 @@ def _aux_path(j_bytes, b_bytes, x0_bytes, km, supply_energy, dt, steps):
     j = np.frombuffer(j_bytes).reshape(n, n)
     root = math.sqrt(2.0 * supply_energy)
     rate, stack = _supply_rates(j, b, km, root)
-    path = _rk4(rate, np.concatenate([x0, [root]]), np.zeros(steps + 1), np.zeros(steps), dt, stack)
+    path = _rk4(rate, np.concatenate([x0, [root]]), np.zeros(steps + 1), np.zeros(steps), dt,
+                stack if n <= _SUPPLY_STACK_STATES else None)
     states, supply = path[:, :n], path[:, n]
     return frozen(states[-1]), frozen(km * (supply / root - 1.0) * (states @ b))
+
+
+#: The largest state whose supply path runs stacked windows (timings in CHANGES.md).
+_SUPPLY_STACK_STATES = 16
 
 
 def _supply_rates(j, b, km: float, root: float):
@@ -286,7 +291,9 @@ def _supply_rates(j, b, km: float, root: float):
     takes one dot and one gemv per row, the calls of a single state (one
     stacked BLAS product may round a row otherwise), and squares by
     `np.float_power`, which calls C's pow as a numpy scalar's ** does
-    (an array's ** 2 is y * y, which rounds otherwise in about 1 in 1250)."""
+    (an array's ** 2 is y * y, which rounds otherwise in about 1 in 1250).
+    `_aux_path` offers `_rk4` the stack up to `_SUPPLY_STACK_STATES` states
+    only; above, a record runs one-row passes, as `integrate_ode` does."""
     n = b.shape[0]
 
     def rate(z, _):

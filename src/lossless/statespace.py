@@ -18,19 +18,18 @@ Conventions
   energy-supply wrapper, the active probe's supply path) run through
   `_rk4`: Picard passes over windows of steps, each rebuilt as running
   sums of its RK4 increments, whose fixed point is the step loop's record
-  bit for bit, reached in at most `steps` passes.  A caller that also
-  gives the rate over a stack of rows (the CLI's convergence sweep, the
-  supply path) gets windows of many steps per numpy call, with numpy's
-  overflow warnings off in their unsettled rows; a public callable sees
-  one state, in one-row windows that are the step loop.
+  bit for bit.  A caller that also gives the rate over a stack of rows
+  (the CLI's convergence sweep, the supply path up to 16 states) gets
+  windows of many steps per numpy call, picked by counts, not a clock; a
+  public callable sees one state, in one-row windows: the step loop.
 * Every time-invariant linear recursion x[k+1] = x[k] + (E x[k] + Gamma u[k])
   in the package (RK4, impulse responses, the M1/M1hat/M2 probes and
   filter chains, exact-step Langevin paths) runs through `_lti_run`,
   given its increment E, in lifted blocks.  Kept out of it: rotation
   blocks (below), the Riccati floor's Gramian rows (one panel's factor
   doubled log2(panels) times, so rounding does not compound over the
-  panels), and the nonlinear M2hat probe and its per-trial filter
-  chains, stepped one sample at a time, all trials of a chunk at once.
+  panels), and the nonlinear M2hat probe, stepped one sample at a time,
+  all trials of a chunk at once.
 * The behavioural verdicts run the implicit midpoint rule
   (`_midpoint_outputs`), exactly energy-conserving and stable at any w h.
 * Rotation blocks: `_rotations` reads a generator that is a direct sum of
@@ -67,7 +66,6 @@ import dataclasses
 import functools
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,13 +143,16 @@ _REVERSIBILITY_TOL = 1e-6
 _INCREMENT_ELEMENTS = 1 << 17
 _INCREMENT_LEVELS = 3
 
-#: `_rk4`'s window passes (see `_Window`): at most `_RK4_WINDOW` rows,
-#: aiming at `_RK4_LOOKAHEAD` times the rows the last pass settled, in
-#: bursts that may lose `_RK4_LOOKAHEAD` one-row passes' time and that
-#: start after `_RK4_PROBE` timed one-row passes.
+#: `_rk4`'s window passes (see `_Window`), a pass over w rows booked as
+#: `_RK4_PASS` + w / `_RK4_ROWS` one-row passes.  The cost model, the loss a
+#: burst may take and the back-off were set by timing (figures in CHANGES.md).
 _RK4_WINDOW = 256
 _RK4_LOOKAHEAD = 24
+_RK4_PASS = 2.0
+_RK4_ROWS = 48
+_RK4_LOSS = 36
 _RK4_PROBE = 8
+_RK4_BACKOFF = 64
 
 
 def _is_sparse(m) -> bool:
@@ -473,15 +474,16 @@ def _rk4(rate, x0, u_vals, u_mids, h: float, stack=None) -> np.ndarray:
     `rate` over a leading axis of rows, states (w,) + x0's shape with the
     matching rows of `u_vals` or `u_mids`, and each row of its result
     must be bit for bit what `rate` gives for that row; `_Window` then
-    runs wider windows where they pay.  Unsettled rows may overflow on
-    the way, so such a record runs with numpy's overflow and invalid
-    warnings off.
+    runs wider windows where its counts say they pay (the same passes on
+    every run); a caller offers `stack` only where its rows are cheap.
+    Unsettled rows may overflow on the way, so such a record runs with
+    numpy's overflow and invalid warnings off.
     """
     out = np.empty((len(u_vals),) + np.shape(x0))
     out[0] = x0
     steps, start = len(u_vals) - 1, 0
     window = None if stack is None else _Window(stack, out, u_vals, u_mids, h)
-    wake = steps if window is None else _RK4_PROBE  # where the next window passes start
+    wake = steps if window is None else window.wait  # where the next window passes start
     x = out[0]
     with contextlib.nullcontext() if window is None else np.errstate(over="ignore", invalid="ignore"):
         while start < steps:
@@ -513,34 +515,26 @@ def _diverged(row: int, h: float) -> FloatingPointError:
 class _Window:
     """The window passes of a stacked `_rk4` record, in bursts.
 
-    A burst starts after `_RK4_PROBE` one-row passes and takes their mean
-    time as the cost of a row.  Each window's width is halfway between
-    the last one's and `_RK4_LOOKAHEAD` times the rows the last pass
-    settled (`_RK4_LOOKAHEAD` at first), within `_RK4_WINDOW` rows and
-    never short of the rows already guessed; fresh rows extend the last
-    increment.  The burst books the time it saves against one-row passes
-    (its settled rows at a row's cost, less its own time) and ends once
-    that falls `_RK4_LOOKAHEAD` rows' cost below its best.  A burst whose
-    best passed that mark starts again after `_RK4_PROBE` one-row passes;
-    otherwise one-row passes finish the record.  So the windows of a
-    record lose at most about `_RK4_LOOKAHEAD` one-row passes to the step
-    loop.  The clock picks the passes only: every choice gives the same
-    record.
+    A window's width is halfway between the last one's and `_RK4_LOOKAHEAD`
+    times the rows the last pass settled (`_RK4_LOOKAHEAD` at first), within
+    `_RK4_WINDOW` rows and never short of the rows already guessed; fresh
+    rows extend the last increment.  A burst books each pass as the rows it
+    settled less its booked cost, ends once that balance is `_RK4_LOSS` rows
+    below its best, and is followed `_RK4_PROBE` one-row passes later if its
+    best passed `_RK4_LOSS`, else after `_RK4_BACKOFF` times the last wait.
     """
 
     def __init__(self, stack, out, u_vals, u_mids, h: float):
         self.stack, self.out, self.u_vals, self.u_mids, self.h = stack, out, u_vals, u_mids, h
-        self.reach, self.since, self.clock = 0, 0, time.perf_counter()
+        self.reach, self.wait = 0, _RK4_PROBE
 
     def burst(self, start: int):
         """Window passes from `start`; returns the row they reached and
         the row at which the next burst starts."""
         out, steps, h = self.out, len(self.out) - 1, self.h
-        now = time.perf_counter()
-        row = (now - self.clock) / (start - self.since)  # the one-row passes since the last burst
         saved = best = 0.0
         width, self.reach = _RK4_LOOKAHEAD, max(self.reach, start)
-        while start < steps and saved > best - _RK4_LOOKAHEAD * row:
+        while start < steps and saved > best - _RK4_LOSS:
             reach = self.reach
             stop = min(steps, start + _RK4_WINDOW, max(reach, start + width))
             if stop > reach + 1:
@@ -555,13 +549,12 @@ class _Window:
             if not np.isfinite(committed).all():
                 bad = ~np.isfinite(committed.reshape(settled, -1)).all(axis=1)
                 raise _diverged(start + 1 + int(bad.argmax()), h)
+            saved += settled - _RK4_PASS - (stop - start) / _RK4_ROWS
+            best = max(best, saved)
             start += settled
             width = min(_RK4_WINDOW, (width + _RK4_LOOKAHEAD * settled) // 2)
-            then, now = now, time.perf_counter()
-            saved += settled * row - (now - then)
-            best = max(best, saved)
-        self.since, self.clock = start, now
-        return start, start + _RK4_PROBE if best > _RK4_LOOKAHEAD * row else steps
+        self.wait = _RK4_PROBE if best > _RK4_LOSS else _RK4_BACKOFF * self.wait
+        return start, start + self.wait
 
 
 def _settle(out, x, phi, start: int, stop: int) -> int:

@@ -6,7 +6,7 @@ guesses bit for bit.  The library keeps no step loop beside it, so the
 reference is `step_loop` below: x[k+1] = x[k] + (h/6)(k1 + 2 k2 + 2 k3 + k4),
 one state at a time.  Every record here must equal it bit for bit, raise
 where it raises, and take at most `steps` passes, whatever the windows:
-`schedule` forces them four ways besides the timed default.
+`schedule` forces them four ways besides the counted default.
 """
 
 import math
@@ -47,39 +47,24 @@ class _Counted:
         return self.f(x, u)
 
 
-class _Ticks:
-    """A stand-in for `time` whose clock advances one second per reading."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def perf_counter(self):
-        self.now += 1.0
-        return self.now
-
-
-@pytest.fixture(params=["timed", "windows", "narrow", "rows", "ticks"])
+@pytest.fixture(params=["counted", "windows", "narrow", "rows", "brief"])
 def schedule(request, monkeypatch):
-    """How `_Window` picks passes.  `windows`: one-row passes look a
-    billion seconds dear, so a burst never ends; `narrow` as well, with
-    windows of at most 3 rows aiming at 2 times the rows settled; `rows`:
-    no burst starts; `ticks`: each clock reading is one second, so bursts
-    end when they settle fewer than `_RK4_PROBE` rows a pass."""
+    """How `_Window` picks passes.  `counted`: its rule; `windows`: a
+    burst may lose without end, so the first never ends; `narrow` as well,
+    with windows of at most 3 rows aiming at 2 times the rows settled;
+    `rows`: no burst starts; `brief`: each window pass is booked dear, so
+    every burst ends after one pass, and the next starts `_RK4_PROBE`
+    one-row passes later."""
     if request.param in ("windows", "narrow"):
-        start = statespace._Window.__init__
-
-        def dear_rows(self, *args):
-            start(self, *args)
-            self.clock -= 1e9
-
-        monkeypatch.setattr(statespace._Window, "__init__", dear_rows)
+        monkeypatch.setattr(statespace, "_RK4_LOSS", math.inf)
     if request.param == "narrow":
         monkeypatch.setattr(statespace, "_RK4_WINDOW", 3)
         monkeypatch.setattr(statespace, "_RK4_LOOKAHEAD", 2)
     if request.param == "rows":
         monkeypatch.setattr(statespace, "_RK4_PROBE", 10**9)
-    if request.param == "ticks":
-        monkeypatch.setattr(statespace, "time", _Ticks())
+    if request.param == "brief":
+        monkeypatch.setattr(statespace, "_RK4_PASS", 1e9)
+        monkeypatch.setattr(statespace, "_RK4_BACKOFF", 1)
     return request.param
 
 
@@ -208,6 +193,87 @@ def test_the_stacked_sweep_is_the_one_row_sweep(schedule, energies):
         np.testing.assert_array_equal(stacked, alone)
 
 
+class _Passes:
+    """Counts the one-row and the window passes of the `_rk4` records run
+    while it is installed: a window pass settles once, a one-row pass
+    only increments."""
+
+    def __init__(self, monkeypatch):
+        self.increments = self.windows = 0
+        increment, settle = statespace._increment, statespace._settle
+
+        def counted_increment(*args):
+            self.increments += 1
+            return increment(*args)
+
+        def counted_settle(*args):
+            self.windows += 1
+            return settle(*args)
+
+        monkeypatch.setattr(statespace, "_increment", counted_increment)
+        monkeypatch.setattr(statespace, "_settle", counted_settle)
+
+    def of(self, op):
+        self.increments = self.windows = 0
+        op()
+        return self.increments - self.windows, self.windows
+
+
+def test_a_record_takes_the_same_passes_on_every_run(monkeypatch):
+    # the CLI's convergence sweep (1000 steps, 5 charges) and kalman_M2hat's
+    # 2048-step supply path, past `_aux_path`'s memo, whose windows pay; and
+    # a dense 16-state supply path at h w = 0.1, whose windows lose, so the
+    # ledger ends its bursts: the passes are the inputs' alone, whatever the host
+    samples = _input_samples(lambda s: 0.1 * np.sin(s), 1, 2e-3, 2.0)
+    roots = np.sqrt(2.0 * np.array([1e2, 1e3, 1e4, 1e5, 1e6]))
+    lc, dense = measured_lc(), random_system(16)
+    dt = 0.1 / np.abs(np.linalg.eigvals(dense.J)).max()
+
+    def sweep():
+        _wrapped_paths(lambda x, v: -x + v, lambda x, v: x, np.ones(1), roots, *samples, stacked=True)
+
+    def supply_path():
+        measurement._aux_path.__wrapped__(lc.J.tobytes(), lc.B.tobytes(), lc.x0.tobytes(),
+                                          1.0, 10.0, 1e-2 / 2048, 2048)
+
+    def dense_path():
+        measurement._aux_path.__wrapped__(dense.J.tobytes(), dense.B.tobytes(), dense.x0.tobytes(),
+                                          0.2, 10.0, dt, 512)
+
+    passes = _Passes(monkeypatch)
+    assert [passes.of(sweep) for _ in range(2)] == [(8, 47)] * 2
+    assert [passes.of(supply_path) for _ in range(2)] == [(8, 40)] * 2
+    assert [passes.of(dense_path) for _ in range(2)] == [(473, 28)] * 2
+
+
+def test_a_field_that_stiffens_ends_a_paying_burst(monkeypatch):
+    # Van der Pol whose damping steps from 0.2 to 8 at t = 10: the first
+    # burst pays, then loses past its best once the field stiffens, and
+    # later bursts back off
+    def field(x, u):
+        return np.stack([x[..., 1], u[..., 0] * (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]], axis=-1)
+
+    h, steps = 2e-2, 1500
+    t = np.arange(steps + 1) * h
+    u_vals, u_mids = (np.where(s < 10.0, 0.2, 8.0)[:, None] for s in (t, t[:-1] + 0.5 * h))
+    passes = _Passes(monkeypatch)
+    assert passes.of(lambda: np.testing.assert_array_equal(
+        _rk4(field, np.array([2.0, 0.0]), u_vals, u_mids, h, field),
+        step_loop(field, [2.0, 0.0], u_vals, u_mids, h))) == (933, 105)
+
+
+def test_bursts_that_never_pay_back_off(monkeypatch):
+    # every window pass booked dear: the first burst, at row `_RK4_PROBE`,
+    # ends after one pass, and the next waits `_RK4_BACKOFF` times as long,
+    # so 1000 steps take two window passes
+    monkeypatch.setattr(statespace, "_RK4_PASS", 1e9)
+    h, steps = 1e-3, 1000
+    u_vals, u_mids = sine_samples(steps, h)
+    passes = _Passes(monkeypatch)
+    assert passes.of(lambda: run(van_der_pol, [2.0, 0.0], u_vals, u_mids, h))[1] == 2
+    assert _RK4_PROBE * (1 + statespace._RK4_BACKOFF) < steps < _RK4_PROBE * statespace._RK4_BACKOFF**2
+
+
 def random_system(n, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
@@ -254,6 +320,17 @@ def test_the_supply_stack_rounds_each_row_as_alone(n, rows):
     stacked = stack(z, None)
     for i in range(rows):
         assert np.array_equal(stacked[i], rate(z[i], None))
+
+
+def test_the_supply_path_stacks_only_small_states(monkeypatch):
+    # above `_SUPPLY_STACK_STATES` a stacked row's gemv makes windows lose,
+    # so the record runs one-row passes only
+    cap, passes = measurement._SUPPLY_STACK_STATES, _Passes(monkeypatch)
+    for n, windows in ((cap, True), (cap + 1, False)):
+        system = random_system(n)
+        dt = 0.005 / np.abs(np.linalg.eigvals(system.J)).max()
+        args = (system.J.tobytes(), system.B.tobytes(), system.x0.tobytes(), 0.2, 10.0, dt, 100)
+        assert (passes.of(lambda: measurement._aux_path.__wrapped__(*args))[1] > 0) == windows
 
 
 def test_a_diverging_supply_path_raises_without_warnings():
