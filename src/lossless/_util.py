@@ -101,14 +101,13 @@ def run_chunked(
     total: int,
     worker: Callable[[np.random.Generator, int], object],
     seed: int,
-    *tags: int,
 ) -> list:
     """Run `worker(rng, count)` over fixed-size trial chunks, in order.
 
-    Each chunk gets the substream (seed, *tags, chunk_index) and runs in the
+    Each chunk gets the substream (seed, chunk_index) and runs in the
     calling thread; the returned list is in chunk order.
     """
-    return [worker(derive_rng(seed, *tags, i), n) for i, n in enumerate(chunk_sizes(total))]
+    return [worker(derive_rng(seed, i), n) for i, n in enumerate(chunk_sizes(total))]
 
 
 def as_float_array(x, name: str, *, ndim: int | None = None) -> np.ndarray:

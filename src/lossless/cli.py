@@ -758,13 +758,14 @@ def _resolve_measured(params) -> MeasuredSystem:
 
 def _resolve_langevin(params, boltzmann: float = 1.0) -> LangevinModel:
     model = params["model"] or {"J": [[0.0]], "K": [[1.0]], "B": [[1.0]]}
-    return LangevinModel(**model, temperature=params["temperature"], boltzmann=boltzmann)
+    return LangevinModel(**model, temperature=boltzmann * params["temperature"])
 
 
 def _resolve_device(variant: str, params, boltzmann: float) -> Device:
-    field = {"temperature": "temperature", "supply_energy": "e_m"}  # config field of each
-    kwargs = {name: params[field[name]] for name in _VARIANT_NEEDS[variant]}
-    return Device(variant, admittance=params["k_m"], boltzmann=boltzmann, **kwargs)
+    # config field of each, the temperature converted to the library's k_B T
+    value = {"temperature": boltzmann * params["temperature"], "supply_energy": params["e_m"]}
+    kwargs = {name: value[name] for name in _VARIANT_NEEDS[variant]}
+    return Device(variant, admittance=params["k_m"], **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -929,25 +930,16 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
 def _run_fdt(config: ExperimentConfig) -> RunReport:
     p = config.params
     system = _resolve_lossless(p)
-    temperature, k_b = p["temperature"], config.boltzmann
+    kbt = config.boltzmann * p["temperature"]
     grid = np.linspace(0.0, p["lag_max"], p["lag_count"])
-    report = empirical_fdt_check(
-        system,
-        temperature,
-        p["trials"],
-        grid,
-        seed=config.seed,
-        boltzmann=k_b,
-    )
+    report = empirical_fdt_check(system, kbt, p["trials"], grid, seed=config.seed)
 
     dimension = np.asarray(system.J).shape[0]
-    ensemble = ThermalEnsemble(
-        temperature=temperature, dimension=dimension, boltzmann=k_b, seed=config.seed + 1
-    )
+    ensemble = ThermalEnsemble(temperature=kbt, dimension=dimension, seed=config.seed + 1)
     energies = internal_energy(sample_gibbs(ensemble, p["samples"]))
     mean_energy = float(energies.mean())
     energy_se = float(energies.std(ddof=1) / math.sqrt(p["samples"]))
-    expected = 0.5 * dimension * k_b * temperature
+    expected = 0.5 * dimension * kbt
 
     tables = (
         ("fdt.csv", {
@@ -979,17 +971,16 @@ def _run_fdt(config: ExperimentConfig) -> RunReport:
 
 def _run_langevin(config: ExperimentConfig) -> RunReport:
     p = config.params
-    temperature, k_b = p["temperature"], config.boltzmann
-    langevin = _resolve_langevin(p, k_b)
+    langevin = _resolve_langevin(p, config.boltzmann)
+    kbt = langevin.temperature  # also the stationary variance of each component
     path = simulate_langevin(langevin, None, None, p["dt"], p["horizon"], seed=config.seed)
     variances = path.values[p["burn_in"]:].var(axis=0)
-    expected = k_b * temperature
 
     noise = sample_johnson_noise(
-        p["k_s"], temperature, dt=p["noise_dt"], steps=p["noise_steps"], seed=config.seed + 1
+        p["k_s"], kbt, dt=p["noise_dt"], steps=p["noise_steps"], seed=config.seed + 1
     )
     noise_var = float(noise.values.var())
-    noise_expected = 2.0 * k_b * temperature * p["k_s"] / p["noise_dt"]
+    noise_expected = 2.0 * kbt * p["k_s"] / p["noise_dt"]
 
     components = range(len(variances))
     tables = (
@@ -1000,11 +991,11 @@ def _run_langevin(config: ExperimentConfig) -> RunReport:
         ("stationary.csv", {
             "component": [i + 1 for i in components],
             "variance": variances,
-            "expected": [expected for _ in components],
+            "expected": [kbt for _ in components],
         }),
         ("johnson.csv", _single_row(
             gain=p["k_s"],
-            temperature=temperature,
+            temperature=p["temperature"],
             dt=p["noise_dt"],
             steps=p["noise_steps"],
             variance=noise_var,
@@ -1012,8 +1003,8 @@ def _run_langevin(config: ExperimentConfig) -> RunReport:
         )),
     )
     checks = (
-        _check("stationary_variance_5pct", np.abs(variances - expected).max(),
-               at_most=0.05 * abs(expected), what="worst variance deviation"),
+        _check("stationary_variance_5pct", np.abs(variances - kbt).max(),
+               at_most=0.05 * abs(kbt), what="worst variance deviation"),
         _check("johnson_variance_5pct", abs(noise_var - noise_expected),
                at_most=0.05 * abs(noise_expected), what="variance deviation"),
     )

@@ -170,17 +170,18 @@ class Device:
     """Probe description: variant plus the parameters that variant uses.
 
     `admittance` (k_m) is the port loading, always required.  The
-    realized variants also need `temperature` (T_m); M2hat additionally
-    needs `supply_energy` (E_m), the deterministic charge of its active
-    element.  Supplying a parameter a variant does not use is rejected,
-    since it would silently change nothing.
+    realized variants also need `temperature`, the probe's thermal energy
+    k_B T_m (natural units; a caller working in kelvin passes
+    `BOLTZMANN_SI * T_m`); M2hat additionally needs `supply_energy` (E_m),
+    the deterministic charge of its active element.  Supplying a parameter
+    a variant does not use is rejected, since it would silently change
+    nothing.
     """
 
     variant: str
     admittance: float
     temperature: float | None = None
     supply_energy: float | None = None
-    boltzmann: float = 1.0
 
     def __post_init__(self):
         if self.variant not in DEVICE_VARIANTS:
@@ -196,11 +197,9 @@ class Device:
                 raise ValueError(f"variant {self.variant} does not use {name}")
         t = None if self.temperature is None else positive(self.temperature, "temperature", or_zero=True)
         em = None if self.supply_energy is None else positive(self.supply_energy, "supply_energy")
-        kb = positive(self.boltzmann, "boltzmann constant")
         object.__setattr__(self, "admittance", km)
         object.__setattr__(self, "temperature", t)
         object.__setattr__(self, "supply_energy", em)
-        object.__setattr__(self, "boltzmann", kb)
 
     @property
     def is_noisy(self) -> bool:
@@ -364,7 +363,7 @@ def simulate_device(
         record, final = _lti_run(increment, system.x0, c=b, steps=steps)
         b_d = final - x_nat if device.variant == "M1" else np.zeros(system.n)
         y_hat = record[-1:]
-        sums = _chunk_sums(record[:, None], y_hat, y_hat, b_d[None], y_nat, b)
+        sums = _chunk_sums(record[:, None], y_hat, y_hat, b_d[None], y_nat, b, b_d)
         return _outcome(system, device, t_m, dt, 1, b_d, [sums])
 
     if device.variant == "M1hat":
@@ -380,7 +379,7 @@ def simulate_device(
             xi = rng.standard_normal((system.n + 1, count - 1))
             final = np.column_stack([gain @ eta, factor @ xi]) + const[:, None]
             states = final[:-1].T  # rows :n of `final` the final states, row n the estimates
-            return _chunk_sums(eta[:, None], final[-1], states @ b, states - x_nat, y_nat, b)
+            return _chunk_sums(eta[:, None], final[-1], states @ b, states - x_nat, y_nat, b, b_d)
 
         parts = run_chunked(trials, worker, seed)
         record, _ = _m1hat_probe(system, device, dt, parts[0].record[:, None])
@@ -399,7 +398,7 @@ def simulate_device(
     def worker(rng, count):
         records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
         estimates = _read_out(nodes() or _exact_nodes(weights, offsets), offsets, records)
-        return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b)
+        return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b, b_d)
 
     parts = run_chunked(trials, worker, seed)
     return _outcome(system, device, t_m, dt, trials, b_d, parts)
@@ -408,8 +407,8 @@ def simulate_device(
 class _ChunkSums(NamedTuple):
     """What one chunk of trials adds to its `MeasurementOutcome`."""
 
-    back: np.ndarray  # sum of the back actions
-    back_outer: np.ndarray  # sum of their outer products
+    back: np.ndarray  # sum of the back actions less b_d
+    back_outer: np.ndarray  # sum of the outer products of those offsets
     error: float  # sum of the estimation errors
     error_sq: float  # sum of their squares
     residual: float  # largest correction residual
@@ -417,24 +416,34 @@ class _ChunkSums(NamedTuple):
     y_hat: float  # and its final estimate
 
 
-def _chunk_sums(records, estimates, truth, back, y_nat, b) -> _ChunkSums:
+def _chunk_sums(records, estimates, truth, back, y_nat, b, b_d) -> _ChunkSums:
     """Sums of one chunk: records (steps + 1, count), the final estimates
-    and true potentials (count,) and the back actions (count, n)."""
+    and true potentials (count,) and the back actions (count, n), these
+    summed as offsets from the deterministic back action b_d."""
     errors = estimates - truth
     residual = np.abs(y_nat - (estimates - errors - back @ b)).max()
-    return _ChunkSums(back.sum(axis=0), back.T @ back, errors.sum(), errors @ errors,
+    offsets = back - b_d
+    return _ChunkSums(offsets.sum(axis=0), offsets.T @ offsets, errors.sum(), errors @ errors,
                       residual, records[:, 0].copy(), float(estimates[0]))
 
 
 def _outcome(system, device, t_m, dt, trials, b_d, parts) -> MeasurementOutcome:
-    """Reduce the chunk sums of `trials` trials, in chunk order."""
+    """Reduce the chunk sums of `trials` trials, in chunk order.
+
+    The back-action moments are sums of offsets from b_d, which is known
+    before any chunk runs (the shifted-data form of Chan, Golub & LeVeque,
+    Am. Stat. 37, 1983).  Raw moments would cancel |b_d|^2 against a
+    spread of about 2 k_B T_m k_m t_m, which at laboratory k_B T_m is
+    twenty orders smaller and would leave only rounding in P.
+    """
 
     def total(name):
         return functools.reduce(operator.add, [getattr(p, name) for p in parts])
 
-    b_mean = total("back") / trials
+    shift = total("back") / trials
+    b_mean = b_d + shift
     if trials > 1:
-        cov = (total("back_outer") - trials * np.outer(b_mean, b_mean)) / (trials - 1)
+        cov = (total("back_outer") - trials * np.outer(shift, shift)) / (trials - 1)
     else:
         cov = np.zeros((system.n, system.n))
     cov = 0.5 * (cov + cov.T)
@@ -463,8 +472,7 @@ def _outcome(system, device, t_m, dt, trials, b_d, parts) -> MeasurementOutcome:
 def _noise_scales(device, dt) -> tuple[float, float]:
     """(kick, meas): what one unit of a thermal probe's white noise adds to
     the port drive of a step and to the readout sample."""
-    km = device.admittance
-    kbt = device.boltzmann * device.temperature
+    km, kbt = device.admittance, device.temperature
     return -math.sqrt(2.0 * km * kbt * dt), math.sqrt(2.0 * kbt / (km * dt))
 
 
@@ -506,7 +514,7 @@ def _probe_trials(system, device, dt, steps, rng, count):
 def _supply_offsets(device, rng, count):
     """The M2hat trials' supply offsets x_r(0) - sqrt(2 E_m), N(0, k_B T_m):
     the first draw of each chunk."""
-    return math.sqrt(device.boltzmann * device.temperature) * rng.standard_normal(count)
+    return math.sqrt(device.temperature) * rng.standard_normal(count)
 
 
 #: Intervals between the Chebyshev-Lobatto nodes of the first M2hat read-out
@@ -713,8 +721,7 @@ def _m_star(system, device, t_m) -> float:
     probe, whose temperature is None, or a realized one at zero)."""
     if not device.temperature:
         return 0.0
-    sol = riccati_solve(system, device.admittance, device.temperature, [t_m],
-                        boltzmann=device.boltzmann)
+    sol = riccati_solve(system, device.admittance, device.temperature, [t_m])
     return float(sol.m_star[0])
 
 
@@ -742,15 +749,14 @@ def riccati_solve(
     admittance: float,
     temperature: float,
     grid,
-    *,
-    boltzmann: float = 1.0,
 ) -> RiccatiSolution:
     """Integrate the optimal filter's error covariance on a time grid.
 
-    Because process and readout noise share one source, the filter
-    Riccati equation collapses to Xdot = JX + XJ^T - c X B B^T X with
-    c = k_m/(2 k_B T_m), whose solution through a diffuse start is
-    X(t) = e^{Jt} I(t)^{-1} e^{J^T t} with the information Gramian
+    `temperature` is the probe's thermal energy k_B T_m.  Because process
+    and readout noise share one source, the filter Riccati equation
+    collapses to Xdot = JX + XJ^T - c X B B^T X with c = k_m/(2 k_B T_m),
+    whose solution through a diffuse start is X(t) = e^{Jt} I(t)^{-1}
+    e^{J^T t} with the information Gramian
     I(t) = c int_0^t e^{J^T s} B B^T e^{Js} ds.  The Gramian is
     accumulated as a QR factorization of Gauss-Legendre quadrature
     rows (4 nodes per panel, exact for the polynomial moments that
@@ -771,13 +777,12 @@ def riccati_solve(
         raise ValueError("grid must be strictly increasing and start above 0")
     km = positive(admittance, "admittance")
     t_dev = positive(temperature, "temperature", or_zero=True)
-    kb = positive(boltzmann, "boltzmann constant")
     n = system.n
     if t_dev == 0.0:
         zeros = np.zeros((times.shape[0], n, n))
         return RiccatiSolution(times=times, state_covariance=zeros, m_star=np.zeros(times.shape[0]))
 
-    c = km / (2.0 * kb * t_dev)
+    c = km / (2.0 * t_dev)
     j, b = system.J, system.B
     props = expm(j * times[:, None, None])  # e^{J t}
     starts = np.concatenate([np.eye(n)[None], props[:-1]])  # e^{J t_lo} per interval
@@ -868,8 +873,7 @@ def kalman_estimate(
     dt = y_m.dt
     n = system.n
     b = system.B
-    km = device.admittance
-    kbt = device.boltzmann * device.temperature
+    km, kbt = device.admittance, device.temperature
     if kbt == 0.0:
         return (
             Trajectory(dt=dt, values=y_m.values),
@@ -962,7 +966,7 @@ def tradeoff_product(
     if not device.is_noisy:
         raise ValueError("the trade-off is defined for the realized variants")
     outcome = simulate_device(system, device, t_m, t_m / _PROBE_STEPS, trials, seed)
-    rhs = 2.0 * device.boltzmann * device.temperature / system.c_cap
+    rhs = 2.0 * device.temperature / system.c_cap
     emp = math.sqrt(max(outcome.estimate_variance, 0.0))
     lhs = outcome.delta_y * outcome.delta_y_hat
     return TradeoffReport(
@@ -1124,7 +1128,7 @@ def device_summary(
 
 def _fit_columns(system, device, rows):
     km = device.admittance
-    kbt = 0.0 if device.temperature is None else device.boltzmann * device.temperature
+    kbt = device.temperature or 0.0
     y0 = system.y0
     bnorm = float(np.linalg.norm(system.B))
     btb = float(system.B @ system.B)

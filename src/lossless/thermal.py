@@ -21,8 +21,10 @@ white but proportional to the input, with variance k^2 k_B T u(t)^2
 / (2 E0), plus a deterministic drift that vanishes like t for small
 times.  `nonlinear_thermal_decompose` separates the two parts exactly.
 
-Boltzmann's constant defaults to 1 (natural units) so desk-scale checks
-hold O(1) numbers; pass `boltzmann=BOLTZMANN_SI` for laboratory units.
+Every result uses temperature only through the thermal energy k_B T, so
+every `temperature` argument and field here is that energy (natural
+units, k_B = 1), and desk-scale checks hold O(1) numbers.  A caller
+working in kelvin passes `BOLTZMANN_SI * T`.
 """
 
 from __future__ import annotations
@@ -75,25 +77,22 @@ class ThermalEnsemble:
     """Gibbs ensemble of initial states at a given temperature.
 
     With quadratic internal energy the Gibbs density is Gaussian, mean
-    `mean` and covariance k_B T I; `seed` names the sampling stream so
-    draws are reproducible.
+    `mean` and covariance k_B T I, where `temperature` is k_B T; `seed`
+    names the sampling stream so draws are reproducible.
     """
 
     temperature: float
     dimension: int
     mean: np.ndarray | None = None
-    boltzmann: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         t = positive(self.temperature, "temperature", or_zero=True)
-        kb = positive(self.boltzmann, "boltzmann constant")
         n = int(self.dimension)
         if n < 1:
             raise ValueError(f"dimension must be at least 1, got {n}")
         mean = _state_vector(self.mean, n, "mean")
         object.__setattr__(self, "temperature", t)
-        object.__setattr__(self, "boltzmann", kb)
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "mean", frozen(mean))
         object.__setattr__(self, "seed", int(self.seed))
@@ -101,7 +100,7 @@ class ThermalEnsemble:
     @property
     def state_variance(self) -> float:
         """Per-coordinate variance k_B T of the Gibbs ensemble."""
-        return self.boltzmann * self.temperature
+        return self.temperature
 
 
 def sample_gibbs(ensemble: ThermalEnsemble, count: int) -> np.ndarray:
@@ -156,7 +155,7 @@ def _transient_maps(sys: LosslessLinear, times: np.ndarray) -> np.ndarray:
 
 
 def analytic_fluctuation_covariance(
-    sys: LosslessLinear, temperature: float, t: float, s: float, *, boltzmann: float = 1.0
+    sys: LosslessLinear, temperature: float, t: float, s: float
 ) -> np.ndarray:
     """Autocovariance k_B T B^T e^{J (t-s)} B of the thermal transient.
 
@@ -168,7 +167,7 @@ def analytic_fluctuation_covariance(
     w t |B|^2 of `impulse_response`'s own.
     """
     t, s = positive(t, "t", or_zero=True), positive(s, "s", or_zero=True)
-    kbt = positive(boltzmann, "boltzmann constant") * positive(temperature, "temperature", or_zero=True)
+    kbt = positive(temperature, "temperature", or_zero=True)
     kernel = _transient_maps(sys, np.array([abs(t - s)]))[0] @ sys.B
     if t < s:
         kernel = kernel.T
@@ -206,8 +205,6 @@ def empirical_fdt_check(
     trials: int,
     grid,
     seed: int,
-    *,
-    boltzmann: float = 1.0,
 ) -> FdtReport:
     """Estimate the transient autocovariance over a Gibbs ensemble.
 
@@ -226,15 +223,11 @@ def empirical_fdt_check(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     maps = _transient_maps(sys, times)
-    kbt = float(boltzmann) * float(temperature)
-    ensemble = ThermalEnsemble(
-        temperature=temperature, dimension=sys.n, boltzmann=boltzmann, seed=seed
-    )
-
+    kbt = positive(temperature, "temperature", or_zero=True)
     rows, shape = maps.reshape(-1, sys.n), maps.shape[:2] * 2
 
     def worker(rng, size):
-        states = math.sqrt(ensemble.state_variance) * rng.standard_normal((size, sys.n))
+        states = math.sqrt(kbt) * rng.standard_normal((size, sys.n))
         noise = states @ rows.T  # column j p + i: n_i(t_j)
         squares = noise**2
         return (noise.T @ noise).reshape(shape), (squares.T @ squares).reshape(shape)
@@ -297,7 +290,6 @@ class LangevinModel(_StatePorts):
     K: np.ndarray
     B: np.ndarray
     temperature: float
-    boltzmann: float = 1.0
 
     def __post_init__(self):
         j = _skew_generator(self.J, "J", dense=True)
@@ -309,12 +301,10 @@ class LangevinModel(_StatePorts):
             )
         _psd_eigh(k[None], "K")
         t = positive(self.temperature, "temperature", or_zero=True)
-        kb = positive(self.boltzmann, "boltzmann constant")
         object.__setattr__(self, "J", j)
         object.__setattr__(self, "K", frozen(k))
         object.__setattr__(self, "B", frozen(b))
         object.__setattr__(self, "temperature", t)
-        object.__setattr__(self, "boltzmann", kb)
 
 
 def _exact_step(model: LangevinModel, dt: float):
@@ -340,7 +330,7 @@ def _exact_step(model: LangevinModel, dt: float):
         pushed = gram + e @ gram  # (I + E) Sigma
         gram = gram + pushed + pushed @ e.T
         e = 2.0 * e + e @ e
-    return e, gamma, (model.boltzmann * model.temperature) * 0.5 * (gram + gram.T)
+    return e, gamma, model.temperature * 0.5 * (gram + gram.T)
 
 
 def simulate_langevin(
@@ -372,7 +362,7 @@ def simulate_langevin(
     return Trajectory(dt=step, values=out)
 
 
-def johnson_nyquist_intensity(gain_symmetric, temperature: float, *, boltzmann: float = 1.0) -> np.ndarray:
+def johnson_nyquist_intensity(gain_symmetric, temperature: float) -> np.ndarray:
     """White-noise intensity 2 k_B T k_s of a dissipative memoryless element.
 
     The covariance of the open-circuit fluctuations is this matrix times
@@ -382,7 +372,7 @@ def johnson_nyquist_intensity(gain_symmetric, temperature: float, *, boltzmann: 
     ks = _square_gain(gain_symmetric, "symmetric gain")
     _psd_eigh(ks[None], "gain")
     t = positive(temperature, "temperature", or_zero=True)
-    return 2.0 * positive(boltzmann, "boltzmann constant") * t * ks
+    return 2.0 * t * ks
 
 
 def sample_johnson_noise(
@@ -391,17 +381,16 @@ def sample_johnson_noise(
     dt: float,
     steps: int,
     seed: int,
-    *,
-    boltzmann: float = 1.0,
 ) -> Trajectory:
     """Band-limited thermal noise of a memoryless element, sampled at dt.
 
     White noise only exists under an integral; at sample rate 1/dt the
     stand-in is an i.i.d. sequence whose per-sample covariance is the
-    intensity divided by dt, so that integrated increments carry the
-    right variance.
+    intensity 2 k_B T k_s divided by dt, so that integrated increments
+    carry the right variance.  `temperature` is k_B T, as everywhere in
+    this module.
     """
-    intensity = johnson_nyquist_intensity(gain_symmetric, temperature, boltzmann=boltzmann)
+    intensity = johnson_nyquist_intensity(gain_symmetric, temperature)
     positive(dt, "dt")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -441,7 +430,7 @@ def nonlinear_thermal_decompose(
 
 
 def supply_noise_variance(
-    gain: float, initial_energy: float, temperature: float, u: Trajectory, *, boltzmann: float = 1.0
+    gain: float, initial_energy: float, temperature: float, u: Trajectory
 ) -> Trajectory:
     """Ensemble variance k^2 k_B T u(t)^2 / (2 E0) of the thermal leak.
 
@@ -452,5 +441,4 @@ def supply_noise_variance(
     k = float(gain)
     e0 = positive(initial_energy, "initial_energy")
     t = positive(temperature, "temperature", or_zero=True)
-    kb = positive(boltzmann, "boltzmann constant")
-    return Trajectory(dt=u.dt, values=(k**2 * kb * t / (2.0 * e0)) * _one_port(u)**2)
+    return Trajectory(dt=u.dt, values=(k**2 * t / (2.0 * e0)) * _one_port(u)**2)

@@ -195,7 +195,7 @@ def _old_probe(system, device, dt, steps, rng, count):
     """The M2hat probe as it stepped before the fusion: (count, n) states."""
     j, b, n = system.J, system.B, system.n
     km = device.admittance
-    kbt = device.boltzmann * device.temperature
+    kbt = device.temperature
     kick = -math.sqrt(2.0 * km * kbt * dt)
     meas = math.sqrt(2.0 * kbt / (km * dt))
     root = math.sqrt(2.0 * device.supply_energy)

@@ -491,6 +491,30 @@ class TestRunsAndArtifacts:
                 assert (second / name).read_bytes() == baseline
                 assert (threaded / name).read_bytes() == baseline
 
+    def test_langevin_reads_boltzmann_times_temperature(self, tmp_path):
+        # k_B T = 2.0 * 0.5 = 1 exactly: the default run's bytes, but for the
+        # temperature that johnson.csv echoes from the config
+        runs = {}
+        for name, entries in (("unit", {}), ("scaled", {"boltzmann": 2.0, "temperature": 0.5})):
+            cfg = _write_config(tmp_path, f"{name}.json", seed=1, **entries)
+            assert main(["langevin", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            runs[name] = {p.name: p.read_text(encoding="utf-8") for p in (tmp_path / name).glob("*.csv")}
+        johnson = {name: next(csv.DictReader(io.StringIO(files.pop("johnson.csv"))))
+                   for name, files in runs.items()}
+        assert runs["scaled"] == runs["unit"]
+        assert (johnson["unit"].pop("temperature"), johnson["scaled"].pop("temperature")) == ("1", "0.5")
+        assert johnson["scaled"] == johnson["unit"]
+
+    @pytest.mark.parametrize("experiment", sorted(lossless.cli._ALWAYS_SEEDED))
+    def test_the_si_preset_passes_as_unit_does(self, tmp_path, experiment):
+        names = {}
+        for preset in ("unit", "si"):
+            cfg = _write_config(tmp_path, f"{preset}.json", seed=1, boltzmann=preset)
+            assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / preset)]) == 0
+            checks = json.loads((tmp_path / preset / "manifest.json").read_text(encoding="utf-8"))["checks"]
+            names[preset] = [c["name"] for c in checks]
+        assert names["si"] == names["unit"]
+
     def test_fdt_small_run(self, tmp_path):
         cfg = _write_config(tmp_path, seed=2, trials=600, lag_max=2.0, lag_count=5, samples=800)
         out = tmp_path / "fdt"

@@ -87,7 +87,7 @@ def _sequential_filter(system, device, record, dt, drift=None, offset=None):
     Also returns, per sample, the condition number of the state factor and
     the sizes of the terms that make up the estimate and the gain."""
     n, b, km = system.n, system.B, device.admittance
-    kbt = device.boltzmann * device.temperature
+    kbt = device.temperature
     chain, rows, pushed = _record_chain(system, device, dt, record, drift, offset)
     props, _ = _lti_run(chain, np.eye(n), steps=record.shape[0] - 1)
     c = km / (2.0 * kbt)

@@ -69,7 +69,7 @@ class TestThermalEnsemble:
         assert sample_gibbs(ens, 0).shape == (0, 2)
 
     def test_si_preset_scale(self):
-        ens = ThermalEnsemble(temperature=300.0, dimension=1, boltzmann=BOLTZMANN_SI, seed=1)
+        ens = ThermalEnsemble(temperature=BOLTZMANN_SI * 300.0, dimension=1, seed=1)
         assert ens.state_variance == pytest.approx(300.0 * 1.380649e-23)
 
     def test_validation(self):
@@ -373,7 +373,7 @@ class TestJohnsonNyquist:
         np.testing.assert_allclose(johnson_nyquist_intensity(1.0, 1.0), [[2.0]])
 
     def test_si_units(self):
-        out = johnson_nyquist_intensity(50.0, 300.0, boltzmann=BOLTZMANN_SI)
+        out = johnson_nyquist_intensity(50.0, BOLTZMANN_SI * 300.0)
         assert out[0, 0] == pytest.approx(2 * 1.380649e-23 * 300 * 50)
 
     def test_discretized_variance(self):
@@ -395,36 +395,28 @@ class TestJohnsonNyquist:
             johnson_nyquist_intensity(1.0, -0.5)
 
 
-#: The four thermal functions that take k_B and T as plain numbers, each
-#: called as f(temperature, boltzmann).
+#: The four thermal functions that take the temperature k_B T as a plain
+#: number, each called as f(temperature).
 _KBT_ENTRY_POINTS = {
-    "analytic_fluctuation_covariance":
-        lambda t, kb: analytic_fluctuation_covariance(lc_ladder(), t, 1.0, 0.5, boltzmann=kb),
-    "johnson_nyquist_intensity": lambda t, kb: johnson_nyquist_intensity(1.0, t, boltzmann=kb),
-    "sample_johnson_noise":
-        lambda t, kb: sample_johnson_noise(1.0, t, dt=0.1, steps=4, seed=0, boltzmann=kb).values,
+    "analytic_fluctuation_covariance": lambda t: analytic_fluctuation_covariance(lc_ladder(), t, 1.0, 0.5),
+    "johnson_nyquist_intensity": lambda t: johnson_nyquist_intensity(1.0, t),
+    "sample_johnson_noise": lambda t: sample_johnson_noise(1.0, t, dt=0.1, steps=4, seed=0).values,
     "supply_noise_variance":
-        lambda t, kb: supply_noise_variance(1.0, 10.0, t, Trajectory(dt=0.1, values=np.ones(3)),
-                                            boltzmann=kb).values,
+        lambda t: supply_noise_variance(1.0, 10.0, t, Trajectory(dt=0.1, values=np.ones(3))).values,
 }
 
 
 class TestThermalConstants:
-    # the rule of ThermalEnsemble, LangevinModel and Device: k_B > 0, T >= 0
+    # the rule of ThermalEnsemble, LangevinModel and Device: T >= 0
     @pytest.mark.parametrize("entry", sorted(_KBT_ENTRY_POINTS))
-    @pytest.mark.parametrize("temperature, boltzmann, message", [
-        (1.0, -1.0, "boltzmann constant must be positive, got -1.0"),
-        (1.0, 0.0, "boltzmann constant must be positive, got 0.0"),
-        (1.0, math.nan, "boltzmann constant must be positive, got nan"),
-        (-1.0, 1.0, "temperature must be nonnegative, got -1.0"),
+    @pytest.mark.parametrize("temperature, message", [
+        (-1.0, "temperature must be nonnegative, got -1.0"),
     ])
-    def test_constants_are_checked_and_zero_temperature_is_valid(
-        self, entry, temperature, boltzmann, message
-    ):
+    def test_constants_are_checked_and_zero_temperature_is_valid(self, entry, temperature, message):
         call = _KBT_ENTRY_POINTS[entry]
-        assert np.all(call(0.0, 1.0) == 0.0)
+        assert np.all(call(0.0) == 0.0)
         with pytest.raises(ValueError, match=message):
-            call(temperature, boltzmann)
+            call(temperature)
 
 
 class TestNonlinearDecomposition:

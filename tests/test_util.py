@@ -6,9 +6,9 @@ from lossless._util import CHUNK_TRIALS, derive_rng, run_chunked
 
 
 def test_chunks_run_in_order_on_their_own_substreams():
-    draws = run_chunked(2 * CHUNK_TRIALS + 5, lambda rng, n: (n, rng.random()), 3, 9)
+    draws = run_chunked(2 * CHUNK_TRIALS + 5, lambda rng, n: (n, rng.random()), 3)
     assert [n for n, _ in draws] == [CHUNK_TRIALS, CHUNK_TRIALS, 5]
-    assert [x for _, x in draws] == [derive_rng(3, 9, i).random() for i in range(3)]
+    assert [x for _, x in draws] == [derive_rng(3, i).random() for i in range(3)]
 
 
 def test_nested_call_in_a_worker_runs_serially():
