@@ -454,7 +454,8 @@ class TestZeroTemperatureDevices:
 class TestLaboratoryTemperature:
     # At k_B T_m = BOLTZMANN_SI the back-action spread, about 2 k_B T_m k_m t_m,
     # sits twenty orders below |b_d|^2 ~ 1e-6, so P must come from moments
-    # centred on b_d: raw moments cancel to rounding, and a negative trace.
+    # centred on b_d: raw moments would cancel to rounding, which can leave a
+    # negative trace.
     def test_memoryless_covariance_is_linear_in_kbt(self):
         traces = []
         for kbt in (1.0, BOLTZMANN_SI):
