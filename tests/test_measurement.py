@@ -116,6 +116,8 @@ class TestDevice:
             Device(variant="M1", admittance=0.0)
         with pytest.raises(ValueError, match="temperature must be nonnegative"):
             Device(variant="M1hat", admittance=1.0, temperature=-0.1)
+        with pytest.raises(ValueError, match="temperature must be nonnegative, got nan"):
+            Device(variant="M1hat", admittance=1.0, temperature=math.nan)
 
 
 class TestIdealProbes:
@@ -310,6 +312,13 @@ class TestRiccatiSolve:
             riccati_solve(SYSTEM, -1.0, 1.0, [0.5])
         with pytest.raises(ValueError, match="temperature"):
             riccati_solve(SYSTEM, 1.0, -1.0, [0.5])
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+    def test_constants_are_checked(self, temperature):
+        # k_B T must be finite and nonnegative, checked before the
+        # zero-temperature early return, as `Device` checks it
+        with pytest.raises(ValueError, match=f"temperature must be nonnegative, got {temperature}"):
+            riccati_solve(SYSTEM, 1.0, temperature, [0.5])
 
     def test_the_panel_width_is_not_an_option(self):
         # panels are at most 5e-3 wide; the width is fixed, not a keyword

@@ -407,10 +407,13 @@ _KBT_ENTRY_POINTS = {
 
 
 class TestThermalConstants:
-    # the rule of ThermalEnsemble, LangevinModel and Device: T >= 0
+    # the rule of ThermalEnsemble, LangevinModel and Device: k_B T finite
+    # and >= 0, so a product such as BOLTZMANN_SI * inf is refused too
     @pytest.mark.parametrize("entry", sorted(_KBT_ENTRY_POINTS))
     @pytest.mark.parametrize("temperature, message", [
         (-1.0, "temperature must be nonnegative, got -1.0"),
+        (math.nan, "temperature must be nonnegative, got nan"),
+        (math.inf, "temperature must be nonnegative, got inf"),
     ])
     def test_constants_are_checked_and_zero_temperature_is_valid(self, entry, temperature, message):
         call = _KBT_ENTRY_POINTS[entry]
