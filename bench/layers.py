@@ -40,6 +40,16 @@ The thermal kernel and the Riccati fold, through the public API, at k_B T = 1:
   80 linear ones on [1.5, 100])
 - `kalman_record`: `kalman_estimate` on a 2049-sample M1hat record, the
   first trial of `simulate_device` at t_m = 1e-2, seed 1
+
+The oscillator banks, through the public API:
+
+- `memoryless_banks`: `approx-memoryless`'s loop at its defaults, a
+  `memoryless_lossless_approx` build of the unit gain at horizon 1 and its
+  `zero_state_response` to sin^2(pi t) on 10 001 samples, for each of
+  N = 4, 8, ..., 256
+- `fourier_bank`: `dissipative_lossless_approx` at the `approx-dissipative`
+  defaults, the kernel e^-t on 10 001 samples at dt = 1e-3 with epsilon =
+  0.1, minimum horizon 5 and the exact tail mass
 """
 
 from __future__ import annotations
@@ -112,6 +122,31 @@ def _kalman_record():
     return lambda: lossless.kalman_estimate(system, device, record)
 
 
+def _memoryless_banks():
+    import numpy as np
+
+    import lossless
+
+    dt = 1e-4
+    u = np.sin(np.pi * np.arange(10_001) * dt) ** 2
+
+    def run():
+        for n in (4, 8, 16, 32, 64, 128, 256):
+            lossless.memoryless_lossless_approx(1.0, 1.0, n).zero_state_response(u, dt)
+
+    return run
+
+
+def _fourier_bank():
+    import numpy as np
+
+    import lossless
+
+    t = np.arange(10_001) * 1e-3
+    kernel = lossless.Trajectory(dt=1e-3, values=np.exp(-t))
+    return lambda: lossless.dissipative_lossless_approx(kernel, 0.1, 5.0, tail=lambda s: np.exp(-s))
+
+
 #: Timed calls per case, after one warm-up call.
 REPEAT = 5
 
@@ -125,6 +160,8 @@ CASES = {
     "fdt_check": _fdt_check,
     "riccati_grid": _riccati_grid,
     "kalman_record": _kalman_record,
+    "memoryless_banks": _memoryless_banks,
+    "fourier_bank": _fourier_bank,
 }
 
 

@@ -15,7 +15,8 @@ Two entry points build such banks:
 
 * `memoryless_lossless_approx` spreads a constant gain matrix over
   equal-weight harmonics (the antisymmetric part of the gain is already
-  lossless and rides along as a direct term);
+  lossless and rides along as a direct term), realized by the same bank
+  builder as a kernel's;
 * `dissipative_lossless_approx` runs the full synthesis for a sampled
   kernel: window selection from tail mass, Fourier coefficients, PSD
   shift, realization of all harmonics from one stacked eigendecomposition,
@@ -310,11 +311,12 @@ def realize_harmonic(residue, frequency: float) -> LosslessLinear:
     return _realize_bank(np.zeros(r.shape), r[None], float(frequency))[0]
 
 
-def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float):
+def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float, direct=None):
     """Assembled system and effective (cos, sin) kernel of a bank.
 
     `dc_residue` (p, p) is the real DC residue and `residues` (N - 1, p, p)
-    the Hermitian residues of harmonics k = 1..N-1 at k * base.  The DC
+    the Hermitian residues of harmonics k = 1..N-1 at k * base; `direct`
+    (p, p, skew) is the system's direct term D, none by default.  The DC
     residue gives a static block with B^T B = R/2, the harmonics are
     factored by one stacked eigh, and every residue keeps the eigenvalues
     above 1e-14 times its largest (after clipping within `PSD_TOL`).  The
@@ -350,12 +352,18 @@ def _realize_bank(dc_residue: np.ndarray, residues: np.ndarray, base: float):
     state[in_block] = len(b_dc) + np.arange(np.count_nonzero(in_block))
     rows, cols = state[:, 0][keep], state[:, 1][keep]
     omega = np.broadcast_to(freqs[:, None], keep.shape)[keep]
-    system = LosslessLinear(J=_pair_generator(rows, cols, omega, b_all.shape[0]), B=b_all)
+    system = LosslessLinear(J=_pair_generator(rows, cols, omega, b_all.shape[0]), B=b_all, D=direct)
     return system, eff_cos, eff_sin
 
 
 class _HarmonicResponseMixin:
-    """Matrix-free response evaluation shared by the two bank records."""
+    """Matrix-free response evaluation shared by the two bank records: the
+    series they play is `effective_cos`/`effective_sin` at base pi/horizon,
+    and the direct term is the system's D."""
+
+    @property
+    def direct_term(self) -> np.ndarray:
+        return self.system.D
 
     def kernel(self, times) -> np.ndarray:
         """Impulse-response samples of the realization (direct term excluded)."""
@@ -369,8 +377,13 @@ class _HarmonicResponseMixin:
     def respond(self, u: Trajectory) -> Trajectory:
         """Full port response to a sampled input, direct term included."""
         vals = _port_samples(u)  # the kernel checks its channel count
-        y = self.zero_state_response(vals, u.dt) + vals @ np.asarray(self.direct_term).T
+        y = self.zero_state_response(vals, u.dt) + vals @ self.direct_term.T
         return Trajectory(dt=u.dt, values=y.reshape(u.values.shape))
+
+    def _series(self, count=None) -> _HarmonicSeries:
+        """The played series, or its first `count` harmonics."""
+        return _HarmonicSeries(base=np.pi / self.horizon, cos_part=self.effective_cos[:count],
+                               sin_part=self.effective_sin[:count])
 
 
 @dataclass(frozen=True)
@@ -381,69 +394,53 @@ class HarmonicApprox(_HarmonicResponseMixin):
 
         K_s/horizon + sum_{l=1}^{count-1} (2 K_s/horizon) cos(l w0 t),
 
-    w0 = pi/horizon, which acts like the gain K_s on inputs that vary
-    slowly against the window.  The antisymmetric gain part is the direct
-    term of `system`.  `harmonic_input_map` is the unscaled input map; the
-    assembled system uses sqrt(2) times it.
+    w0 = pi/horizon (`base_frequency`), which acts like the gain K_s on
+    inputs that vary slowly against the window.  The antisymmetric gain
+    part is the direct term of `system`.  `effective_cos`/`effective_sin`
+    are the series the bank actually plays back, as in
+    `FourierLosslessApprox` (DC entry at half weight; the sine part is 0).
     """
 
     horizon: float
     n_harmonics: int
-    base_frequency: float
     memoryless: MemorylessSystem
     system: LosslessLinear
-    harmonic_input_map: np.ndarray
+    effective_cos: np.ndarray
+    effective_sin: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "harmonic_input_map",
-                           frozen(np.asarray(self.harmonic_input_map, float)))
+        for name in ("effective_cos", "effective_sin"):
+            object.__setattr__(self, name, frozen(np.asarray(getattr(self, name), float)))
 
     @property
-    def direct_term(self) -> np.ndarray:
-        return self.memoryless.antisymmetric_part
-
-    def _series(self) -> _HarmonicSeries:
-        n, tau = self.n_harmonics, self.horizon
-        sym = self.memoryless.symmetric_part
-        cos_part = np.repeat((2.0 / tau) * sym[None, :, :], n, axis=0)
-        cos_part[0] *= 0.5
-        return _HarmonicSeries(
-            base=self.base_frequency,
-            cos_part=cos_part,
-            sin_part=np.zeros_like(cos_part),
-        )
+    def base_frequency(self) -> float:
+        return np.pi / self.horizon
 
 
 def memoryless_lossless_approx(gain, horizon: float, n_harmonics: int) -> HarmonicApprox:
     """Lossless oscillator bank approximating the memoryless map y = gain u.
 
-    State layout: one static block of size r (the DC harmonic), then the
-    cosine and sine halves of the n_harmonics - 1 oscillating pairs, r
-    states each, for (2 n_harmonics - 1) r states in total.
+    `_realize_bank` builds it as a kernel's bank, with the residue
+    (2/horizon) K_s at DC and at each harmonic k pi / horizon, k = 1..n-1,
+    and the antisymmetric gain part as direct term.  State layout: the DC
+    block (r states, r the residue's rank), then each harmonic's r cosine
+    and r sine states, for (2 n_harmonics - 1) r states in total.
     """
     positive(horizon, "horizon")
     if n_harmonics < 2:
         raise ValueError(f"need at least 2 harmonics, got {n_harmonics}")
     ms = MemorylessSystem.from_gain(gain)
-    r, p = ms.rank, ms.ports
-    w0 = np.pi / horizon
-    pairs = (n_harmonics - 1) * r
-    cos_states = r + np.arange(pairs)
-    omega = w0 * np.repeat(np.arange(1, n_harmonics), r)
-    input_map = np.vstack([
-        ms.factor / np.sqrt(2.0),
-        np.tile(ms.factor, (n_harmonics - 1, 1)),
-        np.zeros((pairs, p)),
-    ]) / np.sqrt(horizon)
-    j_bank = _pair_generator(cos_states, cos_states + pairs, omega, r + 2 * pairs)
-    system = LosslessLinear(J=j_bank, B=np.sqrt(2.0) * input_map, D=ms.antisymmetric_part)
+    residue = (2.0 / horizon) * ms.symmetric_part
+    system, eff_cos, eff_sin = _realize_bank(
+        residue, np.broadcast_to(residue, (n_harmonics - 1,) + residue.shape), np.pi / horizon,
+        direct=ms.antisymmetric_part)
     return HarmonicApprox(
         horizon=float(horizon),
         n_harmonics=int(n_harmonics),
-        base_frequency=w0,
         memoryless=ms,
         system=system,
-        harmonic_input_map=input_map,
+        effective_cos=eff_cos,
+        effective_sin=eff_sin,
     )
 
 
@@ -605,10 +602,6 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
     def ports(self) -> int:
         return self.system.p
 
-    @property
-    def direct_term(self) -> np.ndarray:
-        return np.zeros((self.ports, self.ports))
-
     @functools.cached_property
     def blocks(self) -> tuple[LosslessLinear, ...]:
         """Per-harmonic blocks in frequency order, cut out of `system` on first read: block k
@@ -634,20 +627,11 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
         lo, hi = min(1, self.n_harmonics), self.n_harmonics
         while lo < hi:
             mid = (lo + hi) // 2
-            partial = _HarmonicSeries(base=np.pi / self.horizon, cos_part=self.effective_cos[:mid],
-                                      sin_part=self.effective_sin[:mid])
-            if _window_l2(partial, self.window) <= self.target_error:
+            if _window_l2(self._series(mid), self.window) <= self.target_error:
                 hi = mid
             else:
                 lo = mid + 1
         return lo
-
-    def _series(self) -> _HarmonicSeries:
-        return _HarmonicSeries(
-            base=np.pi / self.horizon,
-            cos_part=self.effective_cos,
-            sin_part=self.effective_sin,
-        )
 
 
 def l2_error(a: Trajectory, b: Trajectory, horizon: float | None = None) -> float:
@@ -756,7 +740,6 @@ def dissipative_lossless_approx(
     system, eff_cos, eff_sin = _realize_bank(shifted[0], shifted[1:] - 1j * sin_coef, base)
 
     tail_mass = float((running[-1] - np.interp(horizon, times, running)) + beyond_mass)
-    series = _HarmonicSeries(base=base, cos_part=eff_cos, sin_part=eff_sin)
 
     return FourierLosslessApprox(
         horizon=float(horizon),
@@ -774,5 +757,5 @@ def dissipative_lossless_approx(
         effective_cos=eff_cos,
         effective_sin=eff_sin,
         window=measured_window,
-        l2_error_measured=_window_l2(series, measured_window),
+        l2_error_measured=_window_l2(_HarmonicSeries(base, eff_cos, eff_sin), measured_window),
     )

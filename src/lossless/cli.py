@@ -1025,7 +1025,6 @@ def _run_measure(config: ExperimentConfig) -> RunReport:
         p["trials"],
         seed=0 if config.seed is None else config.seed,
     )
-    eigs = np.linalg.eigvalsh(outcome.P)
     tables = (
         ("outcome.csv", _single_row(
             variant=outcome.variant,
@@ -1047,12 +1046,25 @@ def _run_measure(config: ExperimentConfig) -> RunReport:
         )),
         ("record.csv", {"time": outcome.y_m.times, "y_m": outcome.y_m.values}),
     )
-    checks = (
-        _check("correction_identity", outcome.max_correction_residual, at_most=1e-10,
-               what="worst correction residual"),
-        _check("covariance_psd", eigs.min(), at_least=-1e-10, what="smallest eigenvalue"),
+    return RunReport(tables, _measure_checks(system, outcome))
+
+
+def _measure_checks(system, outcome) -> tuple[CheckResult, ...]:
+    """`measure`'s two rounding checks, bound on the run's own scale: the
+    correction residual by 8 eps s per record sample, s = max(|B| |x0|,
+    sqrt(m*), sqrt(estimate variance)), and P's smallest eigenvalue by
+    -64 eps trace(P).  The ideal M2 residual is its chain's rounding
+    against the exact natural path, about 0.23 eps s per step; |B| |x0|
+    bounds the natural potential (J is skew) and is not 0 when y0 is."""
+    eps = np.finfo(float).eps
+    scale = max(float(np.linalg.norm(system.B) * np.linalg.norm(system.x0)),
+                math.sqrt(outcome.m_star), math.sqrt(outcome.estimate_variance))
+    return (
+        _check("correction_identity", outcome.max_correction_residual,
+               at_most=8 * eps * scale * outcome.y_m.values.shape[0], what="worst correction residual"),
+        _check("covariance_psd", np.linalg.eigvalsh(outcome.P).min(),
+               at_least=-64 * eps * float(np.trace(outcome.P)), what="smallest eigenvalue"),
     )
-    return RunReport(tables, checks)
 
 
 def _run_tradeoff(config: ExperimentConfig) -> RunReport:

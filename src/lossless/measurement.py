@@ -363,8 +363,8 @@ def simulate_device(
         record, final = _lti_run(increment, system.x0, c=b, steps=steps)
         b_d = final - x_nat if device.variant == "M1" else np.zeros(system.n)
         y_hat = record[-1:]
-        sums = _chunk_sums(record[:, None], y_hat, y_hat, b_d[None], y_nat, b, b_d)
-        return _outcome(system, device, t_m, dt, 1, b_d, [sums])
+        sums = _chunk_sums(record[:, None], y_hat, y_hat, b_d[None], np.zeros((1, system.n)), y_nat, b)
+        return _outcome(system, device, t_m, dt, 1, b_d, b_d, [sums])
 
     if device.variant == "M1hat":
         loaded = matrix_exponential((system.J - km * np.outer(b, b)) * t_m)
@@ -377,14 +377,15 @@ def simulate_device(
             # the others draw their image under the map, N(0, G G^T), as F xi
             eta = rng.standard_normal(steps + 1)
             xi = rng.standard_normal((system.n + 1, count - 1))
-            final = np.column_stack([gain @ eta, factor @ xi]) + const[:, None]
+            noise = np.column_stack([gain @ eta, factor @ xi])
+            final = noise + const[:, None]
             states = final[:-1].T  # rows :n of `final` the final states, row n the estimates
-            return _chunk_sums(eta[:, None], final[-1], states @ b, states - x_nat, y_nat, b, b_d)
+            return _chunk_sums(eta[:, None], final[-1], states @ b, states - x_nat, noise[:-1].T, y_nat, b)
 
         parts = run_chunked(trials, worker, seed)
         record, _ = _m1hat_probe(system, device, dt, parts[0].record[:, None])
         parts[0] = parts[0]._replace(record=record[:, 0])
-        return _outcome(system, device, t_m, dt, trials, b_d, parts)
+        return _outcome(system, device, t_m, dt, trials, b_d, const[:-1] - x_nat, parts)
 
     final, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
     b_d = final - x_nat
@@ -398,16 +399,17 @@ def simulate_device(
     def worker(rng, count):
         records, states, offsets = _probe_trials(system, device, dt, steps, rng, count)
         estimates = _read_out(nodes() or _exact_nodes(weights, offsets), offsets, records)
-        return _chunk_sums(records, estimates, states @ b, states - x_nat, y_nat, b, b_d)
+        back = states - x_nat
+        return _chunk_sums(records, estimates, states @ b, back, back - b_d, y_nat, b)
 
     parts = run_chunked(trials, worker, seed)
-    return _outcome(system, device, t_m, dt, trials, b_d, parts)
+    return _outcome(system, device, t_m, dt, trials, b_d, b_d, parts)
 
 
 class _ChunkSums(NamedTuple):
     """What one chunk of trials adds to its `MeasurementOutcome`."""
 
-    back: np.ndarray  # sum of the back actions less b_d
+    back: np.ndarray  # sum of the back actions' offsets from their centre
     back_outer: np.ndarray  # sum of the outer products of those offsets
     error: float  # sum of the estimation errors
     error_sq: float  # sum of their squares
@@ -416,32 +418,33 @@ class _ChunkSums(NamedTuple):
     y_hat: float  # and its final estimate
 
 
-def _chunk_sums(records, estimates, truth, back, y_nat, b, b_d) -> _ChunkSums:
+def _chunk_sums(records, estimates, truth, back, offsets, y_nat, b) -> _ChunkSums:
     """Sums of one chunk: records (steps + 1, count), the final estimates
-    and true potentials (count,) and the back actions (count, n), these
-    summed as offsets from the deterministic back action b_d."""
+    and true potentials (count,), and the back actions (count, n), which
+    the correction residual reads, with their offsets from the call's
+    centre (count, n), which the moments sum."""
     errors = estimates - truth
     residual = np.abs(y_nat - (estimates - errors - back @ b)).max()
-    offsets = back - b_d
     return _ChunkSums(offsets.sum(axis=0), offsets.T @ offsets, errors.sum(), errors @ errors,
                       residual, records[:, 0].copy(), float(estimates[0]))
 
 
-def _outcome(system, device, t_m, dt, trials, b_d, parts) -> MeasurementOutcome:
+def _outcome(system, device, t_m, dt, trials, b_d, centre, parts) -> MeasurementOutcome:
     """Reduce the chunk sums of `trials` trials, in chunk order.
 
-    The back-action moments are sums of offsets from b_d, which is known
-    before any chunk runs (the shifted-data form of Chan, Golub & LeVeque,
-    Am. Stat. 37, 1983).  Raw moments would cancel |b_d|^2 against a
-    spread of about 2 k_B T_m k_m t_m, which at laboratory k_B T_m is
-    twenty orders smaller and would leave only rounding in P.
+    The back-action moments are sums of offsets from `centre`, a noise-free
+    back action known before any chunk runs (b_d, or M1hat's Euler chain's,
+    whose offsets are the noise terms alone; the shifted-data form of Chan,
+    Golub & LeVeque, Am. Stat. 37, 1983).  Raw moments would cancel |b_d|^2
+    against a spread of about 2 k_B T_m k_m t_m, twenty orders smaller at
+    laboratory k_B T_m, and leave only rounding in P.
     """
 
     def total(name):
         return functools.reduce(operator.add, [getattr(p, name) for p in parts])
 
     shift = total("back") / trials
-    b_mean = b_d + shift
+    b_mean = centre + shift
     if trials > 1:
         cov = (total("back_outer") - trials * np.outer(shift, shift)) / (trials - 1)
     else:
@@ -809,16 +812,17 @@ def riccati_solve(
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
-#: Widest Gauss-Legendre panel of the Riccati floor's Gramian rows.
-_PANEL_WIDTH = 5e-3
+#: Widest Gauss-Legendre panel of the Riccati floor's Gramian rows, in units of 1/||J||_1.
+_PANEL_WIDTH = 1e-2
 
 
 def _span_factor(j, b, c, span):
     """Upper-triangular n x n factor R (zero-padded below) of the weighted Gauss-Legendre rows
-    of c int_0^span e^{J^T s} B B^T e^{Js} ds, 4 nodes on each of 2^L panels (the least L >= 1
-    with width h <= `_PANEL_WIDTH`).  Level i stacks the first 2^i panels' factor over itself
-    times e^{J 2^i h} and re-factors, so rounding compounds over L levels, not 2^L panels."""
-    levels, n = max(1, (math.ceil(span / _PANEL_WIDTH) - 1).bit_length()), b.shape[0]
+    of c int_0^span e^{J^T s} B B^T e^{Js} ds, 4 nodes on each of 2^L panels of width h (the
+    least L >= 1 with h ||J||_1 <= `_PANEL_WIDTH`, so a time unit 2^k gives R bit for bit).
+    Level i stacks the first 2^i panels' factor over itself times e^{J 2^i h} and re-factors,
+    so rounding compounds over L levels, not 2^L panels."""
+    levels, n = max(1, (math.ceil(span * np.linalg.norm(j, 1) / _PANEL_WIDTH) - 1).bit_length()), b.shape[0]
     h = span / 2**levels
     offsets = np.concatenate([0.5 * h * (_GL_NODES + 1.0), h * 2.0 ** np.arange(levels)])
     maps = expm(j * offsets[:, None, None])

@@ -120,11 +120,8 @@ class TestMemorylessBank:
         np.testing.assert_allclose(
             np.asarray(ha.system.J), [[0, 0, 0], [0, 0, 1], [0, -1, 0]], atol=1e-15
         )
-        expected = np.array([1 / np.sqrt(2), 1.0, 0.0]) / np.sqrt(np.pi)
-        np.testing.assert_allclose(ha.harmonic_input_map[:, 0], expected)
-        np.testing.assert_allclose(
-            np.asarray(ha.system.B), np.sqrt(2.0) * ha.harmonic_input_map
-        )
+        expected = np.array([1.0, np.sqrt(2.0), 0.0]) / np.sqrt(np.pi)
+        np.testing.assert_allclose(np.asarray(ha.system.B)[:, 0], expected)
         assert ha.base_frequency == pytest.approx(1.0)
 
     def test_kernel_at_zero(self):
@@ -171,26 +168,25 @@ class TestMemorylessBank:
             (np.array([[2.0, 1.3, 0.0], [0.7, 2.0, 0.0], [0.0, 0.0, 0.0]]), 40),  # rank 2
         ],
     )
-    def test_generator_matches_the_kron_layout(self, gain, n_harmonics):
-        # J written out block by block: the DC states, then each pair's
-        # cosine states coupled at +k w0 to its sine states
+    def test_generator_matches_the_bank_layout(self, gain, n_harmonics):
+        # the DC block, then each harmonic's cosine and sine states: the
+        # states of harmonic k are realize_harmonic((2/tau) K_s, k w0)
         tau = 1.3
         ha = memoryless_lossless_approx(gain, tau, n_harmonics)
-        r = ha.memoryless.rank
-        pairs = (n_harmonics - 1) * r
-        omega = (np.pi / tau) * np.kron(np.diag(np.arange(1, n_harmonics)), np.eye(r))
-        expected = np.zeros((r + 2 * pairs, r + 2 * pairs))
-        expected[r : r + pairs, r + pairs :] = omega
-        expected[r + pairs :, r : r + pairs] = -omega
+        residue = (2.0 / tau) * ha.memoryless.symmetric_part
         j = ha.system.J
-        assert scipy.sparse.issparse(j) == (expected.shape[0] > _DENSE_LIMIT)
+        assert scipy.sparse.issparse(j) == (ha.system.n > _DENSE_LIMIT)
+        expected = np.zeros((ha.system.n, ha.system.n))
+        lo = 0
+        for k in range(n_harmonics):
+            block = realize_harmonic(residue, k * (np.pi / tau))
+            hi = lo + block.n
+            expected[lo:hi, lo:hi] = block.J
+            assert np.array_equal(ha.system.B[lo:hi], block.B)
+            lo = hi
+        assert lo == ha.system.n
         assert np.array_equal(j.toarray() if scipy.sparse.issparse(j) else j, expected)
-        b = np.vstack([
-            ha.memoryless.factor / np.sqrt(2.0),
-            np.tile(ha.memoryless.factor, (n_harmonics - 1, 1)),
-            np.zeros((pairs, ha.memoryless.ports)),
-        ]) * np.sqrt(2.0 / tau)
-        np.testing.assert_allclose(ha.system.B, b, rtol=1e-14, atol=0.0)
+        assert np.array_equal(ha.system.D, ha.memoryless.antisymmetric_part)
 
     def test_large_bank_never_builds_a_dense_generator(self):
         # a dense (2N - 1)-square generator at N = 4000 alone is 488 MiB

@@ -6,6 +6,7 @@ small; the statistical heavy lifting lives in the acceptance tests.
 """
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -34,6 +35,7 @@ from lossless.cli import (
     _check,
     _format_cell,
     _format_column,
+    _measure_checks,
     _write_csv,
     build_config,
     config_schema,
@@ -159,6 +161,39 @@ class TestCheck:
         # which six significant digits would print as 1
         check = _check("r", 0.96, at_most=1.0 + 515 * np.finfo(float).eps, what="ratio")
         assert check.detail == "ratio = 0.96, want at most 1.0000000000001144"
+
+
+class TestMeasureChecks:
+    # measure's rounding checks are bound on the run's own scale (see
+    # `_measure_checks`); at the default config no looser than 1e-10
+
+    def test_default_bounds_are_no_looser_than_before(self, tmp_path):
+        report = _RUNNERS["measure"](build_config("measure", seed=1, out=tmp_path))
+        bounds = {c.name: float(c.detail.rsplit(" ", 1)[1]) for c in report.checks}
+        assert all(c.passed for c in report.checks)
+        assert 0.0 < bounds["correction_identity"] <= 1e-10
+        assert -1e-10 <= bounds["covariance_psd"] < 0.0
+
+    @pytest.mark.parametrize("kbt", [1.0, BOLTZMANN_SI])
+    def test_an_indefinite_covariance_fails(self, kbt):
+        system = lossless.measured_lc()
+        device = lossless.Device("M1hat", admittance=1.0, temperature=kbt)
+        outcome = lossless.simulate_device(system, device, 1e-3, 1e-3 / 256, 2000, seed=1)
+        lam, vec = np.linalg.eigh(outcome.P)
+        lam[0] = -1e-6 * lam[1:].sum() / (1.0 + 1e-6)  # -1e-6 times the new trace
+        bad = dataclasses.replace(outcome, P=(vec * lam) @ vec.T)
+        passed = {c.name: c.passed for c in _measure_checks(system, outcome)}
+        assert passed == {"correction_identity": True, "covariance_psd": True}
+        passed = {c.name: c.passed for c in _measure_checks(system, bad)}
+        assert passed == {"correction_identity": True, "covariance_psd": False}
+
+    def test_a_start_at_zero_potential_keeps_a_scale(self):
+        # y0 = 0 with x0 != 0: the ideal M2 record still rounds against the
+        # natural path, and more so over more steps
+        system = lossless.MeasuredSystem(J=lossless.measured_lc().J, B=[1.0, 0.0, 0.0], x0=[0.0, 1.0, 0.0])
+        outcome = lossless.simulate_device(system, lossless.Device("M2", admittance=1.0), 1e-3, 1e-3 / 4096, 1)
+        assert outcome.max_correction_residual > 0.0
+        assert all(c.passed for c in _measure_checks(system, outcome))
 
 
 class TestConfigSchema:
