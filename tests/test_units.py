@@ -35,7 +35,7 @@ class TestTimeUnit:
 
 class TestEnergyUnit:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_memoryless_covariance_is_linear_in_kbt(self, seed):
+    def test_m1hat_covariance_scales_with_kbt(self, seed):
         # one seed draws the same noise at both temperatures, and a trial's
         # offset from the noise-free chain is its noise term alone, so P / k_B T
         # keeps every digit even at k_B T = BOLTZMANN_SI
