@@ -8,8 +8,9 @@ is one JSON object, {case: {"min_s": ..., "median_s": ..., "samples_s":
 [...]}}; a case that raises stops the script with its traceback.  The
 cases call the `lossless` found on `sys.path`, so `PYTHONPATH=<tree>/src`
 times any tree with this file, as `bench/ab.py BASE --layers` does: the
-RK4 cases through the private functions that hold their layer, which
-every tree compared so far has, the others through the public API.
+RK4 cases, `noise_map` and `csv_writer` through the private functions
+that hold their layer, which every tree compared so far has, the others
+through the public API.
 
 The Monte-Carlo workers of the realized probes, at the `kalman` and
 `table1` sizes of the `montecarlo` workload, on the measured LC ladder at
@@ -18,6 +19,8 @@ t_m = 1e-2 with k_m = T_m = 1 (and E_m = 10), seed 1:
 - `m2hat_chunk`: the supply-backed probe, 1024 trials (one chunk) of 256 steps
 - `m2hat_long_record`: the same probe, 1 trial of 2048 steps
 - `m1hat_chunk`: the linear probe, 1024 trials of 256 steps
+- `noise_map`: `measurement._noise_map` of the linear probe, 2048 steps,
+  the affine map from a trial's white noise to its final state and estimate
 
 The fixed-step recurrences (RK4 on prefix sums, `statespace._rk4`, and
 the exact Langevin step):
@@ -50,6 +53,14 @@ The oscillator banks, through the public API:
 - `fourier_bank`: `dissipative_lossless_approx` at the `approx-dissipative`
   defaults, the kernel e^-t on 10 001 samples at dt = 1e-3 with epsilon =
   0.1, minimum horizon 5 and the exact tail mass
+- `harmonic_series`: that bank's series (4623 harmonics, built before
+  timing): `kernel` at 5001 sorted uniform times on [0, 5] (seed 1), then
+  `zero_state_response` to sin t on 2001 samples at dt = 1e-3
+
+The CSV writer:
+
+- `csv_writer`: `cli._write_csv` of a 100 001-row float table (time and
+  one standard normal column, seed 1) into a temporary file
 """
 
 from __future__ import annotations
@@ -113,6 +124,15 @@ def _riccati_grid():
     return lambda: lossless.riccati_solve(lossless.measured_lc(), 1.0, 1.0, grid)
 
 
+def _noise_map():
+    import lossless
+    from lossless.measurement import _noise_map
+
+    system = lossless.measured_lc()
+    device = lossless.Device("M1hat", admittance=1.0, temperature=1.0)
+    return lambda: _noise_map(system, device, 1e-2 / 2048, 2048)
+
+
 def _kalman_record():
     import lossless
 
@@ -147,6 +167,34 @@ def _fourier_bank():
     return lambda: lossless.dissipative_lossless_approx(kernel, 0.1, 5.0, tail=lambda s: np.exp(-s))
 
 
+def _harmonic_series():
+    import numpy as np
+
+    bank = _fourier_bank()()
+    times = np.sort(np.random.default_rng(1).uniform(0.0, 5.0, 5001))
+    u = np.sin(np.arange(2001) * 1e-3)
+
+    def run():
+        bank.kernel(times)
+        bank.zero_state_response(u, 1e-3)
+
+    return run
+
+
+def _csv_writer():
+    import tempfile
+    from pathlib import Path
+
+    import numpy as np
+
+    from lossless.cli import _write_csv
+
+    t = np.arange(100_001) * 1e-3
+    table = {"time": t, "x1": np.random.default_rng(1).standard_normal(t.size)}
+    directory = tempfile.TemporaryDirectory()  # removed once the case is dropped
+    return lambda: _write_csv(Path(directory.name) / "table.csv", table)
+
+
 #: Timed calls per case, after one warm-up call.
 REPEAT = 5
 
@@ -154,6 +202,7 @@ CASES = {
     "m2hat_chunk": lambda: _device_run("M2hat", 256, 1024),
     "m2hat_long_record": lambda: _device_run("M2hat", 2048, 1),
     "m1hat_chunk": lambda: _device_run("M1hat", 256, 1024),
+    "noise_map": _noise_map,
     "rk4_cli_sweep": _cli_sweep,
     "rk4_supply_path": _supply_path,
     "langevin_path": _langevin_path,
@@ -162,6 +211,8 @@ CASES = {
     "kalman_record": _kalman_record,
     "memoryless_banks": _memoryless_banks,
     "fourier_bank": _fourier_bank,
+    "harmonic_series": _harmonic_series,
+    "csv_writer": _csv_writer,
 }
 
 

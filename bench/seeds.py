@@ -25,7 +25,6 @@ import contextlib
 import io
 import json
 import math
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,12 +35,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from lossless import cli  # noqa: E402
 
 
-#: The tail of a check's detail: "... = v, want at most b", "at least b" or "lo to hi".
-_WANT = re.compile(r"= (\S+), want (?:at most (\S+)|at least (\S+)|(\S+) to (\S+))$")
-
-
-def _reading(detail: str) -> tuple[float, float | None]:
-    """(badness, share) of the reading in a check's detail.
+def _reading(check: dict) -> tuple[float, float | None]:
+    """(badness, share) of a manifest check entry's reading v (`value`)
+    against its bounds (`at_most` b, `at_least` b, or both, lo to hi).
 
     Badness orders a check's readings toward failure: v for "at most b",
     -v for "at least b", and for "lo to hi" the distance from the window's
@@ -49,16 +45,14 @@ def _reading(detail: str) -> tuple[float, float | None]:
     the bound, past 1 failed.  A one-sided bound that is not positive gives
     no ratio, so its share is None.  A NaN reading is the worst, share inf.
     """
-    value, most, least, lo, hi = _WANT.search(detail).groups()
-    v = float(value)
+    v, most, least = check["value"], check["at_most"], check["at_least"]
     if math.isnan(v):
         return math.inf, math.inf
-    if most is not None:
-        return v, v / float(most) if float(most) > 0 else None
-    if least is not None:
-        share = (float(least) / v if v > 0 else math.inf) if float(least) > 0 else None
-        return -v, share
-    distance = abs(v - (float(lo) + float(hi)) / 2) / ((float(hi) - float(lo)) / 2)
+    if least is None:
+        return v, v / most if most > 0 else None
+    if most is None:
+        return -v, (least / v if v > 0 else math.inf) if least > 0 else None
+    distance = abs(v - (least + most) / 2) / ((most - least) / 2)
     return distance, distance
 
 
@@ -83,7 +77,7 @@ def sweep(experiment: str, seeds: int, config: str | None) -> dict:
             for check in json.loads(manifest.read_text(encoding="utf-8"))["checks"]:
                 name = check["name"]
                 failures[name] = failures.get(name, 0) + (not check["passed"])
-                badness, share = _reading(check["detail"])
+                badness, share = _reading(check)
                 if name not in worst or badness > worst[name]["badness"]:
                     worst[name] = {"badness": badness, "share": share, "seed": seed,
                                    "detail": check["detail"]}

@@ -634,17 +634,14 @@ class FourierLosslessApprox(_HarmonicResponseMixin):
         return lo
 
 
-def l2_error(a: Trajectory, b: Trajectory, horizon: float | None = None) -> float:
-    """Frobenius L2 distance between two sampled kernels on [0, horizon]
-    (their common window when `horizon` is None; a negative one is rejected)."""
+def l2_error(a: Trajectory, b: Trajectory) -> float:
+    """Frobenius L2 distance between two sampled kernels over their common window."""
     if abs(a.dt - b.dt) > 1e-15:
         raise ValueError("kernels must share the sample step")
     va, vb = _as_kernel_samples(a.values), _as_kernel_samples(b.values)
     if va.shape[1:] != vb.shape[1:]:
         raise ValueError(f"kernel shapes differ: {va.shape[1:]} vs {vb.shape[1:]}")
     m = min(va.shape[0], vb.shape[0])
-    if horizon is not None:
-        m = min(m, int(round(positive(horizon, "horizon", or_zero=True) / a.dt)) + 1)
     diff = va[:m] - vb[:m]
     sq = np.sum(diff * diff, axis=(1, 2))
     return float(np.sqrt(trapezoid(sq, a.dt)))
@@ -658,11 +655,14 @@ def _window_l2(series: _HarmonicSeries, window: Trajectory) -> float:
     return float(np.sqrt(trapezoid(sq, np.diff(times))))
 
 
+#: The most states a `dissipative_lossless_approx` bank may need.
+_STATE_BUDGET = 20000
+
+
 def dissipative_lossless_approx(
     g: Trajectory,
     target_error: float,
     min_horizon: float,
-    state_budget: int = 20000,
     tail: Callable[[float], float] | None = None,
 ) -> FourierLosslessApprox:
     """Synthesize a lossless bank within a target L2 error of a kernel.
@@ -679,7 +679,7 @@ def dissipative_lossless_approx(
 
     Raises when the kernel is not dissipative, when its tail cannot be
     bounded, when the sample window is shorter than the selected horizon,
-    or when the required bank would exceed `state_budget` states.
+    or when the required bank would exceed `_STATE_BUDGET` states.
     """
     if target_error <= 0:
         raise ValueError(f"target error must be positive, got {target_error}")
@@ -724,10 +724,10 @@ def dissipative_lossless_approx(
     horizon = _select_tau(times, ports, mass, target_error, min_horizon, error_constant)
     n_harmonics = max(1, int(np.floor(horizon * error_constant**2 / target_error**2)))
     worst_dim = ports * (2 * n_harmonics - 1)
-    if worst_dim > state_budget:
+    if worst_dim > _STATE_BUDGET:
         raise ValueError(
             f"required harmonic count {n_harmonics} needs up to {worst_dim} states, "
-            f"over the budget of {state_budget}; raise the budget or the target error"
+            f"over the budget of {_STATE_BUDGET}; raise the target error"
         )
     window_idx = int(round(horizon / g.dt))
     n_harmonics = min(n_harmonics, window_idx)

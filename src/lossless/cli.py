@@ -152,11 +152,38 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One asserted property of a finished run."""
+    """One asserted property of a finished run: the reading `value` of
+    `what` against `at_most` and/or `at_least`.  It `passed` when it lies
+    within every bound given (NaN lies within none).  Its `detail` reads
+    "<what> = <value>, want at most <bound>" ("at least", or "<low> to
+    <high>" when both are given), a bound in full (its shortest round-trip
+    form), so an allowance of a few eps past 1 shows."""
 
     name: str
-    passed: bool
-    detail: str
+    value: float
+    what: str
+    at_most: float | None = None
+    at_least: float | None = None
+
+    def __post_init__(self):
+        for key in ("value", "at_most", "at_least"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, float(getattr(self, key)))
+
+    @property
+    def passed(self) -> bool:
+        return ((self.at_most is None or self.value <= self.at_most)
+                and (self.at_least is None or self.value >= self.at_least))
+
+    @property
+    def detail(self) -> str:
+        if self.at_least is None:
+            want = f"at most {self.at_most!r}"
+        elif self.at_most is None:
+            want = f"at least {self.at_least!r}"
+        else:
+            want = f"{self.at_least!r} to {self.at_most!r}"
+        return f"{self.what} = {self.value:.6g}, want {want}"
 
 
 @dataclass(frozen=True)
@@ -720,25 +747,6 @@ def _record_columns(cls, records, names=None, **headers) -> dict:
     return {headers.get(name, name): [getattr(r, name) for r in records] for name in names}
 
 
-def _check(name: str, value, *, at_most=None, at_least=None, what: str) -> CheckResult:
-    """A check that `value` lies within its bound(s); NaN lies within none.
-
-    The detail reads "<what> = <value>, want at most <bound>" ("at least",
-    or "<low> to <high>" when both bounds are given).  A bound prints in
-    full (its shortest round-trip form), so an allowance of a few eps
-    past 1 shows.
-    """
-    value = float(value)
-    passed = (at_most is None or value <= at_most) and (at_least is None or value >= at_least)
-    if at_least is None:
-        want = f"at most {float(at_most)!r}"
-    elif at_most is None:
-        want = f"at least {float(at_least)!r}"
-    else:
-        want = f"{float(at_least)!r} to {float(at_most)!r}"
-    return CheckResult(name, bool(passed), f"{what} = {value:.6g}, want {want}")
-
-
 # --------------------------------------------------------------------------
 # model resolution
 
@@ -789,12 +797,12 @@ def _run_approx_memoryless(config: ExperimentConfig) -> RunReport:
         bounds[i] = memoryless_error_bound(gain, tau, n, u).values.max()
 
     checks = [
-        _check("bound_dominates", (measured - bounds).max(), at_most=0.0,
-               what="largest measured-minus-bound gap"),
+        CheckResult("bound_dominates", (measured - bounds).max(), at_most=0.0,
+                    what="largest measured-minus-bound gap"),
     ]
     if len(ns) >= 3:
         slope = np.polyfit(np.log(ns), np.log(measured), 1)[0]
-        checks.append(_check("convergence_slope", slope, at_most=-0.9, what="log-log slope"))
+        checks.append(CheckResult("convergence_slope", slope, at_most=-0.9, what="log-log slope"))
     table = {"N": ns, "measured_error": measured, "error_bound": bounds}
     return RunReport((("memoryless.csv", table),), tuple(checks))
 
@@ -848,13 +856,13 @@ def _run_approx_dissipative(config: ExperimentConfig) -> RunReport:
         }),
     )
     checks = (
-        _check("skew_residual_zero", skew, at_most=0.0, what="skew residual"),
-        _check("shifted_residues_psd", min_eig, at_least=-1e-10,
-               what="smallest shifted eigenvalue"),
-        _check("l2_error_within_target", f.l2_error_measured, at_most=p["epsilon"],
-               what="L2 error"),
-        _check("coefficient_decay", decay_gap, at_most=0.0,
-               what="largest norm-minus-envelope gap"),
+        CheckResult("skew_residual_zero", skew, at_most=0.0, what="skew residual"),
+        CheckResult("shifted_residues_psd", min_eig, what="smallest shifted eigenvalue",
+                    at_least=-64 * np.finfo(float).eps * np.abs(eigs).max(initial=0.0)),
+        CheckResult("l2_error_within_target", f.l2_error_measured, at_most=p["epsilon"],
+                    what="L2 error"),
+        CheckResult("coefficient_decay", decay_gap, at_most=0.0,
+                    what="largest norm-minus-envelope gap"),
     )
     return RunReport(tables, checks)
 
@@ -916,13 +924,13 @@ def _run_approx_nonlinear(config: ExperimentConfig) -> RunReport:
         }),
     )
     checks = (
-        _check("running_bound_holds", running_ratios.max(), at_most=1.0 + allowance,
-               what=f"largest error-to-bound ratio over {trials} inputs"),
-        _check("flat_bound_holds", flat_ratios.max(), at_most=1.0 + allowance,
-               what=f"largest error-to-bound ratio over {trials} inputs"),
-        _check("memoryless_slope", abs(fit_m.slope + 1.0), at_most=0.1,
-               what="|log-log slope + 1|"),
-        _check("generic_slope", fit_g.slope, at_most=-0.4, what="log-log slope"),
+        CheckResult("running_bound_holds", running_ratios.max(), at_most=1.0 + allowance,
+                    what=f"largest error-to-bound ratio over {trials} inputs"),
+        CheckResult("flat_bound_holds", flat_ratios.max(), at_most=1.0 + allowance,
+                    what=f"largest error-to-bound ratio over {trials} inputs"),
+        CheckResult("memoryless_slope", abs(fit_m.slope + 1.0), at_most=0.1,
+                    what="|log-log slope + 1|"),
+        CheckResult("generic_slope", fit_g.slope, at_most=-0.4, what="log-log slope"),
     )
     return RunReport(tables, checks)
 
@@ -956,15 +964,15 @@ def _run_fdt(config: ExperimentConfig) -> RunReport:
         )),
     )
     checks = [
-        _check("equipartition_3se", abs(mean_energy - expected), at_most=3.0 * energy_se,
-               what="mean-energy deviation"),
-        _check("fluctuation_kernel_5se", report.max_normalized_deviation, at_most=5.0,
-               what="worst kernel deviation in standard errors"),
+        CheckResult("equipartition_3se", abs(mean_energy - expected), at_most=3.0 * energy_se,
+                    what="mean-energy deviation"),
+        CheckResult("fluctuation_kernel_5se", report.max_normalized_deviation, at_most=5.0,
+                    what="worst kernel deviation in standard errors"),
     ]
     if not math.isnan(report.stationarity_normalized):
         checks.append(
-            _check("kernel_stationarity_5se", report.stationarity_normalized, at_most=5.0,
-                   what="worst lag-pair spread in standard errors")
+            CheckResult("kernel_stationarity_5se", report.stationarity_normalized, at_most=5.0,
+                        what="worst lag-pair spread in standard errors")
         )
     return RunReport(tables, tuple(checks))
 
@@ -1003,10 +1011,10 @@ def _run_langevin(config: ExperimentConfig) -> RunReport:
         )),
     )
     checks = (
-        _check("stationary_variance_5pct", np.abs(variances - kbt).max(),
-               at_most=0.05 * abs(kbt), what="worst variance deviation"),
-        _check("johnson_variance_5pct", abs(noise_var - noise_expected),
-               at_most=0.05 * abs(noise_expected), what="variance deviation"),
+        CheckResult("stationary_variance_5pct", np.abs(variances - kbt).max(),
+                    at_most=0.05 * abs(kbt), what="worst variance deviation"),
+        CheckResult("johnson_variance_5pct", abs(noise_var - noise_expected),
+                    at_most=0.05 * abs(noise_expected), what="variance deviation"),
     )
     return RunReport(tables, checks)
 
@@ -1051,19 +1059,17 @@ def _run_measure(config: ExperimentConfig) -> RunReport:
 
 def _measure_checks(system, outcome) -> tuple[CheckResult, ...]:
     """`measure`'s two rounding checks, bound on the run's own scale: the
-    correction residual by 8 eps s per record sample, s = max(|B| |x0|,
-    sqrt(m*), sqrt(estimate variance)), and P's smallest eigenvalue by
-    -64 eps trace(P).  The ideal M2 residual is its chain's rounding
-    against the exact natural path, about 0.23 eps s per step; |B| |x0|
+    correction residual by 8 eps s, s = max(|B| |x0|, sqrt(m*), sqrt(estimate
+    variance)), and P's smallest eigenvalue by -64 eps trace(P).  |B| |x0|
     bounds the natural potential (J is skew) and is not 0 when y0 is."""
     eps = np.finfo(float).eps
     scale = max(float(np.linalg.norm(system.B) * np.linalg.norm(system.x0)),
                 math.sqrt(outcome.m_star), math.sqrt(outcome.estimate_variance))
     return (
-        _check("correction_identity", outcome.max_correction_residual,
-               at_most=8 * eps * scale * outcome.y_m.values.shape[0], what="worst correction residual"),
-        _check("covariance_psd", np.linalg.eigvalsh(outcome.P).min(),
-               at_least=-64 * eps * float(np.trace(outcome.P)), what="smallest eigenvalue"),
+        CheckResult("correction_identity", outcome.max_correction_residual,
+                    at_most=8 * eps * scale, what="worst correction residual"),
+        CheckResult("covariance_psd", np.linalg.eigvalsh(outcome.P).min(),
+                    at_least=-64 * eps * float(np.trace(outcome.P)), what="smallest eigenvalue"),
     )
 
 
@@ -1085,10 +1091,10 @@ def _run_tradeoff(config: ExperimentConfig) -> RunReport:
     blocks = rhs.reshape(len(p["tm_values"]), len(p["km_values"]))
     spread = (np.abs(blocks - blocks[:, :1]).max(axis=1) / blocks[:, 0]).max()
     checks = (
-        _check("product_floor", (lhs - 0.9 * rhs).min(), at_least=0.0,
-               what="smallest lhs - 0.9 rhs"),
-        _check("rhs_admittance_invariant", spread, at_most=1e-12,
-               what="largest relative spread across k_m"),
+        CheckResult("product_floor", (lhs - 0.9 * rhs).min(), at_least=0.0,
+                    what="smallest lhs - 0.9 rhs"),
+        CheckResult("rhs_admittance_invariant", spread, at_most=1e-12,
+                    what="largest relative spread across k_m"),
     )
     observations = (
         {
@@ -1128,22 +1134,22 @@ def _run_table1(config: ExperimentConfig) -> RunReport:
     checks = []
     observations = []
     if "M2" in p["variants"]:
-        checks.append(_check("m2_rows_zero", largest("M2", "b_d_norm", *noise), at_most=0.0,
-                             what="largest back-action entry"))
+        checks.append(CheckResult("m2_rows_zero", largest("M2", "b_d_norm", *noise), at_most=0.0,
+                                  what="largest back-action entry"))
     if "M1" in p["variants"]:
-        checks.append(_check("m1_noise_columns_zero", largest("M1", *noise), at_most=0.0,
-                             what="largest stochastic entry"))
-        checks.append(_check("m1_bd_coefficient", abs(fit_of["M1", "b_d_norm"].ratio - 1.0),
-                             at_most=0.1, what="|coefficient/reference - 1|"))
+        checks.append(CheckResult("m1_noise_columns_zero", largest("M1", *noise), at_most=0.0,
+                                  what="largest stochastic entry"))
+        checks.append(CheckResult("m1_bd_coefficient", abs(fit_of["M1", "b_d_norm"].ratio - 1.0),
+                                  at_most=0.1, what="|coefficient/reference - 1|"))
     if "M1hat" in p["variants"]:
         checks += [
-            _check(f"m1hat_{short}_coefficient", abs(fit_of["M1hat", column].ratio - 1.0),
-                   at_most=0.1, what="|coefficient/reference - 1|")
+            CheckResult(f"m1hat_{short}_coefficient", abs(fit_of["M1hat", column].ratio - 1.0),
+                        at_most=0.1, what="|coefficient/reference - 1|")
             for short, column in (("bd", "b_d_norm"), ("trace", "trace_p"), ("deltay", "delta_y_sq"))
         ]
         mstar = fit_of[("M1hat", "m_star")]
-        checks.append(_check("m1hat_mstar_exponent", abs(mstar.slope + 1.0), at_most=0.1,
-                             what="|log-log slope + 1|"))
+        checks.append(CheckResult("m1hat_mstar_exponent", abs(mstar.slope + 1.0), at_most=0.1,
+                                  what="|log-log slope + 1|"))
         observations.append(
             {
                 "name": "m1hat_mstar_coefficient",
@@ -1156,8 +1162,8 @@ def _run_table1(config: ExperimentConfig) -> RunReport:
         )
     if "M2hat" in p["variants"]:
         bd = fit_of[("M2hat", "b_d_norm")]
-        checks.append(_check("m2hat_bd_exponent", bd.slope, at_least=1.9, at_most=2.1,
-                             what="log-log slope"))
+        checks.append(CheckResult("m2hat_bd_exponent", bd.slope, at_least=1.9, at_most=2.1,
+                                  what="log-log slope"))
         observations.append(
             {
                 "name": "m2hat_bd_adjudication",
@@ -1218,7 +1224,7 @@ def run(config: ExperimentConfig, stream=None) -> int:
             "python": platform.python_version(),
         },
         "outputs": files,
-        "checks": [dataclasses.asdict(c) for c in report.checks],
+        "checks": [{**dataclasses.asdict(c), "passed": c.passed, "detail": c.detail} for c in report.checks],
         "observations": list(report.observations),
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:

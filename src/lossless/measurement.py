@@ -58,6 +58,7 @@ import numpy as np
 from ._util import as_float_array, expm, frozen, positive, run_chunked
 from .statespace import (
     Trajectory,
+    _expm_increment,
     _lti_run,
     _port_samples,
     _require_finite,
@@ -359,7 +360,7 @@ def simulate_device(
     if not device.is_noisy:
         # M2's active branch cancels the loading, so its port current stays zero
         loading = km * np.outer(b, b) if device.variant == "M1" else 0.0
-        increment = matrix_exponential((system.J - loading) * dt) - np.eye(system.n)
+        increment = _expm_increment((system.J - loading) * dt)
         record, final = _lti_run(increment, system.x0, c=b, steps=steps)
         b_d = final - x_nat if device.variant == "M1" else np.zeros(system.n)
         y_hat = record[-1:]
@@ -480,16 +481,12 @@ def _noise_scales(device, dt) -> tuple[float, float]:
 
 
 def _probe_trials(system, device, dt, steps, rng, count):
-    """Euler-Maruyama histories of `count` thermal probe trials, readout and
+    """Euler-Maruyama histories of `count` M2hat probe trials, readout and
     kick riding on the same white noise: records (steps + 1, count), final
-    states (count, n) and the M2hat supply offsets (count,), drawn first
-    (None for M1hat, which is linear, so a chunk is one lifted run).  M2hat
-    steps all trials on (n, count) columns with each step's port term
-    stacked under them, one product a step; the filter is not stepped, since
+    states (count, n) and the supply offsets (count,), drawn first.  All
+    trials step on (n, count) columns with each step's port term stacked
+    under them, one product a step; the filter is not stepped, since
     `_read_out` takes each estimate from the record alone."""
-    if device.variant == "M1hat":
-        records, states = _m1hat_probe(system, device, dt, rng.standard_normal((steps + 1, count)))
-        return records, states, None
     b, n = system.B, system.n
     kick, meas = _noise_scales(device, dt)
     rate = dt * device.admittance / math.sqrt(2.0 * device.supply_energy)
@@ -838,18 +835,16 @@ def kalman_estimate(
     y_m: Trajectory,
     *,
     state_offset: float | None = None,
-    drift=None,
 ) -> tuple[Trajectory, Trajectory]:
     """Run the optimal filter over one readout record.
 
     Returns the running estimate yhat(t_k) of the perturbed potential
     and the record of the filter gain vector.  The M2hat filter needs
-    the trial's supply offset (`state_offset`), and accepts the drift
-    signal w_d as a Trajectory on the readout grid or a callable; by
-    default it takes the noise-free drift of `_supply_aux_path`, which
-    is the path `simulate_device` built for the same system, probe and
-    grid, bit for bit.  M1hat takes neither.  At T_m = 0 the readout is
-    exact and the estimate is the record itself, gain zero.
+    the trial's supply offset (`state_offset`); its drift w_d is the
+    noise-free one of `_supply_aux_path`, the path `simulate_device`
+    built for the same system, probe and grid, bit for bit.  M1hat takes
+    no offset.  At T_m = 0 the readout is exact and the estimate is the
+    record itself, gain zero.
 
     The filter is least squares on the initial state with a diffuse
     prior over the rows of `_record_chain`, the model `simulate_device`
@@ -865,10 +860,10 @@ def kalman_estimate(
     """
     if not device.is_noisy:
         raise ValueError("the filter applies to the realized variants M1hat and M2hat")
-    one_port = "the filter of a scalar-valued port"
-    record = _port_samples(y_m, 1, what="the readout record", owner=one_port)[:, 0]
-    if device.variant == "M1hat" and (state_offset is not None or drift is not None):
-        raise ValueError("M1hat has no supply state, so state_offset and drift must be None")
+    record = _port_samples(y_m, 1, what="the readout record",
+                           owner="the filter of a scalar-valued port")[:, 0]
+    if device.variant == "M1hat" and state_offset is not None:
+        raise ValueError("M1hat has no supply state, so state_offset must be None")
     if device.variant == "M2hat" and state_offset is None:
         raise ValueError("the M2hat filter needs the supply offset it is assumed to know")
     steps = record.shape[0] - 1
@@ -884,15 +879,8 @@ def kalman_estimate(
             Trajectory(dt=dt, values=np.zeros((steps + 1, n))),
         )
 
-    offset = None if state_offset is None else float(state_offset)
-    if device.variant == "M2hat" and drift is None:
-        _, drift = _supply_aux_path(system, km, device.supply_energy, dt, steps)
-    elif isinstance(drift, Trajectory):
-        if drift.values.shape[0] != steps + 1 or not math.isclose(drift.dt, dt, rel_tol=1e-9):
-            raise ValueError("drift record does not match the readout grid")
-        drift = _port_samples(drift, 1, what="the drift record", owner=one_port)[:, 0]
-    elif drift is not None:
-        drift = np.array([float(drift(k * dt)) for k in range(steps + 1)])
+    offset = None if state_offset is None else float(state_offset)  # given for M2hat only
+    drift = None if offset is None else _supply_aux_path(system, km, device.supply_energy, dt, steps)[1]
     chain, rows, pushed = _record_chain(system, device, dt, record, drift, offset)
     props, _ = _lti_run(chain, np.eye(n), steps=steps)  # (I + chain)^k, for the gains
     c = km / (2.0 * kbt)
@@ -1022,7 +1010,10 @@ def benchmark_estimator(
     times = np.arange(steps + 1) * dt
 
     def worker(rng, count):
-        records, states, _ = _probe_trials(system, device, dt, steps, rng, count)
+        if device.variant == "M1hat":
+            records, states = _m1hat_probe(system, device, dt, rng.standard_normal((steps + 1, count)))
+        else:
+            records, states, _ = _probe_trials(system, device, dt, steps, rng, count)
         truth = states @ system.B
         total = 0.0
         for i in range(count):

@@ -431,6 +431,13 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return expm(a)
 
 
+def _expm_increment(a) -> np.ndarray:
+    """e^A - I without cancelling against I, so a short step keeps its digits: A phi(A), with
+    phi(A) = int_0^1 e^{As} ds the top-right block of e^[[A, I], [0, 0]] (Van Loan, IEEE TAC 23, 1978)."""
+    n = a.shape[0]
+    return a @ expm(np.block([[a, np.eye(n)], [np.zeros((n, 2 * n))]]))[:n, n:]
+
+
 def integrate_ode(
     f: Callable[[float, np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -827,8 +834,8 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     midpoint runs convolve with, within a few eps of
     sum_s (1 + |w_s| t)|c_s||b_s| each.  A may then be dense or sparse (the
     CSR generator of a large bank).  Any other A must be dense, and takes the readouts of
-    x[k+1] = x[k] + E x[k] from x[0] = B (E = exp(A dt) - I), run in lifted
-    blocks by `_lti_run`.
+    x[k+1] = x[k] + E x[k] from x[0] = B (E = exp(A dt) - I, `_expm_increment`),
+    run in lifted blocks by `_lti_run`.
     """
     A, B, C, _ = _port_matrices(sys)
     positive(dt, "dt")
@@ -840,7 +847,7 @@ def impulse_response(sys, dt: float, n_samples: int) -> Trajectory:
     elif _is_sparse(A):
         raise TypeError("impulse_response needs a dense state matrix or rotation blocks")
     else:
-        out, _ = _lti_run(matrix_exponential(A * dt) - np.eye(len(A)), B, c=C, steps=n_samples - 1)
+        out, _ = _lti_run(_expm_increment(A * dt), B, c=C, steps=n_samples - 1)
     return Trajectory(dt=dt, values=out)
 
 

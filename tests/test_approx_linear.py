@@ -794,19 +794,6 @@ class TestL2Error:
         b = Trajectory(dt=0.01, values=np.zeros(101))
         assert l2_error(a, b) == pytest.approx(1.0)
 
-    def test_window_argument(self):
-        a = Trajectory(dt=0.01, values=np.ones(401))
-        b = Trajectory(dt=0.01, values=np.zeros(401))
-        assert l2_error(a, b, horizon=1.0) == pytest.approx(1.0)
-
-    def test_negative_window_rejected(self):
-        # at -0.5 the window length would index from the end, [0, 0.501]
-        a = Trajectory(dt=1e-3, values=np.exp(-np.arange(1001) * 1e-3))
-        b = Trajectory(dt=1e-3, values=np.zeros(1001))
-        with pytest.raises(ValueError, match="horizon must be nonnegative"):
-            l2_error(a, b, horizon=-0.5)
-        assert l2_error(a, b, horizon=0.0) == 0.0
-
     def test_grid_mismatch(self):
         a = Trajectory(dt=0.01, values=np.ones(11))
         b = Trajectory(dt=0.02, values=np.ones(11))

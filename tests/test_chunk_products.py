@@ -34,6 +34,7 @@ from lossless.measurement import (
     _noise_factor,
     _noise_map,
     _lobatto_weights,
+    _m1hat_probe,
     _offset_nodes,
     _probe_trials,
     _read_out,
@@ -68,7 +69,7 @@ def _reference_trial_zero(system, t_m, dt, seed):
     `_record_chain` on its record, and a QR of the filter rows.  Returns its
     outcome (the record and the estimate) and its largest |y_m| or |pushed|."""
     steps = round(t_m / dt)
-    records, _, _ = _probe_trials(system, M1HAT, dt, steps, derive_rng(seed, 0), 1)
+    records, _ = _m1hat_probe(system, M1HAT, dt, derive_rng(seed, 0).standard_normal((steps + 1, 1)))
     _, rows, pushed = _record_chain(system, M1HAT, dt, records)
     q, r = np.linalg.qr(rows)
     theta = scipy.linalg.solve_triangular(r, q.T @ (records - pushed))

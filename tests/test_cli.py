@@ -30,9 +30,9 @@ from lossless.approx_nonlinear import (
 from lossless.cli import (
     _RUNNERS,
     EXPERIMENTS,
+    CheckResult,
     ConfigError,
     _CSV_BLOCK_ROWS,
-    _check,
     _format_cell,
     _format_column,
     _measure_checks,
@@ -135,32 +135,50 @@ HEADERS = {
 
 class TestCheck:
     def test_value_at_the_bound_passes(self):
-        assert _check("c", 0.1, at_most=0.1, what="x").passed
-        assert _check("c", -1e-10, at_least=-1e-10, what="x").passed
-        assert not _check("c", np.nextafter(0.1, 1.0), at_most=0.1, what="x").passed
+        assert CheckResult("c", 0.1, at_most=0.1, what="x").passed
+        assert CheckResult("c", -1e-10, at_least=-1e-10, what="x").passed
+        assert not CheckResult("c", np.nextafter(0.1, 1.0), at_most=0.1, what="x").passed
 
     def test_nan_fails(self):
         for bounds in ({"at_most": 1.0}, {"at_least": 0.0}, {"at_least": 0.0, "at_most": 1.0}):
-            assert not _check("c", float("nan"), what="x", **bounds).passed
+            assert not CheckResult("c", float("nan"), what="x", **bounds).passed
 
     def test_two_sided_bounds(self):
-        inside = _check("slope", 2.0, at_least=1.9, at_most=2.1, what="log-log slope")
+        inside = CheckResult("slope", 2.0, at_least=1.9, at_most=2.1, what="log-log slope")
         assert inside.passed
         assert inside.detail == "log-log slope = 2, want 1.9 to 2.1"
-        assert _check("slope", 1.9, at_least=1.9, at_most=2.1, what="s").passed
-        assert not _check("slope", 1.8, at_least=1.9, at_most=2.1, what="s").passed
-        assert not _check("slope", 2.2, at_least=1.9, at_most=2.1, what="s").passed
+        assert CheckResult("slope", 1.9, at_least=1.9, at_most=2.1, what="s").passed
+        assert not CheckResult("slope", 1.8, at_least=1.9, at_most=2.1, what="s").passed
+        assert not CheckResult("slope", 2.2, at_least=1.9, at_most=2.1, what="s").passed
 
     def test_detail_gives_value_and_bound(self):
-        check = _check("l2", 0.25, at_most=0.5, what="L2 error")
+        check = CheckResult("l2", 0.25, at_most=0.5, what="L2 error")
         assert (check.name, check.detail) == ("l2", "L2 error = 0.25, want at most 0.5")
-        assert _check("psd", -3e-17, at_least=-1e-10, what="e").detail == "e = -3e-17, want at least -1e-10"
+        assert CheckResult("psd", -3e-17, at_least=-1e-10, what="e").detail == "e = -3e-17, want at least -1e-10"
 
     def test_an_allowance_past_one_shows_in_full(self):
         # approx-nonlinear's default bound 1 + (m + 2p + 10) eps, m = 501, p = 2,
         # which six significant digits would print as 1
-        check = _check("r", 0.96, at_most=1.0 + 515 * np.finfo(float).eps, what="ratio")
+        check = CheckResult("r", 0.96, at_most=1.0 + 515 * np.finfo(float).eps, what="ratio")
         assert check.detail == "ratio = 0.96, want at most 1.0000000000001144"
+
+    def test_the_check_stores_its_numbers(self):
+        check = CheckResult("c", np.float64(0.25), at_least=np.float64(-1.0), at_most=0.5, what="x")
+        assert dataclasses.asdict(check) == {"name": "c", "value": 0.25, "at_most": 0.5,
+                                             "at_least": -1.0, "what": "x"}
+        assert all(type(v) is float for v in (check.value, check.at_most, check.at_least))
+
+    @pytest.mark.parametrize("value, bounds, printed, share", [
+        (1.0000004, {"at_most": 1.0}, "ratio = 1,", 1.0000004),
+        (0.09999996, {"at_least": 0.1}, "ratio = 0.1,", 0.1 / 0.09999996),
+    ])
+    def test_a_reading_just_past_its_bound_fails_with_its_own_share(self, value, bounds, printed, share):
+        # six significant digits print both readings as their bound
+        check = CheckResult("c", value, what="ratio", **bounds)
+        assert not check.passed
+        assert check.detail.startswith(printed)
+        got = _load_bench_script("seeds")._reading(dataclasses.asdict(check))[1]
+        assert got == share and got > 1.0
 
 
 class TestMeasureChecks:
@@ -169,10 +187,10 @@ class TestMeasureChecks:
 
     def test_default_bounds_are_no_looser_than_before(self, tmp_path):
         report = _RUNNERS["measure"](build_config("measure", seed=1, out=tmp_path))
-        bounds = {c.name: float(c.detail.rsplit(" ", 1)[1]) for c in report.checks}
+        checks = {c.name: c for c in report.checks}
         assert all(c.passed for c in report.checks)
-        assert 0.0 < bounds["correction_identity"] <= 1e-10
-        assert -1e-10 <= bounds["covariance_psd"] < 0.0
+        assert 0.0 < checks["correction_identity"].at_most <= 1e-10
+        assert -1e-10 <= checks["covariance_psd"].at_least < 0.0
 
     @pytest.mark.parametrize("kbt", [1.0, BOLTZMANN_SI])
     def test_an_indefinite_covariance_fails(self, kbt):
@@ -188,12 +206,58 @@ class TestMeasureChecks:
         assert passed == {"correction_identity": True, "covariance_psd": False}
 
     def test_a_start_at_zero_potential_keeps_a_scale(self):
-        # y0 = 0 with x0 != 0: the ideal M2 record still rounds against the
-        # natural path, and more so over more steps
+        # y0 = 0 with x0 != 0: the scale is still |B| |x0| = 1, and the
+        # ideal M2 record meets the natural path within 8 eps of it
         system = lossless.MeasuredSystem(J=lossless.measured_lc().J, B=[1.0, 0.0, 0.0], x0=[0.0, 1.0, 0.0])
         outcome = lossless.simulate_device(system, lossless.Device("M2", admittance=1.0), 1e-3, 1e-3 / 4096, 1)
-        assert outcome.max_correction_residual > 0.0
+        assert outcome.max_correction_residual <= 8 * np.finfo(float).eps
         assert all(c.passed for c in _measure_checks(system, outcome))
+
+
+def _psd_check(tmp_path, scale):
+    """approx-dissipative's `shifted_residues_psd` check for the config kernel
+    scale e^{-t}, t = 0..10, at epsilon = 0.1 scale (4623 harmonics)."""
+    t = np.arange(10001) * 1e-3
+    cfg = _write_config(tmp_path, kernel={"dt": 1e-3, "values": (scale * np.exp(-t)).tolist()},
+                        epsilon=0.1 * scale)
+    checks = _RUNNERS["approx-dissipative"](build_config("approx-dissipative", cfg)).checks
+    return {c.name: c for c in checks}["shifted_residues_psd"]
+
+
+class TestShiftedResiduesCheck:
+    # the bound is -64 eps r, r the largest |eigenvalue| of the shifted
+    # residues, so kernel and epsilon scaled together scale both sides
+
+    def test_the_verdict_and_reading_follow_the_kernel_scale(self, tmp_path):
+        unit = _psd_check(tmp_path, 1.0)
+        assert unit.passed and unit.value > 0.0
+        assert -1e-14 < unit.at_least < 0.0
+        for power in (40, -40):
+            scale = math.ldexp(1.0, power)
+            scaled = _psd_check(tmp_path, scale)
+            assert scaled.passed
+            assert (scaled.value / scale, scaled.at_least / scale) == (unit.value, unit.at_least)
+
+    @pytest.mark.parametrize("power", [0, -40])
+    def test_a_negative_shifted_eigenvalue_fails_at_any_scale(self, tmp_path, monkeypatch, power):
+        # negative control: the record's shift lowered until the smallest
+        # shifted eigenvalue reads -1e-6 r; an absolute bound of -1e-10
+        # would pass it at 2^-40
+        exact = lossless.cli.dissipative_lossless_approx
+
+        def undershifted(*args, **kwargs):
+            f = exact(*args, **kwargs)
+            residues = f.cos_coefficients + 0j
+            residues[1:] -= 1j * f.sin_coefficients
+            eigs = np.linalg.eigvalsh(residues)
+            # r is then the spread of the unshifted eigenvalues, within 1e-6
+            return dataclasses.replace(f, shift=-eigs.min() - 1e-6 * (eigs.max() - eigs.min()))
+
+        monkeypatch.setattr(lossless.cli, "dissipative_lossless_approx", undershifted)
+        check = _psd_check(tmp_path, math.ldexp(1.0, power))
+        assert not check.passed
+        reach = check.at_least / (-64 * np.finfo(float).eps)
+        assert check.value == pytest.approx(-1e-6 * reach, rel=1e-3)
 
 
 class TestConfigSchema:
@@ -504,6 +568,12 @@ class TestRunsAndArtifacts:
         assert manifest["experiment"] == "approx-memoryless"
         assert manifest["outputs"] == ["memoryless.csv"]
         assert all(check["passed"] for check in manifest["checks"])
+        # each check entry holds its numbers, and they give back its verdict and text
+        for entry in manifest["checks"]:
+            assert set(entry) == {"name", "passed", "detail", "value", "at_most", "at_least", "what"}
+            check = CheckResult(entry["name"], entry["value"], at_most=entry["at_most"],
+                                at_least=entry["at_least"], what=entry["what"])
+            assert (check.passed, check.detail) == (entry["passed"], entry["detail"])
         assert set(manifest["versions"]) == {"lossless", "numpy", "scipy", "python"}
         # the config echo is itself a working config file
         echo = tmp_path / "echo.json"
@@ -918,8 +988,7 @@ def test_a_seed_sweep_reports_each_checks_worst_share(tmp_path):
         out = tmp_path / f"seed_{seed}"
         main(["langevin", "--seed", str(seed), "--config", str(config), "--out", str(out)])
         for check in json.loads((out / "manifest.json").read_text(encoding="utf-8"))["checks"]:
-            value, bound = check["detail"].split(" = ")[1].split(", want at most ")
-            shares.setdefault(check["name"], {})[seed] = float(value) / float(bound)
+            shares.setdefault(check["name"], {})[seed] = check["value"] / check["at_most"]
     assert set(worst) == set(shares) == {"stationary_variance_5pct", "johnson_variance_5pct"}
     for name, by_seed in shares.items():
         seed = max(by_seed, key=by_seed.get)
@@ -1060,16 +1129,17 @@ def _load_bench_script(name):
     return module
 
 
-@pytest.mark.parametrize("detail, badness, share", [
-    ("worst variance deviation = 0.04, want at most 0.05", 0.04, 0.8),
-    ("largest measured-minus-bound gap = -0.2, want at most 0.0", -0.2, None),
-    ("log-log slope = 4, want at least 3.0", -4.0, 0.75),
-    ("smallest eigenvalue = 3e-12, want at least -1e-10", -3e-12, None),
-    ("log-log slope = 2.05, want 1.9 to 2.1", 0.5, 0.5),
-    ("log-log slope = nan, want at most -0.4", math.inf, math.inf),
+@pytest.mark.parametrize("value, bounds, badness, share", [
+    (0.04, {"at_most": 0.05}, 0.04, 0.8),
+    (-0.2, {"at_most": 0.0}, -0.2, None),
+    (4.0, {"at_least": 3.0}, -4.0, 0.75),
+    (3e-12, {"at_least": -1e-10}, -3e-12, None),
+    (2.05, {"at_least": 1.9, "at_most": 2.1}, 0.5, 0.5),
+    (math.nan, {"at_most": -0.4}, math.inf, math.inf),
 ])
-def test_a_check_reading_parses_each_bound_form(detail, badness, share):
-    got = _load_bench_script("seeds")._reading(detail)
+def test_a_check_reading_scores_each_bound_form(value, bounds, badness, share):
+    check = CheckResult("c", value, what="x", **bounds)
+    got = _load_bench_script("seeds")._reading(dataclasses.asdict(check))
     assert got[0] == pytest.approx(badness)
     assert got[1] == (None if share is None else pytest.approx(share))
 

@@ -24,6 +24,7 @@ from lossless.measurement import (
     DEVICE_VARIANTS,
     Device,
     MeasuredSystem,
+    _supply_aux_path,
     benchmark_estimator,
     device_summary,
     kalman_estimate,
@@ -169,6 +170,19 @@ class TestIdealProbes:
             assert value == 0.0 and math.copysign(1.0, value) == 1.0, name
         assert out.b_mean.tobytes() == out.b_d.tobytes()
         assert out.y_hat == out.y_m.values[-1]
+
+    def test_a_long_active_record_ends_on_the_natural_path(self):
+        # the chain steps by e^{J dt} - I formed without cancelling against
+        # I, so 4096 short steps do not carry the rounding of each forward
+        t_m, scale = 1e-3, np.linalg.norm(B) * np.linalg.norm(X0)
+        out = simulate_device(SYSTEM, Device(variant="M2", admittance=1.0), t_m, t_m / 4096, 1)
+        natural = float(B @ matrix_exponential(J * t_m) @ X0)
+        assert abs(out.y_m.values[-1] - natural) <= 4 * np.finfo(float).eps * scale
+
+    def test_memoryless_back_action_meets_its_exact_norm(self):
+        # |e^{(J - B B^T) t_m} x0 - e^{J t_m} x0| at t_m = 1e-3, to 50 digits (mpmath)
+        out = simulate_device(SYSTEM, Device(variant="M1", admittance=1.0), 1e-3, 1e-3 / 256, 1)
+        assert np.linalg.norm(out.b_d) == pytest.approx(9.9949995839583871e-4, rel=1e-12, abs=0)
 
 
 class TestRiccatiSolve:
@@ -548,27 +562,11 @@ class TestKalmanEstimate:
         with pytest.raises(ValueError, match="no supply state"):
             kalman_estimate(SYSTEM, noisy, out.y_m, state_offset=0.1)
 
-    def test_memoryless_filter_rejects_a_drift(self):
-        dev = Device(variant="M1hat", admittance=1.0, temperature=1.0)
-        out = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 64, trials=1, seed=1)
-        drift = Trajectory(dt=out.y_m.dt, values=np.zeros(65))
-        with pytest.raises(ValueError, match="no supply state"):
-            kalman_estimate(SYSTEM, dev, out.y_m, drift=drift)
-
-    def test_drift_record_must_share_the_readout_step(self):
-        dev = Device(variant="M2hat", admittance=1.0, temperature=1.0, supply_energy=4.0)
-        out = simulate_device(SYSTEM, dev, 1e-3, 1e-3 / 64, trials=1, seed=1)
-        drift = Trajectory(dt=7.0, values=np.zeros(65))
-        with pytest.raises(ValueError, match="readout grid"):
-            kalman_estimate(SYSTEM, dev, out.y_m, state_offset=0.0, drift=drift)
-
     def test_explicit_noise_free_drift_matches_the_default(self):
         # w_d = k_m (x_r / sqrt(2 E_m) - 1) B^T x along the noise-free
         # closed loop of the supply-backed probe, integrated here apart
-        # from the filter
+        # from `_supply_aux_path`
         km, em, dt, steps = 1.0, 4.0, 1e-3 / 128, 128
-        dev = Device(variant="M2hat", admittance=km, temperature=1.0, supply_energy=em)
-        out = simulate_device(SYSTEM, dev, steps * dt, dt, trials=1, seed=8)
         root = math.sqrt(2.0 * em)
 
         def loop(_, z):
@@ -577,13 +575,8 @@ class TestKalmanEstimate:
 
         path = integrate_ode(loop, np.append(X0, root), dt, steps * dt).values
         w_d = km * (path[:, 3] / root - 1.0) * (path[:, :3] @ B)
-        default, _ = kalman_estimate(SYSTEM, dev, out.y_m, state_offset=0.2)
-        for drift in (Trajectory(dt=dt, values=w_d), lambda t: w_d[int(round(t / dt))]):
-            est, _ = kalman_estimate(SYSTEM, dev, out.y_m, state_offset=0.2, drift=drift)
-            np.testing.assert_allclose(est.values, default.values, rtol=1e-12, atol=1e-12)
-        with pytest.raises(ValueError, match="readout grid"):
-            kalman_estimate(SYSTEM, dev, out.y_m, state_offset=0.2,
-                            drift=Trajectory(dt=dt, values=w_d[:-1]))
+        _, default = _supply_aux_path(SYSTEM, km, em, dt, steps)
+        np.testing.assert_allclose(default, w_d, rtol=1e-12, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

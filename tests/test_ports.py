@@ -56,7 +56,6 @@ LANGEVIN = LangevinModel(J=[[0.0]], K=[[1.0]], B=[[1.0]], temperature=0.5)
 WRAPPED = wrap_lossless(lambda x, v: -x + v, lambda x, v: x, [0.0], 10.0)
 MEASURED = measured_lc()
 M1HAT = Device("M1hat", admittance=1.0, temperature=0.5)
-M2HAT = Device("M2hat", admittance=1.0, temperature=0.5, supply_energy=10.0)
 
 # entry point -> (call on a record u, the words its mismatch message must hold)
 ENTRY_POINTS = {
@@ -75,9 +74,6 @@ ENTRY_POINTS = {
         lambda u: nonlinear_thermal_decompose(-1.0, 10.0, u, 0.3), "single-port"),
     "supply_noise_variance": (lambda u: supply_noise_variance(-1.0, 10.0, 0.5, u), "single-port"),
     "kalman_estimate": (lambda u: kalman_estimate(MEASURED, M1HAT, u), "channels"),
-    "kalman_estimate drift": (
-        lambda u: kalman_estimate(MEASURED, M2HAT, Trajectory(dt=DT, values=WAVE),
-                                  state_offset=0.1, drift=u), "channels"),
 }
 
 # entry points whose first output is a record that mirrors the input's shape

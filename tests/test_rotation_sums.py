@@ -28,6 +28,7 @@ from lossless.statespace import (
     _as_kernel_samples,
     _default_frequencies,
     _dense_resolvent,
+    _expm_increment,
     _exponential_tail,
     _kernel_transform,
     _lti_run,
@@ -38,7 +39,6 @@ from lossless.statespace import (
     check_dissipative,
     impulse_response,
     lc_ladder,
-    matrix_exponential,
 )
 
 EPS = np.finfo(float).eps
@@ -47,7 +47,7 @@ EPS = np.finfo(float).eps
 def _lifted(sys, dt, n_samples):
     """The lifted-recursion impulse response that non-rotation systems take."""
     a, b, c, _ = _port_matrices(sys)
-    return _lti_run(matrix_exponential(a * dt) - np.eye(len(a)), b, c=c, steps=n_samples - 1)[0]
+    return _lti_run(_expm_increment(a * dt), b, c=c, steps=n_samples - 1)[0]
 
 
 def _rotation_system(omegas, zeros, rng, ports=1, general=False):
